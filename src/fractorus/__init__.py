@@ -35,7 +35,6 @@ from .grids import (
     apply_shifted_operator,
     field_from_function,
     forward_transform,
-    hs_inner,
     hs_norm,
     inverse_transform,
     lq_norm,
@@ -57,6 +56,7 @@ from .extension import (
     sharp_trace_gap,
 )
 from .nonlinearity import (
+    Discretization,
     NonlinearitySpec,
     nonlinear_energy,
     nonlinear_gradient,

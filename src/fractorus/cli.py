@@ -54,7 +54,6 @@ from .nonlinearity import (
     pad_to_grid,
     padded_size,
     restrict_to_grid,
-    spec_to_json,
     verify_hypotheses,
 )
 

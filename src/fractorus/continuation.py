@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import (
     DomainError,
+    FractorusError,
     InsufficientDecay,
     LimitCollapsed,
     NotCauchy,
@@ -28,11 +29,10 @@ from .grids import (
     hs_norm,
     inverse_transform,
     lq_norm,
-    multiplier,
     project_zero_mean,
     random_spectrum,
 )
-from .nonlinearity import NonlinearitySpec, f_eval, nonlinear_energy
+from .nonlinearity import Discretization, NonlinearitySpec
 from . import energy, linking
 
 
@@ -167,12 +167,12 @@ def sweep_m(
                 )
             )
             warm = sol
-        except Exception as ex:  # a failed mass is recorded and skipped
+        except FractorusError as ex:  # a failed mass is recorded and skipped
             records.append(
                 ContinuationRecord(
                     m=m, alpha=float("nan"), hs_norm_T=float("nan"),
                     l2_norm=float("nan"), residual=float("nan"),
-                    solution=None, status=f"Failed: {type(ex).__name__}",
+                    solution=None, status=f"Failed: {type(ex).__name__}: {ex}",
                 )
             )
             warm = None
@@ -199,14 +199,8 @@ def extract_limit(
     diffs = []
     pm1 = FracParams(p_base.s, 1.0)
     for a, b in zip(good, good[1:]):
-        diffs.append(
-            np.sqrt(
-                np.sum(
-                    multiplier(a.solution.grid, pm1)
-                    * np.abs(a.solution.coeffs - b.solution.coeffs) ** 2
-                ).real
-            )
-        )
+        diff = Spectrum(a.solution.grid, a.solution.coeffs - b.solution.coeffs)
+        diffs.append(hs_norm(diff, pm1))
     if len(diffs) >= 2 and diffs[-1] > 10.0 * max(diffs[:-1]):
         raise NotCauchy(f"branch increments grew: {diffs}")
 
@@ -225,12 +219,7 @@ def extract_limit(
 
 def nonlinear_action(spec: NonlinearitySpec, u: Spectrum) -> float:
     """int f(x, u) u dx, the nontriviality functional of the limit passage."""
-    from .nonlinearity import field_on_padded_grid, _coefficient_padded
-
-    g = u.grid
-    m, vals = field_on_padded_grid(u, spec)
-    coeff = _coefficient_padded(spec, g, m)
-    return float(np.sum(f_eval(spec, coeff, vals) * vals) * (g.T / m) ** g.N)
+    return float(Discretization(u.grid, None, spec).action(u.coeffs))
 
 
 def bootstrap_diagnostic(u: Spectrum, q_list, p: Optional[FracParams] = None):

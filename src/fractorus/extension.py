@@ -111,23 +111,20 @@ def extend(u: Spectrum, p: FracParams) -> ExtensionField:
 
 @dataclass(frozen=True)
 class CylinderFunction:
-    """Function on the half-cylinder, sampled on grid x quadrature nodes.
+    """Mode-separable function v = sum c_k g(rate_k, y) e_k on the half-cylinder.
 
-    y_nodes/y_weights realize int_0^inf y^{1-2s} h(y) dy for bounded h.  When
-    the function is separable per Fourier mode, mode_coeffs plus the profile
-    callables (signature (rate_array, y_array) -> values, broadcasting) keep
-    the energy computation spectrally accurate; the raw values path falls back
-    to a differentiation matrix in y.
+    y_nodes/y_weights realize int_0^inf y^{1-2s} h(y) dy for bounded h; the
+    profile callables (signature (rate_array, y_array) -> values,
+    broadcasting) keep the energy computation spectrally accurate.
     """
 
     grid: TorusGrid
     params: FracParams
     y_nodes: np.ndarray = dc_field(repr=False)
     y_weights: np.ndarray = dc_field(repr=False)
-    values: np.ndarray = dc_field(repr=False)
-    mode_coeffs: Optional[np.ndarray] = dc_field(default=None, repr=False)
-    profile_fn: Optional[Callable] = dc_field(default=None, repr=False)
-    dprofile_fn: Optional[Callable] = dc_field(default=None, repr=False)
+    mode_coeffs: np.ndarray = dc_field(repr=False)
+    profile_fn: Callable = dc_field(repr=False)
+    dprofile_fn: Callable = dc_field(repr=False)
 
     def __post_init__(self):
         y = np.asarray(self.y_nodes, dtype=float)
@@ -135,19 +132,6 @@ class CylinderFunction:
             raise DomainError("y_nodes must be strictly increasing positives")
         if np.any(np.asarray(self.y_weights) <= 0):
             raise DomainError("quadrature weights must be positive")
-
-    @property
-    def separable(self) -> bool:
-        return self.mode_coeffs is not None and self.profile_fn is not None
-
-    def to_json(self) -> dict:
-        return {
-            "grid": {"N": self.grid.N, "T": self.grid.T, "n": self.grid.n},
-            "params": {"s": self.params.s, "m": self.params.m},
-            "y_nodes": [float(v) for v in self.y_nodes],
-            "weights": [float(v) for v in self.y_weights],
-            "values": [float(v) for v in self.values.ravel()],
-        }
 
 
 def cylinder_from_profiles(
@@ -160,19 +144,11 @@ def cylinder_from_profiles(
     """Separable cylinder function v = sum c_k g(rate_k, y) e_k."""
     p.check_grid(base.grid)
     rule = halfline_rule(1.0 - 2.0 * p.s, nodes)
-    rates = np.sqrt(_lam(base.grid, p))
-    G = profile_fn(rates[..., None], rule.y)  # grid.shape + (ny,)
-    coeffs_y = base.coeffs[..., None] * G
-    axes = tuple(range(base.grid.N))
-    vals = np.fft.ifftn(coeffs_y, axes=axes) * (
-        base.grid.size / base.grid.T ** (base.grid.N / 2.0)
-    )
     return CylinderFunction(
         grid=base.grid,
         params=p,
         y_nodes=rule.y,
         y_weights=rule.w,
-        values=vals.real,
         mode_coeffs=base.coeffs,
         profile_fn=profile_fn,
         dprofile_fn=dprofile_fn,
@@ -219,8 +195,11 @@ def _extension_energy(v: ExtensionField, nodes: int) -> float:
 
 
 def _separable_energy(v: CylinderFunction, nodes: Optional[int] = None) -> float:
-    rule_y = v.y_nodes if nodes is None else halfline_rule(1.0 - 2.0 * v.params.s, nodes).y
-    rule_w = v.y_weights if nodes is None else halfline_rule(1.0 - 2.0 * v.params.s, nodes).w
+    if nodes is None:
+        rule_y, rule_w = v.y_nodes, v.y_weights
+    else:
+        rule = halfline_rule(1.0 - 2.0 * v.params.s, nodes)
+        rule_y, rule_w = rule.y, rule.w
     rates = np.sqrt(_lam(v.grid, v.params))
     G = v.profile_fn(rates[..., None], rule_y)
     Gp = v.dprofile_fn(rates[..., None], rule_y)
@@ -229,64 +208,17 @@ def _separable_energy(v: CylinderFunction, nodes: Optional[int] = None) -> float
     return float(np.sum(np.abs(v.mode_coeffs) ** 2 * per_mode))
 
 
-def _sampled_energy(v: CylinderFunction) -> float:
-    axes = tuple(range(v.grid.N))
-    scale = v.grid.T ** (v.grid.N / 2.0) / v.grid.size
-    chat = np.fft.fftn(v.values, axes=axes) * scale  # c_k(y_j)
-    D = _diff_matrix(v.y_nodes)
-    dchat = chat @ D.T
-    lam = _lam(v.grid, v.params)
-    dens = np.abs(dchat) ** 2 + lam[..., None] * np.abs(chat) ** 2
-    return float(np.sum(v.y_weights * np.sum(dens, axis=axes)))
-
-
-def _fornberg_weights(x0: float, x: np.ndarray) -> np.ndarray:
-    """First-derivative finite-difference weights on nodes x about x0."""
-    n = x.size
-    c = np.zeros((n, 2))
-    c[0, 0] = 1.0
-    c1, c4 = 1.0, x[0] - x0
-    for i in range(1, n):
-        c2, c5 = 1.0, c4
-        c4 = x[i] - x0
-        for j in range(i):
-            c3 = x[i] - x[j]
-            c2 *= c3
-            if j == i - 1:
-                c[i, 1] = c1 * (c[i - 1, 0] - c5 * c[i - 1, 1]) / c2
-                c[i, 0] = -c1 * c5 * c[i - 1, 0] / c2
-            c[j, 1] = (c4 * c[j, 1] - c[j, 0]) / c3
-            c[j, 0] = c4 * c[j, 0] / c3
-        c1 = c2
-    return c[:, 1]
-
-
-def _diff_matrix(nodes: np.ndarray, stencil: int = 7) -> np.ndarray:
-    """Local-stencil differentiation matrix on arbitrary distinct nodes."""
-    x = np.asarray(nodes, dtype=float)
-    n = x.size
-    half = stencil // 2
-    D = np.zeros((n, n))
-    for i in range(n):
-        lo = max(0, min(i - half, n - stencil))
-        idx = np.arange(lo, min(lo + stencil, n))
-        D[i, idx] = _fornberg_weights(x[i], x[idx])
-    return D
-
-
 def cylinder_energy(v, nodes: int = DEFAULT_NODES) -> float:
     """Weighted energy int y^{1-2s} (|grad v|^2 + m^2 v^2) dx dy."""
     if isinstance(v, ExtensionField):
         return _extension_energy(v, nodes)
-    if v.separable:
-        fine = _separable_energy(v)
-        coarse = _separable_energy(v, nodes=max(len(v.y_nodes) // 2, 50))
-        if abs(fine - coarse) > _CONVERGENCE_TOL * max(abs(fine), 1.0):
-            raise QuadratureUnconverged(
-                f"mode energies moved by {abs(fine - coarse):.2e} on refinement"
-            )
-        return fine
-    return _sampled_energy(v)
+    fine = _separable_energy(v)
+    coarse = _separable_energy(v, nodes=max(len(v.y_nodes) // 2, 50))
+    if abs(fine - coarse) > _CONVERGENCE_TOL * max(abs(fine), 1.0):
+        raise QuadratureUnconverged(
+            f"mode energies moved by {abs(fine - coarse):.2e} on refinement"
+        )
+    return fine
 
 
 # ---------------------------------------------------------------------------
@@ -298,20 +230,12 @@ def trace(v) -> Spectrum:
         return v.base
     s = v.params.s
     exps = sorted({2.0 * s, 1.0, 2.0})
-    if v.separable:
-        ys = np.array([1e-9, 1e-7, 1e-5])
-        rates = np.sqrt(_lam(v.grid, v.params))
-        G = v.profile_fn(rates[..., None], ys)  # grid.shape + (3,)
-        Q = np.moveaxis(G, -1, 0).reshape(len(ys), -1)
-        limits = _fit_limits(ys, Q, exps)
-        return Spectrum(v.grid, (limits.reshape(v.grid.shape)) * v.mode_coeffs)
-    ys = v.y_nodes[:3]
-    axes = tuple(range(v.grid.N))
-    scale = v.grid.T ** (v.grid.N / 2.0) / v.grid.size
-    chat = np.fft.fftn(v.values[..., : len(ys)], axes=axes) * scale
-    Q = np.moveaxis(chat, -1, 0).reshape(len(ys), -1)
+    ys = np.array([1e-9, 1e-7, 1e-5])
+    rates = np.sqrt(_lam(v.grid, v.params))
+    G = v.profile_fn(rates[..., None], ys)  # grid.shape + (3,)
+    Q = np.moveaxis(G, -1, 0).reshape(len(ys), -1)
     limits = _fit_limits(ys, Q, exps)
-    return Spectrum(v.grid, limits.reshape(v.grid.shape))
+    return Spectrum(v.grid, limits.reshape(v.grid.shape) * v.mode_coeffs)
 
 
 def _fit_limits(ys, Q, exps):

@@ -175,13 +175,14 @@ def forward_transform(f: Field) -> Spectrum:
 
 
 def _symmetrize_nyquist(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
-    """Force the Nyquist-plane coefficients real (real-field consistency)."""
+    """Force the Nyquist-plane coefficients real (real-field consistency);
+    leading axes are batched."""
     coeffs = coeffs.copy()
     ny = grid.n // 2
     for ax in range(grid.N):
         sl = [slice(None)] * grid.N
         sl[ax] = ny
-        sl = tuple(sl)
+        sl = (Ellipsis,) + tuple(sl)
         coeffs[sl] = coeffs[sl].real
     return coeffs
 
@@ -231,11 +232,6 @@ def hs_norm(S: Spectrum, p: FracParams) -> float:
     return float(np.sqrt(np.sum(mult * np.abs(S.coeffs) ** 2)))
 
 
-def hs_inner(a: Spectrum, b: Spectrum, p: FracParams) -> float:
-    mult = multiplier(a.grid, p)
-    return float(np.real(np.sum(mult * a.coeffs * np.conj(b.coeffs))))
-
-
 def lq_norm(f: Field, q: float) -> float:
     """Periodic-trapezoid L^q norm on the grid."""
     if q < 1:
@@ -259,14 +255,6 @@ def project_zero_mean(S: Spectrum) -> Spectrum:
 def field_from_function(grid: TorusGrid, fn) -> Field:
     xs = grid.points()
     return Field(grid, np.asarray(fn(*xs), dtype=float))
-
-
-def constant_field(grid: TorusGrid, c: float) -> Field:
-    return Field(grid, np.full(grid.shape, float(c)))
-
-
-def zero_spectrum(grid: TorusGrid) -> Spectrum:
-    return Spectrum(grid, np.zeros(grid.shape, dtype=complex))
 
 
 def random_spectrum(

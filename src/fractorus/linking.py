@@ -35,20 +35,15 @@ from .grids import (
     forward_transform,
     hs_norm,
     inverse_transform,
-    multiplier,
     project_zero_mean,
     random_spectrum,
 )
-from .nonlinearity import (
-    NonlinearitySpec,
-    _coefficient_padded,
-    f_eval,
-    fprime_eval,
-    pad_coeffs,
-    padded_size,
-    restrict_values,
-)
-from . import energy
+from .nonlinearity import Discretization, NonlinearitySpec
+
+# Not used here; kept as names of this module because perfbench's tests check
+# that the tracer wraps `linking.pad_coeffs` and `linking.energy.multiplier`.
+from .nonlinearity import pad_coeffs  # noqa: F401
+from . import energy  # noqa: F401
 
 ARMIJO_SLOPE = 1e-4
 ARMIJO_SHRINK = 0.5
@@ -97,11 +92,6 @@ class SolverState:
     frozen: Optional[np.ndarray] = None  # boundary mask over grid_A
 
 
-def decompose(u: Spectrum, p: FracParams):
-    """Mean-mode / zero-mean splitting of the trace space (Y + Z)."""
-    return energy.decompose(u, p)
-
-
 def pick_z_direction(grid: TorusGrid, p: FracParams) -> Spectrum:
     """Normalized zero-mean linking direction: the spectrum of prod_i sin(w x_i)."""
     w = grid.omega
@@ -139,43 +129,6 @@ def _surface(cs: np.ndarray, rs: np.ndarray, yhat: Spectrum, z: Spectrum) -> np.
     return cb * yhat.coeffs + rb * z.coeffs
 
 
-class _Batch:
-    """Vectorized evaluation of level / gradients over stacks of spectra."""
-
-    def __init__(self, grid: TorusGrid, p: FracParams, spec: Optional[NonlinearitySpec]):
-        self.grid = grid
-        self.p = p
-        self.spec = spec
-        self.ms = multiplier(grid, p, shifted=True)
-        self.precond = multiplier(grid, p)
-        self.axes = tuple(range(-grid.N, 0))
-        if spec is not None:
-            self.m_pad = padded_size(grid.n, spec)
-            self.coeff_pad = _coefficient_padded(spec, grid, self.m_pad)
-            self.cell = (grid.T / self.m_pad) ** grid.N
-
-    def levels(self, U: np.ndarray) -> np.ndarray:
-        quad = 0.5 * np.sum(self.ms * np.abs(U) ** 2, axis=self.axes)
-        if self.spec is None:
-            return quad.real
-        vals = pad_coeffs(U, self.grid, self.m_pad)
-        coeff = self.coeff_pad
-        nl = np.sum(
-            coeff * np.abs(vals) ** (self.spec.p + 1.0), axis=self.axes
-        ) * (self.cell / (self.spec.p + 1.0))
-        return quad.real - nl
-
-    def grad_l2(self, U: np.ndarray) -> np.ndarray:
-        R = self.ms * U
-        if self.spec is not None:
-            vals = pad_coeffs(U, self.grid, self.m_pad)
-            R = R - restrict_values(f_eval(self.spec, self.coeff_pad, vals), self.grid)
-        return R
-
-    def hs_norms(self, U: np.ndarray) -> np.ndarray:
-        return np.sqrt(np.sum(self.precond * np.abs(U) ** 2, axis=self.axes).real)
-
-
 def ridge_estimate(
     grid: TorusGrid,
     p: FracParams,
@@ -190,6 +143,11 @@ def ridge_estimate(
     and the linking z-direction alongside random draws, so the sampled minimum
     is exact for the quadratic probe spec = None.
     """
+    return _ridge_estimate(Discretization(grid, p, spec), probe_radii, n_dirs, rng)
+
+
+def _ridge_estimate(disc: Discretization, probe_radii=None, n_dirs=16, rng=None):
+    grid, p = disc.grid, disc.params
     if probe_radii is None:
         probe_radii = np.geomspace(1e-2, 4.0, 40)
     radii = np.asarray(probe_radii, dtype=float)
@@ -200,13 +158,12 @@ def ridge_estimate(
     dirs = [_axis_mode(grid, p), pick_z_direction(grid, p)]
     for _ in range(n_dirs):
         d = random_spectrum(grid, rng, decay=0.5, zero_mean=True)
-        dirs.append(Spectrum(grid, d.coeffs / hs_norm(d, p)))
+        dirs.append(Spectrum(grid, d.coeffs / disc.hs_norms(d.coeffs)))
     D = np.stack([d.coeffs for d in dirs])
-    batch = _Batch(grid, p, spec)
     mins = np.empty(radii.size)
     argdirs = np.empty(radii.size, dtype=int)
     for i, r in enumerate(radii):
-        lv = batch.levels(r * D)
+        lv = disc.levels(r * D)
         argdirs[i] = int(np.argmin(lv))
         mins[i] = float(lv[argdirs[i]])
     best = int(np.argmax(mins))
@@ -215,37 +172,35 @@ def ridge_estimate(
             f"sampled minimum is nonpositive at every radius (best {mins[best]:.3e})"
         )
     eta = float(radii[best])
-    rho = _sphere_min(batch, eta, Spectrum(grid, D[argdirs[best]]), mins[best])
+    rho = _sphere_min(disc, eta, D[argdirs[best]], mins[best])
     if rho <= 0.0:
         raise NoPositiveRidge(f"sharpened sphere minimum is nonpositive ({rho:.3e})")
     return eta, rho
 
 
-def _sphere_min(batch: _Batch, eta: float, v0: Spectrum, lv0: float) -> float:
+def _sphere_min(disc: Discretization, eta: float, v0: np.ndarray, lv0: float) -> float:
     """Projected descent of the level on the zero-mean sphere of radius eta.
 
     Sharpening the sampled direction minimum downward keeps the reported
     ridge level below the critical level it certifies.
     """
-    g = batch.grid
-    v = eta * v0.coeffs
+    v = eta * v0
     lv = lv0
     step = 0.25
     for _ in range(200):
-        R = batch.grad_l2(v[None])[0]
-        gX = R / batch.precond
-        gX[(0,) * g.N] = 0.0  # stay on the zero-mean subspace
-        inner = np.real(np.sum(batch.precond * gX * np.conj(v))) / eta**2
+        gX = disc.precondition(disc.grad(v))
+        gX[(0,) * disc.grid.N] = 0.0  # stay on the zero-mean subspace
+        inner = np.real(np.sum(disc.full * gX * np.conj(v))) / eta**2
         tang = gX - inner * v
-        sz = np.sqrt(np.sum(batch.precond * np.abs(tang) ** 2).real)
+        sz = disc.hs_norms(tang)
         if sz < 1e-14:
             break
         moved = False
         trial = step
         for _ in range(30):
             w = v - trial * tang
-            w = eta * w / np.sqrt(np.sum(batch.precond * np.abs(w) ** 2).real)
-            lw = float(batch.levels(w[None])[0])
+            w = eta * w / disc.hs_norms(w)
+            lw = float(disc.levels(w))
             if lw < lv - ARMIJO_SLOPE * trial * sz**2:
                 v, lv = w, lw
                 step = min(trial * 1.5, 4.0)
@@ -257,7 +212,7 @@ def _sphere_min(batch: _Batch, eta: float, v0: Spectrum, lv0: float) -> float:
     return lv
 
 
-def _calibrate_caps(batch: _Batch, yhat, z, cfg: LinkingConfig, eta: float):
+def _calibrate_caps(disc: Discretization, yhat, z, cfg: LinkingConfig, eta: float):
     """Double R, R' until the sampled boundary of A is nonpositive."""
     R = cfg.R if cfg.R > 0 else max(2.0 * eta, 1.0)
     Rp = cfg.R_prime if cfg.R_prime > 0 else R
@@ -270,7 +225,7 @@ def _calibrate_caps(batch: _Batch, yhat, z, cfg: LinkingConfig, eta: float):
         cs = np.linspace(-Rp, Rp, nc)
         rs = np.linspace(0.0, R, nr)
         U = _surface(cs, rs, yhat, z)
-        lv = batch.levels(U)
+        lv = disc.levels(U)
         mask = np.zeros((nc, nr), dtype=bool)
         mask[0, :] = mask[-1, :] = True
         mask[:, 0] = mask[:, -1] = True
@@ -301,16 +256,16 @@ def minimax_search(
     geometry (the boundary gate is skipped and nothing is pinned) and the
     flow collapses to zero, reported as NoNontrivialSolution.
     """
-    batch = _Batch(grid, p, spec)
+    disc = Discretization(grid, p, spec)
     yhat = _unit_constant(grid, p)
     z = pick_z_direction(grid, p)
     nc, nr = cfg.grid_A
 
     if spec is not None:
-        eta_guess, rho_hat = ridge_estimate(grid, p, spec, rng=rng)
+        eta_guess, rho_hat = _ridge_estimate(disc, rng=rng)
         if rho is None:
             rho = rho_hat
-        R, Rp, cs, rs, U, frozen = _calibrate_caps(batch, yhat, z, cfg, eta_guess)
+        R, Rp, cs, rs, U, frozen = _calibrate_caps(disc, yhat, z, cfg, eta_guess)
     else:
         R = cfg.R if cfg.R > 0 else 1.0
         Rp = cfg.R_prime if cfg.R_prime > 0 else 1.0
@@ -325,14 +280,14 @@ def minimax_search(
     history = []
     trace = []
     status = "MaxIters"
-    lv = batch.levels(U)
+    lv = disc.levels(U)
     delta_hat = float(np.max(lv))
 
     for sweep in range(cfg.max_iters):
         # one Armijo-backtracked X-descent step per unfrozen point
-        R_l2 = batch.grad_l2(U)
-        gX = R_l2 / batch.precond
-        slope = np.sum((np.abs(R_l2) ** 2 / batch.precond).real, axis=batch.axes)
+        R_l2 = disc.grad(U)
+        gX = disc.precondition(R_l2)
+        slope = disc.dual_norms(R_l2) ** 2
         active = (~frozen) & (slope > 0.0)
         trial = steps.copy()
         new_U = U.copy()
@@ -342,7 +297,7 @@ def minimax_search(
             if not np.any(pending):
                 break
             cand = U - (trial * pending)[lead] * gX
-            cand_lv = batch.levels(cand)
+            cand_lv = disc.levels(cand)
             ok = pending & (cand_lv <= lv - ARMIJO_SLOPE * trial * slope)
             new_U[ok] = cand[ok]
             new_lv[ok] = cand_lv[ok]
@@ -352,26 +307,26 @@ def minimax_search(
         U, lv = new_U, new_lv
 
         # keep iterates in a safe ball without touching the pinned boundary
-        norms = batch.hs_norms(U)
+        norms = disc.hs_norms(U)
         far = (~frozen) & (norms > 10.0 * R)
         if np.any(far):
             scale = np.where(far, 10.0 * R / np.maximum(norms, 1e-300), 1.0)
             U = U * scale[lead]
-            lv = batch.levels(U)
+            lv = disc.levels(U)
 
         U[frozen] = boundary_snapshot
         idx = np.unravel_index(int(np.argmax(lv)), lv.shape)
         level = float(lv[idx])
         arg = Spectrum(grid, U[idx])
-        gnorm = residual_norm(arg, p, spec)
+        gnorm = _residual_norm(disc, arg.coeffs)
         history.append((level, gnorm))
         trace.append((sweep, level, gnorm, float(cs[idx[0]]), float(rs[idx[1]])))
 
         if spec is None:
-            if float(np.max(batch.hs_norms(U))) < COLLAPSE_TOL or level < 1e-12:
+            if float(np.max(disc.hs_norms(U))) < COLLAPSE_TOL or level < 1e-12:
                 status = "NoNontrivialSolution"
                 break
-        elif hs_norm(arg, p) < COLLAPSE_TOL:
+        elif disc.hs_norms(arg.coeffs) < COLLAPSE_TOL:
             status = "NoNontrivialSolution"
             break
 
@@ -382,15 +337,15 @@ def minimax_search(
         polish_now = grid.size <= 2048 or (sweep + 1) % cfg.polish_every == 0
         if spec is not None and polish_now and not frozen[idx]:
             try:
-                polished = newton_refine(arg, p, spec, tol=cfg.ps_tol * 0.1)
+                polished = _newton_refine(disc, arg, tol=cfg.ps_tol * 0.1)
             except DivergedRefinement:
                 polished = None
             if polished is not None:
-                plev = energy.evaluate(polished, p, spec).value
+                plev = float(disc.levels(polished.coeffs))
                 if (
                     plev <= level + 1e-12
                     and plev > 0.0
-                    and hs_norm(polished, p) > 1e-6
+                    and disc.hs_norms(polished.coeffs) > 1e-6
                 ):
                     U[idx] = polished.coeffs
                     lv[idx] = plev
@@ -400,7 +355,7 @@ def minimax_search(
     state = SolverState(
         iterate=arg,
         level=float(lv[idx]),
-        grad_norm=residual_norm(arg, p, spec),
+        grad_norm=_residual_norm(disc, arg.coeffs),
         history=history,
         status=status,
         trace=trace,
@@ -419,24 +374,17 @@ def minimax_search(
 # ---------------------------------------------------------------------------
 # Newton polishing
 
-def _dense_jacobian(u: Spectrum, p: FracParams, spec: NonlinearitySpec) -> np.ndarray:
+def _dense_jacobian(disc: Discretization, u: Spectrum) -> np.ndarray:
     """Real physical-space Jacobian of the L2 residual map, built by batching
     the operator over the identity."""
-    g = u.grid
+    g = disc.grid
     M = g.size
     scale_f = g.T ** (g.N / 2.0) / M
     scale_b = M / g.T ** (g.N / 2.0)
-    axes = tuple(range(-g.N, 0))
     I = np.eye(M).reshape((M,) + g.shape)
-    C = np.fft.fftn(I, axes=axes) * scale_f
-    ms = multiplier(g, p, shifted=True)
-    lin = np.fft.ifftn(ms * C, axes=axes).real * scale_b
-    m_pad = padded_size(g.n, spec)
-    coeff = _coefficient_padded(spec, g, m_pad)
-    uvals = pad_coeffs(u.coeffs, g, m_pad)
-    fp = fprime_eval(spec, coeff, uvals)
-    Wc = restrict_values(fp * pad_coeffs(C, g, m_pad), g)
-    nl = np.fft.ifftn(Wc, axes=axes).real * scale_b
+    C = np.fft.fftn(I, axes=disc.axes) * scale_f
+    lin = np.fft.ifftn(disc.shifted * C, axes=disc.axes).real * scale_b
+    nl = np.fft.ifftn(disc.jacobian_apply(u.coeffs, C), axes=disc.axes).real * scale_b
     return (lin - nl).reshape(M, M).T
 
 
@@ -453,13 +401,24 @@ def newton_refine(
     The least-squares solve absorbs the translation-orbit null space; at an
     exact discrete solution the input is returned after zero iterations.
     """
-    g = u0.grid
+    disc = Discretization(u0.grid, p, spec)
+    return _newton_refine(disc, u0, tol, max_iters, enforce_zero_mean)
+
+
+def _newton_refine(
+    disc: Discretization,
+    u0: Spectrum,
+    tol: float = 1e-10,
+    max_iters: int = 60,
+    enforce_zero_mean: bool = False,
+) -> Spectrum:
+    g = disc.grid
     u = u0
     if enforce_zero_mean:
         u = project_zero_mean(u)
 
     def resid(v: Spectrum) -> Spectrum:
-        return energy.gradient(v, p, spec, metric="L2")
+        return Spectrum(g, disc.grad(v.coeffs))
 
     R = resid(u)
     rnorm = R.l2_norm()
@@ -467,7 +426,7 @@ def newton_refine(
     for _ in range(max_iters):
         if rnorm < tol:
             return u
-        J = _dense_jacobian(u, p, spec)
+        J = _dense_jacobian(disc, u)
         rvals = inverse_transform(R, check=False).values.ravel()
         step, *_ = np.linalg.lstsq(J, -rvals, rcond=None)
         step = step.reshape(g.shape)
@@ -504,10 +463,11 @@ def residual_norm(u: Spectrum, p: FracParams, spec: Optional[NonlinearitySpec]) 
     Weights are 1/(w^2|k|^2+m^2)^s; the singular k = 0 mode at m = 0 keeps
     unit weight so nonzero-mean defects still register.
     """
-    R = energy.gradient(u, p, spec, metric="L2")
-    mult = multiplier(u.grid, p)
-    w = np.where(mult > 0.0, 1.0 / np.maximum(mult, 1e-300), 1.0)
-    return float(np.sqrt(np.sum(w * np.abs(R.coeffs) ** 2)))
+    return _residual_norm(Discretization(u.grid, p, spec), u.coeffs)
+
+
+def _residual_norm(disc: Discretization, coeffs: np.ndarray) -> float:
+    return float(disc.dual_norms(disc.grad(coeffs)))
 
 
 # ---------------------------------------------------------------------------
@@ -522,14 +482,14 @@ def align_spectra(ref: Spectrum, cand: Spectrum, p: FracParams) -> Spectrum:
     g = ref.grid
     k = [g.axis_wavenumbers().astype(float)] * g.N
     mesh = np.meshgrid(*k, indexing="ij")
-    mult = multiplier(g, p)
+    disc = Discretization(g, p, None)
 
     def shifted(coeffs, taus):
         phase = np.exp(-1j * g.omega * sum(m * t for m, t in zip(mesh, taus)))
         return coeffs * phase
 
     def dist(coeffs):
-        return float(np.sum(mult * np.abs(ref.coeffs - coeffs) ** 2))
+        return float(disc.hs_norms(ref.coeffs - coeffs))
 
     best = (np.inf, cand.coeffs)
     offsets = np.arange(g.n) * (g.T / g.n)

@@ -86,6 +86,24 @@ def test_sweep_validations(sweep_setup):
         continuation.sweep_m([0.9, 0.5], p, spec, cfg, grid, m0=0.6)  # m >= m0
 
 
+def test_sweep_failed_row_keeps_message(sweep_setup):
+    grid, p, spec, _ = sweep_setup
+    (rec,) = continuation.sweep_m([0.5], p, spec, linking.LinkingConfig(max_iters=1), grid)
+    assert rec.solution is None
+    assert rec.status == "Failed: DomainError: solver status MaxIters at m=0.5"
+
+
+def test_sweep_propagates_programming_errors(sweep_setup, monkeypatch):
+    grid, p, spec, cfg = sweep_setup
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("bug")
+
+    monkeypatch.setattr(linking, "minimax_search", broken)
+    with pytest.raises(RuntimeError, match="bug"):
+        continuation.sweep_m([0.5], p, spec, cfg, grid)
+
+
 def test_extract_limit(sweep_setup, sweep_records):
     grid, p, spec, cfg = sweep_setup
     _, recs = sweep_records

@@ -23,13 +23,6 @@ def _hs_dist(a, b, p):
     return float(np.sqrt(np.sum(m * np.abs(a.coeffs - b.coeffs) ** 2)))
 
 
-def test_decompose_reexport(grid64, params_half):
-    u = forward_transform(field_from_function(grid64, lambda x: 3.0 + np.cos(x)))
-    y, z = linking.decompose(u, params_half)
-    assert z.mean_coeff == 0.0
-    assert np.max(np.abs(y.coeffs + z.coeffs - u.coeffs)) == 0.0
-
-
 def test_pick_z_direction(grid64, params_half):
     z = linking.pick_z_direction(grid64, params_half)
     assert abs(hs_norm(z, params_half) - 1.0) < 1e-12
