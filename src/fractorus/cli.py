@@ -10,9 +10,8 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -21,7 +20,6 @@ import numpy as np
 from .errors import (
     BoundaryNotNegative,
     DivergedRefinement,
-    DomainError,
     FractorusError,
     HypothesisViolated,
     LimitCollapsed,
@@ -35,6 +33,8 @@ from .grids import (
     FracParams,
     Spectrum,
     TorusGrid,
+    apply_bessel_operator,
+    apply_shifted_operator,
     field_from_function,
     forward_transform,
     hermitian_defect,
@@ -80,14 +80,44 @@ class RunConfig:
     mode: str
     m_list: Optional[list] = None
     seed: int = 0
-    output_dir: str = "."
     solution_file: Optional[str] = None
+
+
+# What building a config value from well-formed JSON of the wrong type or
+# range can raise.
+_BUILD_ERRORS = (KeyError, TypeError, ValueError, FractorusError)
+
+# $.solver keys and their JSON conversions; absent keys take the
+# LinkingConfig defaults.
+_SOLVER_KEYS = {"R": float, "R_prime": float, "ps_tol": float, "max_iters": int}
 
 
 def _require_keys(doc: dict, allowed: set, path: str):
     for key in doc:
         if key not in allowed:
             raise ValidationError(f"unknown key {path}.{key}")
+
+
+def _built(path: str, build, *args):
+    """build(*args), with any failure reported as a ValidationError at path."""
+    try:
+        return build(*args)
+    except _BUILD_ERRORS as ex:
+        raise ValidationError(f"{path}: {ex}") from ex
+
+
+def _section(doc: dict, name: str, keys: set, build, required: bool):
+    """build(section) for the object $.name, or None when it is absent and
+    not required."""
+    if name not in doc:
+        if required:
+            raise ValidationError(f"missing section $.{name}")
+        return None
+    sec = doc[name]
+    if not isinstance(sec, dict):
+        raise ValidationError(f"$.{name} must be an object")
+    _require_keys(sec, keys, f"$.{name}")
+    return _built(f"$.{name}", build, sec)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -101,100 +131,63 @@ def parse_config(text: str) -> RunConfig:
     _require_keys(
         doc,
         {"grid", "frac", "nonlinearity", "solver", "mode", "m_list", "seed",
-         "output_dir", "solution_file"},
+         "solution_file"},
         "$",
     )
 
-    def section(name, required=True):
-        if name not in doc:
-            if required:
-                raise ValidationError(f"missing section $.{name}")
-            return None
-        if not isinstance(doc[name], dict):
-            raise ValidationError(f"$.{name} must be an object")
-        return doc[name]
+    grid = _section(doc, "grid", {"N", "T", "n"}, lambda d: TorusGrid(
+        N=int(d["N"]), T=float(d["T"]), n=int(d["n"])), required=True)
 
-    gdoc = section("grid")
-    _require_keys(gdoc, {"N", "T", "n"}, "$.grid")
-    try:
-        grid = TorusGrid(N=int(gdoc["N"]), T=float(gdoc["T"]), n=int(gdoc["n"]))
-    except (KeyError, TypeError) as ex:
-        raise ValidationError(f"$.grid: {ex}") from ex
-    except DomainError as ex:
-        raise ValidationError(f"$.grid: {ex}") from ex
-
-    fdoc = section("frac")
-    _require_keys(fdoc, {"s", "m"}, "$.frac")
-    try:
-        frac = FracParams(s=float(fdoc["s"]), m=float(fdoc["m"]))
+    def build_frac(d):
+        frac = FracParams(s=float(d["s"]), m=float(d["m"]))
         frac.check_grid(grid)
-    except (KeyError, TypeError, DomainError) as ex:
-        raise ValidationError(f"$.frac: {ex}") from ex
+        return frac
+
+    frac = _section(doc, "frac", {"s", "m"}, build_frac, required=True)
 
     mode = doc.get("mode")
     if mode not in ("verify", "solve", "sweep", "diagnose"):
         raise ValidationError(f"$.mode must be verify|solve|sweep|diagnose, got {mode!r}")
 
-    ndoc = section("nonlinearity", required=mode in ("solve", "sweep"))
-    spec = None
-    if ndoc is not None:
-        _require_keys(ndoc, {"kind", "p", "mu", "r0", "a_values"}, "$.nonlinearity")
+    def build_spec(d):
         a = None
-        if "a_values" in ndoc:
-            vals = np.asarray(ndoc["a_values"], dtype=float).reshape(grid.shape)
-            a = Field(grid, vals)
-        try:
-            spec = NonlinearitySpec(
-                kind=str(ndoc.get("kind", "pure_power")),
-                p=float(ndoc["p"]),
-                mu=float(ndoc.get("mu", 0.0)),
-                r0=float(ndoc.get("r0", 1.0)),
-                a=a,
-            )
-            spec.check_growth(frac, grid)
-        except (KeyError, TypeError) as ex:
-            raise ValidationError(f"$.nonlinearity: {ex}") from ex
-        except (ValidationError, HypothesisViolated, DomainError) as ex:
-            raise ValidationError(f"$.nonlinearity: {ex}") from ex
-
-    sdoc = section("solver", required=False) or {}
-    _require_keys(
-        sdoc,
-        {"R", "R_prime", "grid_A", "descent_step", "ps_tol", "max_iters", "polish_every"},
-        "$.solver",
-    )
-    try:
-        solver = linking.LinkingConfig(
-            R=float(sdoc.get("R", 0.0)),
-            R_prime=float(sdoc.get("R_prime", 0.0)),
-            grid_A=tuple(sdoc.get("grid_A", (9, 17))),
-            descent_step=float(sdoc.get("descent_step", 0.5)),
-            ps_tol=float(sdoc.get("ps_tol", 1e-8)),
-            max_iters=int(sdoc.get("max_iters", 2000)),
-            polish_every=int(sdoc.get("polish_every", 20)),
+        if "a_values" in d:
+            a = Field(grid, np.asarray(d["a_values"], dtype=float).reshape(grid.shape))
+        spec = NonlinearitySpec(
+            kind=str(d.get("kind", "pure_power")),
+            p=float(d["p"]),
+            mu=float(d.get("mu", 0.0)),
+            r0=float(d.get("r0", 1.0)),
+            a=a,
         )
-    except DomainError as ex:
-        raise ValidationError(f"$.solver: {ex}") from ex
+        spec.check_growth(frac, grid)
+        return spec
+
+    spec = _section(doc, "nonlinearity", {"kind", "p", "mu", "r0", "a_values"},
+                    build_spec, required=mode in ("solve", "sweep"))
+
+    solver = _section(doc, "solver", _SOLVER_KEYS, lambda d: linking.LinkingConfig(
+        **{k: _SOLVER_KEYS[k](v) for k, v in d.items()}), required=False)
 
     m_list = doc.get("m_list")
     if mode == "sweep":
         if not m_list:
             raise ValidationError("$.m_list is required in sweep mode")
-        m_list = [float(m) for m in m_list]
-        if any(m <= 0 for m in m_list) or any(
-            b >= a for a, b in zip(m_list, m_list[1:])
-        ):
-            raise ValidationError("$.m_list must be positive and strictly decreasing")
+        m_list = _built("$.m_list", lambda ms: [float(m) for m in ms], m_list)
+        _built("$.m_list", continuation.check_mass_list, m_list, None)
+
+    seed = _built("$.seed", int, doc.get("seed", 0))
+    if seed < 0:
+        raise ValidationError(f"$.seed must be nonnegative, got {seed}")
 
     return RunConfig(
         grid=grid,
         frac=frac,
         nonlinearity=spec,
-        solver=solver,
+        solver=solver or linking.LinkingConfig(),
         mode=mode,
         m_list=m_list,
-        seed=int(doc.get("seed", 0)),
-        output_dir=str(doc.get("output_dir", ".")),
+        seed=seed,
         solution_file=doc.get("solution_file"),
     )
 
@@ -209,9 +202,7 @@ def _verify_properties(cfg: RunConfig):
 
     def check(name, fn):
         try:
-            val = fn()
-            ok = bool(val) if isinstance(val, (bool, np.bool_)) else True
-            detail = "" if isinstance(val, (bool, np.bool_)) else str(val)
+            ok, detail = bool(fn()), ""
         except FractorusError as ex:
             ok, detail = False, f"{type(ex).__name__}: {ex}"
         props.append({"name": name, "passed": ok, "detail": detail})
@@ -222,8 +213,6 @@ def _verify_properties(cfg: RunConfig):
     c[tuple(np.mod(k0, g.n))] = 1.0
     mode = Spectrum(g, c)
     lam = (w**2 * sum(x * x for x in k0) + p.m**2) ** p.s
-
-    from .grids import apply_bessel_operator, apply_shifted_operator
 
     check("multiplier_single_mode_exact", lambda: np.max(np.abs(
         apply_bessel_operator(mode, p).coeffs - lam * mode.coeffs)) < 1e-12 * max(lam, 1))
@@ -299,7 +288,7 @@ def _verify_properties(cfg: RunConfig):
     zc = project_zero_mean(cosx)
     check("coercivity_gap_axis_mode", lambda: abs(
         energy.quadratic_gap(zc, p) - energy.coercivity_constant(g, p)) < 1e-12)
-    rep = verify_hypotheses(spec, g, np.linspace(-3, 3, 41), None)
+    rep = verify_hypotheses(spec, g, np.linspace(-3, 3, 41))
     check("hypotheses_hold_for_shipped_family", lambda: rep.all_pass)
 
     def negative_control():
@@ -336,8 +325,8 @@ def _write_csv(path: Path, header, rows):
             wr.writerow([_fmt(v) for v in row])
 
 
-def run(cfg: RunConfig, output_dir=None, solver_trace=False, dump_extension=False) -> int:
-    out = Path(output_dir if output_dir is not None else cfg.output_dir)
+def run(cfg: RunConfig, output_dir=".", solver_trace=False, dump_extension=False) -> int:
+    out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(cfg.seed)
 
@@ -384,9 +373,7 @@ def run(cfg: RunConfig, output_dir=None, solver_trace=False, dump_extension=Fals
 
     if cfg.mode == "sweep":
         est = continuation.estimate_sobolev_constant(cfg.grid, cfg.frac, rng=rng)
-        if any(m >= est.m0 for m in cfg.m_list):
-            raise ValidationError(
-                f"$.m_list: all masses must lie below computed m0 = {est.m0:.6g}")
+        _built("$.m_list", continuation.check_mass_list, cfg.m_list, est.m0)
         recs = continuation.sweep_m(cfg.m_list, cfg.frac, cfg.nonlinearity,
                                     cfg.solver, cfg.grid, m0=est.m0, rng=rng)
         _write_csv(out / "sweep.csv",
@@ -434,17 +421,15 @@ def main(argv=None) -> int:
     )
     ap.add_argument("mode", choices=["verify", "solve", "sweep", "diagnose"])
     ap.add_argument("--config", required=True)
-    ap.add_argument("--output", default=None)
-    ap.add_argument("--seed", type=int, default=None)
+    ap.add_argument("--output", default=".")
     ap.add_argument("--solver-trace", action="store_true")
     ap.add_argument("--dump-extension", action="store_true")
     args = ap.parse_args(argv)
 
     try:
         cfg = parse_config(Path(args.config).read_text())
-        cfg.mode = args.mode
-        if args.seed is not None:
-            cfg.seed = args.seed
+        if args.mode != cfg.mode:
+            raise ValidationError(f"mode {args.mode!r} does not match $.mode {cfg.mode!r}")
         code = run(cfg, output_dir=args.output,
                    solver_trace=args.solver_trace,
                    dump_extension=args.dump_extension)

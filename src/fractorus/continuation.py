@@ -26,6 +26,7 @@ from .grids import (
     FracParams,
     Spectrum,
     TorusGrid,
+    fft_coeffs,
     hs_norm,
     inverse_transform,
     lq_norm,
@@ -94,9 +95,7 @@ def estimate_sobolev_constant(
         for _ in range(iters):
             # ascent direction: gradient of log-quotient in coefficient space
             u = inverse_transform(Spectrum(grid, c), check=False)
-            g_num = np.fft.fftn(np.abs(u.values) ** (q - 1.0) * np.sign(u.values)) * (
-                grid.T ** (grid.N / 2.0) / grid.size
-            )
+            g_num = fft_coeffs(grid, np.abs(u.values) ** (q - 1.0) * np.sign(u.values))
             num = lq_norm(u, q)
             den2 = np.sum(wts * np.abs(c) ** 2).real
             d = g_num * (num ** (1.0 - q)) - (wts * c) / den2
@@ -115,6 +114,15 @@ def estimate_sobolev_constant(
     return SobolevEstimate(C_sharp=float(best), m0=float(1.0 / (2.0 * best**2)))
 
 
+def check_mass_list(m_list, m0: Optional[float]):
+    """A sweep's masses are positive, strictly decreasing and, unless m0 is
+    None, below m0."""
+    if any(m <= 0 for m in m_list) or any(b >= a for a, b in zip(m_list, m_list[1:])):
+        raise DomainError("m_list must be positive and strictly decreasing")
+    if m0 is not None and any(m >= m0 for m in m_list):
+        raise DomainError(f"all masses must lie below m0 = {m0:.6g}")
+
+
 def sweep_m(
     m_list,
     p_base: FracParams,
@@ -126,14 +134,7 @@ def sweep_m(
 ):
     """Warm-started linking solves down a decreasing mass list."""
     m_list = list(m_list)
-    if not m_list:
-        return []
-    if any(m <= 0 for m in m_list) or any(
-        b >= a for a, b in zip(m_list, m_list[1:])
-    ):
-        raise DomainError("m_list must be positive and strictly decreasing")
-    if m0 is not None and any(m >= m0 for m in m_list):
-        raise DomainError(f"all masses must lie below m0 = {m0}")
+    check_mass_list(m_list, m0)
     if rng is None:
         rng = np.random.default_rng(0)
 
@@ -222,7 +223,7 @@ def nonlinear_action(spec: NonlinearitySpec, u: Spectrum) -> float:
     return float(Discretization(u.grid, None, spec).action(u.coeffs))
 
 
-def bootstrap_diagnostic(u: Spectrum, q_list, p: Optional[FracParams] = None):
+def bootstrap_diagnostic(u: Spectrum, q_list):
     """Table of L^q trace norms along the integrability ladder."""
     rows = []
     f = inverse_transform(u, check=False)

@@ -10,7 +10,7 @@ inequality and its equality case can be checked numerically.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from .grids import (
     inverse_transform,
 )
 from .theta import (
-    HalflineRule,
     ThetaProfile,
     extrapolate_to_zero,
     halfline_rule,
@@ -113,25 +112,15 @@ def extend(u: Spectrum, p: FracParams) -> ExtensionField:
 class CylinderFunction:
     """Mode-separable function v = sum c_k g(rate_k, y) e_k on the half-cylinder.
 
-    y_nodes/y_weights realize int_0^inf y^{1-2s} h(y) dy for bounded h; the
-    profile callables (signature (rate_array, y_array) -> values,
+    The profile callables (signature (rate_array, y_array) -> values,
     broadcasting) keep the energy computation spectrally accurate.
     """
 
     grid: TorusGrid
     params: FracParams
-    y_nodes: np.ndarray = dc_field(repr=False)
-    y_weights: np.ndarray = dc_field(repr=False)
     mode_coeffs: np.ndarray = dc_field(repr=False)
     profile_fn: Callable = dc_field(repr=False)
     dprofile_fn: Callable = dc_field(repr=False)
-
-    def __post_init__(self):
-        y = np.asarray(self.y_nodes, dtype=float)
-        if np.any(np.diff(y) <= 0) or np.any(y <= 0):
-            raise DomainError("y_nodes must be strictly increasing positives")
-        if np.any(np.asarray(self.y_weights) <= 0):
-            raise DomainError("quadrature weights must be positive")
 
 
 def cylinder_from_profiles(
@@ -139,23 +128,19 @@ def cylinder_from_profiles(
     p: FracParams,
     profile_fn: Callable,
     dprofile_fn: Callable,
-    nodes: int = DEFAULT_NODES,
 ) -> CylinderFunction:
     """Separable cylinder function v = sum c_k g(rate_k, y) e_k."""
     p.check_grid(base.grid)
-    rule = halfline_rule(1.0 - 2.0 * p.s, nodes)
     return CylinderFunction(
         grid=base.grid,
         params=p,
-        y_nodes=rule.y,
-        y_weights=rule.w,
         mode_coeffs=base.coeffs,
         profile_fn=profile_fn,
         dprofile_fn=dprofile_fn,
     )
 
 
-def as_cylinder(v: ExtensionField, nodes: int = DEFAULT_NODES) -> CylinderFunction:
+def as_cylinder(v: ExtensionField) -> CylinderFunction:
     """Sample an analytic extension onto the standard quadrature cylinder."""
     prof = v.profile
 
@@ -176,16 +161,16 @@ def as_cylinder(v: ExtensionField, nodes: int = DEFAULT_NODES) -> CylinderFuncti
         out[pos] = rr[pos] * prof.theta_prime(tt[pos])
         return out
 
-    return cylinder_from_profiles(v.base, v.params, g, gp, nodes=nodes)
+    return cylinder_from_profiles(v.base, v.params, g, gp)
 
 
 # ---------------------------------------------------------------------------
 # energies
 
-def _extension_energy(v: ExtensionField, nodes: int) -> float:
+def _extension_energy(v: ExtensionField) -> float:
     s = v.params.s
-    coarse = profile_energy_integral(s, max(nodes // 2, 50))
-    fine = profile_energy_integral(s, nodes)
+    coarse = profile_energy_integral(s, DEFAULT_NODES // 2)
+    fine = profile_energy_integral(s, DEFAULT_NODES)
     if abs(fine - coarse) > _CONVERGENCE_TOL * max(abs(fine), 1.0):
         raise QuadratureUnconverged(
             f"profile integral moved by {abs(fine - coarse):.2e} on refinement"
@@ -194,26 +179,23 @@ def _extension_energy(v: ExtensionField, nodes: int) -> float:
     return float(fine * np.sum(lam**s * np.abs(v.base.coeffs) ** 2))
 
 
-def _separable_energy(v: CylinderFunction, nodes: Optional[int] = None) -> float:
-    if nodes is None:
-        rule_y, rule_w = v.y_nodes, v.y_weights
-    else:
-        rule = halfline_rule(1.0 - 2.0 * v.params.s, nodes)
-        rule_y, rule_w = rule.y, rule.w
+def _separable_energy(v: CylinderFunction, nodes: int) -> float:
+    rule = halfline_rule(1.0 - 2.0 * v.params.s, nodes)
     rates = np.sqrt(_lam(v.grid, v.params))
-    G = v.profile_fn(rates[..., None], rule_y)
-    Gp = v.dprofile_fn(rates[..., None], rule_y)
+    G = v.profile_fn(rates[..., None], rule.y)
+    Gp = v.dprofile_fn(rates[..., None], rule.y)
     dens = Gp**2 + rates[..., None] ** 2 * G**2
-    per_mode = np.sum(rule_w * dens, axis=-1)
+    per_mode = np.sum(rule.w * dens, axis=-1)
     return float(np.sum(np.abs(v.mode_coeffs) ** 2 * per_mode))
 
 
-def cylinder_energy(v, nodes: int = DEFAULT_NODES) -> float:
-    """Weighted energy int y^{1-2s} (|grad v|^2 + m^2 v^2) dx dy."""
+def cylinder_energy(v) -> float:
+    """Weighted energy int y^{1-2s} (|grad v|^2 + m^2 v^2) dx dy, checked
+    against the same rule at half the nodes."""
     if isinstance(v, ExtensionField):
-        return _extension_energy(v, nodes)
-    fine = _separable_energy(v)
-    coarse = _separable_energy(v, nodes=max(len(v.y_nodes) // 2, 50))
+        return _extension_energy(v)
+    fine = _separable_energy(v, DEFAULT_NODES)
+    coarse = _separable_energy(v, DEFAULT_NODES // 2)
     if abs(fine - coarse) > _CONVERGENCE_TOL * max(abs(fine), 1.0):
         raise QuadratureUnconverged(
             f"mode energies moved by {abs(fine - coarse):.2e} on refinement"
@@ -271,17 +253,17 @@ def conormal_derivative(v: ExtensionField, y_list) -> Spectrum:
 # ---------------------------------------------------------------------------
 # sharp trace gaps
 
-def sharp_trace_gap(v, p: FracParams, nodes: int = DEFAULT_NODES) -> float:
+def sharp_trace_gap(v, p: FracParams) -> float:
     """||v||^2 - kappa(s) |Tr v|^2_{H^s}; zero exactly on minimal extensions."""
-    energy = cylinder_energy(v, nodes=nodes)
+    energy = cylinder_energy(v)
     tr = trace(v)
     return energy - kappa(p.s) * hs_norm(tr, p) ** 2
 
 
-def ground_gap(v, p: FracParams, nodes: int = DEFAULT_NODES) -> float:
+def ground_gap(v, p: FracParams) -> float:
     """||v||^2 - kappa(s) m^{2s} |Tr v|^2_{L^2}; zero iff v = C theta(my)."""
     if p.m == 0.0:
         raise DomainError("ground gap requires m > 0")
-    energy = cylinder_energy(v, nodes=nodes)
+    energy = cylinder_energy(v)
     tr = trace(v)
     return energy - kappa(p.s) * p.m ** (2.0 * p.s) * tr.l2_norm() ** 2

@@ -166,12 +166,26 @@ def multiplier(grid: TorusGrid, p: FracParams, shifted: bool = False) -> np.ndar
     return mult
 
 
+def fft_coeffs(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
+    """Paper-normalized DFT coefficients of samples on an m-point-per-axis grid
+    of the torus, m read from the trailing axis; leading axes are batched."""
+    m = values.shape[-1]
+    axes = tuple(range(-grid.N, 0))
+    return np.fft.fftn(values, axes=axes) * (grid.T ** (grid.N / 2.0) / m**grid.N)
+
+
+def ifft_values(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
+    """Real samples on the m-point-per-axis grid from paper-normalized DFT
+    coefficients, m read from the trailing axis; inverse of fft_coeffs."""
+    m = coeffs.shape[-1]
+    axes = tuple(range(-grid.N, 0))
+    return np.fft.ifftn(coeffs, axes=axes).real * (m**grid.N / grid.T ** (grid.N / 2.0))
+
+
 def forward_transform(f: Field) -> Spectrum:
     """Fourier coefficients in the paper normalization (trapezoid/DFT rule)."""
     g = f.grid
-    coeffs = np.fft.fftn(f.values) * (g.T ** (g.N / 2.0) / g.size)
-    coeffs = _symmetrize_nyquist(g, coeffs)
-    return Spectrum(g, coeffs)
+    return Spectrum(g, _symmetrize_nyquist(g, fft_coeffs(g, f.values)))
 
 
 def _symmetrize_nyquist(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
@@ -196,8 +210,7 @@ def inverse_transform(S: Spectrum, check: bool = True) -> Field:
             raise SymmetryViolation(
                 f"Hermitian defect {defect:.3e} exceeds {HERMITIAN_TOL:.0e}"
             )
-    values = np.fft.ifftn(S.coeffs) * (g.size / g.T ** (g.N / 2.0))
-    return Field(g, values.real)
+    return Field(g, ifft_values(g, S.coeffs))
 
 
 def apply_bessel_operator(S: Spectrum, p: FracParams) -> Spectrum:
@@ -210,9 +223,9 @@ def apply_shifted_operator(S: Spectrum, p: FracParams) -> Spectrum:
     return Spectrum(S.grid, S.coeffs * multiplier(S.grid, p, shifted=True))
 
 
-def solve_linear(g: Spectrum, p: FracParams, shifted: bool = False) -> Spectrum:
-    """Invert the (possibly shifted) multiplier; singular modes must be absent."""
-    mult = multiplier(g.grid, p, shifted=shifted)
+def solve_linear(g: Spectrum, p: FracParams) -> Spectrum:
+    """Invert the multiplier (omega^2 |k|^2 + m^2)^s; singular modes must be absent."""
+    mult = multiplier(g.grid, p)
     singular = mult == 0.0
     if np.any(singular):
         norm = g.l2_norm()
@@ -285,14 +298,6 @@ def spectrum_to_json(S: Spectrum) -> dict:
         "grid": {"N": S.grid.N, "T": S.grid.T, "n": S.grid.n},
         "kind": "spectrum",
         "data": [[float(z.real), float(z.imag)] for z in flat],
-    }
-
-
-def field_to_json(f: Field) -> dict:
-    return {
-        "grid": {"N": f.grid.N, "T": f.grid.T, "n": f.grid.n},
-        "kind": "field",
-        "data": [float(v) for v in f.values.ravel()],
     }
 
 

@@ -31,9 +31,11 @@ from .grids import (
     FracParams,
     Spectrum,
     TorusGrid,
+    fft_coeffs,
     field_from_function,
     forward_transform,
     hs_norm,
+    ifft_values,
     inverse_transform,
     project_zero_mean,
     random_spectrum,
@@ -48,6 +50,9 @@ from . import energy  # noqa: F401
 ARMIJO_SLOPE = 1e-4
 ARMIJO_SHRINK = 0.5
 COLLAPSE_TOL = 1e-8
+GRID_A = (9, 17)  # (n_c, n_r) sample points of the linking rectangle
+DESCENT_STEP = 0.5
+RIDGE_DIRS = 16  # random sphere directions besides the axis mode and z
 
 
 @dataclass(frozen=True)
@@ -60,20 +65,14 @@ class LinkingConfig:
 
     R: float = 0.0
     R_prime: float = 0.0
-    grid_A: tuple = (9, 17)  # (n_c, n_r)
-    descent_step: float = 0.5
     ps_tol: float = 1e-8
     max_iters: int = 2000
-    polish_every: int = 20
 
     def __post_init__(self):
-        nc, nr = self.grid_A
-        if nc < 3 or nr < 3:
-            raise DomainError(f"grid_A must be at least 3x3, got {self.grid_A}")
         if self.R < 0 or self.R_prime < 0:
             raise DomainError("caps R, R' must be nonnegative (0 = auto)")
-        if self.descent_step <= 0 or self.ps_tol <= 0 or self.max_iters < 1:
-            raise DomainError("descent_step, ps_tol, max_iters must be positive")
+        if self.ps_tol <= 0 or self.max_iters < 1:
+            raise DomainError("ps_tol, max_iters must be positive")
 
 
 @dataclass
@@ -89,7 +88,7 @@ class SolverState:
     R_prime: float = 0.0
     delta_hat: float = 0.0  # sampled max of the level over the initial surface
     surface: Optional[np.ndarray] = None  # final deformed surface coefficients
-    frozen: Optional[np.ndarray] = None  # boundary mask over grid_A
+    frozen: Optional[np.ndarray] = None  # boundary mask over GRID_A
 
 
 def pick_z_direction(grid: TorusGrid, p: FracParams) -> Spectrum:
@@ -129,34 +128,23 @@ def _surface(cs: np.ndarray, rs: np.ndarray, yhat: Spectrum, z: Spectrum) -> np.
     return cb * yhat.coeffs + rb * z.coeffs
 
 
-def ridge_estimate(
-    grid: TorusGrid,
-    p: FracParams,
-    spec: Optional[NonlinearitySpec],
-    probe_radii=None,
-    n_dirs: int = 16,
-    rng: Optional[np.random.Generator] = None,
-):
+def ridge_estimate(grid: TorusGrid, p: FracParams, spec: Optional[NonlinearitySpec]):
     """Sampled mountain-ridge radius eta and level rho on the zero-mean sphere.
 
     Directions include the |k| = 1 axis mode (the sharp coercivity minimizer)
     and the linking z-direction alongside random draws, so the sampled minimum
     is exact for the quadratic probe spec = None.
     """
-    return _ridge_estimate(Discretization(grid, p, spec), probe_radii, n_dirs, rng)
+    return _ridge_estimate(Discretization(grid, p, spec))
 
 
-def _ridge_estimate(disc: Discretization, probe_radii=None, n_dirs=16, rng=None):
+def _ridge_estimate(disc: Discretization, rng: Optional[np.random.Generator] = None):
     grid, p = disc.grid, disc.params
-    if probe_radii is None:
-        probe_radii = np.geomspace(1e-2, 4.0, 40)
-    radii = np.asarray(probe_radii, dtype=float)
-    if radii.size == 0 or np.any(radii <= 0) or np.any(np.diff(radii) <= 0):
-        raise DomainError("probe_radii must be positive and increasing")
+    radii = np.geomspace(1e-2, 4.0, 40)
     if rng is None:
         rng = np.random.default_rng(0)
     dirs = [_axis_mode(grid, p), pick_z_direction(grid, p)]
-    for _ in range(n_dirs):
+    for _ in range(RIDGE_DIRS):
         d = random_spectrum(grid, rng, decay=0.5, zero_mean=True)
         dirs.append(Spectrum(grid, d.coeffs / disc.hs_norms(d.coeffs)))
     D = np.stack([d.coeffs for d in dirs])
@@ -217,7 +205,7 @@ def _calibrate_caps(disc: Discretization, yhat, z, cfg: LinkingConfig, eta: floa
     R = cfg.R if cfg.R > 0 else max(2.0 * eta, 1.0)
     Rp = cfg.R_prime if cfg.R_prime > 0 else R
     fixed = cfg.R > 0 and cfg.R_prime > 0
-    nc, nr = cfg.grid_A
+    nc, nr = GRID_A
     for _ in range(40):
         if R <= eta:
             R *= 2.0
@@ -247,7 +235,6 @@ def minimax_search(
     p: FracParams,
     spec: Optional[NonlinearitySpec],
     cfg: LinkingConfig,
-    rho: Optional[float] = None,
     rng: Optional[np.random.Generator] = None,
 ) -> SolverState:
     """Constrained deformation of the linking surface toward a PS point.
@@ -259,14 +246,13 @@ def minimax_search(
     disc = Discretization(grid, p, spec)
     yhat = _unit_constant(grid, p)
     z = pick_z_direction(grid, p)
-    nc, nr = cfg.grid_A
+    nc, nr = GRID_A
 
     if spec is not None:
-        eta_guess, rho_hat = _ridge_estimate(disc, rng=rng)
-        if rho is None:
-            rho = rho_hat
+        eta_guess, rho = _ridge_estimate(disc, rng=rng)
         R, Rp, cs, rs, U, frozen = _calibrate_caps(disc, yhat, z, cfg, eta_guess)
     else:
+        rho = None
         R = cfg.R if cfg.R > 0 else 1.0
         Rp = cfg.R_prime if cfg.R_prime > 0 else 1.0
         cs = np.linspace(-Rp, Rp, nc)
@@ -275,7 +261,7 @@ def minimax_search(
         frozen = np.zeros((nc, nr), dtype=bool)
 
     boundary_snapshot = U[frozen].copy()
-    steps = np.full((nc, nr), cfg.descent_step)
+    steps = np.full((nc, nr), DESCENT_STEP)
     lead = (slice(None), slice(None)) + (None,) * grid.N
     history = []
     trace = []
@@ -301,7 +287,7 @@ def minimax_search(
             ok = pending & (cand_lv <= lv - ARMIJO_SLOPE * trial * slope)
             new_U[ok] = cand[ok]
             new_lv[ok] = cand_lv[ok]
-            steps[ok] = np.minimum(trial[ok] * 1.5, 10.0 * cfg.descent_step)
+            steps[ok] = np.minimum(trial[ok] * 1.5, 10.0 * DESCENT_STEP)
             pending &= ~ok
             trial = np.where(pending, trial * ARMIJO_SHRINK, trial)
         U, lv = new_U, new_lv
@@ -334,8 +320,7 @@ def minimax_search(
             status = "Converged"
             break
 
-        polish_now = grid.size <= 2048 or (sweep + 1) % cfg.polish_every == 0
-        if spec is not None and polish_now and not frozen[idx]:
+        if spec is not None and not frozen[idx]:
             try:
                 polished = _newton_refine(disc, arg, tol=cfg.ps_tol * 0.1)
             except DivergedRefinement:
@@ -379,12 +364,9 @@ def _dense_jacobian(disc: Discretization, u: Spectrum) -> np.ndarray:
     the operator over the identity."""
     g = disc.grid
     M = g.size
-    scale_f = g.T ** (g.N / 2.0) / M
-    scale_b = M / g.T ** (g.N / 2.0)
-    I = np.eye(M).reshape((M,) + g.shape)
-    C = np.fft.fftn(I, axes=disc.axes) * scale_f
-    lin = np.fft.ifftn(disc.shifted * C, axes=disc.axes).real * scale_b
-    nl = np.fft.ifftn(disc.jacobian_apply(u.coeffs, C), axes=disc.axes).real * scale_b
+    C = fft_coeffs(g, np.eye(M).reshape((M,) + g.shape))
+    lin = ifft_values(g, disc.shifted * C)
+    nl = ifft_values(g, disc.jacobian_apply(u.coeffs, C))
     return (lin - nl).reshape(M, M).T
 
 

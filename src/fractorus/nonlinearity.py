@@ -28,7 +28,9 @@ from .grids import (
     Spectrum,
     TorusGrid,
     _symmetrize_nyquist,
+    fft_coeffs,
     forward_transform,
+    ifft_values,
     multiplier,
 )
 
@@ -166,17 +168,14 @@ def pad_coeffs(coeffs: np.ndarray, grid: TorusGrid, m: int) -> np.ndarray:
             plane = 0.5 * big[(Ellipsis,) + tuple(src)]
             big[(Ellipsis,) + tuple(src)] = plane
             big[(Ellipsis,) + tuple(dst)] += plane
-    axes = tuple(range(-g.N, 0))
-    vals = np.fft.ifftn(big, axes=axes) * (m**g.N / g.T ** (g.N / 2.0))
-    return vals.real
+    return ifft_values(g, big)
 
 
 def restrict_values(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
     """Band-projected coefficients of refined-grid samples (batched)."""
     g = grid
     m = values.shape[-1]
-    axes = tuple(range(-g.N, 0))
-    big = np.fft.fftn(values, axes=axes) * (g.T ** (g.N / 2.0) / m**g.N)
+    big = fft_coeffs(g, values)
     if m == g.n:
         coeffs = big
     else:
@@ -356,7 +355,6 @@ def verify_hypotheses(
     spec: NonlinearitySpec,
     grid: TorusGrid,
     t_samples=None,
-    x_samples=None,
 ) -> HypothesisReport:
     """Sampled verification of the structural hypotheses (f1)-(f6).
 
@@ -370,13 +368,8 @@ def verify_hypotheses(
             [np.linspace(-10 * r0, 10 * r0, 401), [-r0, r0]]
         )
     t = np.asarray(t_samples, dtype=float)
-    coeff = spec.coefficient(grid)
-    if x_samples is None:
-        flat = coeff.ravel()
-        x_idx = np.linspace(0, flat.size - 1, min(16, flat.size)).astype(int)
-    else:
-        flat = coeff.ravel()
-        x_idx = np.asarray(x_samples, dtype=int)
+    flat = spec.coefficient(grid).ravel()
+    x_idx = np.linspace(0, flat.size - 1, min(16, flat.size)).astype(int)
     a_vals = flat[x_idx]
 
     passed, details = {}, {}

@@ -111,11 +111,10 @@ class ThetaProfile:
         q = self.conormal_integrand(y)
         return float(extrapolate_to_zero(y, q[:, None], small_y_exponents(self.s))[0].real)
 
-    def bound_witnesses(self, y_samples=None) -> dict:
-        """Empirical sup of theta and of -y^{1-2s} theta' (the A_s, B_s bounds)."""
-        if y_samples is None:
-            y_samples = np.logspace(-6, 2, 400)
-        y = np.asarray(y_samples, dtype=float)
+    def bound_witnesses(self) -> dict:
+        """Empirical sup of theta and of -y^{1-2s} theta' (the A_s, B_s bounds)
+        over 400 log-spaced y in [1e-6, 100]."""
+        y = np.logspace(-6, 2, 400)
         return {
             "theta_sup": float(np.max(self.theta(y))),
             "conormal_sup": float(np.max(self.conormal_integrand(y))),

@@ -146,6 +146,45 @@ def test_main_exit_codes(tmp_path):
                      "--output", str(tmp_path)]) == cli.EXIT_CONFIG
 
 
+def _with(path, value, **overrides):
+    doc = json.loads(_doc(**overrides))
+    *parents, key = path
+    sec = doc
+    for name in parents:
+        sec = sec[name]
+    sec[key] = value
+    return doc
+
+
+MALFORMED = [
+    pytest.param("solve", _with(("grid", "N"), "x"), id="grid.N"),
+    pytest.param("solve", _with(("frac", "s"), "x"), id="frac.s"),
+    pytest.param("solve", _with(("nonlinearity", "p"), "x"), id="nonlinearity.p"),
+    pytest.param("solve", _with(("nonlinearity",), {"kind": "modulated_power", "p": 3,
+                                                    "a_values": [1.0, 2.0]}),
+                 id="nonlinearity.a_values"),
+    pytest.param("solve", _with(("solver", "max_iters"), "x"), id="solver.max_iters"),
+    pytest.param("solve", _with(("solver", "grid_A"), "ab"), id="solver.grid_A"),
+    pytest.param("solve", _with(("seed",), "x"), id="seed"),
+    pytest.param("solve", _with(("seed",), -1), id="seed-negative"),
+    pytest.param("sweep", _with(("m_list",), ["a"], mode="sweep"), id="m_list"),
+    pytest.param("sweep", _with(("mode",), "solve"), id="sweep-on-solve-config"),
+    pytest.param("solve", {k: v for k, v in _with(("mode",), "verify").items()
+                           if k != "nonlinearity"}, id="solve-on-verify-config"),
+]
+
+
+@pytest.mark.parametrize("mode,doc", MALFORMED)
+def test_main_malformed_config_exits_config(tmp_path, capsys, mode, doc):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    code = cli.main([mode, "--config", str(cfg_path), "--output", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_CONFIG
+    assert len(err.splitlines()) == 1 and err.startswith("config error: ")
+    assert "Traceback" not in err
+
+
 def test_output_files_roundtrip(tmp_path):
     cfg = cli.parse_config(_doc())
     cli.run(cfg, output_dir=tmp_path)

@@ -45,11 +45,6 @@ def test_ridge_positive_standard(grid64, params_half, cubic):
     assert eta > 0 and rho > 0
 
 
-def test_ridge_bad_radii(grid64, params_half, cubic):
-    with pytest.raises(DomainError):
-        linking.ridge_estimate(grid64, params_half, cubic, probe_radii=[2.0, 1.0])
-
-
 def test_minimax_standard_config(grid64, params_half, cubic):
     cfg = linking.LinkingConfig()
     st = linking.minimax_search(grid64, params_half, cubic, cfg,
@@ -73,7 +68,7 @@ def test_minimax_boundary_pinned(grid64, params_half, cubic):
     # be bitwise untouched
     yhat = linking._unit_constant(grid64, params_half)
     z = linking.pick_z_direction(grid64, params_half)
-    nc, nr = cfg.grid_A
+    nc, nr = linking.GRID_A
     cs = np.linspace(-st.R_prime, st.R_prime, nc)
     rs = np.linspace(0.0, st.R, nr)
     U0 = linking._surface(cs, rs, yhat, z)
@@ -148,10 +143,6 @@ def test_align_spectra(grid64, params_half, rng):
 
 
 def test_linking_config_validation():
-    with pytest.raises(DomainError):
-        linking.LinkingConfig(grid_A=(2, 5))
-    with pytest.raises(DomainError):
-        linking.LinkingConfig(descent_step=-1.0)
     with pytest.raises(DomainError):
         linking.LinkingConfig(R=-1.0)
 
