@@ -84,12 +84,21 @@ class RunConfig:
 
 
 # What building a config value from well-formed JSON of the wrong type or
-# range can raise.
-_BUILD_ERRORS = (KeyError, TypeError, ValueError, FractorusError)
+# range, or reading a file the config names, can raise.
+_BUILD_ERRORS = (KeyError, TypeError, ValueError, OSError, FractorusError)
+
+
+def _integer(value) -> int:
+    """int(value), refusing booleans and numbers with a fractional part,
+    which int() would truncate (64.9 -> 64)."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
 
 # $.solver keys and their JSON conversions; absent keys take the
 # LinkingConfig defaults.
-_SOLVER_KEYS = {"R": float, "R_prime": float, "ps_tol": float, "max_iters": int}
+_SOLVER_KEYS = {"R": float, "R_prime": float, "ps_tol": float, "max_iters": _integer}
 
 
 def _require_keys(doc: dict, allowed: set, path: str):
@@ -136,7 +145,7 @@ def parse_config(text: str) -> RunConfig:
     )
 
     grid = _section(doc, "grid", {"N", "T", "n"}, lambda d: TorusGrid(
-        N=int(d["N"]), T=float(d["T"]), n=int(d["n"])), required=True)
+        N=_integer(d["N"]), T=float(d["T"]), n=_integer(d["n"])), required=True)
 
     def build_frac(d):
         frac = FracParams(s=float(d["s"]), m=float(d["m"]))
@@ -148,6 +157,9 @@ def parse_config(text: str) -> RunConfig:
     mode = doc.get("mode")
     if mode not in ("verify", "solve", "sweep", "diagnose"):
         raise ValidationError(f"$.mode must be verify|solve|sweep|diagnose, got {mode!r}")
+    if mode == "solve" and frac.m == 0.0:
+        raise ValidationError("$.frac.m must be positive in solve mode: the linking "
+                              "geometry needs a mean mode of positive norm")
 
     def build_spec(d):
         a = None
@@ -176,9 +188,12 @@ def parse_config(text: str) -> RunConfig:
         m_list = _built("$.m_list", lambda ms: [float(m) for m in ms], m_list)
         _built("$.m_list", continuation.check_mass_list, m_list, None)
 
-    seed = _built("$.seed", int, doc.get("seed", 0))
+    seed = _built("$.seed", _integer, doc.get("seed", 0))
     if seed < 0:
         raise ValidationError(f"$.seed must be nonnegative, got {seed}")
+    solution_file = doc.get("solution_file")
+    if solution_file is not None and not isinstance(solution_file, str):
+        raise ValidationError(f"$.solution_file must be a string, got {solution_file!r}")
 
     return RunConfig(
         grid=grid,
@@ -188,7 +203,7 @@ def parse_config(text: str) -> RunConfig:
         mode=mode,
         m_list=m_list,
         seed=seed,
-        solution_file=doc.get("solution_file"),
+        solution_file=solution_file,
     )
 
 
@@ -393,7 +408,8 @@ def run(cfg: RunConfig, output_dir=".", solver_trace=False, dump_extension=False
     if cfg.mode == "diagnose":
         if not cfg.solution_file:
             raise ValidationError("$.solution_file is required in diagnose mode")
-        obj = object_from_json(json.loads(Path(cfg.solution_file).read_text()))
+        obj = _built("$.solution_file", lambda path: object_from_json(
+            json.loads(Path(path).read_text())), cfg.solution_file)
         if not isinstance(obj, Spectrum):
             raise ValidationError("$.solution_file must contain a spectrum document")
         qs = [2.0, 4.0, 8.0, 16.0]

@@ -115,10 +115,12 @@ def estimate_sobolev_constant(
 
 
 def check_mass_list(m_list, m0: Optional[float]):
-    """A sweep's masses are positive, strictly decreasing and, unless m0 is
-    None, below m0."""
-    if any(m <= 0 for m in m_list) or any(b >= a for a, b in zip(m_list, m_list[1:])):
-        raise DomainError("m_list must be positive and strictly decreasing")
+    """A sweep's masses are positive, finite, strictly decreasing and, unless
+    m0 is None, below m0."""
+    if not all(0.0 < m < np.inf for m in m_list) or any(
+        b >= a for a, b in zip(m_list, m_list[1:])
+    ):
+        raise DomainError("m_list must be positive, finite and strictly decreasing")
     if m0 is not None and any(m >= m0 for m in m_list):
         raise DomainError(f"all masses must lie below m0 = {m0:.6g}")
 

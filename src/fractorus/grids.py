@@ -35,8 +35,8 @@ class TorusGrid:
     def __post_init__(self):
         if not (1 <= self.N <= 3):
             raise DomainError(f"dimension N must be 1..3, got {self.N}")
-        if self.T <= 0:
-            raise DomainError(f"period T must be positive, got {self.T}")
+        if not (0 < self.T < np.inf):
+            raise DomainError(f"period T must be positive and finite, got {self.T}")
         if self.n < 4 or self.n % 2 != 0:
             raise DomainError(f"n must be even and >= 4, got {self.n}")
 
@@ -84,8 +84,8 @@ class FracParams:
     def __post_init__(self):
         if not (0.0 < self.s < 1.0):
             raise DomainError(f"s must lie in (0,1), got {self.s}")
-        if self.m < 0:
-            raise DomainError(f"m must be nonnegative, got {self.m}")
+        if not (0.0 <= self.m < np.inf):
+            raise DomainError(f"m must be nonnegative and finite, got {self.m}")
 
     def check_grid(self, grid: TorusGrid):
         # N >= 2s keeps the critical exponent well defined (infinite at N = 2s,
@@ -188,15 +188,19 @@ def forward_transform(f: Field) -> Spectrum:
     return Spectrum(g, _symmetrize_nyquist(g, fft_coeffs(g, f.values)))
 
 
+def _plane(N: int, ax: int, index: int) -> tuple:
+    """Index of the hyperplane `index` along axis ax of the trailing N axes."""
+    sl = [slice(None)] * N
+    sl[ax] = index
+    return (Ellipsis,) + tuple(sl)
+
+
 def _symmetrize_nyquist(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
     """Force the Nyquist-plane coefficients real (real-field consistency);
     leading axes are batched."""
     coeffs = coeffs.copy()
-    ny = grid.n // 2
     for ax in range(grid.N):
-        sl = [slice(None)] * grid.N
-        sl[ax] = ny
-        sl = (Ellipsis,) + tuple(sl)
+        sl = _plane(grid.N, ax, grid.n // 2)
         coeffs[sl] = coeffs[sl].real
     return coeffs
 

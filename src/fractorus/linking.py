@@ -31,7 +31,6 @@ from .grids import (
     FracParams,
     Spectrum,
     TorusGrid,
-    fft_coeffs,
     field_from_function,
     forward_transform,
     hs_norm,
@@ -40,7 +39,7 @@ from .grids import (
     project_zero_mean,
     random_spectrum,
 )
-from .nonlinearity import Discretization, NonlinearitySpec
+from .nonlinearity import Discretization, NonlinearitySpec, irfft_samples, rfft_samples
 
 # Not used here; kept as names of this module because perfbench's tests check
 # that the tracer wraps `linking.pad_coeffs` and `linking.energy.multiplier`.
@@ -69,10 +68,10 @@ class LinkingConfig:
     max_iters: int = 2000
 
     def __post_init__(self):
-        if self.R < 0 or self.R_prime < 0:
-            raise DomainError("caps R, R' must be nonnegative (0 = auto)")
-        if self.ps_tol <= 0 or self.max_iters < 1:
-            raise DomainError("ps_tol, max_iters must be positive")
+        if not (0.0 <= self.R < np.inf and 0.0 <= self.R_prime < np.inf):
+            raise DomainError("caps R, R' must be nonnegative and finite (0 = auto)")
+        if not (0.0 < self.ps_tol < np.inf) or self.max_iters < 1:
+            raise DomainError("ps_tol, max_iters must be positive and finite")
 
 
 @dataclass
@@ -359,15 +358,101 @@ def minimax_search(
 # ---------------------------------------------------------------------------
 # Newton polishing
 
-def _dense_jacobian(disc: Discretization, u: Spectrum) -> np.ndarray:
-    """Real physical-space Jacobian of the L2 residual map, built by batching
-    the operator over the identity."""
+FORCING_MAX = 1e-2  # cap of the inexact-Newton forcing term eta = min(FORCING_MAX, |R|)
+KRYLOV_MAX_ITERS = 200  # GMRES runs unrestarted to min(grid.size, this) iterations
+
+
+def _gmres(apply, b: np.ndarray, tol: float, max_iters: int) -> np.ndarray:
+    """Unrestarted GMRES from zero: the y in the Krylov space of (apply, b)
+    minimizing |b - apply(y)|, stopping once that residual is <= tol."""
+    beta = float(np.linalg.norm(b))
+    if beta == 0.0:
+        return np.zeros_like(b)
+    V = np.empty((max_iters + 1, b.size))
+    V[0] = b / beta
+    H = np.zeros((max_iters + 1, max_iters))
+    rot = []  # Givens rotations (c, sn) that make H upper triangular
+    rhs = [beta]  # the rotated right-hand side beta e_1
+    k = 0
+    while k < max_iters:
+        w = apply(V[k])
+        for _ in range(2):  # classical Gram-Schmidt, applied twice
+            h = V[: k + 1] @ w
+            w = w - h @ V[: k + 1]
+            H[: k + 1, k] += h
+        hn = float(np.linalg.norm(w))
+        col = H[: k + 2, k]
+        col[k + 1] = hn
+        for i, (c, sn) in enumerate(rot):
+            col[i], col[i + 1] = c * col[i] + sn * col[i + 1], c * col[i + 1] - sn * col[i]
+        d = float(np.hypot(col[k], col[k + 1]))
+        if d == 0.0:  # the Krylov space stopped growing and H is singular
+            break
+        c, sn = col[k] / d, col[k + 1] / d
+        rot.append((c, sn))
+        col[k], col[k + 1] = d, 0.0
+        rhs.append(-sn * rhs[k])
+        rhs[k] *= c
+        k += 1
+        if abs(rhs[k]) <= tol or hn == 0.0:
+            break
+        V[k] = w / hn
+    y = np.linalg.solve(H[:k, :k], rhs[:k])  # upper triangular
+    return y @ V[:k]
+
+
+def _translations(disc: Discretization, u: Spectrum) -> np.ndarray:
+    """Orthonormal grid samples spanning the translation directions d_i u.
+
+    For a nonlinearity without x-dependence the residual map is translation
+    equivariant, so J d_i u vanishes at a solution; a modulated one has no
+    such null space and gets none (shape (0,) + grid.shape).
+    """
     g = disc.grid
-    M = g.size
-    C = fft_coeffs(g, np.eye(M).reshape((M,) + g.shape))
-    lin = ifft_values(g, disc.shifted * C)
-    nl = ifft_values(g, disc.jacobian_apply(u.coeffs, C))
-    return (lin - nl).reshape(M, M).T
+    if disc.spec.kind != "pure_power":
+        return np.zeros((0,) + g.shape)
+    k = g.axis_wavenumbers()
+    derivs = []
+    for ax in range(g.N):
+        shape = [1] * g.N
+        shape[ax] = g.n
+        derivs.append(ifft_values(g, 1j * g.omega * k.reshape(shape) * u.coeffs).ravel())
+    Q, sv, _ = np.linalg.svd(np.array(derivs).T, full_matrices=False)
+    return Q[:, sv > 1e-12 * sv[0]].T.reshape((-1,) + g.shape)
+
+
+def _newton_step(disc: Discretization, u: Spectrum, R: Spectrum, rnorm: float) -> np.ndarray:
+    """Inexact Newton step s on the real grid samples: GMRES on J s = -r,
+    right-preconditioned by the inverse full multiplier, to the relative
+    residual eta = min(FORCING_MAX, |R|).  For pure_power the step is kept
+    orthogonal to the translations d_i u, and J is projected off them."""
+    g = disc.grid
+    lin = disc.linearization(u.coeffs)
+    precond = disc.inv_full[..., : g.n // 2 + 1]
+    Q = _translations(disc, u)
+    Qh = rfft_samples(Q, g.N).reshape(len(Q), precond.size)
+    # sample inner products from half spectra: the columns 1..n/2-1 of the
+    # last axis stand for themselves and their Hermitian mirrors
+    weight = np.full(precond.shape, 2.0 / g.size)
+    weight[..., 0] = weight[..., g.n // 2] = 1.0 / g.size
+    Qw = weight.ravel() * np.conj(Qh)
+
+    def deflate(X):
+        if not len(Q):
+            return X
+        return X - (np.real(Qw @ X.ravel()) @ Qh).reshape(X.shape)
+
+    def precondition(y):
+        return deflate(rfft_samples(y.reshape(g.shape), g.N) * precond)
+
+    def apply(y):
+        return irfft_samples(deflate(lin(precondition(y))), g.shape).ravel()
+
+    r = ifft_values(g, R.coeffs)
+    b = -irfft_samples(deflate(rfft_samples(r, g.N)), g.shape).ravel()
+    eta = min(FORCING_MAX, rnorm)
+    y = _gmres(apply, b, eta * float(np.linalg.norm(b)), min(g.size, KRYLOV_MAX_ITERS))
+    return irfft_samples(precondition(y), g.shape)
 
 
 def newton_refine(
@@ -378,9 +463,10 @@ def newton_refine(
     max_iters: int = 60,
     enforce_zero_mean: bool = False,
 ) -> Spectrum:
-    """Damped Newton on the L2-metric residual, least-squares step.
+    """Damped inexact Newton on the L2-metric residual.
 
-    The least-squares solve absorbs the translation-orbit null space; at an
+    Each step is a matrix-free GMRES solve on the real grid samples (see
+    _newton_step); the residual norm decides Armijo backtracking.  At an
     exact discrete solution the input is returned after zero iterations.
     """
     disc = Discretization(u0.grid, p, spec)
@@ -408,10 +494,7 @@ def _newton_refine(
     for _ in range(max_iters):
         if rnorm < tol:
             return u
-        J = _dense_jacobian(disc, u)
-        rvals = inverse_transform(R, check=False).values.ravel()
-        step, *_ = np.linalg.lstsq(J, -rvals, rcond=None)
-        step = step.reshape(g.shape)
+        step = _newton_step(disc, u, R, rnorm)
         lam = 1.0
         improved = False
         for _ in range(25):

@@ -27,6 +27,7 @@ from .grids import (
     FracParams,
     Spectrum,
     TorusGrid,
+    _plane,
     _symmetrize_nyquist,
     fft_coeffs,
     forward_transform,
@@ -48,16 +49,16 @@ class NonlinearitySpec:
     def __post_init__(self):
         if self.kind not in ("pure_power", "modulated_power"):
             raise ValidationError(f"unknown nonlinearity kind {self.kind!r}")
-        if self.p <= 1:
-            raise ValidationError(f"growth exponent p must exceed 1, got {self.p}")
+        if not (1.0 < self.p < np.inf):
+            raise ValidationError(f"growth exponent p must exceed 1 and be finite, got {self.p}")
         if self.mu == 0.0:
             object.__setattr__(self, "mu", self.p + 1.0)
         if not (2.0 < self.mu <= self.p + 1.0):
             raise ValidationError(
                 f"AR exponent must satisfy 2 < mu <= p+1, got mu={self.mu}, p={self.p}"
             )
-        if self.r0 <= 0:
-            raise ValidationError(f"AR threshold r0 must be positive, got {self.r0}")
+        if not (0.0 < self.r0 < np.inf):
+            raise ValidationError(f"AR threshold r0 must be positive and finite, got {self.r0}")
         if self.kind == "modulated_power":
             if self.a is None:
                 raise ValidationError("modulated_power requires a coefficient field")
@@ -161,13 +162,9 @@ def pad_coeffs(coeffs: np.ndarray, grid: TorusGrid, m: int) -> np.ndarray:
             big[fsl] = coeffs[csl]
         ny = g.n // 2
         for ax in range(g.N):
-            src = [slice(None)] * g.N
-            src[ax] = ny % m
-            dst = [slice(None)] * g.N
-            dst[ax] = (-ny) % m
-            plane = 0.5 * big[(Ellipsis,) + tuple(src)]
-            big[(Ellipsis,) + tuple(src)] = plane
-            big[(Ellipsis,) + tuple(dst)] += plane
+            plane = 0.5 * big[_plane(g.N, ax, ny)]
+            big[_plane(g.N, ax, ny)] = plane
+            big[_plane(g.N, ax, m - ny)] += plane
     return ifft_values(g, big)
 
 
@@ -181,11 +178,7 @@ def restrict_values(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
     else:
         ny = g.n // 2
         for ax in range(g.N):
-            src = [slice(None)] * g.N
-            src[ax] = (-ny) % m
-            dst = [slice(None)] * g.N
-            dst[ax] = ny % m
-            big[(Ellipsis,) + tuple(dst)] += big[(Ellipsis,) + tuple(src)]
+            big[_plane(g.N, ax, ny)] += big[_plane(g.N, ax, m - ny)]
         lead = values.shape[: values.ndim - g.N]
         coeffs = np.zeros(lead + g.shape, dtype=complex)
         blocks = _band_blocks(g.n, m)
@@ -194,6 +187,20 @@ def restrict_values(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
             fsl = (Ellipsis,) + tuple(f for _, f in combo)
             coeffs[csl] = big[fsl]
     return _symmetrize_nyquist(grid, coeffs)
+
+
+def rfft_samples(x: np.ndarray, N: int) -> np.ndarray:
+    """numpy.fft.rfftn over the trailing N axes (numpy.fft.rfft when N = 1,
+    the same transform with less call overhead)."""
+    return np.fft.rfft(x) if N == 1 else np.fft.rfftn(x, axes=tuple(range(-N, 0)))
+
+
+def irfft_samples(X: np.ndarray, shape: tuple) -> np.ndarray:
+    """Real samples of the given trailing shape from an rfft half spectrum;
+    the inverse of rfft_samples."""
+    if len(shape) == 1:
+        return np.fft.irfft(X, shape[0])
+    return np.fft.irfftn(X, s=shape, axes=tuple(range(-len(shape), 0)))
 
 
 def pad_to_grid(S: Spectrum, m: int) -> np.ndarray:
@@ -214,7 +221,8 @@ class Discretization:
         I(u) = 1/2 sum_k [(omega^2|k|^2+m^2)^s - m^{2s}] |c_k|^2 - int F(x,u) dx
 
     on one grid.  The multipliers, the padded grid size, the coefficient a(x)
-    sampled on the padded grid and the padded cell volume are built once.
+    sampled on the padded grid, the padded cell volume and the band slices of
+    the real-FFT linearization are built once.
     Every method takes coefficient arrays whose trailing N axes are the grid;
     leading axes are batch axes, so a single spectrum is the case of none.
     spec = None drops the nonlinear term (the quadratic probe); params = None
@@ -227,21 +235,37 @@ class Discretization:
     spec: Optional[NonlinearitySpec]
     shifted: Optional[np.ndarray] = dc_field(init=False, repr=False)
     full: Optional[np.ndarray] = dc_field(init=False, repr=False)
+    inv_full: Optional[np.ndarray] = dc_field(init=False, repr=False)
     m_pad: int = dc_field(init=False)
     coeff_pad: Optional[np.ndarray] = dc_field(init=False, repr=False)
     cell: float = dc_field(init=False)
     axes: tuple = dc_field(init=False, repr=False)
+    half_blocks: tuple = dc_field(init=False, repr=False)
 
     def __post_init__(self):
         g, spec = self.grid, self.spec
         put = partial(object.__setattr__, self)
-        with_params = self.params is not None
-        put("shifted", multiplier(g, self.params, shifted=True) if with_params else None)
-        put("full", multiplier(g, self.params) if with_params else None)
+        if self.params is None:
+            put("shifted", None)
+            put("full", None)
+            put("inv_full", None)
+        else:
+            full = multiplier(g, self.params)
+            put("shifted", multiplier(g, self.params, shifted=True))
+            put("full", full)
+            put("inv_full", np.where(full > 0.0, 1.0 / np.maximum(full, 1e-300), 1.0))
         m = padded_size(g.n, spec)
         put("m_pad", m)
         put("cell", (g.T / m) ** g.N)
         put("axes", tuple(range(-g.N, 0)))
+        # Real-FFT layout: the last axis keeps the modes 0..n/2 on both grids,
+        # every other axis the two blocks of _band_blocks.
+        last = slice(0, g.n // 2 + 1)
+        put("half_blocks", tuple(
+            ((Ellipsis,) + tuple(c for c, _ in combo) + (last,),
+             (Ellipsis,) + tuple(f for _, f in combo) + (last,))
+            for combo in product(_band_blocks(g.n, m), repeat=g.N - 1)
+        ))
         if spec is None:
             coeff = None
         elif spec.kind == "pure_power":
@@ -302,8 +326,7 @@ class Discretization:
     def dual_norms(self, R: np.ndarray) -> np.ndarray:
         """sqrt(sum_k |R_k|^2 / (omega^2|k|^2+m^2)^s); a zero-multiplier mode
         keeps unit weight so nonzero-mean defects still register."""
-        w = np.where(self.full > 0.0, 1.0 / np.maximum(self.full, 1e-300), 1.0)
-        return np.sqrt(np.sum(w * np.abs(R) ** 2, axis=self.axes))
+        return np.sqrt(np.sum(self.inv_full * np.abs(R) ** 2, axis=self.axes))
 
     def jacobian_apply(self, U: np.ndarray, W: np.ndarray) -> np.ndarray:
         """Band-limited coefficients of f_t(x, u) w, the nonlinear part of the
@@ -311,6 +334,59 @@ class Discretization:
         shifted * w minus this); U broadcasts against W."""
         fp = fprime_eval(self.spec, self.coeff_pad, pad_coeffs(U, self.grid, self.m_pad))
         return restrict_values(fp * pad_coeffs(W, self.grid, self.m_pad), self.grid)
+
+    def linearization(self, U: np.ndarray):
+        """The derivative of grad at u on real FFTs: returns the map
+        X -> shifted * X - (f_t(x, u) w)^, where X = rfft_samples(w) of real
+        grid samples w, and irfft_samples of the result are the samples of
+        the derivative in the direction w, the samples of shifted * W -
+        jacobian_apply(U, W) with W = grids.fft_coeffs(grid, w), Nyquist
+        planes included.  f_t(x, u) is sampled on the padded grid once.
+        """
+        fp = fprime_eval(self.spec, self.coeff_pad, pad_coeffs(U, self.grid, self.m_pad))
+        shifted = self.shifted[..., : self.grid.n // 2 + 1]
+        fine = (self.m_pad,) * self.grid.N
+
+        def apply(X: np.ndarray) -> np.ndarray:
+            v = irfft_samples(self._pad_half(X), fine)
+            return shifted * X - self._restrict_half(rfft_samples(fp * v, self.grid.N))
+
+        return apply
+
+    def _pad_half(self, X: np.ndarray) -> np.ndarray:
+        """pad_coeffs on rfft half spectra: the band into the padded layout,
+        each Nyquist coefficient split evenly onto +-n/2 (on the last axis
+        -n/2 is the Hermitian mirror, which the half spectrum leaves out)."""
+        g, m, ny = self.grid, self.m_pad, self.grid.n // 2
+        lead = X.shape[: X.ndim - g.N]
+        big = np.zeros(lead + (m,) * (g.N - 1) + (m // 2 + 1,), dtype=complex)
+        for c, f in self.half_blocks:
+            big[f] = X[c]
+        for ax in range(g.N - 1):
+            big[_plane(g.N, ax, ny)] *= 0.5
+            big[_plane(g.N, ax, m - ny)] = big[_plane(g.N, ax, ny)]
+        big[..., ny] *= 0.5
+        return big
+
+    def _restrict_half(self, F: np.ndarray) -> np.ndarray:
+        """restrict_values on rfft half spectra (F is overwritten): fold -n/2
+        onto n/2, keep the band and the real part on the Nyquist planes.
+
+        On the last axis the folded -n/2 column is the conjugate of the n/2
+        column at -k; its real part is doubled instead, which changes only the
+        part odd in k of that self-conjugate column, and irfft_samples drops
+        that part."""
+        g, m, ny = self.grid, self.m_pad, self.grid.n // 2
+        for ax in range(g.N - 1):
+            F[_plane(g.N, ax, ny)] += F[_plane(g.N, ax, m - ny)]
+        lead = F.shape[: F.ndim - g.N]
+        out = np.empty(lead + (g.n,) * (g.N - 1) + (ny + 1,), dtype=complex)
+        for c, f in self.half_blocks:
+            out[c] = F[f]
+        out[..., ny] = 2.0 * out[..., ny].real
+        for ax in range(g.N - 1):
+            out[_plane(g.N, ax, ny)] = out[_plane(g.N, ax, ny)].real
+        return out
 
     def action(self, U: np.ndarray) -> np.ndarray:
         """int f(x, u) u dx on the padded grid."""

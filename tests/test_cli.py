@@ -168,6 +168,26 @@ MALFORMED = [
     pytest.param("solve", _with(("seed",), "x"), id="seed"),
     pytest.param("solve", _with(("seed",), -1), id="seed-negative"),
     pytest.param("sweep", _with(("m_list",), ["a"], mode="sweep"), id="m_list"),
+    pytest.param("sweep", _with(("m_list",), [0.5, "nan"], mode="sweep"), id="m_list-nan"),
+    pytest.param("solve", _with(("grid", "n"), 64.9), id="grid.n-fraction"),
+    pytest.param("solve", _with(("grid", "N"), True), id="grid.N-bool"),
+    pytest.param("solve", _with(("solver", "max_iters"), 1.5), id="solver.max_iters-fraction"),
+    pytest.param("solve", _with(("seed",), 1.5), id="seed-fraction"),
+    pytest.param("solve", _with(("seed",), True), id="seed-bool"),
+    pytest.param("solve", _with(("grid", "T"), "inf"), id="grid.T-inf"),
+    pytest.param("solve", _with(("frac", "m"), "nan"), id="frac.m-nan"),
+    pytest.param("solve", _with(("frac", "m"), 0.0), id="frac.m-zero-solve"),
+    pytest.param("solve", _with(("nonlinearity", "r0"), "nan"), id="nonlinearity.r0-nan"),
+    pytest.param("solve", _with(("solver", "ps_tol"), "nan"), id="solver.ps_tol-nan"),
+    pytest.param("solve", _with(("solver", "R"), "inf"), id="solver.R-inf"),
+    pytest.param("diagnose", _with(("solution_file",), 5, mode="diagnose"),
+                 id="solution_file-type"),
+    pytest.param("diagnose", _with(("solution_file",), "{tmp}/absent.json", mode="diagnose"),
+                 id="solution_file-missing"),
+    pytest.param("diagnose", _with(("solution_file",), "{tmp}", mode="diagnose"),
+                 id="solution_file-directory"),
+    pytest.param("diagnose", _with(("solution_file",), "{tmp}/not-json.txt", mode="diagnose"),
+                 id="solution_file-not-json"),
     pytest.param("sweep", _with(("mode",), "solve"), id="sweep-on-solve-config"),
     pytest.param("solve", {k: v for k, v in _with(("mode",), "verify").items()
                            if k != "nonlinearity"}, id="solve-on-verify-config"),
@@ -176,8 +196,9 @@ MALFORMED = [
 
 @pytest.mark.parametrize("mode,doc", MALFORMED)
 def test_main_malformed_config_exits_config(tmp_path, capsys, mode, doc):
+    (tmp_path / "not-json.txt").write_text("u = cos(x)\n")
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(doc))
+    cfg_path.write_text(json.dumps(doc).replace("{tmp}", str(tmp_path)))
     code = cli.main([mode, "--config", str(cfg_path), "--output", str(tmp_path)])
     err = capsys.readouterr().err
     assert code == cli.EXIT_CONFIG

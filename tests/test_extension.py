@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fractorus.errors import DomainError, ZeroModeNoDecay
+from fractorus.errors import DomainError, QuadratureUnconverged, ZeroModeNoDecay
 from fractorus.extension import (
     as_cylinder,
     conormal_derivative,
@@ -95,6 +95,15 @@ def test_sharp_gap_zero_on_extensions(grid64, params_half, rng):
     v = as_cylinder(extend(u, params_half))
     e = cylinder_energy(v)
     assert abs(sharp_trace_gap(v, params_half)) < 1e-6 * max(e, 1.0)
+
+
+def test_cylinder_energy_unconverged_quadrature(grid64, rng):
+    # at s = 1/4 the separable rule at DEFAULT_NODES and at half as many
+    # nodes disagree by ~1e-3, far above the 1e-6 convergence tolerance
+    u = project_zero_mean(random_spectrum(grid64, rng, decay=0.5))
+    v = as_cylinder(extend(u, FracParams(0.25, 1.0)))
+    with pytest.raises(QuadratureUnconverged, match="moved by"):
+        cylinder_energy(v)
 
 
 def test_sharp_gap_positive_on_wrong_profile(grid64, params_half):

@@ -9,13 +9,20 @@ from fractorus.grids import (
     FracParams,
     Spectrum,
     TorusGrid,
+    fft_coeffs,
     field_from_function,
     forward_transform,
     hs_norm,
+    ifft_values,
     multiplier,
     random_spectrum,
 )
-from fractorus.nonlinearity import NonlinearitySpec
+from fractorus.nonlinearity import (
+    Discretization,
+    NonlinearitySpec,
+    irfft_samples,
+    rfft_samples,
+)
 
 
 def _hs_dist(a, b, p):
@@ -151,3 +158,65 @@ def test_minimax_requires_mass(grid64, cubic):
     p0 = FracParams(0.5, 0.0)
     with pytest.raises(DomainError):
         linking.minimax_search(grid64, p0, cubic, linking.LinkingConfig())
+
+
+# ---------------------------------------------------------------------------
+# the matrix-free Newton step
+
+def _newton_case(N, n, kind):
+    g = TorusGrid(N, 2 * np.pi, n)
+    if kind == "pure":
+        spec = NonlinearitySpec(kind="pure_power", p=3.0)
+    else:
+        a = field_from_function(g, lambda *xs: 1.0 + 0.5 * np.cos(xs[0] + 0.3))
+        spec = NonlinearitySpec(kind="modulated_power", p=2.5, a=a)
+    disc = Discretization(g, FracParams(0.5, 1.0), spec)
+    u = random_spectrum(g, np.random.default_rng(0), decay=0.3)
+    return g, disc, u
+
+
+def _dense_jacobian(g, disc, u):
+    """J on real grid samples, one identity column at a time."""
+    M = g.size
+    C = fft_coeffs(g, np.eye(M).reshape((M,) + g.shape))
+    cols = ifft_values(g, disc.shifted * C - disc.jacobian_apply(u.coeffs, C))
+    return cols.reshape(M, M).T
+
+
+@pytest.mark.parametrize("N,n", [(1, 64), (2, 16)])
+@pytest.mark.parametrize("kind", ["pure", "modulated"])
+def test_linearization_matches_jacobian_apply(N, n, kind):
+    g, disc, u = _newton_case(N, n, kind)
+    w = np.random.default_rng(1).standard_normal((3,) + g.shape)
+    W = fft_coeffs(g, w)
+    want = ifft_values(g, disc.shifted * W - disc.jacobian_apply(u.coeffs, W))
+    got = irfft_samples(disc.linearization(u.coeffs)(rfft_samples(w, N)), g.shape)
+    # w has content on every Nyquist plane
+    ny = (Ellipsis,) + (n // 2,) * N
+    assert np.min(np.abs(W[ny])) > 1e-3
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("N,n", [(1, 16), (2, 8)])
+@pytest.mark.parametrize("kind", ["pure", "modulated"])
+def test_newton_step_meets_forcing_term(N, n, kind):
+    g, disc, u = _newton_case(N, n, kind)
+    R = Spectrum(g, disc.grad(u.coeffs))
+    s = linking._newton_step(disc, u, R, R.l2_norm()).ravel()
+    r = ifft_values(g, R.coeffs).ravel()
+    J = _dense_jacobian(g, disc, u)
+    eta = min(linking.FORCING_MAX, R.l2_norm())
+    Q = linking._translations(disc, u).reshape(-1, g.size)
+    if kind == "pure":
+        # the step solves the system projected off the translations d_i u
+        assert Q.shape[0] == N
+        assert np.allclose(Q @ Q.T, np.eye(N), atol=1e-12)
+        k = g.axis_wavenumbers().reshape((n,) + (1,) * (N - 1))
+        du = ifft_values(g, 1j * k * u.coeffs).ravel()
+        assert np.linalg.norm(du - Q.T @ (Q @ du)) <= 1e-12 * np.linalg.norm(du)
+        assert np.max(np.abs(Q @ s)) <= 1e-12 * np.linalg.norm(s)
+        proj = np.eye(g.size) - Q.T @ Q
+        assert np.linalg.norm(proj @ (J @ s + r)) <= eta * np.linalg.norm(proj @ r)
+    else:
+        assert Q.shape[0] == 0  # an x-dependent f has no translation null space
+        assert np.linalg.norm(J @ s + r) <= eta * np.linalg.norm(r)
