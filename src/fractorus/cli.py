@@ -187,6 +187,9 @@ def parse_config(text: str) -> RunConfig:
             raise ValidationError("$.m_list is required in sweep mode")
         m_list = _built("$.m_list", lambda ms: [float(m) for m in ms], m_list)
         _built("$.m_list", continuation.check_mass_list, m_list, None)
+        if len(m_list) < 2:
+            raise ValidationError("$.m_list needs at least two masses: the m = 0 "
+                                  "limit is taken from a converged branch")
 
     seed = _built("$.seed", _integer, doc.get("seed", 0))
     if seed < 0:
@@ -412,6 +415,9 @@ def run(cfg: RunConfig, output_dir=".", solver_trace=False, dump_extension=False
             json.loads(Path(path).read_text())), cfg.solution_file)
         if not isinstance(obj, Spectrum):
             raise ValidationError("$.solution_file must contain a spectrum document")
+        if obj.grid != cfg.grid:
+            raise ValidationError(f"$.solution_file holds a spectrum on {obj.grid}, "
+                                  f"not on $.grid {cfg.grid}")
         qs = [2.0, 4.0, 8.0, 16.0]
         if cfg.grid.N > 2 * cfg.frac.s:
             qs = sorted(set(qs) | set(

@@ -102,12 +102,22 @@ class FracParams:
         return 2.0 * N / (N - 2.0 * self.s)
 
 
-def _reverse_modes(c: np.ndarray) -> np.ndarray:
-    """Coefficient array at -k (mod n) for every k."""
+def _reverse_modes(c: np.ndarray, axes) -> np.ndarray:
+    """Coefficient array at -k (mod the axis length) for every k, -k taken
+    along the given axes."""
     out = c
-    for ax in range(c.ndim):
+    for ax in axes:
         out = np.roll(np.flip(out, axis=ax), 1, axis=ax)
     return out
+
+
+def _hermitian_full(H: np.ndarray, N: int) -> np.ndarray:
+    """Full FFT-layout coefficients of a real field from its rfft half
+    spectrum over the trailing N axes (last axis: the modes 0..n/2); the
+    modes -n/2+1..-1 of the last axis are the conjugates of the modes at -k."""
+    ny = H.shape[-1] - 1
+    neg = np.conj(_reverse_modes(H[..., ny - 1 : 0 : -1], range(-N, -1)))
+    return np.concatenate((H, neg), axis=-1)
 
 
 def hermitian_defect(coeffs: np.ndarray) -> float:
@@ -115,7 +125,8 @@ def hermitian_defect(coeffs: np.ndarray) -> float:
     scale = np.linalg.norm(coeffs.ravel())
     if scale == 0.0:
         return 0.0
-    return np.linalg.norm((coeffs - np.conj(_reverse_modes(coeffs))).ravel()) / scale
+    mirror = np.conj(_reverse_modes(coeffs, range(coeffs.ndim)))
+    return np.linalg.norm((coeffs - mirror).ravel()) / scale
 
 
 @dataclass(frozen=True)

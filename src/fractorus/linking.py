@@ -232,32 +232,18 @@ def _calibrate_caps(disc: Discretization, yhat, z, cfg: LinkingConfig, eta: floa
 def minimax_search(
     grid: TorusGrid,
     p: FracParams,
-    spec: Optional[NonlinearitySpec],
+    spec: NonlinearitySpec,
     cfg: LinkingConfig,
     rng: Optional[np.random.Generator] = None,
 ) -> SolverState:
-    """Constrained deformation of the linking surface toward a PS point.
-
-    spec = None runs the quadratic degenerate probe: there is no linking
-    geometry (the boundary gate is skipped and nothing is pinned) and the
-    flow collapses to zero, reported as NoNontrivialSolution.
-    """
+    """Constrained deformation of the linking surface toward a PS point."""
     disc = Discretization(grid, p, spec)
     yhat = _unit_constant(grid, p)
     z = pick_z_direction(grid, p)
     nc, nr = GRID_A
 
-    if spec is not None:
-        eta_guess, rho = _ridge_estimate(disc, rng=rng)
-        R, Rp, cs, rs, U, frozen = _calibrate_caps(disc, yhat, z, cfg, eta_guess)
-    else:
-        rho = None
-        R = cfg.R if cfg.R > 0 else 1.0
-        Rp = cfg.R_prime if cfg.R_prime > 0 else 1.0
-        cs = np.linspace(-Rp, Rp, nc)
-        rs = np.linspace(0.0, R, nr)
-        U = _surface(cs, rs, yhat, z)
-        frozen = np.zeros((nc, nr), dtype=bool)
+    eta_guess, rho = _ridge_estimate(disc, rng=rng)
+    R, Rp, cs, rs, U, frozen = _calibrate_caps(disc, yhat, z, cfg, eta_guess)
 
     boundary_snapshot = U[frozen].copy()
     steps = np.full((nc, nr), DESCENT_STEP)
@@ -307,19 +293,15 @@ def minimax_search(
         history.append((level, gnorm))
         trace.append((sweep, level, gnorm, float(cs[idx[0]]), float(rs[idx[1]])))
 
-        if spec is None:
-            if float(np.max(disc.hs_norms(U))) < COLLAPSE_TOL or level < 1e-12:
-                status = "NoNontrivialSolution"
-                break
-        elif disc.hs_norms(arg.coeffs) < COLLAPSE_TOL:
+        if disc.hs_norms(arg.coeffs) < COLLAPSE_TOL:
             status = "NoNontrivialSolution"
             break
 
-        if gnorm < cfg.ps_tol and (rho is None or level >= rho - 1e-6):
+        if gnorm < cfg.ps_tol and level >= rho - 1e-6:
             status = "Converged"
             break
 
-        if spec is not None and not frozen[idx]:
+        if not frozen[idx]:
             try:
                 polished = _newton_refine(disc, arg, tol=cfg.ps_tol * 0.1)
             except DivergedRefinement:

@@ -27,11 +27,10 @@ from .grids import (
     FracParams,
     Spectrum,
     TorusGrid,
+    _hermitian_full,
     _plane,
-    _symmetrize_nyquist,
-    fft_coeffs,
+    _reverse_modes,
     forward_transform,
-    ifft_values,
     multiplier,
 )
 
@@ -134,61 +133,6 @@ def padded_size(n: int, spec: Optional[NonlinearitySpec]) -> int:
     return m + (m % 2)
 
 
-def _band_blocks(n: int, m: int):
-    """Per-axis (coarse, fine) slice pairs mapping the retained band into a
-    length-m FFT layout: nonnegative modes 0..n/2 then negatives -n/2+1..-1."""
-    return [
-        (slice(0, n // 2 + 1), slice(0, n // 2 + 1)),
-        (slice(n // 2 + 1, n), slice(m - n // 2 + 1, m)),
-    ]
-
-
-def pad_coeffs(coeffs: np.ndarray, grid: TorusGrid, m: int) -> np.ndarray:
-    """Real samples on the refined m-point grid; leading axes are batched.
-
-    The coarse Nyquist coefficient represents the cosine pair; on the fine
-    grid it is split evenly onto +-n/2 so the interpolant stays real.
-    """
-    g = grid
-    lead = coeffs.shape[: coeffs.ndim - g.N]
-    if m == g.n:
-        big = coeffs
-    else:
-        big = np.zeros(lead + (m,) * g.N, dtype=complex)
-        blocks = _band_blocks(g.n, m)
-        for combo in product(blocks, repeat=g.N):
-            csl = (Ellipsis,) + tuple(c for c, _ in combo)
-            fsl = (Ellipsis,) + tuple(f for _, f in combo)
-            big[fsl] = coeffs[csl]
-        ny = g.n // 2
-        for ax in range(g.N):
-            plane = 0.5 * big[_plane(g.N, ax, ny)]
-            big[_plane(g.N, ax, ny)] = plane
-            big[_plane(g.N, ax, m - ny)] += plane
-    return ifft_values(g, big)
-
-
-def restrict_values(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """Band-projected coefficients of refined-grid samples (batched)."""
-    g = grid
-    m = values.shape[-1]
-    big = fft_coeffs(g, values)
-    if m == g.n:
-        coeffs = big
-    else:
-        ny = g.n // 2
-        for ax in range(g.N):
-            big[_plane(g.N, ax, ny)] += big[_plane(g.N, ax, m - ny)]
-        lead = values.shape[: values.ndim - g.N]
-        coeffs = np.zeros(lead + g.shape, dtype=complex)
-        blocks = _band_blocks(g.n, m)
-        for combo in product(blocks, repeat=g.N):
-            csl = (Ellipsis,) + tuple(c for c, _ in combo)
-            fsl = (Ellipsis,) + tuple(f for _, f in combo)
-            coeffs[csl] = big[fsl]
-    return _symmetrize_nyquist(grid, coeffs)
-
-
 def rfft_samples(x: np.ndarray, N: int) -> np.ndarray:
     """numpy.fft.rfftn over the trailing N axes (numpy.fft.rfft when N = 1,
     the same transform with less call overhead)."""
@@ -201,6 +145,73 @@ def irfft_samples(X: np.ndarray, shape: tuple) -> np.ndarray:
     if len(shape) == 1:
         return np.fft.irfft(X, shape[0])
     return np.fft.irfftn(X, s=shape, axes=tuple(range(-len(shape), 0)))
+
+
+def _half_blocks(n: int, m: int, N: int):
+    """(coarse, fine) index pairs placing the retained band of an rfft half
+    spectrum into the padded layout: on each of the first N - 1 axes the
+    modes 0..n/2 and -n/2+1..-1, on the last axis the modes 0..n/2."""
+    ny = n // 2
+    axis = ((slice(0, ny + 1), slice(0, ny + 1)), (slice(ny + 1, n), slice(m - ny + 1, m)))
+    last = (slice(0, ny + 1),)
+    for combo in product(axis, repeat=N - 1):
+        yield ((Ellipsis,) + tuple(c for c, _ in combo) + last,
+               (Ellipsis,) + tuple(f for _, f in combo) + last)
+
+
+def _pad_half(X: np.ndarray, grid: TorusGrid, m: int) -> np.ndarray:
+    """The band of an rfft half spectrum (trailing N axes) in the rfft layout
+    of the m > n point grid, each Nyquist coefficient split evenly onto
+    +-n/2 so the interpolant stays real (on the last axis -n/2 is the
+    Hermitian mirror, which the half spectrum leaves out)."""
+    N, ny = grid.N, grid.n // 2
+    lead = X.shape[: X.ndim - N]
+    big = np.zeros(lead + (m,) * (N - 1) + (m // 2 + 1,), dtype=complex)
+    for c, f in _half_blocks(grid.n, m, N):
+        big[f] = X[c]
+    for ax in range(N - 1):
+        big[_plane(N, ax, ny)] *= 0.5
+        big[_plane(N, ax, m - ny)] = big[_plane(N, ax, ny)]
+    big[..., ny] *= 0.5
+    return big
+
+
+def _restrict_half(F: np.ndarray, grid: TorusGrid, m: int) -> np.ndarray:
+    """The band of an rfft half spectrum of the m > n point grid (F is
+    overwritten): -n/2 folded onto n/2 on every axis, and the Nyquist planes
+    made real.  The half spectrum leaves out the -n/2 column of the last
+    axis, the conjugate of the n/2 column at -k over the other axes, so the
+    folded column is the real part of the n/2 column at k plus at -k."""
+    N, ny = grid.N, grid.n // 2
+    for ax in range(N - 1):
+        F[_plane(N, ax, ny)] += F[_plane(N, ax, m - ny)]
+    lead = F.shape[: F.ndim - N]
+    out = np.empty(lead + (grid.n,) * (N - 1) + (ny + 1,), dtype=complex)
+    for c, f in _half_blocks(grid.n, m, N):
+        out[c] = F[f]
+    col = out[..., ny].real
+    out[..., ny] = col + _reverse_modes(col, range(1 - N, 0))
+    for ax in range(N - 1):
+        out[_plane(N, ax, ny)] = out[_plane(N, ax, ny)].real
+    return out
+
+
+def pad_coeffs(coeffs: np.ndarray, grid: TorusGrid, m: int) -> np.ndarray:
+    """Real samples on the refined m-point grid (m > n) of the interpolant of
+    a Hermitian spectrum; leading axes are batched.  Only the modes 0..n/2
+    of the last axis are read.
+    """
+    g = grid
+    X = _pad_half(coeffs[..., : g.n // 2 + 1], g, m)
+    return irfft_samples(X, (m,) * g.N) * (m**g.N / g.T ** (g.N / 2.0))
+
+
+def restrict_values(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """Band-projected coefficients of refined-grid samples (batched)."""
+    g = grid
+    m = values.shape[-1]
+    F = rfft_samples(values, g.N) * (g.T ** (g.N / 2.0) / m**g.N)
+    return _hermitian_full(_restrict_half(F, g, m), g.N)
 
 
 def pad_to_grid(S: Spectrum, m: int) -> np.ndarray:
@@ -221,13 +232,15 @@ class Discretization:
         I(u) = 1/2 sum_k [(omega^2|k|^2+m^2)^s - m^{2s}] |c_k|^2 - int F(x,u) dx
 
     on one grid.  The multipliers, the padded grid size, the coefficient a(x)
-    sampled on the padded grid, the padded cell volume and the band slices of
-    the real-FFT linearization are built once.
+    sampled on the padded grid and the padded cell volume are built once.
+    Every product is dealiased by the one real-FFT pad and restrict of this
+    module: pad_coeffs and restrict_values for coefficient arrays, their
+    half-spectrum helpers for the linearization.
     Every method takes coefficient arrays whose trailing N axes are the grid;
     leading axes are batch axes, so a single spectrum is the case of none.
-    spec = None drops the nonlinear term (the quadratic probe); params = None
-    builds the nonlinear term only, and the multiplier methods are then
-    unavailable.
+    spec = None drops the nonlinear term (the quadratic probe of
+    ridge_estimate and residual_norm); params = None builds the nonlinear
+    term only, and the multiplier methods are then unavailable.
     """
 
     grid: TorusGrid
@@ -240,7 +253,6 @@ class Discretization:
     coeff_pad: Optional[np.ndarray] = dc_field(init=False, repr=False)
     cell: float = dc_field(init=False)
     axes: tuple = dc_field(init=False, repr=False)
-    half_blocks: tuple = dc_field(init=False, repr=False)
 
     def __post_init__(self):
         g, spec = self.grid, self.spec
@@ -258,14 +270,6 @@ class Discretization:
         put("m_pad", m)
         put("cell", (g.T / m) ** g.N)
         put("axes", tuple(range(-g.N, 0)))
-        # Real-FFT layout: the last axis keeps the modes 0..n/2 on both grids,
-        # every other axis the two blocks of _band_blocks.
-        last = slice(0, g.n // 2 + 1)
-        put("half_blocks", tuple(
-            ((Ellipsis,) + tuple(c for c, _ in combo) + (last,),
-             (Ellipsis,) + tuple(f for _, f in combo) + (last,))
-            for combo in product(_band_blocks(g.n, m), repeat=g.N - 1)
-        ))
         if spec is None:
             coeff = None
         elif spec.kind == "pure_power":
@@ -348,45 +352,11 @@ class Discretization:
         fine = (self.m_pad,) * self.grid.N
 
         def apply(X: np.ndarray) -> np.ndarray:
-            v = irfft_samples(self._pad_half(X), fine)
-            return shifted * X - self._restrict_half(rfft_samples(fp * v, self.grid.N))
+            v = irfft_samples(_pad_half(X, self.grid, self.m_pad), fine)
+            return shifted * X - _restrict_half(rfft_samples(fp * v, self.grid.N),
+                                                self.grid, self.m_pad)
 
         return apply
-
-    def _pad_half(self, X: np.ndarray) -> np.ndarray:
-        """pad_coeffs on rfft half spectra: the band into the padded layout,
-        each Nyquist coefficient split evenly onto +-n/2 (on the last axis
-        -n/2 is the Hermitian mirror, which the half spectrum leaves out)."""
-        g, m, ny = self.grid, self.m_pad, self.grid.n // 2
-        lead = X.shape[: X.ndim - g.N]
-        big = np.zeros(lead + (m,) * (g.N - 1) + (m // 2 + 1,), dtype=complex)
-        for c, f in self.half_blocks:
-            big[f] = X[c]
-        for ax in range(g.N - 1):
-            big[_plane(g.N, ax, ny)] *= 0.5
-            big[_plane(g.N, ax, m - ny)] = big[_plane(g.N, ax, ny)]
-        big[..., ny] *= 0.5
-        return big
-
-    def _restrict_half(self, F: np.ndarray) -> np.ndarray:
-        """restrict_values on rfft half spectra (F is overwritten): fold -n/2
-        onto n/2, keep the band and the real part on the Nyquist planes.
-
-        On the last axis the folded -n/2 column is the conjugate of the n/2
-        column at -k; its real part is doubled instead, which changes only the
-        part odd in k of that self-conjugate column, and irfft_samples drops
-        that part."""
-        g, m, ny = self.grid, self.m_pad, self.grid.n // 2
-        for ax in range(g.N - 1):
-            F[_plane(g.N, ax, ny)] += F[_plane(g.N, ax, m - ny)]
-        lead = F.shape[: F.ndim - g.N]
-        out = np.empty(lead + (g.n,) * (g.N - 1) + (ny + 1,), dtype=complex)
-        for c, f in self.half_blocks:
-            out[c] = F[f]
-        out[..., ny] = 2.0 * out[..., ny].real
-        for ax in range(g.N - 1):
-            out[_plane(g.N, ax, ny)] = out[_plane(g.N, ax, ny)].real
-        return out
 
     def action(self, U: np.ndarray) -> np.ndarray:
         """int f(x, u) u dx on the padded grid."""
@@ -416,6 +386,21 @@ def nonlinear_jacobian_apply(spec: NonlinearitySpec, u: Spectrum, w: Spectrum) -
 
 # ---------------------------------------------------------------------------
 # hypothesis verification
+
+def _falls_to_zero(t: np.ndarray, ratio: np.ndarray):
+    """(verdict, slope, tail slope) for ratio(t) -> 0 as t -> 0 on positive,
+    ascending samples t.  The slopes are least-squares fits of log ratio
+    against log t over all samples and over their smallest decade.  The
+    verdict asks for a positive slope, above the rounding noise of the fit,
+    that holds down to the smallest t: a ratio falling like a power of t
+    keeps its slope there, one levelling off at a nonzero constant loses it.
+    """
+    lt, lr = np.log(t), np.log(ratio)
+    tail = lt <= lt[0] + math.log(10.0)
+    slope = float(np.polyfit(lt, lr, 1)[0])
+    tail_slope = float(np.polyfit(lt[tail], lr[tail], 1)[0])
+    return bool(slope > 1e-12 and tail_slope >= 0.5 * slope), slope, tail_slope
+
 
 @dataclass(frozen=True)
 class HypothesisReport:
@@ -459,11 +444,11 @@ def verify_hypotheses(
         1.0, spec.p - 1.0
     ) + 1e-12
     details["f2_max_jump"] = jump
-    # (f3) f(x,t) = o(t): |f/t| = a |t|^{p-1} -> 0.
-    small = np.logspace(-6, -2, 20)
-    ratio = float(np.max(np.abs(a_vals[:, None]) * small ** (spec.p - 1.0)))
-    passed["f3_small_o"] = ratio < 1e-2
-    details["f3_max_ratio_small_t"] = ratio
+    # (f3) f(x,t) = o(t): sup_x |f(x,+-t)/t| falls toward 0 as t -> 0.
+    small = np.logspace(-6, -2, 21)
+    fs = f_eval(spec, a_vals[:, None, None], np.stack([small, -small]))
+    passed["f3_small_o"], details["f3_slope"], details["f3_tail_slope"] = _falls_to_zero(
+        small, np.max(np.abs(fs), axis=(0, 1)) / small)
     # (f4) growth |f| <= C (1 + |t|^p): fitted C.
     fmax = np.abs(a_vals[:, None]) * np.abs(t) ** spec.p
     C_fit = float(np.max(fmax / (1.0 + np.abs(t) ** spec.p)))

@@ -7,7 +7,7 @@ import pytest
 
 from fractorus import cli
 from fractorus.errors import ParseError, ValidationError
-from fractorus.grids import Spectrum, object_from_json
+from fractorus.grids import Spectrum, TorusGrid, object_from_json, spectrum_to_json
 
 MINIMAL = {
     "grid": {"N": 1, "T": 6.283185307179586, "n": 64},
@@ -169,6 +169,7 @@ MALFORMED = [
     pytest.param("solve", _with(("seed",), -1), id="seed-negative"),
     pytest.param("sweep", _with(("m_list",), ["a"], mode="sweep"), id="m_list"),
     pytest.param("sweep", _with(("m_list",), [0.5, "nan"], mode="sweep"), id="m_list-nan"),
+    pytest.param("sweep", _with(("m_list",), [0.1], mode="sweep"), id="m_list-one-mass"),
     pytest.param("solve", _with(("grid", "n"), 64.9), id="grid.n-fraction"),
     pytest.param("solve", _with(("grid", "N"), True), id="grid.N-bool"),
     pytest.param("solve", _with(("solver", "max_iters"), 1.5), id="solver.max_iters-fraction"),
@@ -188,6 +189,8 @@ MALFORMED = [
                  id="solution_file-directory"),
     pytest.param("diagnose", _with(("solution_file",), "{tmp}/not-json.txt", mode="diagnose"),
                  id="solution_file-not-json"),
+    pytest.param("diagnose", _with(("solution_file",), "{tmp}/other-grid.json", mode="diagnose"),
+                 id="solution_file-other-grid"),
     pytest.param("sweep", _with(("mode",), "solve"), id="sweep-on-solve-config"),
     pytest.param("solve", {k: v for k, v in _with(("mode",), "verify").items()
                            if k != "nonlinearity"}, id="solve-on-verify-config"),
@@ -197,6 +200,8 @@ MALFORMED = [
 @pytest.mark.parametrize("mode,doc", MALFORMED)
 def test_main_malformed_config_exits_config(tmp_path, capsys, mode, doc):
     (tmp_path / "not-json.txt").write_text("u = cos(x)\n")
+    other = Spectrum(TorusGrid(2, 2 * np.pi, 8), np.zeros((8, 8), complex))
+    (tmp_path / "other-grid.json").write_text(json.dumps(spectrum_to_json(other)))
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(doc).replace("{tmp}", str(tmp_path)))
     code = cli.main([mode, "--config", str(cfg_path), "--output", str(tmp_path)])

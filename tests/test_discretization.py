@@ -38,7 +38,7 @@ def _close(got, want):
     assert np.max(np.abs(got - want)) <= RTOL * scale
 
 
-@pytest.fixture(params=[(1, 64), (2, 16)], ids=["1d-n64", "2d-n16"])
+@pytest.fixture(params=[(1, 64), (2, 16), (3, 8)], ids=["1d-n64", "2d-n16", "3d-n8"])
 def grid(request):
     N, n = request.param
     return TorusGrid(N, 2 * np.pi, n)

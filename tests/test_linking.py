@@ -83,13 +83,6 @@ def test_minimax_boundary_pinned(grid64, params_half, cubic):
     assert st.frozen.sum() == 2 * nc + 2 * nr - 4
 
 
-def test_minimax_degenerate_probe_collapses(grid64, params_half):
-    st = linking.minimax_search(grid64, params_half, None,
-                                linking.LinkingConfig(max_iters=500))
-    assert st.status == "NoNontrivialSolution"
-    assert st.iterate.l2_norm() == 0.0
-
-
 def test_minimax_fixed_caps_too_small(grid64, params_half, cubic):
     cfg = linking.LinkingConfig(R=0.05, R_prime=0.05)
     with pytest.raises(BoundaryNotNegative):

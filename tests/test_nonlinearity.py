@@ -10,18 +10,22 @@ from fractorus.grids import (
     FracParams,
     Spectrum,
     TorusGrid,
+    fft_coeffs,
     field_from_function,
     forward_transform,
     random_spectrum,
 )
 from fractorus.nonlinearity import (
     NonlinearitySpec,
+    _falls_to_zero,
     nonlinear_energy,
     nonlinear_gradient,
     nonlinear_jacobian_apply,
+    pad_coeffs,
     pad_to_grid,
     padded_size,
     restrict_to_grid,
+    restrict_values,
     verify_hypotheses,
 )
 
@@ -63,11 +67,69 @@ def test_padded_size_integer_rule():
     assert padded_size(64, frac) == 96  # 3/2 fallback
 
 
-def test_pad_restrict_roundtrip(grid64, rng):
-    u = random_spectrum(grid64, rng, decay=0.1)
-    vals = pad_to_grid(u, 160)
-    back = restrict_to_grid(vals, grid64)
+BAND_GRIDS = {1: 64, 2: 16, 3: 8}
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_pad_restrict_roundtrip(N, rng):
+    g = TorusGrid(N, 2 * np.pi, BAND_GRIDS[N])
+    u = random_spectrum(g, rng, decay=0.1)
+    vals = pad_to_grid(u, 5 * g.n // 2)
+    back = restrict_to_grid(vals, g)
     assert np.max(np.abs(back.coeffs - u.coeffs)) < 1e-12
+
+
+def _interpolant(coeffs, g, m):
+    """sum_k c_k prod_i phi_{k_i}(x_i) / sqrt(T^N) at the m-point grid, with
+    phi_k = e^{i omega k x}, and cos(omega n/2 x) for the Nyquist mode."""
+    k = g.axis_wavenumbers()
+    x = np.arange(m) * (g.T / m)
+    phi = np.exp(1j * g.omega * np.outer(k, x))
+    phi[g.n // 2] = np.cos(g.omega * (g.n // 2) * x)
+    out = coeffs
+    for _ in range(g.N):  # contract the first grid axis, append its x axis
+        out = np.tensordot(out, phi, axes=([-g.N], [0]))
+    return out / np.sqrt(g.T**g.N)
+
+
+@pytest.mark.parametrize("N,n", [(1, 16), (2, 8), (3, 4)])
+def test_pad_coeffs_is_the_band_interpolant(N, n, rng):
+    g = TorusGrid(N, 2 * np.pi, n)
+    m = padded_size(n, NonlinearitySpec(kind="pure_power", p=3.0))
+    # DFT coefficients of real samples: Hermitian, with (for N > 1) nonreal
+    # coefficients on the Nyquist planes
+    C = fft_coeffs(g, rng.standard_normal((2,) + g.shape))
+    for ax in range(N):
+        plane = C[(Ellipsis,) + (slice(None),) * ax + (n // 2,) + (slice(None),) * (N - 1 - ax)]
+        assert np.max(np.abs(plane.imag if N > 1 else plane)) > 1e-3
+    want = _interpolant(C, g, m)
+    assert np.max(np.abs(want.imag)) < 1e-12
+    got = pad_coeffs(C, g, m)
+    assert got.shape == (2,) + (m,) * N
+    assert np.max(np.abs(got - want.real)) < 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("N,n", [(1, 16), (2, 8), (3, 4)])
+def test_restrict_values_is_the_folded_projection(N, n, rng):
+    # c_k = T^{N/2}/m^N sum_x v(x) prod_i psi_{k_i}(x_i), psi_k = e^{-i omega k x};
+    # on the Nyquist mode the +-n/2 pair is folded, psi = 2 cos(omega n/2 x),
+    # and the coefficient is real
+    g = TorusGrid(N, 2 * np.pi, n)
+    m = padded_size(n, NonlinearitySpec(kind="pure_power", p=3.0))
+    v = rng.standard_normal((2,) + (m,) * N)
+    k = g.axis_wavenumbers()
+    x = np.arange(m) * (g.T / m)
+    psi = np.exp(-1j * g.omega * np.outer(x, k))
+    psi[:, n // 2] = 2.0 * np.cos(g.omega * (n // 2) * x)
+    want = v
+    for _ in range(N):
+        want = np.tensordot(want, psi, axes=([-N], [0]))
+    want = want * (g.T ** (N / 2.0) / m**N)
+    for ax in range(N):
+        sl = (Ellipsis,) + (slice(None),) * ax + (n // 2,) + (slice(None),) * (N - 1 - ax)
+        want[sl] = want[sl].real
+    got = restrict_values(v, g)
+    assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
 
 
 def test_cubing_cos_is_alias_free(grid64, cubic):
@@ -125,6 +187,20 @@ def test_verify_hypotheses_pass(grid64, cubic):
     assert rep.passed["f5_ambrosetti_rabinowitz"]
     assert rep.details["f5_equality"] is True
     assert rep.details["C_eps_1.0"] >= 0.0
+
+
+@pytest.mark.parametrize("p", [1.25, 1.5, 2.0, 3.0])
+def test_f3_holds_for_every_superlinear_power(grid64, p):
+    rep = verify_hypotheses(NonlinearitySpec(kind="pure_power", p=p), grid64)
+    assert rep.passed["f3_small_o"]
+    assert abs(rep.details["f3_slope"] - (p - 1.0)) < 1e-9
+
+
+def test_f3_rejects_a_ratio_levelling_off():
+    t = np.logspace(-6, -2, 21)
+    assert _falls_to_zero(t, 0.7 * t**0.25)[0]
+    for ratio in (np.full_like(t, 0.3), 0.5 + t, 0.1 + np.sqrt(t)):
+        assert not _falls_to_zero(t, ratio)[0]
 
 
 def test_verify_hypotheses_modulated(grid64):
