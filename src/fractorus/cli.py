@@ -85,7 +85,7 @@ class RunConfig:
 
 # What building a config value from well-formed JSON of the wrong type or
 # range, or reading a file the config names, can raise.
-_BUILD_ERRORS = (KeyError, TypeError, ValueError, OSError, FractorusError)
+_BUILD_ERRORS = (KeyError, TypeError, ValueError, OverflowError, OSError, FractorusError)
 
 
 def _integer(value) -> int:

@@ -7,10 +7,11 @@ survives the reduction.  The linking set is the rectangle
     A = {c yhat + r z : |c| <= R', 0 <= r <= R}
 
 with yhat the normalized constant mode and z a normalized zero-mean direction.
-Its image flows by X-metric descent with the boundary pinned; the running
-maximum over the deformed surface is the minimax level estimate and is
-non-increasing by construction.  A damped Newton polish turns the surface
-maximizer into a genuine discrete critical point.
+The local minimax method with support span{yhat} (Li & Zhou, SIAM J. Sci.
+Comput. 23 (2001) 840-865) moves a direction v, from z, on the zero-mean unit
+H^s sphere down the peak level max{I(c yhat + r v) : r > 0}; that level is the
+non-increasing minimax estimate.  A damped Newton polish turns the peak into a
+genuine discrete critical point.
 """
 
 from __future__ import annotations
@@ -50,8 +51,8 @@ ARMIJO_SLOPE = 1e-4
 ARMIJO_SHRINK = 0.5
 COLLAPSE_TOL = 1e-8
 GRID_A = (9, 17)  # (n_c, n_r) sample points of the linking rectangle
-DESCENT_STEP = 0.5
 RIDGE_DIRS = 16  # random sphere directions besides the axis mode and z
+POLISH_AT = 1e-2  # after the first peak, polish once the dual residual is below this
 
 
 @dataclass(frozen=True)
@@ -82,12 +83,9 @@ class SolverState:
     history: list
     status: str  # Converged | MaxIters | NoNontrivialSolution
     trace: list = dc_field(default_factory=list)
-    argmax: tuple = (0, 0)
     R: float = 0.0
     R_prime: float = 0.0
-    delta_hat: float = 0.0  # sampled max of the level over the initial surface
-    surface: Optional[np.ndarray] = None  # final deformed surface coefficients
-    frozen: Optional[np.ndarray] = None  # boundary mask over GRID_A
+    delta_hat: float = 0.0  # sampled max of the level over the linking rectangle
 
 
 def pick_z_direction(grid: TorusGrid, p: FracParams) -> Spectrum:
@@ -116,17 +114,6 @@ def _axis_mode(grid: TorusGrid, p: FracParams) -> Spectrum:
     return Spectrum(grid, u.coeffs / hs_norm(u, p))
 
 
-# ---------------------------------------------------------------------------
-# batched surface arithmetic; leading axes enumerate surface points
-
-def _surface(cs: np.ndarray, rs: np.ndarray, yhat: Spectrum, z: Spectrum) -> np.ndarray:
-    """Stack c yhat + r z over the (c, r) parameter rectangle."""
-    N = yhat.grid.N
-    cb = cs.reshape((len(cs), 1) + (1,) * N)
-    rb = rs.reshape((1, len(rs)) + (1,) * N)
-    return cb * yhat.coeffs + rb * z.coeffs
-
-
 def ridge_estimate(grid: TorusGrid, p: FracParams, spec: Optional[NonlinearitySpec]):
     """Sampled mountain-ridge radius eta and level rho on the zero-mean sphere.
 
@@ -153,16 +140,41 @@ def _ridge_estimate(disc: Discretization, rng: Optional[np.random.Generator] = N
         lv = disc.levels(r * D)
         argdirs[i] = int(np.argmin(lv))
         mins[i] = float(lv[argdirs[i]])
-    best = int(np.argmax(mins))
-    if mins[best] <= 0.0:
-        raise NoPositiveRidge(
-            f"sampled minimum is nonpositive at every radius (best {mins[best]:.3e})"
-        )
-    eta = float(radii[best])
-    rho = _sphere_min(disc, eta, D[argdirs[best]], mins[best])
-    if rho <= 0.0:
-        raise NoPositiveRidge(f"sharpened sphere minimum is nonpositive ({rho:.3e})")
-    return eta, rho
+    # sharpen the best sampled radius; should its minimum come out
+    # nonpositive, the next radii in decreasing order of sampled minimum
+    for i in np.argsort(-mins, kind="stable"):
+        if mins[i] <= 0.0:
+            break
+        rho = _sphere_min(disc, float(radii[i]), D[argdirs[i]], mins[i])
+        if rho > 0.0:
+            return float(radii[i]), rho
+    raise NoPositiveRidge(
+        f"no radius keeps a positive sharpened sphere minimum (best sampled {mins.max():.3e})"
+    )
+
+
+def _sphere_step(disc: Discretization, G, v, lv, radius, scale, step, value):
+    """Projected Armijo step on the zero-mean H^s sphere of the given radius:
+    tang is scale times the zero-mean X-gradient of the L2 gradient G with
+    its part along v removed, and t halves from step until w = v - t tang,
+    rescaled to the sphere, has value(w)[0] < lv - ARMIJO_SLOPE t |tang|^2.
+    Returns (next step, w, value(w)), or None when no t passes."""
+    gX = disc.precondition(G)
+    gX[(0,) * disc.grid.N] = 0.0  # stay on the zero-mean subspace
+    inner = np.real(np.sum(disc.full * gX * np.conj(v))) / radius**2
+    tang = scale * (gX - inner * v)
+    sz = disc.hs_norms(tang)
+    if sz < 1e-14:
+        return None
+    trial = step
+    for _ in range(30):
+        w = v - trial * tang
+        w = radius * w / disc.hs_norms(w)
+        out = value(w)
+        if out[0] < lv - ARMIJO_SLOPE * trial * sz**2:
+            return min(trial * 1.5, 4.0), w, out
+        trial *= ARMIJO_SHRINK
+    return None
 
 
 def _sphere_min(disc: Discretization, eta: float, v0: np.ndarray, lv0: float) -> float:
@@ -175,32 +187,17 @@ def _sphere_min(disc: Discretization, eta: float, v0: np.ndarray, lv0: float) ->
     lv = lv0
     step = 0.25
     for _ in range(200):
-        gX = disc.precondition(disc.grad(v))
-        gX[(0,) * disc.grid.N] = 0.0  # stay on the zero-mean subspace
-        inner = np.real(np.sum(disc.full * gX * np.conj(v))) / eta**2
-        tang = gX - inner * v
-        sz = disc.hs_norms(tang)
-        if sz < 1e-14:
+        moved = _sphere_step(disc, disc.grad(v), v, lv, eta, 1.0, step,
+                             lambda w: (float(disc.levels(w)),))
+        if moved is None:
             break
-        moved = False
-        trial = step
-        for _ in range(30):
-            w = v - trial * tang
-            w = eta * w / disc.hs_norms(w)
-            lw = float(disc.levels(w))
-            if lw < lv - ARMIJO_SLOPE * trial * sz**2:
-                v, lv = w, lw
-                step = min(trial * 1.5, 4.0)
-                moved = True
-                break
-            trial *= ARMIJO_SHRINK
-        if not moved:
-            break
+        step, v, (lv,) = moved
     return lv
 
 
 def _calibrate_caps(disc: Discretization, yhat, z, cfg: LinkingConfig, eta: float):
-    """Double R, R' until the sampled boundary of A is nonpositive."""
+    """Double R, R' until the sampled boundary of A is nonpositive; returns
+    the caps, the sampled c and r, and the levels at c yhat + r z."""
     R = cfg.R if cfg.R > 0 else max(2.0 * eta, 1.0)
     Rp = cfg.R_prime if cfg.R_prime > 0 else R
     fixed = cfg.R > 0 and cfg.R_prime > 0
@@ -211,14 +208,13 @@ def _calibrate_caps(disc: Discretization, yhat, z, cfg: LinkingConfig, eta: floa
             continue
         cs = np.linspace(-Rp, Rp, nc)
         rs = np.linspace(0.0, R, nr)
-        U = _surface(cs, rs, yhat, z)
-        lv = disc.levels(U)
-        mask = np.zeros((nc, nr), dtype=bool)
-        mask[0, :] = mask[-1, :] = True
-        mask[:, 0] = mask[:, -1] = True
+        lv = disc.levels(np.multiply.outer(cs, yhat.coeffs)[:, None]
+                         + np.multiply.outer(rs, z.coeffs))
+        mask = np.ones((nc, nr), dtype=bool)  # the boundary of the rectangle
+        mask[1:-1, 1:-1] = False
         worst = float(np.max(lv[mask]))
         if worst <= 0.0:
-            return R, Rp, cs, rs, U, mask
+            return R, Rp, cs, rs, lv
         if fixed:
             idx = np.unravel_index(np.argmax(np.where(mask, lv, -np.inf)), lv.shape)
             raise BoundaryNotNegative(
@@ -229,6 +225,38 @@ def _calibrate_caps(disc: Discretization, yhat, z, cfg: LinkingConfig, eta: floa
     raise BoundaryNotNegative(R, Rp, witness={"level": worst})
 
 
+def _peak(disc: Discretization, yhat: Spectrum, v: np.ndarray, c: float, r: float):
+    """P(v): the local maximum of I over c yhat + r v with r > 0, by damped
+    Newton on the 2x2 system from (c, r).  Where the 2x2 Hessian is not
+    negative definite the step is the gradient instead; a step that does not
+    raise I is halved.  Returns (level, c, r, u)."""
+    W = np.stack([yhat.coeffs, v])
+    Wc = np.conj(W).reshape(2, -1)
+    x = np.array([c, r])
+    u = np.tensordot(x, W, 1)
+    lv = float(disc.levels(u))
+    for _ in range(50):
+        # derivatives of (c, r) -> I(c yhat + r v): g_a = <grad, W_a>, H_ab = <J W_b, W_a>
+        g = np.real(Wc @ disc.grad(u).ravel())
+        H = np.real(Wc @ (disc.shifted * W - disc.jacobian_apply(u, W)).reshape(2, -1).T)
+        newton = H[0, 0] < 0.0 and np.linalg.det(H) > 0.0
+        d = np.linalg.solve(H, -g) if newton else g
+        if g @ d <= 1e-14 * abs(lv):  # a rise the level cannot resolve
+            break
+        t = 1.0
+        for _ in range(30):
+            xt = x + t * d
+            ut = np.tensordot(xt, W, 1)
+            lt = float(disc.levels(ut)) if xt[1] > 0.0 else -np.inf
+            if lt > lv:
+                break
+            t *= ARMIJO_SHRINK
+        else:
+            break
+        x, u, lv = xt, ut, lt
+    return lv, float(x[0]), float(x[1]), u
+
+
 def minimax_search(
     grid: TorusGrid,
     p: FracParams,
@@ -236,105 +264,70 @@ def minimax_search(
     cfg: LinkingConfig,
     rng: Optional[np.random.Generator] = None,
 ) -> SolverState:
-    """Constrained deformation of the linking surface toward a PS point."""
+    """Local minimax descent of the peak level toward a PS point."""
     disc = Discretization(grid, p, spec)
     yhat = _unit_constant(grid, p)
     z = pick_z_direction(grid, p)
-    nc, nr = GRID_A
 
     eta_guess, rho = _ridge_estimate(disc, rng=rng)
-    R, Rp, cs, rs, U, frozen = _calibrate_caps(disc, yhat, z, cfg, eta_guess)
+    R, Rp, cs, rs, lv = _calibrate_caps(disc, yhat, z, cfg, eta_guess)
+    delta_hat = float(np.max(lv))
+    i, j = np.unravel_index(int(np.argmax(lv)), lv.shape)
+    v = z.coeffs
+    level, c, r, u = _peak(disc, yhat, v, float(cs[i]), float(rs[j]))
 
-    boundary_snapshot = U[frozen].copy()
-    steps = np.full((nc, nr), DESCENT_STEP)
-    lead = (slice(None), slice(None)) + (None,) * grid.N
     history = []
     trace = []
     status = "MaxIters"
-    lv = disc.levels(U)
-    delta_hat = float(np.max(lv))
-
+    step = 1.0
     for sweep in range(cfg.max_iters):
-        # one Armijo-backtracked X-descent step per unfrozen point
-        R_l2 = disc.grad(U)
-        gX = disc.precondition(R_l2)
-        slope = disc.dual_norms(R_l2) ** 2
-        active = (~frozen) & (slope > 0.0)
-        trial = steps.copy()
-        new_U = U.copy()
-        new_lv = lv.copy()
-        pending = active.copy()
-        for _ in range(30):
-            if not np.any(pending):
-                break
-            cand = U - (trial * pending)[lead] * gX
-            cand_lv = disc.levels(cand)
-            ok = pending & (cand_lv <= lv - ARMIJO_SLOPE * trial * slope)
-            new_U[ok] = cand[ok]
-            new_lv[ok] = cand_lv[ok]
-            steps[ok] = np.minimum(trial[ok] * 1.5, 10.0 * DESCENT_STEP)
-            pending &= ~ok
-            trial = np.where(pending, trial * ARMIJO_SHRINK, trial)
-        U, lv = new_U, new_lv
-
-        # keep iterates in a safe ball without touching the pinned boundary
-        norms = disc.hs_norms(U)
-        far = (~frozen) & (norms > 10.0 * R)
-        if np.any(far):
-            scale = np.where(far, 10.0 * R / np.maximum(norms, 1e-300), 1.0)
-            U = U * scale[lead]
-            lv = disc.levels(U)
-
-        U[frozen] = boundary_snapshot
-        idx = np.unravel_index(int(np.argmax(lv)), lv.shape)
-        level = float(lv[idx])
-        arg = Spectrum(grid, U[idx])
-        gnorm = _residual_norm(disc, arg.coeffs)
+        G = disc.grad(u)
+        gnorm = float(disc.dual_norms(G))
         history.append((level, gnorm))
-        trace.append((sweep, level, gnorm, float(cs[idx[0]]), float(rs[idx[1]])))
+        trace.append((sweep, level, gnorm, c, r))
 
-        if disc.hs_norms(arg.coeffs) < COLLAPSE_TOL:
+        if disc.hs_norms(u) < COLLAPSE_TOL:
             status = "NoNontrivialSolution"
             break
 
-        if gnorm < cfg.ps_tol and level >= rho - 1e-6:
+        if gnorm < cfg.ps_tol and rho - 1e-6 <= level <= delta_hat + 1e-12:
             status = "Converged"
             break
 
-        if not frozen[idx]:
+        if sweep == 0 or cfg.ps_tol <= gnorm < POLISH_AT:
             try:
-                polished = _newton_refine(disc, arg, tol=cfg.ps_tol * 0.1)
+                polished = _newton_refine(disc, Spectrum(grid, u), tol=cfg.ps_tol * 0.1).coeffs
             except DivergedRefinement:
-                polished = None
-            if polished is not None:
-                plev = float(disc.levels(polished.coeffs))
-                if (
-                    plev <= level + 1e-12
-                    and plev > 0.0
-                    and disc.hs_norms(polished.coeffs) > 1e-6
-                ):
-                    U[idx] = polished.coeffs
-                    lv[idx] = plev
+                polished = np.zeros_like(u)  # trivial, so rejected below
+            plev = float(disc.levels(polished))
+            if 0.0 < plev <= min(level, delta_hat) + 1e-12 and disc.hs_norms(polished) > 1e-6:
+                u, level = polished, plev
+                c = float(np.real(np.sum(disc.full * u * np.conj(yhat.coeffs))))
+                r = float(disc.hs_norms(u - c * yhat.coeffs))
+                v = (u - c * yhat.coeffs) / r
+                continue
 
-    idx = np.unravel_index(int(np.argmax(lv)), lv.shape)
-    arg = Spectrum(grid, U[idx])
-    state = SolverState(
-        iterate=arg,
-        level=float(lv[idx]),
-        grad_norm=_residual_norm(disc, arg.coeffs),
+        # projected Armijo step of phi(v) = I(P(v)), whose X-gradient is r
+        # times the tangential zero-mean part of the X-gradient at the peak
+        moved = _sphere_step(disc, G, v, level, 1.0, r, step,
+                             lambda w: _peak(disc, yhat, w, c, r))
+        if moved is None:
+            break  # the descent stalled
+        step, v, (level, c, r, u) = moved
+
+    if status == "NoNontrivialSolution":
+        u = np.zeros(grid.shape, dtype=complex)
+    return SolverState(
+        iterate=Spectrum(grid, u),
+        level=level,
+        grad_norm=_residual_norm(disc, u),
         history=history,
         status=status,
         trace=trace,
-        argmax=(int(idx[0]), int(idx[1])),
         R=R,
         R_prime=Rp,
         delta_hat=delta_hat,
-        surface=U,
-        frozen=frozen,
     )
-    if status == "NoNontrivialSolution":
-        state.iterate = Spectrum(grid, np.zeros(grid.shape, dtype=complex))
-    return state
 
 
 # ---------------------------------------------------------------------------

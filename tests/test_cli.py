@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fractorus import cli
 from fractorus.errors import ParseError, ValidationError
@@ -176,6 +177,9 @@ MALFORMED = [
     pytest.param("solve", _with(("seed",), 1.5), id="seed-fraction"),
     pytest.param("solve", _with(("seed",), True), id="seed-bool"),
     pytest.param("solve", _with(("grid", "T"), "inf"), id="grid.T-inf"),
+    pytest.param("solve", _with(("grid", "T"), 10**400), id="grid.T-overflow"),
+    pytest.param("sweep", _with(("m_list",), [10**400, 0.1], mode="sweep"),
+                 id="m_list-overflow"),
     pytest.param("solve", _with(("frac", "m"), "nan"), id="frac.m-nan"),
     pytest.param("solve", _with(("frac", "m"), 0.0), id="frac.m-zero-solve"),
     pytest.param("solve", _with(("nonlinearity", "r0"), "nan"), id="nonlinearity.r0-nan"),
@@ -209,6 +213,77 @@ def test_main_malformed_config_exits_config(tmp_path, capsys, mode, doc):
     assert code == cli.EXIT_CONFIG
     assert len(err.splitlines()) == 1 and err.startswith("config error: ")
     assert "Traceback" not in err
+
+
+# Any JSON value, for keys that get a value of the wrong type.
+_ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+# Values at the edges of the types: json.loads reads NaN and Infinity, and
+# 10**400 is a JSON number too large for a float.
+_EDGE = st.sampled_from([float("nan"), float("-inf"), 10**400, -1, 0, True, 64.5, "x"])
+
+_CONFIG_PATHS = [("grid",), ("grid", "N"), ("grid", "T"), ("grid", "n"), ("frac",),
+                 ("frac", "s"), ("frac", "m"), ("nonlinearity",), ("nonlinearity", "kind"),
+                 ("nonlinearity", "p"), ("nonlinearity", "mu"), ("nonlinearity", "r0"),
+                 ("nonlinearity", "a_values"), ("solver",), ("solver", "R"),
+                 ("solver", "R_prime"), ("solver", "ps_tol"), ("solver", "max_iters"),
+                 ("mode",), ("m_list",), ("seed",), ("solution_file",)]
+
+
+@st.composite
+def _config_docs(draw):
+    """A valid config document, then up to four edits, each replacing a value
+    by an edge value or any JSON value, deleting a key or adding an unknown one."""
+    N, n = draw(st.integers(1, 3)), draw(st.sampled_from([4, 8]))
+    # s in [0.3, 0.5] keeps every p < 1.5 subcritical for N <= 3
+    nl = {"kind": "pure_power", "p": draw(st.floats(1.1, 1.45)), "r0": 1.0}
+    if draw(st.booleans()):
+        nl = {**nl, "kind": "modulated_power",
+              "a_values": draw(st.lists(st.floats(0.5, 2.0), min_size=n**N, max_size=n**N))}
+    doc = {
+        "grid": {"N": N, "T": draw(st.floats(0.1, 10.0)), "n": n},
+        "frac": {"s": draw(st.floats(0.3, 0.5)), "m": draw(st.floats(0.1, 2.0))},
+        "nonlinearity": nl,
+        "solver": {"R": draw(st.floats(0.0, 5.0)), "ps_tol": draw(st.floats(1e-12, 1e-4)),
+                   "max_iters": draw(st.integers(1, 100))},
+        "mode": draw(st.sampled_from(["verify", "solve", "sweep", "diagnose"])),
+        "m_list": sorted(draw(st.lists(st.floats(0.01, 1.0), min_size=2, max_size=5,
+                                       unique=True)), reverse=True),
+        "seed": draw(st.integers(0, 2**40)),
+        "solution_file": draw(st.text(max_size=8)),
+    }
+    for _ in range(draw(st.integers(0, 4))):
+        *parents, key = draw(st.sampled_from(_CONFIG_PATHS))
+        sec = doc
+        for name in parents:
+            sec = sec.get(name) if isinstance(sec, dict) else None
+        if not isinstance(sec, dict):
+            continue
+        edit = draw(st.sampled_from(["edge", "replace", "delete", "unknown"]))
+        if edit == "edge":
+            sec[key] = draw(_EDGE)
+        elif edit == "replace":
+            sec[key] = draw(_ANY_JSON)
+        elif edit == "delete":
+            sec.pop(key, None)
+        else:
+            sec["unknown"] = draw(_ANY_JSON)
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_config_docs())
+def test_parse_config_fuzz(doc):
+    # a config document parses or is refused with one of the two config errors
+    try:
+        cfg = cli.parse_config(json.dumps(doc))
+    except (ParseError, ValidationError):
+        return
+    assert isinstance(cfg, cli.RunConfig)
 
 
 def test_output_files_roundtrip(tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from fractorus import energy, linking
 from fractorus.errors import BoundaryNotNegative, DomainError, NoPositiveRidge
 from fractorus.grids import (
+    Field,
     FracParams,
     Spectrum,
     TorusGrid,
@@ -67,20 +68,99 @@ def test_minimax_standard_config(grid64, params_half, cubic):
     assert rho - 1e-6 <= st.level <= st.delta_hat + 1e-12
 
 
-def test_minimax_boundary_pinned(grid64, params_half, cubic):
+def test_minimax_boundary_nonpositive(grid64, params_half, cubic):
     cfg = linking.LinkingConfig()
     st = linking.minimax_search(grid64, params_half, cubic, cfg,
                                 rng=np.random.default_rng(1))
-    # reconstruct the initial surface from the reported caps; boundary must
-    # be bitwise untouched
+    # resample the linking rectangle on the reported caps: its boundary is
+    # nonpositive and its maximum is the reported delta_hat
     yhat = linking._unit_constant(grid64, params_half)
     z = linking.pick_z_direction(grid64, params_half)
     nc, nr = linking.GRID_A
     cs = np.linspace(-st.R_prime, st.R_prime, nc)
     rs = np.linspace(0.0, st.R, nr)
-    U0 = linking._surface(cs, rs, yhat, z)
-    assert np.array_equal(st.surface[st.frozen], U0[st.frozen])
-    assert st.frozen.sum() == 2 * nc + 2 * nr - 4
+    U = cs[:, None, None] * yhat.coeffs + rs[None, :, None] * z.coeffs
+    lv = Discretization(grid64, params_half, cubic).levels(U)
+    boundary = np.concatenate([lv[0], lv[-1], lv[:, 0], lv[:, -1]])
+    assert np.max(boundary) <= 0.0
+    assert np.max(lv) == st.delta_hat
+
+
+# Two modulated items of the solve-1d-n64 benchmark workload (seed 1, items
+# 44 and 204): n = 64, T = 2 pi, a = 1 + cos(x + phi)/2, solver seed as given.
+# The first ended in NoNontrivialSolution under the pointwise surface descent,
+# the second in NoPositiveRidge.
+NO_SOLUTION_ITEM = dict(s=0.38851616720454096, m=0.7682371184978705, p=2.0,
+                        phi=3.866433675361602, seed=1156760689)
+NO_RIDGE_ITEM = dict(s=0.30080986761586437, m=0.3549532513198762, p=2.5,
+                     phi=2.790078220681327, seed=1529971783)
+
+
+def _modulated_item(item):
+    g = TorusGrid(1, 2 * np.pi, 64)
+    x = np.arange(64) * (2 * np.pi / 64)
+    a = Field(g, 1.0 + 0.5 * np.cos(x + item["phi"]))
+    spec = NonlinearitySpec(kind="modulated_power", p=item["p"], a=a)
+    return g, FracParams(item["s"], item["m"]), spec, np.random.default_rng(item["seed"])
+
+
+@pytest.fixture(scope="module")
+def minimax_cases():
+    g = TorusGrid(1, 2 * np.pi, 64)
+    p = FracParams(0.5, 1.0)
+    spec = NonlinearitySpec(kind="pure_power", p=3.0)
+    cases = {"standard": (g, p, spec, np.random.default_rng(1)),
+             "modulated": _modulated_item(NO_SOLUTION_ITEM)}
+    out = {}
+    for name, (g, p, spec, rng) in cases.items():
+        st = linking.minimax_search(g, p, spec, linking.LinkingConfig(), rng=rng)
+        out[name] = (g, p, spec, st)
+    return out
+
+
+def test_minimax_converges_on_modulated_item(minimax_cases):
+    g, p, spec, st = minimax_cases["modulated"]
+    cfg = linking.LinkingConfig()
+    assert st.status == "Converged"
+    assert linking.residual_norm(st.iterate, p, spec) < cfg.ps_tol
+    disc = Discretization(g, p, spec)
+    _, rho = linking._ridge_estimate(disc, rng=np.random.default_rng(NO_SOLUTION_ITEM["seed"]))
+    assert rho <= st.level <= st.delta_hat
+    levels = [h[0] for h in st.history]
+    assert len(levels) > 2  # the descent did work before the polish was accepted
+    assert all(b <= a + 1e-12 for a, b in zip(levels, levels[1:]))
+
+
+def test_ridge_rechoice_finds_positive_ridge():
+    g, p, spec, rng = _modulated_item(NO_RIDGE_ITEM)
+    eta, rho = linking._ridge_estimate(Discretization(g, p, spec), rng=rng)
+    assert eta > 0 and rho > 0
+
+
+@pytest.mark.parametrize("case", ["standard", "modulated"])
+def test_minimax_returns_a_peak(minimax_cases, case):
+    g, p, spec, st = minimax_cases[case]
+    disc = Discretization(g, p, spec)
+    yhat = linking._unit_constant(g, p).coeffs
+    u = st.iterate.coeffs
+    # the last trace row is the peak (c, r) of the returned iterate
+    c, r = st.trace[-1][3:]
+    v = (u - c * yhat) / r
+    assert v[0] == pytest.approx(0.0, abs=1e-15)
+    assert float(disc.hs_norms(v)) == pytest.approx(1.0, rel=1e-12)
+
+    def level(dc, dr):
+        return float(disc.levels((c + dc) * yhat + (r + dr) * v))
+
+    W = np.stack([yhat, v])
+    g2 = np.real(np.sum(np.conj(W) * disc.grad(u), axis=-1))
+    assert np.max(np.abs(g2)) < 1e-9
+    h = 1e-3
+    H = np.empty((2, 2))
+    H[0, 0] = (level(h, 0) - 2 * level(0, 0) + level(-h, 0)) / h**2
+    H[1, 1] = (level(0, h) - 2 * level(0, 0) + level(0, -h)) / h**2
+    H[0, 1] = H[1, 0] = (level(h, h) - level(h, -h) - level(-h, h) + level(-h, -h)) / (4 * h**2)
+    assert np.max(np.linalg.eigvalsh(H)) < 0.0
 
 
 def test_minimax_fixed_caps_too_small(grid64, params_half, cubic):
