@@ -4,7 +4,9 @@ The extension of u = sum c_k e_k is v(x,y) = sum c_k theta(sqrt(lam_k) y) e_k
 with lam_k = omega^2|k|^2 + m^2.  Its weighted energy reduces mode by mode,
 through the substitution t = sqrt(lam_k) y, to kappa(s) * |u|_{H^s}^2; that
 chain of equalities is what the energy routines implement, so the sharp trace
-inequality and its equality case can be checked numerically.
+inequality and its equality case can be checked numerically.  Every mode
+energy, of theta or of any other profile, is the one split half-line
+quadrature of `theta.split_energy` on the mode's own nodes y = t_j/rate.
 """
 
 from __future__ import annotations
@@ -26,10 +28,10 @@ from .grids import (
 from .theta import (
     ThetaProfile,
     extrapolate_to_zero,
-    halfline_rule,
     kappa,
     profile_energy_integral,
     small_y_exponents,
+    split_energy,
 )
 
 DEFAULT_NODES = 400
@@ -38,6 +40,11 @@ _CONVERGENCE_TOL = 1e-6
 
 def _lam(grid: TorusGrid, p: FracParams) -> np.ndarray:
     return grid.omega**2 * grid.ksq() + p.m**2
+
+
+def _theta_at(prof: ThetaProfile, t: np.ndarray) -> np.ndarray:
+    """theta(t), with theta(0) = 1 where t = 0: a rate-0 mode is constant in y."""
+    return np.where(t > 0, prof.theta(np.where(t > 0, t, 1.0)), 1.0)
 
 
 @dataclass(frozen=True)
@@ -52,10 +59,6 @@ class ExtensionField:
     def grid(self) -> TorusGrid:
         return self.base.grid
 
-    def trace(self) -> Spectrum:
-        """Exact by construction."""
-        return self.base
-
     def mode_rates(self) -> np.ndarray:
         """sqrt(omega^2 |k|^2 + m^2) per mode."""
         return np.sqrt(_lam(self.grid, self.params))
@@ -66,11 +69,7 @@ class ExtensionField:
             raise DomainError("y must be nonnegative")
         if y == 0.0:
             return inverse_transform(self.base)
-        rates = self.mode_rates()
-        damp = np.zeros_like(rates)
-        pos = rates > 0
-        damp[pos] = self.profile.theta(rates[pos] * y)
-        damp[~pos] = 1.0  # massless mean mode (coefficient is zero anyway)
+        damp = _theta_at(self.profile, self.mode_rates() * y)
         return inverse_transform(Spectrum(self.grid, self.base.coeffs * damp), check=False)
 
     def interior_residual(self, y_samples) -> float:
@@ -84,12 +83,11 @@ class ExtensionField:
         energy = kappa(self.params.s) * hs_norm(self.base, self.params) ** 2
         if energy == 0.0:
             return 0.0
-        worst = 0.0
-        for y in np.asarray(y_samples, dtype=float):
-            pos = rates > 0
-            res = rates[pos] ** 2 * c[pos] * self.profile.ode_residual(rates[pos] * y)
-            worst = max(worst, float(np.max(res)) if res.size else 0.0)
-        return worst / energy
+        pos = rates > 0
+        r = rates[pos][:, None]
+        y = np.asarray(y_samples, dtype=float)
+        res = r**2 * c[pos][:, None] * self.profile.ode_residual(r * y)
+        return float(np.max(res, initial=0.0)) / energy
 
 
 def extend(u: Spectrum, p: FracParams) -> ExtensionField:
@@ -113,7 +111,9 @@ class CylinderFunction:
     """Mode-separable function v = sum c_k g(rate_k, y) e_k on the half-cylinder.
 
     The profile callables (signature (rate_array, y_array) -> values,
-    broadcasting) keep the energy computation spectrally accurate.
+    broadcasting; dprofile_fn is dg/dy) keep the energy computation
+    spectrally accurate.  A mode of rate 0 (k = 0 at m = 0) contributes no
+    energy, as it does for every profile of the form g(rate * y).
     """
 
     grid: TorusGrid
@@ -145,21 +145,11 @@ def as_cylinder(v: ExtensionField) -> CylinderFunction:
     prof = v.profile
 
     def g(rate, y):
-        t = rate * y
-        out = np.ones(np.broadcast_shapes(np.shape(rate), np.shape(y)))
-        pos = np.broadcast_to(rate > 0, out.shape)
-        tt = np.broadcast_to(t, out.shape)
-        out[pos] = prof.theta(tt[pos])
-        return out
+        return _theta_at(prof, rate * y)
 
     def gp(rate, y):
         t = rate * y
-        out = np.zeros(np.broadcast_shapes(np.shape(rate), np.shape(y)))
-        pos = np.broadcast_to(rate > 0, out.shape)
-        tt = np.broadcast_to(t, out.shape)
-        rr = np.broadcast_to(rate, out.shape)
-        out[pos] = rr[pos] * prof.theta_prime(tt[pos])
-        return out
+        return np.where(t > 0, rate * prof.theta_prime(np.where(t > 0, t, 1.0)), 0.0)
 
     return cylinder_from_profiles(v.base, v.params, g, gp)
 
@@ -167,38 +157,42 @@ def as_cylinder(v: ExtensionField) -> CylinderFunction:
 # ---------------------------------------------------------------------------
 # energies
 
-def _extension_energy(v: ExtensionField) -> float:
-    s = v.params.s
-    coarse = profile_energy_integral(s, DEFAULT_NODES // 2)
-    fine = profile_energy_integral(s, DEFAULT_NODES)
-    if abs(fine - coarse) > _CONVERGENCE_TOL * max(abs(fine), 1.0):
-        raise QuadratureUnconverged(
-            f"profile integral moved by {abs(fine - coarse):.2e} on refinement"
-        )
+def _extension_energy(v: ExtensionField, nodes: int) -> float:
     lam = _lam(v.grid, v.params)
-    return float(fine * np.sum(lam**s * np.abs(v.base.coeffs) ** 2))
+    profile = profile_energy_integral(v.params.s, nodes)
+    return float(profile * np.sum(lam**v.params.s * np.abs(v.base.coeffs) ** 2))
 
 
 def _separable_energy(v: CylinderFunction, nodes: int) -> float:
-    rule = halfline_rule(1.0 - 2.0 * v.params.s, nodes)
+    s = v.params.s
     rates = np.sqrt(_lam(v.grid, v.params))
-    G = v.profile_fn(rates[..., None], rule.y)
-    Gp = v.dprofile_fn(rates[..., None], rule.y)
-    dens = Gp**2 + rates[..., None] ** 2 * G**2
-    per_mode = np.sum(rule.w * dens, axis=-1)
-    return float(np.sum(np.abs(v.mode_coeffs) ** 2 * per_mode))
+    pos = rates > 0
+    r = rates[pos][:, None]
+
+    def value(t):
+        return v.profile_fn(r, t / r)
+
+    def conormal(t):
+        return t ** (1.0 - 2.0 * s) * v.dprofile_fn(r, t / r) / r
+
+    per_mode = r[:, 0] ** (2.0 * s) * split_energy(s, nodes, value, conormal)
+    return float(np.sum(np.abs(v.mode_coeffs[pos]) ** 2 * per_mode))
 
 
 def cylinder_energy(v) -> float:
     """Weighted energy int y^{1-2s} (|grad v|^2 + m^2 v^2) dx dy, checked
-    against the same rule at half the nodes."""
-    if isinstance(v, ExtensionField):
-        return _extension_energy(v)
-    fine = _separable_energy(v, DEFAULT_NODES)
-    coarse = _separable_energy(v, DEFAULT_NODES // 2)
+    against the same rule at half the nodes.
+
+    With t = rate * y a mode's energy is rate^{2s} times the split integral
+    int t^{1-2s} G^2 dt + int t^{2s-1} (t^{1-2s} G'/rate)^2 dt of its profile
+    G at y = t/rate, so each mode is integrated on its own nodes t_j/rate.
+    """
+    energy = _extension_energy if isinstance(v, ExtensionField) else _separable_energy
+    fine = energy(v, DEFAULT_NODES)
+    coarse = energy(v, DEFAULT_NODES // 2)
     if abs(fine - coarse) > _CONVERGENCE_TOL * max(abs(fine), 1.0):
         raise QuadratureUnconverged(
-            f"mode energies moved by {abs(fine - coarse):.2e} on refinement"
+            f"energy moved by {abs(fine - coarse):.2e} on refinement"
         )
     return fine
 
@@ -210,20 +204,13 @@ def trace(v) -> Spectrum:
     """Trace at y = 0, by extrapolation from the smallest available heights."""
     if isinstance(v, ExtensionField):
         return v.base
-    s = v.params.s
-    exps = sorted({2.0 * s, 1.0, 2.0})
-    ys = np.array([1e-9, 1e-7, 1e-5])
+    exps = sorted({2.0 * v.params.s, 1.0, 2.0})
+    ys = np.array([1e-5, 1e-7, 1e-9])
     rates = np.sqrt(_lam(v.grid, v.params))
     G = v.profile_fn(rates[..., None], ys)  # grid.shape + (3,)
     Q = np.moveaxis(G, -1, 0).reshape(len(ys), -1)
-    limits = _fit_limits(ys, Q, exps)
+    limits = extrapolate_to_zero(ys, Q, exps)
     return Spectrum(v.grid, limits.reshape(v.grid.shape) * v.mode_coeffs)
-
-
-def _fit_limits(ys, Q, exps):
-    A = np.column_stack([np.ones_like(ys)] + [ys**b for b in exps[: len(ys) - 1]])
-    sol, *_ = np.linalg.lstsq(A, Q, rcond=None)
-    return sol[0]
 
 
 def conormal_derivative(v: ExtensionField, y_list) -> Spectrum:
@@ -232,21 +219,13 @@ def conormal_derivative(v: ExtensionField, y_list) -> Spectrum:
     Equals kappa(s) (-Lap + m^2)^s u mode by mode.
     """
     y = np.asarray(y_list, dtype=float)
-    if y.size < 2 or np.any(np.diff(y) >= 0) or np.any(y <= 0):
-        raise DomainError("y_list must be decreasing positive reals")
     s = v.params.s
-    rates = v.mode_rates()
-    flat_rates = rates.ravel()
-    flat_c = v.base.coeffs.ravel()
-    Q = np.zeros((y.size, flat_c.size), dtype=complex)
-    pos = flat_rates > 0
-    for i, yi in enumerate(y):
-        q = np.zeros_like(flat_rates)
-        q[pos] = -(yi ** (1.0 - 2.0 * s)) * flat_rates[pos] * v.profile.theta_prime(
-            flat_rates[pos] * yi
-        )
-        Q[i] = flat_c * q
-    limits = extrapolate_to_zero(y, Q, small_y_exponents(s))
+    rates = v.mode_rates().ravel()
+    pos = rates > 0
+    yc = y[:, None]
+    q = np.zeros((y.size, rates.size))
+    q[:, pos] = -(yc ** (1.0 - 2.0 * s)) * rates[pos] * v.profile.theta_prime(rates[pos] * yc)
+    limits = extrapolate_to_zero(y, v.base.coeffs.ravel() * q, small_y_exponents(s))
     return Spectrum(v.grid, limits.reshape(v.grid.shape))
 
 

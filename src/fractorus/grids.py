@@ -16,6 +16,8 @@ import numpy as np
 from .errors import BadExponent, DomainError, SingularMode, SymmetryViolation
 
 HERMITIAN_TOL = 1e-8
+# Largest n^N a grid may have; the largest grid any workload uses is 3-D n=32.
+MAX_GRID_POINTS = 2**22
 
 
 def _frozen_array(a, dtype):
@@ -39,6 +41,8 @@ class TorusGrid:
             raise DomainError(f"period T must be positive and finite, got {self.T}")
         if self.n < 4 or self.n % 2 != 0:
             raise DomainError(f"n must be even and >= 4, got {self.n}")
+        if self.n**self.N > MAX_GRID_POINTS:
+            raise DomainError(f"n^N = {self.n}^{self.N} exceeds {MAX_GRID_POINTS} grid points")
 
     @property
     def omega(self) -> float:

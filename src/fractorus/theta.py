@@ -21,8 +21,10 @@ three distinct orders rather than being an algebraic identity.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field as dc_field
+from typing import Callable
 
 import numpy as np
 from scipy.special import kv, kve, roots_jacobi
@@ -106,8 +108,6 @@ class ThetaProfile:
     def conormal_limit_check(self, y_list) -> float:
         """Extrapolated y->0 limit of -y^{1-2s} theta'(y)."""
         y = np.asarray(y_list, dtype=float)
-        if y.size < 2 or np.any(np.diff(y) >= 0) or np.any(y <= 0):
-            raise DomainError("y_list must be decreasing positive reals")
         q = self.conormal_integrand(y)
         return float(extrapolate_to_zero(y, q[:, None], small_y_exponents(self.s))[0].real)
 
@@ -129,10 +129,13 @@ def small_y_exponents(s: float) -> list[float]:
 def extrapolate_to_zero(y: np.ndarray, Q: np.ndarray, exponents) -> np.ndarray:
     """Fit Q(y_i) ~ L + sum_j a_j y_i^{b_j} columnwise; return the limits L.
 
-    Q has shape (len(y), ncols).  The number of correction exponents is capped
-    at len(y)-1 so the fit is never underdetermined.
+    y must be decreasing positive reals, and Q has shape (len(y), ncols).  The
+    number of correction exponents is capped at len(y)-1 so the fit is never
+    underdetermined.
     """
     y = np.asarray(y, dtype=float)
+    if y.size < 2 or np.any(np.diff(y) >= 0) or np.any(y <= 0):
+        raise DomainError("y_list must be decreasing positive reals")
     exps = list(exponents)[: max(1, len(y) - 1)]
     A = np.column_stack([np.ones_like(y)] + [y**b for b in exps])
     sol, *_ = np.linalg.lstsq(A, Q, rcond=None)
@@ -173,7 +176,10 @@ class HalflineRule:
         return float(np.sum(self.w * h(self.y)))
 
 
+@functools.lru_cache(maxsize=64)  # an energy check needs 4 rules per exponent s
 def halfline_rule(beta: float, nodes: int = 400) -> HalflineRule:
+    """The rule for weight y^beta at the given node count, built once per
+    (beta, nodes); its y and w arrays are read-only."""
     if beta <= -1.0:
         raise DomainError(f"weight exponent must exceed -1, got {beta}")
     x, wj = roots_jacobi(nodes, 0.0, beta)
@@ -182,19 +188,24 @@ def halfline_rule(beta: float, nodes: int = 400) -> HalflineRule:
     y = -np.log1p(-t)
     # residual factor (y/t)^beta from the substitution, plus the Jacobian
     w = wj * (y / t) ** beta / (1.0 - t)
+    y.setflags(write=False)
+    w.setflags(write=False)
     return HalflineRule(beta=beta, nodes=nodes, y=y, w=w)
 
 
-def profile_energy_integral(s: float, nodes: int = 400) -> float:
-    """int_0^inf y^{1-2s} (theta'(y)^2 + theta(y)^2) dy.
-
-    The theta'^2 part is rewritten as int y^{2s-1} (y^{1-2s} theta')^2 dy so
-    each piece sees a bounded integrand under its matching Jacobi weight; the
-    raw theta'^2 blows up like y^{4s-2} at the origin for s < 1/2.
-    """
-    prof = ThetaProfile(s)
+def split_energy(s: float, nodes: int, value: Callable, conormal: Callable) -> np.ndarray:
+    """int_0^inf t^{1-2s} (h'^2 + h^2) dt as int t^{1-2s} h^2 + int t^{2s-1} q^2
+    with q = conormal(t) = t^{1-2s} h'(t): each piece is bounded under its own
+    Jacobi weight, while h'^2 ~ t^{4s-2} blows up at 0 for s < 1/2.  value and
+    conormal may return a batch (..., nodes); the result has the batch shape."""
     rule_a = halfline_rule(1.0 - 2.0 * s, nodes)
     rule_b = halfline_rule(2.0 * s - 1.0, nodes)
-    part_theta = rule_a.integrate(lambda y: prof.theta(y) ** 2)
-    part_grad = rule_b.integrate(lambda y: prof.conormal_integrand(y) ** 2)
-    return part_theta + part_grad
+    part_value = np.sum(rule_a.w * value(rule_a.y) ** 2, axis=-1)
+    part_grad = np.sum(rule_b.w * conormal(rule_b.y) ** 2, axis=-1)
+    return part_value + part_grad
+
+
+def profile_energy_integral(s: float, nodes: int = 400) -> float:
+    """int_0^inf y^{1-2s} (theta'(y)^2 + theta(y)^2) dy = kappa(s)."""
+    prof = ThetaProfile(s)
+    return float(split_energy(s, nodes, prof.theta, prof.conormal_integrand))

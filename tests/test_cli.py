@@ -172,6 +172,7 @@ MALFORMED = [
     pytest.param("sweep", _with(("m_list",), [0.5, "nan"], mode="sweep"), id="m_list-nan"),
     pytest.param("sweep", _with(("m_list",), [0.1], mode="sweep"), id="m_list-one-mass"),
     pytest.param("solve", _with(("grid", "n"), 64.9), id="grid.n-fraction"),
+    pytest.param("verify", _with(("grid", "n"), 10**40, mode="verify"), id="grid.n-huge"),
     pytest.param("solve", _with(("grid", "N"), True), id="grid.N-bool"),
     pytest.param("solve", _with(("solver", "max_iters"), 1.5), id="solver.max_iters-fraction"),
     pytest.param("solve", _with(("seed",), 1.5), id="seed-fraction"),

@@ -90,18 +90,46 @@ def test_interior_residual_small(grid64, params_half, rng):
     assert v.interior_residual([0.1, 1.0, 5.0]) < 1e-6
 
 
-def test_sharp_gap_zero_on_extensions(grid64, params_half, rng):
-    u = random_spectrum(grid64, rng, decay=0.4)
-    v = as_cylinder(extend(u, params_half))
+GRIDS = ["grid64", "grid2d"]
+
+
+@pytest.mark.parametrize("grid_name", GRIDS)
+@pytest.mark.parametrize("s", [0.25, 0.5])
+def test_sharp_gap_zero_on_extensions(request, grid_name, s, rng):
+    grid = request.getfixturevalue(grid_name)
+    p = FracParams(s, 1.0)
+    u = random_spectrum(grid, rng, decay=0.4)
+    v = as_cylinder(extend(u, p))
     e = cylinder_energy(v)
-    assert abs(sharp_trace_gap(v, params_half)) < 1e-6 * max(e, 1.0)
+    assert abs(sharp_trace_gap(v, p)) < 1e-6 * max(e, 1.0)
+
+
+@pytest.mark.parametrize("grid_name,s", [("grid64", 0.25), ("grid64", 0.4), ("grid64", 0.5),
+                                         ("grid2d", 0.25), ("grid2d", 0.4), ("grid2d", 0.5),
+                                         ("grid2d", 0.75)])
+@pytest.mark.parametrize("m", [0.34, 1.0])
+def test_cylinder_energy_of_extension_is_kappa_hs(request, grid_name, s, m):
+    # the sampled extension's mode energies sum to kappa(s) |u|_{H^s}^2
+    grid = request.getfixturevalue(grid_name)
+    p = FracParams(s, m)
+    u = project_zero_mean(random_spectrum(grid, np.random.default_rng(7), decay=0.4))
+    target = kappa(s) * hs_norm(u, p) ** 2
+    assert abs(cylinder_energy(as_cylinder(extend(u, p))) - target) <= 1e-9 * target
 
 
 def test_cylinder_energy_unconverged_quadrature(grid64, rng):
-    # at s = 1/4 the separable rule at DEFAULT_NODES and at half as many
-    # nodes disagree by ~1e-3, far above the 1e-6 convergence tolerance
+    # the algebraic tail of (1 + rate y)^{-2} defeats the half-line rule:
+    # at s = 1/4 the energies at DEFAULT_NODES and at half as many nodes
+    # differ by ~1e-5, far above the 1e-6 convergence tolerance
     u = project_zero_mean(random_spectrum(grid64, rng, decay=0.5))
-    v = as_cylinder(extend(u, FracParams(0.25, 1.0)))
+
+    def g(rate, y):
+        return (1.0 + rate * y) ** -2
+
+    def gp(rate, y):
+        return -2.0 * rate * (1.0 + rate * y) ** -3
+
+    v = cylinder_from_profiles(u, FracParams(0.25, 1.0), g, gp)
     with pytest.raises(QuadratureUnconverged, match="moved by"):
         cylinder_energy(v)
 
@@ -139,11 +167,15 @@ def test_sharp_gap_nonnegative_random(seed, rate_fudge):
     assert sharp_trace_gap(v, p) >= -1e-8
 
 
-def test_ground_gap_zero_on_theta_multiple(grid64, params_half):
-    c = np.zeros(grid64.shape, complex)
-    c[0] = 5.0
-    v = as_cylinder(extend(Spectrum(grid64, c), params_half))
-    assert abs(ground_gap(v, params_half)) < 1e-6
+@pytest.mark.parametrize("grid_name", GRIDS)
+@pytest.mark.parametrize("s", [0.25, 0.5])
+def test_ground_gap_zero_on_theta_multiple(request, grid_name, s):
+    grid = request.getfixturevalue(grid_name)
+    p = FracParams(s, 1.0)
+    c = np.zeros(grid.shape, complex)
+    c[(0,) * grid.N] = 5.0
+    v = as_cylinder(extend(Spectrum(grid, c), p))
+    assert abs(ground_gap(v, p)) < 1e-6
 
 
 def test_ground_gap_positive_on_zero_mean(grid64, params_half):

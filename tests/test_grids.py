@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from fractorus.errors import DomainError, SingularMode, SymmetryViolation
 from fractorus.grids import (
+    MAX_GRID_POINTS,
     Field,
     FracParams,
     Spectrum,
@@ -34,6 +35,15 @@ def test_grid_validation():
         TorusGrid(N=1, T=-1.0, n=8)
     with pytest.raises(DomainError):
         TorusGrid(N=1, T=1.0, n=7)  # odd
+
+
+def test_grid_size_bound():
+    # n^N up to MAX_GRID_POINTS is a grid; one even step more is not
+    assert TorusGrid(N=1, T=1.0, n=MAX_GRID_POINTS).size == MAX_GRID_POINTS
+    assert TorusGrid(N=2, T=1.0, n=2048).size == MAX_GRID_POINTS
+    for N, n in ((1, MAX_GRID_POINTS + 2), (3, 256), (1, 10**40)):
+        with pytest.raises(DomainError, match="grid points"):
+            TorusGrid(N=N, T=1.0, n=n)
 
 
 def test_frac_params_validation():

@@ -121,6 +121,14 @@ def test_halfline_rule_polynomial_exactness():
         assert abs(val - math.gamma(beta + 1.0)) < 2e-6 * math.gamma(beta + 1.0)
 
 
+def test_halfline_rule_is_cached_and_read_only():
+    rule = halfline_rule(0.3, 200)
+    assert halfline_rule(0.3, 200) is rule
+    assert not rule.y.flags.writeable and not rule.w.flags.writeable
+    with pytest.raises(ValueError):
+        rule.w[0] = 0.0
+
+
 def test_halfline_rule_domain():
     with pytest.raises(DomainError):
         halfline_rule(-1.0)
