@@ -17,7 +17,7 @@ def main():
           f"{'k(s)k(1-s)-1':>14}")
     for s in (0.1, 0.25, 0.5, 0.75, 0.9):
         kf = kappa(s)
-        kq = profile_energy_integral(s, nodes=400)
+        kq = profile_energy_integral(s)
         kc = ThetaProfile(s).conormal_limit_check(y_list)
         dual = kappa(s) * kappa(1.0 - s) - 1.0
         print(f"{s:>5.2f} {kf:>18.12f} {kq:>18.12f} {kc:>18.12f} {dual:>14.2e}")

@@ -4,9 +4,11 @@ The extension of u = sum c_k e_k is v(x,y) = sum c_k theta(sqrt(lam_k) y) e_k
 with lam_k = omega^2|k|^2 + m^2.  Its weighted energy reduces mode by mode,
 through the substitution t = sqrt(lam_k) y, to kappa(s) * |u|_{H^s}^2; that
 chain of equalities is what the energy routines implement, so the sharp trace
-inequality and its equality case can be checked numerically.  Every mode
-energy, of theta or of any other profile, is the one split half-line
-quadrature of `theta.split_energy` on the mode's own nodes y = t_j/rate.
+inequality and its equality case can be checked numerically.  An extension
+and a cylinder function are both sum c_k g(rate_k y) e_k with one profile g
+of t = rate_k y (theta for an extension), so the energy is
+sum lam_k^s |c_k|^2 times the one split half-line integral of g,
+`theta.split_energy`.
 """
 
 from __future__ import annotations
@@ -26,20 +28,15 @@ from .grids import (
     inverse_transform,
 )
 from .theta import (
+    DEFAULT_NODES,
     ThetaProfile,
     extrapolate_to_zero,
     kappa,
-    profile_energy_integral,
     small_y_exponents,
     split_energy,
 )
 
-DEFAULT_NODES = 400
 _CONVERGENCE_TOL = 1e-6
-
-
-def _lam(grid: TorusGrid, p: FracParams) -> np.ndarray:
-    return grid.omega**2 * grid.ksq() + p.m**2
 
 
 def _theta_at(prof: ThetaProfile, t: np.ndarray) -> np.ndarray:
@@ -59,9 +56,15 @@ class ExtensionField:
     def grid(self) -> TorusGrid:
         return self.base.grid
 
+    def g(self, t):
+        return self.profile.theta(t)
+
+    def dg(self, t):
+        return self.profile.theta_prime(t)
+
     def mode_rates(self) -> np.ndarray:
         """sqrt(omega^2 |k|^2 + m^2) per mode."""
-        return np.sqrt(_lam(self.grid, self.params))
+        return np.sqrt(self.grid.omega**2 * self.grid.ksq() + self.params.m**2)
 
     def slice_at(self, y: float) -> Field:
         """Field samples of v(., y)."""
@@ -108,88 +111,52 @@ def extend(u: Spectrum, p: FracParams) -> ExtensionField:
 
 @dataclass(frozen=True)
 class CylinderFunction:
-    """Mode-separable function v = sum c_k g(rate_k, y) e_k on the half-cylinder.
+    """Mode-separable function v = sum c_k g(rate_k y) e_k on the half-cylinder.
 
-    The profile callables (signature (rate_array, y_array) -> values,
-    broadcasting; dprofile_fn is dg/dy) keep the energy computation
-    spectrally accurate.  A mode of rate 0 (k = 0 at m = 0) contributes no
-    energy, as it does for every profile of the form g(rate * y).
+    base holds the coefficients c_k, and rate_k = sqrt(omega^2 |k|^2 + m^2).
+    One profile g(t) and its derivative dg(t), callables on arrays of t > 0,
+    serve every mode: through t = rate_k y a mode's energy is lam_k^s |c_k|^2
+    times the one integral int t^{1-2s} (g'^2 + g^2) dt, so a mode of rate 0
+    (k = 0 at m = 0) contributes no energy.
     """
 
-    grid: TorusGrid
+    base: Spectrum
     params: FracParams
-    mode_coeffs: np.ndarray = dc_field(repr=False)
-    profile_fn: Callable = dc_field(repr=False)
-    dprofile_fn: Callable = dc_field(repr=False)
+    g: Callable = dc_field(repr=False)
+    dg: Callable = dc_field(repr=False)
+
+    @property
+    def grid(self) -> TorusGrid:
+        return self.base.grid
 
 
 def cylinder_from_profiles(
-    base: Spectrum,
-    p: FracParams,
-    profile_fn: Callable,
-    dprofile_fn: Callable,
+    base: Spectrum, p: FracParams, g: Callable, dg: Callable
 ) -> CylinderFunction:
-    """Separable cylinder function v = sum c_k g(rate_k, y) e_k."""
+    """Separable cylinder function v = sum c_k g(rate_k y) e_k."""
     p.check_grid(base.grid)
-    return CylinderFunction(
-        grid=base.grid,
-        params=p,
-        mode_coeffs=base.coeffs,
-        profile_fn=profile_fn,
-        dprofile_fn=dprofile_fn,
-    )
+    return CylinderFunction(base, p, g, dg)
 
 
 def as_cylinder(v: ExtensionField) -> CylinderFunction:
-    """Sample an analytic extension onto the standard quadrature cylinder."""
-    prof = v.profile
-
-    def g(rate, y):
-        return _theta_at(prof, rate * y)
-
-    def gp(rate, y):
-        t = rate * y
-        return np.where(t > 0, rate * prof.theta_prime(np.where(t > 0, t, 1.0)), 0.0)
-
-    return cylinder_from_profiles(v.base, v.params, g, gp)
+    """The extension as a cylinder function with profile theta."""
+    return cylinder_from_profiles(v.base, v.params, v.g, v.dg)
 
 
 # ---------------------------------------------------------------------------
 # energies
 
-def _extension_energy(v: ExtensionField, nodes: int) -> float:
-    lam = _lam(v.grid, v.params)
-    profile = profile_energy_integral(v.params.s, nodes)
-    return float(profile * np.sum(lam**v.params.s * np.abs(v.base.coeffs) ** 2))
-
-
-def _separable_energy(v: CylinderFunction, nodes: int) -> float:
-    s = v.params.s
-    rates = np.sqrt(_lam(v.grid, v.params))
-    pos = rates > 0
-    r = rates[pos][:, None]
-
-    def value(t):
-        return v.profile_fn(r, t / r)
-
-    def conormal(t):
-        return t ** (1.0 - 2.0 * s) * v.dprofile_fn(r, t / r) / r
-
-    per_mode = r[:, 0] ** (2.0 * s) * split_energy(s, nodes, value, conormal)
-    return float(np.sum(np.abs(v.mode_coeffs[pos]) ** 2 * per_mode))
-
-
 def cylinder_energy(v) -> float:
-    """Weighted energy int y^{1-2s} (|grad v|^2 + m^2 v^2) dx dy, checked
-    against the same rule at half the nodes.
+    """Weighted energy int y^{1-2s} (|grad v|^2 + m^2 v^2) dx dy of an
+    extension or a cylinder function, checked against the same rule at half
+    the nodes.
 
-    With t = rate * y a mode's energy is rate^{2s} times the split integral
-    int t^{1-2s} G^2 dt + int t^{2s-1} (t^{1-2s} G'/rate)^2 dt of its profile
-    G at y = t/rate, so each mode is integrated on its own nodes t_j/rate.
+    With t = rate_k y a mode's energy is lam_k^s |c_k|^2 times the split
+    integral int t^{1-2s} g^2 dt + int t^{1-2s} g'^2 dt of the one profile g,
+    so the energy is |c|^2_{H^s} times that integral.
     """
-    energy = _extension_energy if isinstance(v, ExtensionField) else _separable_energy
-    fine = energy(v, DEFAULT_NODES)
-    coarse = energy(v, DEFAULT_NODES // 2)
+    norm_sq = hs_norm(v.base, v.params) ** 2
+    fine, coarse = (norm_sq * e for e in split_energy(v.params.s, DEFAULT_NODES, v.g, v.dg))
     if abs(fine - coarse) > _CONVERGENCE_TOL * max(abs(fine), 1.0):
         raise QuadratureUnconverged(
             f"energy moved by {abs(fine - coarse):.2e} on refinement"
@@ -201,16 +168,13 @@ def cylinder_energy(v) -> float:
 # trace and conormal derivative
 
 def trace(v) -> Spectrum:
-    """Trace at y = 0, by extrapolation from the smallest available heights."""
+    """Trace at y = 0: an extension's base, or a cylinder function's
+    coefficients times g(0+), extrapolated once from the smallest t."""
     if isinstance(v, ExtensionField):
         return v.base
-    exps = sorted({2.0 * v.params.s, 1.0, 2.0})
-    ys = np.array([1e-5, 1e-7, 1e-9])
-    rates = np.sqrt(_lam(v.grid, v.params))
-    G = v.profile_fn(rates[..., None], ys)  # grid.shape + (3,)
-    Q = np.moveaxis(G, -1, 0).reshape(len(ys), -1)
-    limits = extrapolate_to_zero(ys, Q, exps)
-    return Spectrum(v.grid, limits.reshape(v.grid.shape) * v.mode_coeffs)
+    ts = np.array([1e-5, 1e-7, 1e-9])
+    g0 = extrapolate_to_zero(ts, v.g(ts)[:, None], sorted({2.0 * v.params.s, 1.0, 2.0}))[0]
+    return Spectrum(v.grid, g0 * v.base.coeffs)
 
 
 def conormal_derivative(v: ExtensionField, y_list) -> Spectrum:

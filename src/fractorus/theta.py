@@ -33,6 +33,8 @@ from .errors import DomainError, ExtrapolationDiverged
 
 # Beyond this argument kv underflows; switch to the exponentially scaled form.
 _KV_LARGE = 600.0
+# Node count of the half-line rules; energies are checked against half as many.
+DEFAULT_NODES = 400
 
 
 def kappa(s: float) -> float:
@@ -177,7 +179,7 @@ class HalflineRule:
 
 
 @functools.lru_cache(maxsize=64)  # an energy check needs 4 rules per exponent s
-def halfline_rule(beta: float, nodes: int = 400) -> HalflineRule:
+def halfline_rule(beta: float, nodes: int = DEFAULT_NODES) -> HalflineRule:
     """The rule for weight y^beta at the given node count, built once per
     (beta, nodes); its y and w arrays are read-only."""
     if beta <= -1.0:
@@ -193,19 +195,34 @@ def halfline_rule(beta: float, nodes: int = 400) -> HalflineRule:
     return HalflineRule(beta=beta, nodes=nodes, y=y, w=w)
 
 
-def split_energy(s: float, nodes: int, value: Callable, conormal: Callable) -> np.ndarray:
-    """int_0^inf t^{1-2s} (h'^2 + h^2) dt as int t^{1-2s} h^2 + int t^{2s-1} q^2
-    with q = conormal(t) = t^{1-2s} h'(t): each piece is bounded under its own
-    Jacobi weight, while h'^2 ~ t^{4s-2} blows up at 0 for s < 1/2.  value and
-    conormal may return a batch (..., nodes); the result has the batch shape."""
+def _split_pieces(s: float, nodes: int, g: Callable, dg: Callable) -> np.ndarray:
+    """[int t^{1-2s} g^2, int t^{2s-1} (t^{1-2s} g')^2, int t^{1-2s} g'^2]."""
     rule_a = halfline_rule(1.0 - 2.0 * s, nodes)
     rule_b = halfline_rule(2.0 * s - 1.0, nodes)
-    part_value = np.sum(rule_a.w * value(rule_a.y) ** 2, axis=-1)
-    part_grad = np.sum(rule_b.w * conormal(rule_b.y) ** 2, axis=-1)
-    return part_value + part_grad
+    return np.array([
+        rule_a.w @ g(rule_a.y) ** 2,
+        rule_b.w @ (rule_b.y ** (1.0 - 2.0 * s) * dg(rule_b.y)) ** 2,
+        rule_a.w @ dg(rule_a.y) ** 2,
+    ])
 
 
-def profile_energy_integral(s: float, nodes: int = 400) -> float:
+def split_energy(s: float, nodes: int, g: Callable, dg: Callable) -> tuple[float, float]:
+    """int_0^inf t^{1-2s} (g'^2 + g^2) dt at `nodes` and at nodes // 2.
+
+    The value piece puts weight t^{1-2s} on g^2.  The gradient piece has two
+    forms: weight t^{2s-1} on q^2 with q = t^{1-2s} g', which suits
+    theta (q -> -kappa(s), while theta'^2 ~ t^{4s-2} blows up for s < 1/2),
+    and weight t^{1-2s} on g'^2, which suits a profile with g'(0) != 0 (its
+    q^2 ~ t^{2-4s} blows up for s > 1/2).  Both estimates use the form that
+    moves less between the two node counts.  g and dg take arrays of t > 0.
+    """
+    fine = _split_pieces(s, nodes, g, dg)
+    coarse = _split_pieces(s, nodes // 2, g, dg)
+    grad = 1 + int(np.argmin(np.abs(fine[1:] - coarse[1:])))
+    return float(fine[0] + fine[grad]), float(coarse[0] + coarse[grad])
+
+
+def profile_energy_integral(s: float, nodes: int = DEFAULT_NODES) -> float:
     """int_0^inf y^{1-2s} (theta'(y)^2 + theta(y)^2) dy = kappa(s)."""
     prof = ThetaProfile(s)
-    return float(split_energy(s, nodes, prof.theta, prof.conormal_integrand))
+    return split_energy(s, nodes, prof.theta, prof.theta_prime)[0]

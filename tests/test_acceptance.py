@@ -100,11 +100,11 @@ def test_criterion_04_sharp_trace_inequality():
         u = random_spectrum(g, rng, decay=0.5)
         c = 1.0 + 2.0 * rng.random()
 
-        def prof(rate, y, c=c):
-            return np.exp(-c * rate * y)
+        def prof(t, c=c):
+            return np.exp(-c * t)
 
-        def dprof(rate, y, c=c):
-            return -c * rate * np.exp(-c * rate * y)
+        def dprof(t, c=c):
+            return -c * np.exp(-c * t)
 
         v = cylinder_from_profiles(u, p, prof, dprof)
         assert sharp_trace_gap(v, p) >= -1e-8

@@ -1,5 +1,7 @@
 """Half-cylinder extension: energies, traces, conormal derivative, gaps."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +20,7 @@ from fractorus.extension import (
 from fractorus.grids import (
     FracParams,
     Spectrum,
+    TorusGrid,
     apply_bessel_operator,
     field_from_function,
     forward_transform,
@@ -118,31 +121,69 @@ def test_cylinder_energy_of_extension_is_kappa_hs(request, grid_name, s, m):
 
 
 def test_cylinder_energy_unconverged_quadrature(grid64, rng):
-    # the algebraic tail of (1 + rate y)^{-2} defeats the half-line rule:
+    # the algebraic tail of (1 + t)^{-2} defeats the half-line rule:
     # at s = 1/4 the energies at DEFAULT_NODES and at half as many nodes
     # differ by ~1e-5, far above the 1e-6 convergence tolerance
     u = project_zero_mean(random_spectrum(grid64, rng, decay=0.5))
 
-    def g(rate, y):
-        return (1.0 + rate * y) ** -2
+    def g(t):
+        return (1.0 + t) ** -2
 
-    def gp(rate, y):
-        return -2.0 * rate * (1.0 + rate * y) ** -3
+    def gp(t):
+        return -2.0 * (1.0 + t) ** -3
 
     v = cylinder_from_profiles(u, FracParams(0.25, 1.0), g, gp)
     with pytest.raises(QuadratureUnconverged, match="moved by"):
         cylinder_energy(v)
 
 
+@pytest.mark.parametrize("grid_name,s", [("grid64", 0.25), ("grid64", 0.5),
+                                         ("grid2d", 0.25), ("grid2d", 0.5),
+                                         ("grid2d", 0.55), ("grid2d", 0.75)])
+@pytest.mark.parametrize("c", [1.5, 3.0])
+def test_cylinder_energy_exponential_profile_closed_form(request, grid_name, s, c):
+    # g = e^{-ct}: int t^{1-2s} (g'^2 + g^2) dt = (c^2+1) Gamma(2-2s) (2c)^{2s-2};
+    # g'(0) != 0, so at s > 1/2 the gradient piece needs the weight t^{1-2s}
+    grid = request.getfixturevalue(grid_name)
+    p = FracParams(s, 1.0)
+    u = random_spectrum(grid, np.random.default_rng(7), decay=0.4)
+    want = (c * c + 1.0) * math.gamma(2.0 - 2.0 * s) * (2.0 * c) ** (2.0 * s - 2.0)
+    want *= hs_norm(u, p) ** 2
+    v = cylinder_from_profiles(u, p, lambda t: np.exp(-c * t), lambda t: -c * np.exp(-c * t))
+    assert abs(cylinder_energy(v) - want) <= 1e-9 * want
+
+
+def test_profile_points_do_not_grow_with_grid():
+    # one profile integral and one g(0+) extrapolation, whatever the number of modes
+    def points(grid):
+        seen = []
+
+        def g(t):
+            seen.append(np.size(t))
+            return np.exp(-2.0 * t)
+
+        def dg(t):
+            seen.append(np.size(t))
+            return -2.0 * np.exp(-2.0 * t)
+
+        v = cylinder_from_profiles(random_spectrum(grid, np.random.default_rng(3), decay=0.5),
+                                   FracParams(0.5, 1.0), g, dg)
+        cylinder_energy(v)
+        trace(v)
+        return sum(seen)
+
+    assert points(TorusGrid(1, 2 * np.pi, 16)) == points(TorusGrid(2, 2 * np.pi, 32))
+
+
 def test_sharp_gap_positive_on_wrong_profile(grid64, params_half):
-    # e^{-2 rate y} decays too fast: strictly positive excess energy
+    # e^{-2 t} decays too fast: strictly positive excess energy
     u = project_zero_mean(_cos_spec(grid64))
 
-    def g(rate, y):
-        return np.exp(-2.0 * rate * y)
+    def g(t):
+        return np.exp(-2.0 * t)
 
-    def gp(rate, y):
-        return -2.0 * rate * np.exp(-2.0 * rate * y)
+    def gp(t):
+        return -2.0 * np.exp(-2.0 * t)
 
     v = cylinder_from_profiles(u, params_half, g, gp)
     assert sharp_trace_gap(v, params_half) > 1e-3
@@ -151,17 +192,15 @@ def test_sharp_gap_positive_on_wrong_profile(grid64, params_half):
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**31 - 1), rate_fudge=st.floats(1.05, 3.0))
 def test_sharp_gap_nonnegative_random(seed, rate_fudge):
-    from fractorus.grids import TorusGrid
-
     g = TorusGrid(1, 2 * np.pi, 16)
     p = FracParams(0.5, 1.0)
     u = random_spectrum(g, np.random.default_rng(seed), decay=0.5)
 
-    def prof(rate, y):
-        return np.exp(-rate_fudge * rate * y)
+    def prof(t):
+        return np.exp(-rate_fudge * t)
 
-    def dprof(rate, y):
-        return -rate_fudge * rate * np.exp(-rate_fudge * rate * y)
+    def dprof(t):
+        return -rate_fudge * np.exp(-rate_fudge * t)
 
     v = cylinder_from_profiles(u, p, prof, dprof)
     assert sharp_trace_gap(v, p) >= -1e-8
