@@ -330,6 +330,8 @@ def object_from_json(doc: dict):
     kind = doc.get("kind")
     if kind == "spectrum":
         flat = np.array([complex(re, im) for re, im in doc["data"]])
+        if not np.all(np.isfinite(flat)):
+            raise DomainError("spectrum data must be finite")
         return Spectrum(grid, flat.reshape(grid.shape))
     if kind == "field":
         return Field(grid, np.asarray(doc["data"], dtype=float).reshape(grid.shape))

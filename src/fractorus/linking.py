@@ -36,7 +36,6 @@ from .grids import (
     forward_transform,
     hs_norm,
     ifft_values,
-    inverse_transform,
     project_zero_mean,
     random_spectrum,
 )
@@ -376,58 +375,24 @@ def _gmres(apply, b: np.ndarray, tol: float, max_iters: int) -> np.ndarray:
     return y @ V[:k]
 
 
-def _translations(disc: Discretization, u: Spectrum) -> np.ndarray:
-    """Orthonormal grid samples spanning the translation directions d_i u.
-
-    For a nonlinearity without x-dependence the residual map is translation
-    equivariant, so J d_i u vanishes at a solution; a modulated one has no
-    such null space and gets none (shape (0,) + grid.shape).
-    """
-    g = disc.grid
-    if disc.spec.kind != "pure_power":
-        return np.zeros((0,) + g.shape)
-    k = g.axis_wavenumbers()
-    derivs = []
-    for ax in range(g.N):
-        shape = [1] * g.N
-        shape[ax] = g.n
-        derivs.append(ifft_values(g, 1j * g.omega * k.reshape(shape) * u.coeffs).ravel())
-    Q, sv, _ = np.linalg.svd(np.array(derivs).T, full_matrices=False)
-    return Q[:, sv > 1e-12 * sv[0]].T.reshape((-1,) + g.shape)
-
-
-def _newton_step(disc: Discretization, u: Spectrum, R: Spectrum, rnorm: float) -> np.ndarray:
-    """Inexact Newton step s on the real grid samples: GMRES on J s = -r,
+def _newton_step(disc: Discretization, u: Spectrum, R: Spectrum, rnorm: float) -> Spectrum:
+    """Inexact Newton step: GMRES on J s = -r over the real grid samples,
     right-preconditioned by the inverse full multiplier, to the relative
-    residual eta = min(FORCING_MAX, |R|).  For pure_power the step is kept
-    orthogonal to the translations d_i u, and J is projected off them."""
+    residual eta = min(FORCING_MAX, |R|); returned as the spectrum of s."""
     g = disc.grid
     lin = disc.linearization(u.coeffs)
     precond = disc.inv_full[..., : g.n // 2 + 1]
-    Q = _translations(disc, u)
-    Qh = rfft_samples(Q, g.N).reshape(len(Q), precond.size)
-    # sample inner products from half spectra: the columns 1..n/2-1 of the
-    # last axis stand for themselves and their Hermitian mirrors
-    weight = np.full(precond.shape, 2.0 / g.size)
-    weight[..., 0] = weight[..., g.n // 2] = 1.0 / g.size
-    Qw = weight.ravel() * np.conj(Qh)
-
-    def deflate(X):
-        if not len(Q):
-            return X
-        return X - (np.real(Qw @ X.ravel()) @ Qh).reshape(X.shape)
 
     def precondition(y):
-        return deflate(rfft_samples(y.reshape(g.shape), g.N) * precond)
+        return rfft_samples(y.reshape(g.shape), g.N) * precond
 
     def apply(y):
-        return irfft_samples(deflate(lin(precondition(y))), g.shape).ravel()
+        return irfft_samples(lin(precondition(y)), g.shape).ravel()
 
-    r = ifft_values(g, R.coeffs)
-    b = -irfft_samples(deflate(rfft_samples(r, g.N)), g.shape).ravel()
+    b = -ifft_values(g, R.coeffs).ravel()
     eta = min(FORCING_MAX, rnorm)
     y = _gmres(apply, b, eta * float(np.linalg.norm(b)), min(g.size, KRYLOV_MAX_ITERS))
-    return irfft_samples(precondition(y), g.shape)
+    return forward_transform(Field(g, irfft_samples(precondition(y), g.shape)))
 
 
 def newton_refine(
@@ -470,13 +435,12 @@ def _newton_refine(
         if rnorm < tol:
             return u
         step = _newton_step(disc, u, R, rnorm)
+        if enforce_zero_mean:
+            step = project_zero_mean(step)
         lam = 1.0
         improved = False
         for _ in range(25):
-            cand_vals = inverse_transform(u, check=False).values + lam * step
-            cand = forward_transform(Field(g, cand_vals))
-            if enforce_zero_mean:
-                cand = project_zero_mean(cand)
+            cand = Spectrum(g, u.coeffs + lam * step.coeffs)
             Rc = resid(cand)
             rc = Rc.l2_norm()
             if rc < rnorm * (1.0 - ARMIJO_SLOPE * lam):

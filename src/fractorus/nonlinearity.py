@@ -235,7 +235,12 @@ class Discretization:
     sampled on the padded grid and the padded cell volume are built once.
     Every product is dealiased by the one real-FFT pad and restrict of this
     module: pad_coeffs and restrict_values for coefficient arrays, their
-    half-spectrum helpers for the linearization.
+    half-spectrum helpers for the linearization.  The nonlinear parts of
+    grad, jacobian_apply and linearization are the adjoint of the pad in the
+    pairing Re sum_k conj(R_k) w_k: restrict_values times `pairing`, which
+    is 1/2 per axis on which |k_i| = n/2 (the pad splits such a coefficient
+    evenly onto +-n/2, the restriction folds in their sum).  So grad is the
+    exact derivative of levels, and the Jacobian is symmetric on the band.
     Every method takes coefficient arrays whose trailing N axes are the grid;
     leading axes are batch axes, so a single spectrum is the case of none.
     spec = None drops the nonlinear term (the quadratic probe of
@@ -249,6 +254,7 @@ class Discretization:
     shifted: Optional[np.ndarray] = dc_field(init=False, repr=False)
     full: Optional[np.ndarray] = dc_field(init=False, repr=False)
     inv_full: Optional[np.ndarray] = dc_field(init=False, repr=False)
+    pairing: np.ndarray = dc_field(init=False, repr=False)
     m_pad: int = dc_field(init=False)
     coeff_pad: Optional[np.ndarray] = dc_field(init=False, repr=False)
     cell: float = dc_field(init=False)
@@ -266,6 +272,10 @@ class Discretization:
             put("shifted", multiplier(g, self.params, shifted=True))
             put("full", full)
             put("inv_full", np.where(full > 0.0, 1.0 / np.maximum(full, 1e-300), 1.0))
+        pairing = np.ones(g.shape)
+        for ax in range(g.N):
+            pairing[_plane(g.N, ax, g.n // 2)] *= 0.5
+        put("pairing", pairing)
         m = padded_size(g.n, spec)
         put("m_pad", m)
         put("cell", (g.T / m) ** g.N)
@@ -297,24 +307,16 @@ class Discretization:
         return self.quadratic(U) - self.nonlinear_energy(U)
 
     def nonlinear_gradient(self, U: np.ndarray) -> np.ndarray:
-        """Band-limited coefficients of f(x, u(x)), dealiased by zero padding."""
+        """The derivative of nonlinear_energy in the pairing Re sum_k conj(.) w_k:
+        the band-limited coefficients of f(x, u(x)), dealiased by zero padding,
+        times `pairing` (1/2 per Nyquist axis of k)."""
         vals = pad_coeffs(U, self.grid, self.m_pad)
-        return restrict_values(f_eval(self.spec, self.coeff_pad, vals), self.grid)
+        return self.pairing * restrict_values(f_eval(self.spec, self.coeff_pad, vals), self.grid)
 
     def grad(self, U: np.ndarray) -> np.ndarray:
-        """L2 gradient R_k = [(omega^2|k|^2+m^2)^s - m^{2s}] c_k - (f(.,u))_k.
-
-        Known defect, kept as is: on each Nyquist plane (some |k_i| = n/2)
-        the nonlinear part of R_k is 2x, per such axis, the derivative of
-        nonlinear_energy along that coefficient.  Padding splits a Nyquist
-        coefficient evenly onto +-n/2, so the derivative sees the mean of the
-        two fine-grid coefficients of f(x,u), while restriction folds in their
-        sum.  At 1-D n = 16, p = 3 and u = random_spectrum(grid,
-        default_rng(0), decay=0.5), the Nyquist coefficient of
-        nonlinear_gradient is -0.01507 against -0.00753 for the
-        finite-difference derivative of nonlinear_energy; interior modes
-        agree to 1e-11.
-        """
+        """L2 gradient R_k = [(omega^2|k|^2+m^2)^s - m^{2s}] c_k - nonlinear_gradient_k,
+        the exact derivative of levels: d/dt levels(U + t W) at t = 0 is
+        Re sum_k conj(R_k) W_k for every Hermitian W with real Nyquist planes."""
         R = self.shifted * U
         if self.spec is not None:
             R = R - self.nonlinear_gradient(U)
@@ -333,11 +335,12 @@ class Discretization:
         return np.sqrt(np.sum(self.inv_full * np.abs(R) ** 2, axis=self.axes))
 
     def jacobian_apply(self, U: np.ndarray, W: np.ndarray) -> np.ndarray:
-        """Band-limited coefficients of f_t(x, u) w, the nonlinear part of the
-        derivative of grad at u in the direction w (the full derivative is
-        shifted * w minus this); U broadcasts against W."""
+        """Band-limited coefficients of f_t(x, u) w times `pairing`, the
+        nonlinear part of the derivative of grad at u in the direction w (the
+        full derivative is shifted * w minus this); U broadcasts against W."""
         fp = fprime_eval(self.spec, self.coeff_pad, pad_coeffs(U, self.grid, self.m_pad))
-        return restrict_values(fp * pad_coeffs(W, self.grid, self.m_pad), self.grid)
+        return self.pairing * restrict_values(fp * pad_coeffs(W, self.grid, self.m_pad),
+                                              self.grid)
 
     def linearization(self, U: np.ndarray):
         """The derivative of grad at u on real FFTs: returns the map
@@ -348,13 +351,14 @@ class Discretization:
         planes included.  f_t(x, u) is sampled on the padded grid once.
         """
         fp = fprime_eval(self.spec, self.coeff_pad, pad_coeffs(U, self.grid, self.m_pad))
-        shifted = self.shifted[..., : self.grid.n // 2 + 1]
+        half = slice(0, self.grid.n // 2 + 1)
+        shifted, pairing = self.shifted[..., half], self.pairing[..., half]
         fine = (self.m_pad,) * self.grid.N
 
         def apply(X: np.ndarray) -> np.ndarray:
             v = irfft_samples(_pad_half(X, self.grid, self.m_pad), fine)
-            return shifted * X - _restrict_half(rfft_samples(fp * v, self.grid.N),
-                                                self.grid, self.m_pad)
+            return shifted * X - pairing * _restrict_half(rfft_samples(fp * v, self.grid.N),
+                                                          self.grid, self.m_pad)
 
         return apply
 
@@ -374,12 +378,14 @@ def nonlinear_energy(spec: NonlinearitySpec, u: Spectrum) -> float:
 
 
 def nonlinear_gradient(spec: NonlinearitySpec, u: Spectrum) -> Spectrum:
-    """Band-limited spectrum of f(x, u(x)), dealiased by zero padding."""
+    """The derivative of nonlinear_energy in the pairing Re sum_k conj(.) w_k:
+    the band-limited spectrum of f(x, u(x)), dealiased by zero padding, with
+    each Nyquist axis of k weighted 1/2."""
     return Spectrum(u.grid, Discretization(u.grid, None, spec).nonlinear_gradient(u.coeffs))
 
 
 def nonlinear_jacobian_apply(spec: NonlinearitySpec, u: Spectrum, w: Spectrum) -> Spectrum:
-    """Band-limited spectrum of f_t(x,u) w (Gateaux derivative of the gradient)."""
+    """Gateaux derivative of nonlinear_gradient at u in the direction w."""
     disc = Discretization(u.grid, None, spec)
     return Spectrum(u.grid, disc.jacobian_apply(u.coeffs, w.coeffs))
 

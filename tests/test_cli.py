@@ -196,6 +196,8 @@ MALFORMED = [
                  id="solution_file-not-json"),
     pytest.param("diagnose", _with(("solution_file",), "{tmp}/other-grid.json", mode="diagnose"),
                  id="solution_file-other-grid"),
+    pytest.param("diagnose", _with(("solution_file",), "{tmp}/nan.json", mode="diagnose"),
+                 id="solution_file-nan"),
     pytest.param("sweep", _with(("mode",), "solve"), id="sweep-on-solve-config"),
     pytest.param("solve", {k: v for k, v in _with(("mode",), "verify").items()
                            if k != "nonlinearity"}, id="solve-on-verify-config"),
@@ -207,6 +209,8 @@ def test_main_malformed_config_exits_config(tmp_path, capsys, mode, doc):
     (tmp_path / "not-json.txt").write_text("u = cos(x)\n")
     other = Spectrum(TorusGrid(2, 2 * np.pi, 8), np.zeros((8, 8), complex))
     (tmp_path / "other-grid.json").write_text(json.dumps(spectrum_to_json(other)))
+    nan = Spectrum(TorusGrid(1, 2 * np.pi, 64), np.full(64, np.nan, complex))
+    (tmp_path / "nan.json").write_text(json.dumps(spectrum_to_json(nan)))
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(doc).replace("{tmp}", str(tmp_path)))
     code = cli.main([mode, "--config", str(cfg_path), "--output", str(tmp_path)])

@@ -275,21 +275,9 @@ def test_linearization_matches_jacobian_apply(N, n, kind):
 def test_newton_step_meets_forcing_term(N, n, kind):
     g, disc, u = _newton_case(N, n, kind)
     R = Spectrum(g, disc.grad(u.coeffs))
-    s = linking._newton_step(disc, u, R, R.l2_norm()).ravel()
+    step = linking._newton_step(disc, u, R, R.l2_norm())
+    s = ifft_values(g, step.coeffs).ravel()
     r = ifft_values(g, R.coeffs).ravel()
     J = _dense_jacobian(g, disc, u)
     eta = min(linking.FORCING_MAX, R.l2_norm())
-    Q = linking._translations(disc, u).reshape(-1, g.size)
-    if kind == "pure":
-        # the step solves the system projected off the translations d_i u
-        assert Q.shape[0] == N
-        assert np.allclose(Q @ Q.T, np.eye(N), atol=1e-12)
-        k = g.axis_wavenumbers().reshape((n,) + (1,) * (N - 1))
-        du = ifft_values(g, 1j * k * u.coeffs).ravel()
-        assert np.linalg.norm(du - Q.T @ (Q @ du)) <= 1e-12 * np.linalg.norm(du)
-        assert np.max(np.abs(Q @ s)) <= 1e-12 * np.linalg.norm(s)
-        proj = np.eye(g.size) - Q.T @ Q
-        assert np.linalg.norm(proj @ (J @ s + r)) <= eta * np.linalg.norm(proj @ r)
-    else:
-        assert Q.shape[0] == 0  # an x-dependent f has no translation null space
-        assert np.linalg.norm(J @ s + r) <= eta * np.linalg.norm(r)
+    assert np.linalg.norm(J @ s + r) <= eta * np.linalg.norm(r)
