@@ -19,7 +19,7 @@ def main():
     print(f"C_sharp = {est.C_sharp:.6g}, m0 = {est.m0:.6g}")
     m_list = [0.5, 0.1, 0.02, 0.004]
     recs = continuation.sweep_m(m_list, p, spec, linking.LinkingConfig(), grid,
-                                m0=est.m0, rng=np.random.default_rng(9))
+                                m0=est.m0)
     print("m, alpha, hs_norm_T, residual, status")
     for r in recs:
         print(f"{r.m:g}, {r.alpha:.8g}, {r.hs_norm_T:.8g}, "

@@ -17,15 +17,15 @@ def main():
     grid = TorusGrid(1, 2 * np.pi, n)
     p = FracParams(0.5, 1.0)
     spec = NonlinearitySpec(kind="pure_power", p=3.0, mu=4.0)
-    st = linking.minimax_search(grid, p, spec, linking.LinkingConfig(),
-                                rng=np.random.default_rng(1))
+    st = linking.minimax_search(grid, p, spec, linking.LinkingConfig())
     print(f"status      {st.status}")
     print(f"level       {st.level:.15g}")
     print(f"grad_norm   {st.grad_norm:.3e}")
     print(f"residual    {linking.residual_norm(st.iterate, p, spec):.3e}")
     print(f"|u|_X       {hs_norm(st.iterate, p):.6g}")
     _, rho = linking.ridge_estimate(grid, p, spec)
-    print(f"bracket     rho_hat {rho:.6g} <= level <= delta_hat {st.delta_hat:.6g}")
+    print(f"bracket     rho_lb {st.rho:.6g} <= level {st.level:.6g} <= delta_hat "
+          f"{st.delta_hat:.6g} (sampled rho_hat {rho:.6g})")
     rep = energy.evaluate(st.iterate, p, spec)
     print(f"quad - nl   {rep.quad:.6g} - {rep.nl:.6g}")
 

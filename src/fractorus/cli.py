@@ -346,7 +346,6 @@ def _write_csv(path: Path, header, rows):
 def run(cfg: RunConfig, output_dir=".", solver_trace=False, dump_extension=False) -> int:
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    rng = np.random.default_rng(cfg.seed)
 
     if cfg.mode == "verify":
         props = _verify_properties(cfg)
@@ -359,7 +358,7 @@ def run(cfg: RunConfig, output_dir=".", solver_trace=False, dump_extension=False
         return EXIT_OK if ok else EXIT_VERIFY
 
     if cfg.mode == "solve":
-        st = linking.minimax_search(cfg.grid, cfg.frac, cfg.nonlinearity, cfg.solver, rng=rng)
+        st = linking.minimax_search(cfg.grid, cfg.frac, cfg.nonlinearity, cfg.solver)
         if solver_trace:
             _write_csv(out / "solver_trace.csv",
                        ["sweep", "level", "grad_norm", "c", "r"], st.trace)
@@ -375,6 +374,8 @@ def run(cfg: RunConfig, output_dir=".", solver_trace=False, dump_extension=False
             "level": st.level,
             "residual": linking.residual_norm(u, cfg.frac, cfg.nonlinearity),
             "hs_norm": hs_norm(u, cfg.frac),
+            "rho_lb": st.rho,
+            "delta_hat": st.delta_hat,
             **rep.to_json(),
         })
         if dump_extension:
@@ -390,10 +391,11 @@ def run(cfg: RunConfig, output_dir=".", solver_trace=False, dump_extension=False
         return EXIT_OK
 
     if cfg.mode == "sweep":
-        est = continuation.estimate_sobolev_constant(cfg.grid, cfg.frac, rng=rng)
+        est = continuation.estimate_sobolev_constant(cfg.grid, cfg.frac,
+                                                     rng=np.random.default_rng(cfg.seed))
         _built("$.m_list", continuation.check_mass_list, cfg.m_list, est.m0)
         recs = continuation.sweep_m(cfg.m_list, cfg.frac, cfg.nonlinearity,
-                                    cfg.solver, cfg.grid, m0=est.m0, rng=rng)
+                                    cfg.solver, cfg.grid, m0=est.m0)
         _write_csv(out / "sweep.csv",
                    ["m", "alpha", "hs_norm_T", "l2_norm", "residual", "status"],
                    [r.row() for r in recs])

@@ -132,13 +132,10 @@ def sweep_m(
     cfg: linking.LinkingConfig,
     grid: TorusGrid,
     m0: Optional[float] = None,
-    rng: Optional[np.random.Generator] = None,
 ):
     """Warm-started linking solves down a decreasing mass list."""
     m_list = list(m_list)
     check_mass_list(m_list, m0)
-    if rng is None:
-        rng = np.random.default_rng(0)
 
     ref_params = FracParams(p_base.s, 1.0)
     records = []
@@ -147,7 +144,7 @@ def sweep_m(
         p = FracParams(p_base.s, m)
         try:
             if warm is None:
-                st = linking.minimax_search(grid, p, spec, cfg, rng=rng)
+                st = linking.minimax_search(grid, p, spec, cfg)
                 if st.status != "Converged":
                     raise DomainError(f"solver status {st.status} at m={m}")
                 sol = st.iterate

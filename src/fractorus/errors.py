@@ -51,7 +51,7 @@ class HypothesisViolated(FractorusError):
 
 
 class NoPositiveRidge(FractorusError):
-    """Sampled ridge minimum is nonpositive at every probe radius."""
+    """The certified ridge level of the linking geometry is not finite and positive."""
 
 
 class BoundaryNotNegative(FractorusError):

@@ -98,6 +98,10 @@ class FracParams:
             raise DomainError(
                 f"need N >= 2s, got N={grid.N}, s={self.s}"
             )
+        with np.errstate(over="ignore"):  # omega^2 |k|^2 + m^2 at the top |k|^2 = N n^2/4
+            top = np.float64(grid.omega * grid.n / 2) ** 2 * grid.N + np.float64(self.m) ** 2
+        if not top < np.inf:
+            raise DomainError(f"the multiplier overflows at the top mode (T={grid.T}, m={self.m})")
 
     def critical_exponent(self, N: int) -> float:
         """2N/(N-2s); +inf at the boundary N = 2s."""

@@ -84,6 +84,7 @@ class SolverState:
     trace: list = dc_field(default_factory=list)
     R: float = 0.0
     R_prime: float = 0.0
+    rho: float = 0.0  # certified lower bound of I on the ridge sphere (_ridge_bound)
     delta_hat: float = 0.0  # sampled max of the level over the linking rectangle
 
 
@@ -114,42 +115,55 @@ def _axis_mode(grid: TorusGrid, p: FracParams) -> Spectrum:
 
 
 def ridge_estimate(grid: TorusGrid, p: FracParams, spec: Optional[NonlinearitySpec]):
-    """Sampled mountain-ridge radius eta and level rho on the zero-mean sphere.
-
+    """Sampled ridge radius eta and level rho-hat on the zero-mean sphere, a
+    diagnostic: an upper estimate of the infimum that _ridge_bound bounds below.
     Directions include the |k| = 1 axis mode (the sharp coercivity minimizer)
     and the linking z-direction alongside random draws, so the sampled minimum
-    is exact for the quadratic probe spec = None.
-    """
-    return _ridge_estimate(Discretization(grid, p, spec))
-
-
-def _ridge_estimate(disc: Discretization, rng: Optional[np.random.Generator] = None):
-    grid, p = disc.grid, disc.params
+    is exact for the quadratic probe spec = None; projected descent on its
+    sphere then sharpens the best sampled radius once."""
+    disc = Discretization(grid, p, spec)
     radii = np.geomspace(1e-2, 4.0, 40)
-    if rng is None:
-        rng = np.random.default_rng(0)
+    rng = np.random.default_rng(0)
     dirs = [_axis_mode(grid, p), pick_z_direction(grid, p)]
     for _ in range(RIDGE_DIRS):
         d = random_spectrum(grid, rng, decay=0.5, zero_mean=True)
         dirs.append(Spectrum(grid, d.coeffs / disc.hs_norms(d.coeffs)))
     D = np.stack([d.coeffs for d in dirs])
-    mins = np.empty(radii.size)
-    argdirs = np.empty(radii.size, dtype=int)
-    for i, r in enumerate(radii):
-        lv = disc.levels(r * D)
-        argdirs[i] = int(np.argmin(lv))
-        mins[i] = float(lv[argdirs[i]])
-    # sharpen the best sampled radius; should its minimum come out
-    # nonpositive, the next radii in decreasing order of sampled minimum
-    for i in np.argsort(-mins, kind="stable"):
-        if mins[i] <= 0.0:
+    lv = np.stack([disc.levels(r * D) for r in radii])
+    i = int(np.argmax(np.min(lv, axis=1)))
+    j = int(np.argmin(lv[i]))
+    eta, v, rho, step = float(radii[i]), radii[i] * D[j], float(lv[i, j]), 0.25
+    for _ in range(200):
+        moved = _sphere_step(disc, disc.grad(v), v, rho, eta, 1.0, step,
+                             lambda w: (float(disc.levels(w)),))
+        if moved is None:
             break
-        rho = _sphere_min(disc, float(radii[i]), D[argdirs[i]], mins[i])
-        if rho > 0.0:
-            return float(radii[i]), rho
-    raise NoPositiveRidge(
-        f"no radius keeps a positive sharpened sphere minimum (best sampled {mins.max():.3e})"
-    )
+        step, v, (rho,) = moved
+    return eta, rho
+
+
+def _ridge_bound(disc: Discretization):
+    """Certified ridge (eta_lb, rho_lb): I >= rho_lb on the zero-mean sphere
+    |u|_{H^s} = eta_lb.  At |u|_{H^s} = eta: quad >= gamma eta^2/2, gamma =
+    min_{k != 0} shifted/full; |u| <= S eta at the padded points, S^2 = T^{-N}
+    sum_{k != 0} 1/full (Cauchy-Schwarz; the Nyquist split only lowers |u|);
+    the padded sum of u^2 is <= eta^2 / min full (Parseval, as m_pad > n).  So
+    I >= gamma eta^2/2 - A eta^{p+1}, A = max(a) S^{p-1} / min full / (p+1),
+    largest at eta_lb = (gamma / ((p+1) A))^{1/(p-1)}.  Raises NoPositiveRidge
+    when rho_lb is not finite and positive: gamma rounds to 0, or eta under-
+    or overflows as p -> 1."""
+    g, p = disc.grid, disc.spec.p
+    full, shifted = disc.full.ravel()[1:], disc.shifted.ravel()[1:]  # k != 0
+    with np.errstate(all="ignore"):
+        gamma = np.min(shifted / full)
+        S = np.sqrt(np.sum(1.0 / full) / np.float64(g.T) ** g.N)
+        A = np.max(disc.coeff_pad) * S ** (p - 1.0) / np.min(full) / (p + 1.0)
+        eta = (gamma / ((p + 1.0) * A)) ** (1.0 / (p - 1.0))
+        rho = 0.5 * gamma * eta**2 - A * eta ** (p + 1.0)
+    if not 0.0 < rho < np.inf:
+        raise NoPositiveRidge(f"certified ridge level {rho:.3e} at radius {eta:.3e} "
+                              f"(coercivity {gamma:.3e}, p = {p!r})")
+    return float(eta), float(rho)
 
 
 def _sphere_step(disc: Discretization, G, v, lv, radius, scale, step, value):
@@ -174,24 +188,6 @@ def _sphere_step(disc: Discretization, G, v, lv, radius, scale, step, value):
             return min(trial * 1.5, 4.0), w, out
         trial *= ARMIJO_SHRINK
     return None
-
-
-def _sphere_min(disc: Discretization, eta: float, v0: np.ndarray, lv0: float) -> float:
-    """Projected descent of the level on the zero-mean sphere of radius eta.
-
-    Sharpening the sampled direction minimum downward keeps the reported
-    ridge level below the critical level it certifies.
-    """
-    v = eta * v0
-    lv = lv0
-    step = 0.25
-    for _ in range(200):
-        moved = _sphere_step(disc, disc.grad(v), v, lv, eta, 1.0, step,
-                             lambda w: (float(disc.levels(w)),))
-        if moved is None:
-            break
-        step, v, (lv,) = moved
-    return lv
 
 
 def _calibrate_caps(disc: Discretization, yhat, z, cfg: LinkingConfig, eta: float):
@@ -261,15 +257,13 @@ def minimax_search(
     p: FracParams,
     spec: NonlinearitySpec,
     cfg: LinkingConfig,
-    rng: Optional[np.random.Generator] = None,
 ) -> SolverState:
     """Local minimax descent of the peak level toward a PS point."""
     disc = Discretization(grid, p, spec)
+    eta, rho = _ridge_bound(disc)
     yhat = _unit_constant(grid, p)
     z = pick_z_direction(grid, p)
-
-    eta_guess, rho = _ridge_estimate(disc, rng=rng)
-    R, Rp, cs, rs, lv = _calibrate_caps(disc, yhat, z, cfg, eta_guess)
+    R, Rp, cs, rs, lv = _calibrate_caps(disc, yhat, z, cfg, eta)
     delta_hat = float(np.max(lv))
     i, j = np.unravel_index(int(np.argmax(lv)), lv.shape)
     v = z.coeffs
@@ -325,6 +319,7 @@ def minimax_search(
         trace=trace,
         R=R,
         R_prime=Rp,
+        rho=rho,
         delta_hat=delta_hat,
     )
 

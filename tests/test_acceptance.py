@@ -159,7 +159,7 @@ def standard_solve():
     p = FracParams(0.5, 1.0)
     spec = NonlinearitySpec(kind="pure_power", p=3.0, mu=4.0)
     cfg = linking.LinkingConfig()
-    st = linking.minimax_search(g, p, spec, cfg, rng=np.random.default_rng(1))
+    st = linking.minimax_search(g, p, spec, cfg)
     return g, p, spec, cfg, st
 
 
@@ -196,8 +196,7 @@ def test_criterion_08_small_instance_oracle():
             catalog.append((lev, u))
     assert catalog, "brute-force search found no nontrivial critical points"
     best_lev, best_u = min(catalog, key=lambda t: t[0])
-    st = linking.minimax_search(g, p, spec, linking.LinkingConfig(),
-                                rng=np.random.default_rng(1))
+    st = linking.minimax_search(g, p, spec, linking.LinkingConfig())
     assert st.status == "Converged"
     aligned = linking.align_spectra(st.iterate, best_u, p)
     assert _hs_dist(aligned, st.iterate, p) < 1e-6
@@ -212,8 +211,7 @@ def test_criterion_09_mass_continuation():
     est = continuation.estimate_sobolev_constant(g, p, rng=np.random.default_rng(9))
     m_list = [0.5, 0.1, 0.02, 0.004]
     assert all(m < est.m0 for m in m_list), f"m0 = {est.m0}"
-    recs = continuation.sweep_m(m_list, p, spec, cfg, g, m0=est.m0,
-                                rng=np.random.default_rng(9))
+    recs = continuation.sweep_m(m_list, p, spec, cfg, g, m0=est.m0)
     assert all(r.status == "Converged" for r in recs)
     alphas = [r.alpha for r in recs]
     assert all(a > 0 for a in alphas)

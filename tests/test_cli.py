@@ -90,6 +90,9 @@ def test_solve_mode_artifacts(tmp_path):
     assert erep["status"] == "Converged"
     assert erep["residual"] < 1e-8
     assert erep["level"] > 0
+    # the certified bracket of the linking level
+    assert np.isfinite(erep["rho_lb"]) and np.isfinite(erep["delta_hat"])
+    assert erep["rho_lb"] <= erep["level"] <= erep["delta_hat"]
     assert (tmp_path / "solver_trace.csv").exists()
     ext = json.loads((tmp_path / "extension.json").read_text())
     assert len(ext["slices"]) == len(ext["y"])
@@ -182,6 +185,8 @@ MALFORMED = [
     pytest.param("sweep", _with(("m_list",), [10**400, 0.1], mode="sweep"),
                  id="m_list-overflow"),
     pytest.param("solve", _with(("frac", "m"), "nan"), id="frac.m-nan"),
+    pytest.param("solve", _with(("frac", "m"), 1e200), id="frac.m-multiplier-overflow"),
+    pytest.param("solve", _with(("grid", "T"), 1e-300), id="grid.T-multiplier-overflow"),
     pytest.param("solve", _with(("frac", "m"), 0.0), id="frac.m-zero-solve"),
     pytest.param("solve", _with(("nonlinearity", "r0"), "nan"), id="nonlinearity.r0-nan"),
     pytest.param("solve", _with(("solver", "ps_tol"), "nan"), id="solver.ps_tol-nan"),
@@ -218,6 +223,21 @@ def test_main_malformed_config_exits_config(tmp_path, capsys, mode, doc):
     assert code == cli.EXIT_CONFIG
     assert len(err.splitlines()) == 1 and err.startswith("config error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("doc", [
+    pytest.param(_with(("grid", "T"), 1e300), id="grid.T-huge"),
+    pytest.param(_with(("nonlinearity",), {"kind": "pure_power", "p": 1 + 1e-12}),
+                 id="nonlinearity.p-near-1"),
+])
+def test_main_degenerate_ridge_exits_solver(tmp_path, capsys, doc):
+    # the certified ridge level is not positive in floating point
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    code = cli.main(["solve", "--config", str(cfg_path), "--output", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_SOLVER
+    assert len(err.splitlines()) == 1 and err.startswith("solver error: NoPositiveRidge: ")
 
 
 # Any JSON value, for keys that get a value of the wrong type.

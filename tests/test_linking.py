@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fractorus import energy, linking
-from fractorus.errors import BoundaryNotNegative, DomainError, NoPositiveRidge
+from fractorus.errors import BoundaryNotNegative, DomainError
 from fractorus.grids import (
     Field,
     FracParams,
@@ -55,8 +55,7 @@ def test_ridge_positive_standard(grid64, params_half, cubic):
 
 def test_minimax_standard_config(grid64, params_half, cubic):
     cfg = linking.LinkingConfig()
-    st = linking.minimax_search(grid64, params_half, cubic, cfg,
-                                rng=np.random.default_rng(1))
+    st = linking.minimax_search(grid64, params_half, cubic, cfg)
     assert st.status == "Converged"
     assert st.grad_norm < cfg.ps_tol
     assert st.level > 0
@@ -70,8 +69,7 @@ def test_minimax_standard_config(grid64, params_half, cubic):
 
 def test_minimax_boundary_nonpositive(grid64, params_half, cubic):
     cfg = linking.LinkingConfig()
-    st = linking.minimax_search(grid64, params_half, cubic, cfg,
-                                rng=np.random.default_rng(1))
+    st = linking.minimax_search(grid64, params_half, cubic, cfg)
     # resample the linking rectangle on the reported caps: its boundary is
     # nonpositive and its maximum is the reported delta_hat
     yhat = linking._unit_constant(grid64, params_half)
@@ -87,13 +85,13 @@ def test_minimax_boundary_nonpositive(grid64, params_half, cubic):
 
 
 # Two modulated items of the solve-1d-n64 benchmark workload (seed 1, items
-# 44 and 204): n = 64, T = 2 pi, a = 1 + cos(x + phi)/2, solver seed as given.
-# The first ended in NoNontrivialSolution under the pointwise surface descent,
-# the second in NoPositiveRidge.
+# 44 and 204): n = 64, T = 2 pi, a = 1 + cos(x + phi)/2.  The first ended in
+# NoNontrivialSolution under the pointwise surface descent, the second in
+# NoPositiveRidge under the sampled ridge estimate.
 NO_SOLUTION_ITEM = dict(s=0.38851616720454096, m=0.7682371184978705, p=2.0,
-                        phi=3.866433675361602, seed=1156760689)
+                        phi=3.866433675361602)
 NO_RIDGE_ITEM = dict(s=0.30080986761586437, m=0.3549532513198762, p=2.5,
-                     phi=2.790078220681327, seed=1529971783)
+                     phi=2.790078220681327)
 
 
 def _modulated_item(item):
@@ -101,7 +99,7 @@ def _modulated_item(item):
     x = np.arange(64) * (2 * np.pi / 64)
     a = Field(g, 1.0 + 0.5 * np.cos(x + item["phi"]))
     spec = NonlinearitySpec(kind="modulated_power", p=item["p"], a=a)
-    return g, FracParams(item["s"], item["m"]), spec, np.random.default_rng(item["seed"])
+    return g, FracParams(item["s"], item["m"]), spec
 
 
 @pytest.fixture(scope="module")
@@ -109,11 +107,10 @@ def minimax_cases():
     g = TorusGrid(1, 2 * np.pi, 64)
     p = FracParams(0.5, 1.0)
     spec = NonlinearitySpec(kind="pure_power", p=3.0)
-    cases = {"standard": (g, p, spec, np.random.default_rng(1)),
-             "modulated": _modulated_item(NO_SOLUTION_ITEM)}
+    cases = {"standard": (g, p, spec), "modulated": _modulated_item(NO_SOLUTION_ITEM)}
     out = {}
-    for name, (g, p, spec, rng) in cases.items():
-        st = linking.minimax_search(g, p, spec, linking.LinkingConfig(), rng=rng)
+    for name, (g, p, spec) in cases.items():
+        st = linking.minimax_search(g, p, spec, linking.LinkingConfig())
         out[name] = (g, p, spec, st)
     return out
 
@@ -123,18 +120,47 @@ def test_minimax_converges_on_modulated_item(minimax_cases):
     cfg = linking.LinkingConfig()
     assert st.status == "Converged"
     assert linking.residual_norm(st.iterate, p, spec) < cfg.ps_tol
-    disc = Discretization(g, p, spec)
-    _, rho = linking._ridge_estimate(disc, rng=np.random.default_rng(NO_SOLUTION_ITEM["seed"]))
-    assert rho <= st.level <= st.delta_hat
+    _, rho_lb = linking._ridge_bound(Discretization(g, p, spec))
+    assert st.rho == rho_lb
+    assert 0.0 < rho_lb <= st.level <= st.delta_hat
     levels = [h[0] for h in st.history]
     assert len(levels) > 2  # the descent did work before the polish was accepted
     assert all(b <= a + 1e-12 for a, b in zip(levels, levels[1:]))
 
 
-def test_ridge_rechoice_finds_positive_ridge():
-    g, p, spec, rng = _modulated_item(NO_RIDGE_ITEM)
-    eta, rho = linking._ridge_estimate(Discretization(g, p, spec), rng=rng)
-    assert eta > 0 and rho > 0
+def test_minimax_converges_on_no_ridge_item():
+    g, p, spec = _modulated_item(NO_RIDGE_ITEM)
+    cfg = linking.LinkingConfig()
+    st = linking.minimax_search(g, p, spec, cfg)
+    assert st.status == "Converged"
+    assert linking.residual_norm(st.iterate, p, spec) < cfg.ps_tol
+    assert 0.0 < st.rho <= st.level <= st.delta_hat
+
+
+def _ridge_case(N, kind):
+    n, s = {1: (64, 0.5), 2: (16, 0.75), 3: (8, 0.9)}[N]
+    g = TorusGrid(N, 2 * np.pi, n)
+    if kind == "pure":
+        spec = NonlinearitySpec(kind="pure_power", p=3.0)
+    else:
+        a = field_from_function(g, lambda *xs: 1.0 + 0.5 * np.cos(xs[0] + 0.3))
+        spec = NonlinearitySpec(kind="modulated_power", p=2.5, a=a)
+    return g, FracParams(s, 1.0), spec
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["pure", "modulated"])
+def test_ridge_bound_below_sampled_sphere_levels(N, kind):
+    g, p, spec = _ridge_case(N, kind)
+    disc = Discretization(g, p, spec)
+    eta, rho = linking._ridge_bound(disc)
+    assert 0.0 < rho < np.inf
+    rng = np.random.default_rng(N)
+    for decay in (0.0, 0.3, 1.0):
+        D = np.stack([random_spectrum(g, rng, decay=decay, zero_mean=True).coeffs
+                      for _ in range(64)])
+        D *= eta / disc.hs_norms(D).reshape((-1,) + (1,) * N)
+        assert rho <= np.min(disc.levels(D))
 
 
 @pytest.mark.parametrize("case", ["standard", "modulated"])
@@ -166,13 +192,11 @@ def test_minimax_returns_a_peak(minimax_cases, case):
 def test_minimax_fixed_caps_too_small(grid64, params_half, cubic):
     cfg = linking.LinkingConfig(R=0.05, R_prime=0.05)
     with pytest.raises(BoundaryNotNegative):
-        linking.minimax_search(grid64, params_half, cubic, cfg,
-                               rng=np.random.default_rng(1))
+        linking.minimax_search(grid64, params_half, cubic, cfg)
 
 
 def test_odd_symmetry_level(grid64, params_half, cubic):
-    st = linking.minimax_search(grid64, params_half, cubic, linking.LinkingConfig(),
-                                rng=np.random.default_rng(1))
+    st = linking.minimax_search(grid64, params_half, cubic, linking.LinkingConfig())
     u = st.iterate
     minus = Spectrum(grid64, -u.coeffs)
     lev_u = energy.evaluate(u, params_half, cubic).value
@@ -181,8 +205,7 @@ def test_odd_symmetry_level(grid64, params_half, cubic):
 
 
 def test_newton_fixed_point(grid64, params_half, cubic):
-    st = linking.minimax_search(grid64, params_half, cubic, linking.LinkingConfig(),
-                                rng=np.random.default_rng(1))
+    st = linking.minimax_search(grid64, params_half, cubic, linking.LinkingConfig())
     again = linking.newton_refine(st.iterate, params_half, cubic, tol=1e-10)
     assert _hs_dist(again, st.iterate, params_half) < 1e-6
 
