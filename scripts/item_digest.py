@@ -1,0 +1,98 @@
+"""Run one benchmark item list through the CLI and print a digest per item.
+
+Usage: python3 scripts/item_digest.py WORKLOAD SEED SECONDS
+
+The items are those of `perfbench/workloads.generate` for the workload, the
+seed and the item count that a `--seconds SECONDS` benchmark run uses.  Each
+item goes through `cli.parse_config` and `cli.run` into a temporary
+directory, and one JSON line is printed per item:
+
+    {"item": i, "exit": code, "error": class name or null,
+     "level": float | null,                       (solve)
+     "alphas": [...], "statuses": [...],          (sweep)
+     "trace_rows": rows of solver_trace.csv or null,
+     "newton_steps": Newton steps taken inside the item}
+
+Running it in two checkouts with the same arguments and diffing the output
+compares their items: exit codes, levels and alphas to the last digit,
+trace lengths and Newton work.  The script imports the `fractorus` source of
+the checkout it sits in.
+"""
+
+import csv
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+from fractorus import cli, linking  # noqa: E402
+from fractorus.errors import FractorusError, ParseError, ValidationError  # noqa: E402
+import workloads  # noqa: E402
+
+
+def _count_newton_steps():
+    """Wrap linking._newton_step (looked up at call time by the Newton loop)
+    and return the list whose length is the number of steps so far."""
+    calls, step = [], linking._newton_step
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return step(*args, **kwargs)
+
+    linking._newton_step = counted
+    return calls
+
+
+def _run(item: dict, out: Path):
+    """(exit code, exception class name or None) as cli.main would end."""
+    try:
+        cfg = cli.parse_config(json.dumps(item["config"]))
+        return cli.run(cfg, output_dir=out, **item["flags"]), None
+    except (ParseError, ValidationError) as ex:
+        return cli.EXIT_CONFIG, type(ex).__name__
+    except cli._SOLVER_ERRORS as ex:
+        return cli.EXIT_SOLVER, type(ex).__name__
+    except FractorusError as ex:
+        return cli.EXIT_VERIFY, type(ex).__name__
+
+
+def _digest(item: dict, out: Path, code: int, error) -> dict:
+    doc = {"exit": code, "error": error}
+    energy = out / "energy.json"
+    if energy.exists():
+        doc["level"] = json.loads(energy.read_text())["level"]
+    sweep = out / "sweep.csv"
+    if sweep.exists():
+        with open(sweep, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        doc["alphas"] = [float(r["alpha"]) for r in rows]
+        doc["statuses"] = [r["status"] for r in rows]
+    trace = out / "solver_trace.csv"
+    doc["trace_rows"] = (sum(1 for _ in open(trace)) - 1) if trace.exists() else None
+    return doc
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 3:
+        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        return 2
+    workload, seed, seconds = args[0], int(args[1]), float(args[2])
+    items = workloads.generate(workload, seed, workloads.item_count(workload, seconds))
+    steps = _count_newton_steps()
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, item in enumerate(items):
+            out = Path(tmp) / f"item{i}"
+            before = len(steps)
+            code, error = _run(item, out)
+            doc = {"item": i, **_digest(item, out, code, error),
+                   "newton_steps": len(steps) - before}
+            print(json.dumps(doc), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -28,18 +28,16 @@ from .errors import (
     NoPositiveRidge,
 )
 from .grids import (
-    Field,
     FracParams,
     Spectrum,
     TorusGrid,
     field_from_function,
     forward_transform,
     hs_norm,
-    ifft_values,
     project_zero_mean,
     random_spectrum,
 )
-from .nonlinearity import Discretization, NonlinearitySpec, irfft_samples, rfft_samples
+from .nonlinearity import Discretization, NonlinearitySpec
 
 # Not used here; kept as names of this module because perfbench's tests check
 # that the tracer wraps `linking.pad_coeffs` and `linking.energy.multiplier`.
@@ -52,6 +50,7 @@ COLLAPSE_TOL = 1e-8
 GRID_A = (9, 17)  # (n_c, n_r) sample points of the linking rectangle
 RIDGE_DIRS = 16  # random sphere directions besides the axis mode and z
 POLISH_AT = 1e-2  # after the first peak, polish once the dual residual is below this
+ALIGN_NEWTON_STEPS = 8  # Newton steps polishing the grid shift in align_spectra
 
 
 @dataclass(frozen=True)
@@ -233,7 +232,7 @@ def _peak(disc: Discretization, yhat: Spectrum, v: np.ndarray, c: float, r: floa
     for _ in range(50):
         # derivatives of (c, r) -> I(c yhat + r v): g_a = <grad, W_a>, H_ab = <J W_b, W_a>
         g = np.real(Wc @ disc.grad(u).ravel())
-        H = np.real(Wc @ (disc.shifted * W - disc.jacobian_apply(u, W)).reshape(2, -1).T)
+        H = np.real(Wc @ disc.linearization(u)(W).reshape(2, -1).T)
         newton = H[0, 0] < 0.0 and np.linalg.det(H) > 0.0
         d = np.linalg.solve(H, -g) if newton else g
         if g @ d <= 1e-14 * abs(lv):  # a rise the level cannot resolve
@@ -327,67 +326,55 @@ def minimax_search(
 # ---------------------------------------------------------------------------
 # Newton polishing
 
-FORCING_MAX = 1e-2  # cap of the inexact-Newton forcing term eta = min(FORCING_MAX, |R|)
-KRYLOV_MAX_ITERS = 200  # GMRES runs unrestarted to min(grid.size, this) iterations
+FORCING_MAX = 1e-2  # cap of the inexact-Newton forcing term eta = min(FORCING_MAX, |R|_*)
+KRYLOV_MAX_ITERS = 200  # MINRES stops after min(grid.size, this) iterations
 
 
-def _gmres(apply, b: np.ndarray, tol: float, max_iters: int) -> np.ndarray:
-    """Unrestarted GMRES from zero: the y in the Krylov space of (apply, b)
-    minimizing |b - apply(y)|, stopping once that residual is <= tol."""
-    beta = float(np.linalg.norm(b))
-    if beta == 0.0:
-        return np.zeros_like(b)
-    V = np.empty((max_iters + 1, b.size))
-    V[0] = b / beta
-    H = np.zeros((max_iters + 1, max_iters))
-    rot = []  # Givens rotations (c, sn) that make H upper triangular
-    rhs = [beta]  # the rotated right-hand side beta e_1
-    k = 0
-    while k < max_iters:
-        w = apply(V[k])
-        for _ in range(2):  # classical Gram-Schmidt, applied twice
-            h = V[: k + 1] @ w
-            w = w - h @ V[: k + 1]
-            H[: k + 1, k] += h
-        hn = float(np.linalg.norm(w))
-        col = H[: k + 2, k]
-        col[k + 1] = hn
-        for i, (c, sn) in enumerate(rot):
-            col[i], col[i + 1] = c * col[i] + sn * col[i + 1], c * col[i + 1] - sn * col[i]
-        d = float(np.hypot(col[k], col[k + 1]))
-        if d == 0.0:  # the Krylov space stopped growing and H is singular
+def _minres(apply, precondition, b: np.ndarray, tol: float, max_iters: int) -> np.ndarray:
+    """Preconditioned MINRES from zero (Paige & Saunders, SIAM J. Numer. Anal.
+    12 (1975) 617-629) for apply symmetric in the pairing <a, c> = Re sum
+    conj(a) c, with precondition symmetric positive definite: the x in the
+    Krylov space minimizing |b - apply(x)| in the norm sqrt(<r,
+    precondition(r)>), stopping once that is <= tol.  The short Lanczos
+    recurrence keeps a fixed handful of arrays shaped like b."""
+    x = np.zeros_like(b)
+    r1 = r2 = b
+    y = precondition(b)
+    beta = float(np.sqrt(np.vdot(b, y).real))
+    phibar, oldb, dbar, eps, cs, sn = beta, 0.0, 0.0, 0.0, -1.0, 0.0
+    w = w2 = np.zeros_like(b)
+    for k in range(max_iters):
+        if phibar <= tol or beta == 0.0:
             break
-        c, sn = col[k] / d, col[k + 1] / d
-        rot.append((c, sn))
-        col[k], col[k + 1] = d, 0.0
-        rhs.append(-sn * rhs[k])
-        rhs[k] *= c
-        k += 1
-        if abs(rhs[k]) <= tol or hn == 0.0:
-            break
-        V[k] = w / hn
-    y = np.linalg.solve(H[:k, :k], rhs[:k])  # upper triangular
-    return y @ V[:k]
+        v = y / beta
+        y = apply(v)
+        if k > 0:
+            y = y - (beta / oldb) * r1
+        alpha = np.vdot(v, y).real
+        y = y - (alpha / beta) * r2
+        r1, r2 = r2, y
+        y = precondition(r2)
+        oldb, beta = beta, float(np.sqrt(np.vdot(r2, y).real))
+        # the Givens rotation that brings the next Lanczos column to triangular form
+        oldeps, delta = eps, cs * dbar + sn * alpha
+        gbar, eps, dbar = sn * dbar - cs * alpha, sn * beta, -cs * beta
+        gamma = max(float(np.hypot(gbar, beta)), np.finfo(float).tiny)
+        cs, sn = gbar / gamma, beta / gamma
+        w1, w2 = w2, w
+        w = (v - oldeps * w1 - delta * w2) / gamma
+        x = x + (cs * phibar) * w
+        phibar *= sn  # the residual norm of x
+    return x
 
 
-def _newton_step(disc: Discretization, u: Spectrum, R: Spectrum, rnorm: float) -> Spectrum:
-    """Inexact Newton step: GMRES on J s = -r over the real grid samples,
-    right-preconditioned by the inverse full multiplier, to the relative
-    residual eta = min(FORCING_MAX, |R|); returned as the spectrum of s."""
-    g = disc.grid
-    lin = disc.linearization(u.coeffs)
-    precond = disc.inv_full[..., : g.n // 2 + 1]
-
-    def precondition(y):
-        return rfft_samples(y.reshape(g.shape), g.N) * precond
-
-    def apply(y):
-        return irfft_samples(lin(precondition(y)), g.shape).ravel()
-
-    b = -ifft_values(g, R.coeffs).ravel()
+def _newton_step(disc: Discretization, u: np.ndarray, R: np.ndarray, rnorm: float) -> np.ndarray:
+    """Inexact Newton step on the band: MINRES on J s = -R, J =
+    disc.linearization(u), preconditioned by the inverse full multiplier, to
+    the dual residual |J s + R|_* <= eta |R|_* with eta = min(FORCING_MAX,
+    |R|_*) and |R|_* = rnorm = disc.dual_norms(R)."""
     eta = min(FORCING_MAX, rnorm)
-    y = _gmres(apply, b, eta * float(np.linalg.norm(b)), min(g.size, KRYLOV_MAX_ITERS))
-    return forward_transform(Field(g, irfft_samples(precondition(y), g.shape)))
+    return _minres(disc.linearization(u), lambda r: disc.inv_full * r, -R, eta * rnorm,
+                   min(disc.grid.size, KRYLOV_MAX_ITERS))
 
 
 def newton_refine(
@@ -398,11 +385,12 @@ def newton_refine(
     max_iters: int = 60,
     enforce_zero_mean: bool = False,
 ) -> Spectrum:
-    """Damped inexact Newton on the L2-metric residual.
+    """Damped inexact Newton on the Euler-Lagrange residual, until its dual
+    norm (that of residual_norm) is below tol.
 
-    Each step is a matrix-free GMRES solve on the real grid samples (see
-    _newton_step); the residual norm decides Armijo backtracking.  At an
-    exact discrete solution the input is returned after zero iterations.
+    Each step is a matrix-free MINRES solve on the band (see _newton_step);
+    the dual residual norm decides Armijo backtracking.  At an exact
+    discrete solution the input is returned after zero iterations.
     """
     disc = Discretization(u0.grid, p, spec)
     return _newton_refine(disc, u0, tol, max_iters, enforce_zero_mean)
@@ -415,36 +403,26 @@ def _newton_refine(
     max_iters: int = 60,
     enforce_zero_mean: bool = False,
 ) -> Spectrum:
-    g = disc.grid
-    u = u0
-    if enforce_zero_mean:
-        u = project_zero_mean(u)
-
-    def resid(v: Spectrum) -> Spectrum:
-        return Spectrum(g, disc.grad(v.coeffs))
-
-    R = resid(u)
-    rnorm = R.l2_norm()
+    u = (project_zero_mean(u0) if enforce_zero_mean else u0).coeffs
+    R = disc.grad(u)
+    rnorm = float(disc.dual_norms(R))
     bad_streak = 0
     for _ in range(max_iters):
         if rnorm < tol:
-            return u
+            return Spectrum(disc.grid, u)
         step = _newton_step(disc, u, R, rnorm)
         if enforce_zero_mean:
-            step = project_zero_mean(step)
+            step[(0,) * disc.grid.N] = 0.0
         lam = 1.0
-        improved = False
         for _ in range(25):
-            cand = Spectrum(g, u.coeffs + lam * step.coeffs)
-            Rc = resid(cand)
-            rc = Rc.l2_norm()
+            cand = u + lam * step
+            Rc = disc.grad(cand)
+            rc = float(disc.dual_norms(Rc))
             if rc < rnorm * (1.0 - ARMIJO_SLOPE * lam):
                 u, R, rnorm = cand, Rc, rc
-                improved = True
+                bad_streak = 0
                 break
             lam *= 0.5
-        if improved:
-            bad_streak = 0
         else:
             bad_streak += 1
             if bad_streak >= 5:
@@ -452,7 +430,7 @@ def _newton_refine(
                     f"residual stalled at {rnorm:.3e} (tol {tol:.1e})"
                 )
     if rnorm < tol:
-        return u
+        return Spectrum(disc.grid, u)
     raise DivergedRefinement(f"no convergence in {max_iters} iterations, residual {rnorm:.3e}")
 
 
@@ -475,44 +453,33 @@ def _residual_norm(disc: Discretization, coeffs: np.ndarray) -> float:
 def align_spectra(ref: Spectrum, cand: Spectrum, p: FracParams) -> Spectrum:
     """Translate and flip cand to best match ref in the H^s metric.
 
-    Coarse search over grid shifts and sign, then (1-D only) a golden-section
-    polish of the continuous shift.
+    The H^s distance from ref to sign * cand shifted by tau is least where
+    sign * C(tau) is greatest, C(tau) = Re sum_k full_k conj(ref_k) cand_k
+    e^{-i omega k.tau}.  C at every grid shift is one FFT; Newton steps on
+    this trigonometric polynomial then polish the best grid shift of either
+    sign.
     """
     g = ref.grid
-    k = [g.axis_wavenumbers().astype(float)] * g.N
-    mesh = np.meshgrid(*k, indexing="ij")
-    disc = Discretization(g, p, None)
+    a = Discretization(g, p, None).full * np.conj(ref.coeffs) * cand.coeffs
+    corr = np.fft.fftn(a).real  # C at the grid shifts tau = j T / n
+    j = np.unravel_index(int(np.argmax(np.abs(corr))), g.shape)
+    sign = -1.0 if corr[j] < 0.0 else 1.0
+    k = g.omega * np.stack([m.ravel() for m in np.meshgrid(
+        *[g.axis_wavenumbers().astype(float)] * g.N, indexing="ij")])
+    a = sign * a.ravel()
 
-    def shifted(coeffs, taus):
-        phase = np.exp(-1j * g.omega * sum(m * t for m, t in zip(mesh, taus)))
-        return coeffs * phase
+    def taylor(tau):  # sign * C(tau), its gradient and its Hessian in tau
+        e = a * np.exp(-1j * (tau @ k))
+        return e.real.sum(), np.imag(k @ e), -np.real((k * e) @ k.T)
 
-    def dist(coeffs):
-        return float(disc.hs_norms(ref.coeffs - coeffs))
-
-    best = (np.inf, cand.coeffs)
-    offsets = np.arange(g.n) * (g.T / g.n)
-    from itertools import product as iproduct
-
-    for sign in (1.0, -1.0):
-        for taus in iproduct(*([offsets] * g.N)):
-            c = shifted(sign * cand.coeffs, taus)
-            d = dist(c)
-            if d < best[0]:
-                best = (d, c, sign, taus)
-    if g.N == 1:
-        from scipy.optimize import minimize_scalar
-
-        _, _, sign, taus = best
-        t0 = taus[0]
-        res = minimize_scalar(
-            lambda t: dist(shifted(sign * cand.coeffs, (t,))),
-            bracket=None,
-            bounds=(t0 - g.T / g.n, t0 + g.T / g.n),
-            method="bounded",
-            options={"xatol": 1e-13},
-        )
-        c = shifted(sign * cand.coeffs, (float(res.x),))
-        if dist(c) < best[0]:
-            best = (dist(c), c)
-    return Spectrum(g, best[1])
+    tau0 = tau = np.array(j, dtype=float) * (g.T / g.n)
+    c0, grad, hess = taylor(tau0)
+    c = c0
+    for _ in range(ALIGN_NEWTON_STEPS):
+        if np.max(np.linalg.eigvalsh(hess)) >= 0.0:
+            break  # C is not concave here
+        tau = tau - np.linalg.solve(hess, grad)
+        c, grad, hess = taylor(tau)
+    if c < c0:
+        tau = tau0
+    return Spectrum(g, sign * cand.coeffs * np.exp(-1j * (tau @ k)).reshape(g.shape))

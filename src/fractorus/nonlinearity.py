@@ -133,20 +133,6 @@ def padded_size(n: int, spec: Optional[NonlinearitySpec]) -> int:
     return m + (m % 2)
 
 
-def rfft_samples(x: np.ndarray, N: int) -> np.ndarray:
-    """numpy.fft.rfftn over the trailing N axes (numpy.fft.rfft when N = 1,
-    the same transform with less call overhead)."""
-    return np.fft.rfft(x) if N == 1 else np.fft.rfftn(x, axes=tuple(range(-N, 0)))
-
-
-def irfft_samples(X: np.ndarray, shape: tuple) -> np.ndarray:
-    """Real samples of the given trailing shape from an rfft half spectrum;
-    the inverse of rfft_samples."""
-    if len(shape) == 1:
-        return np.fft.irfft(X, shape[0])
-    return np.fft.irfftn(X, s=shape, axes=tuple(range(-len(shape), 0)))
-
-
 def _half_blocks(n: int, m: int, N: int):
     """(coarse, fine) index pairs placing the retained band of an rfft half
     spectrum into the padded layout: on each of the first N - 1 axes the
@@ -201,16 +187,18 @@ def pad_coeffs(coeffs: np.ndarray, grid: TorusGrid, m: int) -> np.ndarray:
     a Hermitian spectrum; leading axes are batched.  Only the modes 0..n/2
     of the last axis are read.
     """
-    g = grid
+    g, axes = grid, tuple(range(-grid.N, 0))
     X = _pad_half(coeffs[..., : g.n // 2 + 1], g, m)
-    return irfft_samples(X, (m,) * g.N) * (m**g.N / g.T ** (g.N / 2.0))
+    # numpy.fft.irfft and rfft are irfftn and rfftn at N = 1, with less call overhead
+    x = np.fft.irfft(X, m) if g.N == 1 else np.fft.irfftn(X, (m,) * g.N, axes)
+    return x * (m**g.N / g.T ** (g.N / 2.0))
 
 
 def restrict_values(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
     """Band-projected coefficients of refined-grid samples (batched)."""
-    g = grid
-    m = values.shape[-1]
-    F = rfft_samples(values, g.N) * (g.T ** (g.N / 2.0) / m**g.N)
+    g, axes, m = grid, tuple(range(-grid.N, 0)), values.shape[-1]
+    F = np.fft.rfft(values) if g.N == 1 else np.fft.rfftn(values, axes=axes)
+    F *= g.T ** (g.N / 2.0) / m**g.N
     return _hermitian_full(_restrict_half(F, g, m), g.N)
 
 
@@ -234,12 +222,11 @@ class Discretization:
     on one grid.  The multipliers, the padded grid size, the coefficient a(x)
     sampled on the padded grid and the padded cell volume are built once.
     Every product is dealiased by the one real-FFT pad and restrict of this
-    module: pad_coeffs and restrict_values for coefficient arrays, their
-    half-spectrum helpers for the linearization.  The nonlinear parts of
-    grad, jacobian_apply and linearization are the adjoint of the pad in the
-    pairing Re sum_k conj(R_k) w_k: restrict_values times `pairing`, which
-    is 1/2 per axis on which |k_i| = n/2 (the pad splits such a coefficient
-    evenly onto +-n/2, the restriction folds in their sum).  So grad is the
+    module, pad_coeffs and restrict_values.  The nonlinear parts of grad and
+    linearization are the adjoint of the pad in the pairing
+    Re sum_k conj(R_k) w_k: restrict_values times `pairing`, which is 1/2
+    per axis on which |k_i| = n/2 (the pad splits such a coefficient evenly
+    onto +-n/2, the restriction folds in their sum).  So grad is the
     exact derivative of levels, and the Jacobian is symmetric on the band.
     Every method takes coefficient arrays whose trailing N axes are the grid;
     leading axes are batch axes, so a single spectrum is the case of none.
@@ -293,12 +280,13 @@ class Discretization:
         return 0.5 * np.sum(self.shifted * np.abs(U) ** 2, axis=self.axes)
 
     def nonlinear_energy(self, U: np.ndarray) -> np.ndarray:
-        """int F(x,u) dx with F = a |u|^{p+1}/(p+1), trapezoid rule on the padded grid."""
+        """int F(x,u) dx with F = a |u|^{p+1}/(p+1), trapezoid rule on the padded grid;
+        +inf where |u|^{p+1} overflows, so the level there is -inf."""
         p = self.spec.p
         vals = pad_coeffs(U, self.grid, self.m_pad)
-        return np.sum(self.coeff_pad * np.abs(vals) ** (p + 1.0), axis=self.axes) * (
-            self.cell / (p + 1.0)
-        )
+        with np.errstate(over="ignore"):
+            return np.sum(self.coeff_pad * np.abs(vals) ** (p + 1.0), axis=self.axes) * (
+                self.cell / (p + 1.0))
 
     def levels(self, U: np.ndarray) -> np.ndarray:
         """I(u)."""
@@ -334,31 +322,17 @@ class Discretization:
         keeps unit weight so nonzero-mean defects still register."""
         return np.sqrt(np.sum(self.inv_full * np.abs(R) ** 2, axis=self.axes))
 
-    def jacobian_apply(self, U: np.ndarray, W: np.ndarray) -> np.ndarray:
-        """Band-limited coefficients of f_t(x, u) w times `pairing`, the
-        nonlinear part of the derivative of grad at u in the direction w (the
-        full derivative is shifted * w minus this); U broadcasts against W."""
-        fp = fprime_eval(self.spec, self.coeff_pad, pad_coeffs(U, self.grid, self.m_pad))
-        return self.pairing * restrict_values(fp * pad_coeffs(W, self.grid, self.m_pad),
-                                              self.grid)
-
     def linearization(self, U: np.ndarray):
-        """The derivative of grad at u on real FFTs: returns the map
-        X -> shifted * X - (f_t(x, u) w)^, where X = rfft_samples(w) of real
-        grid samples w, and irfft_samples of the result are the samples of
-        the derivative in the direction w, the samples of shifted * W -
-        jacobian_apply(U, W) with W = grids.fft_coeffs(grid, w), Nyquist
-        planes included.  f_t(x, u) is sampled on the padded grid once.
-        """
+        """The derivative of grad at u: returns the map W -> shifted * W -
+        pairing * restrict_values(f_t(x, u) w), w the padded samples of W, on
+        coefficient arrays W (leading axes batched).  It is symmetric on the
+        band in the pairing Re sum_k conj(V_k) W_k.  f_t(x, u) is sampled on
+        the padded grid once."""
         fp = fprime_eval(self.spec, self.coeff_pad, pad_coeffs(U, self.grid, self.m_pad))
-        half = slice(0, self.grid.n // 2 + 1)
-        shifted, pairing = self.shifted[..., half], self.pairing[..., half]
-        fine = (self.m_pad,) * self.grid.N
 
-        def apply(X: np.ndarray) -> np.ndarray:
-            v = irfft_samples(_pad_half(X, self.grid, self.m_pad), fine)
-            return shifted * X - pairing * _restrict_half(rfft_samples(fp * v, self.grid.N),
-                                                          self.grid, self.m_pad)
+        def apply(W: np.ndarray) -> np.ndarray:
+            return self.shifted * W - self.pairing * restrict_values(
+                fp * pad_coeffs(W, self.grid, self.m_pad), self.grid)
 
         return apply
 
@@ -382,12 +356,6 @@ def nonlinear_gradient(spec: NonlinearitySpec, u: Spectrum) -> Spectrum:
     the band-limited spectrum of f(x, u(x)), dealiased by zero padding, with
     each Nyquist axis of k weighted 1/2."""
     return Spectrum(u.grid, Discretization(u.grid, None, spec).nonlinear_gradient(u.coeffs))
-
-
-def nonlinear_jacobian_apply(spec: NonlinearitySpec, u: Spectrum, w: Spectrum) -> Spectrum:
-    """Gateaux derivative of nonlinear_gradient at u in the direction w."""
-    disc = Discretization(u.grid, None, spec)
-    return Spectrum(u.grid, disc.jacobian_apply(u.coeffs, w.coeffs))
 
 
 # ---------------------------------------------------------------------------

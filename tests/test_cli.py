@@ -240,6 +240,21 @@ def test_main_degenerate_ridge_exits_solver(tmp_path, capsys, doc):
     assert len(err.splitlines()) == 1 and err.startswith("solver error: NoPositiveRidge: ")
 
 
+@pytest.mark.parametrize("doc,want", [
+    # the mean mode m^{-s} = 1e150 of the linking rectangle
+    pytest.param(_with(("frac", "m"), 1e-300), cli.EXIT_OK, id="frac.m-tiny"),
+    # caps seeded from a certified radius near 2e50
+    pytest.param(_with(("grid", "T"), 1e-100), cli.EXIT_SOLVER, id="grid.T-tiny"),
+])
+def test_main_energy_overflow_is_silent(tmp_path, capsys, doc, want):
+    # |u|^{p+1} overflows on the sampled rectangle: the level there is -inf
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    code = cli.main(["solve", "--config", str(cfg_path), "--output", str(tmp_path)])
+    assert code == want
+    assert capsys.readouterr().err == ""
+
+
 # Any JSON value, for keys that get a value of the wrong type.
 _ANY_JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
