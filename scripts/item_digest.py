@@ -10,13 +10,14 @@ directory, and one JSON line is printed per item:
     {"item": i, "exit": code, "error": class name or null,
      "level": float | null,                       (solve)
      "alphas": [...], "statuses": [...],          (sweep)
+     "properties": {name: passed},                (verify)
      "trace_rows": rows of solver_trace.csv or null,
      "newton_steps": Newton steps taken inside the item}
 
 Running it in two checkouts with the same arguments and diffing the output
 compares their items: exit codes, levels and alphas to the last digit,
-trace lengths and Newton work.  The script imports the `fractorus` source of
-the checkout it sits in.
+verify properties, trace lengths and Newton work.  The script imports the
+`fractorus` source of the checkout it sits in.
 """
 
 import csv
@@ -70,6 +71,10 @@ def _digest(item: dict, out: Path, code: int, error) -> dict:
             rows = list(csv.DictReader(fh))
         doc["alphas"] = [float(r["alpha"]) for r in rows]
         doc["statuses"] = [r["status"] for r in rows]
+    report = out / "verify_report.json"
+    if report.exists():
+        doc["properties"] = {pr["name"]: pr["passed"]
+                             for pr in json.loads(report.read_text())["properties"]}
     trace = out / "solver_trace.csv"
     doc["trace_rows"] = (sum(1 for _ in open(trace)) - 1) if trace.exists() else None
     return doc

@@ -21,7 +21,6 @@ from .errors import (
     NotCauchy,
     ParseError,
     QuadratureUnconverged,
-    SingularMode,
     SymmetryViolation,
     ValidationError,
     ZeroModeNoDecay,
@@ -41,7 +40,6 @@ from .grids import (
     multiplier,
     project_zero_mean,
     random_spectrum,
-    solve_linear,
 )
 from .theta import HalflineRule, ThetaProfile, halfline_rule, kappa, profile_energy_integral
 from .extension import (

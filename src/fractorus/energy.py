@@ -15,12 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .errors import DomainError
 # `multiplier` is not called here (Discretization calls it); it stays a name
 # of this module because perfbench's tests wrap and check `energy.multiplier`.
-from .grids import FracParams, Spectrum, hs_norm, multiplier, project_zero_mean  # noqa: F401
+from .grids import FracParams, Spectrum, hs_norm, multiplier  # noqa: F401
 from .nonlinearity import Discretization, NonlinearitySpec
 
 
@@ -38,10 +36,6 @@ class EnergyReport:
             "nl": self.nl,
             "grad_norm": self.grad_norm,
         }
-
-
-def quadratic_part(u: Spectrum, p: FracParams) -> float:
-    return float(Discretization(u.grid, p, None).quadratic(u.coeffs))
 
 
 def evaluate(
@@ -85,16 +79,9 @@ def quadratic_gap(u: Spectrum, p: FracParams) -> float:
     h = hs_norm(u, p)
     if h == 0.0:
         raise DomainError("quadratic_gap undefined at u = 0")
-    return 2.0 * quadratic_part(u, p) / h**2
+    return 2.0 * float(Discretization(u.grid, p, None).quadratic(u.coeffs)) / h**2
 
 
 def coercivity_constant(grid, p: FracParams) -> float:
     """1 - m^{2s}/(omega^2+m^2)^s, the sharp discrete Z-space constant."""
     return 1.0 - p.m ** (2.0 * p.s) / (grid.omega**2 + p.m**2) ** p.s
-
-
-def decompose(u: Spectrum, p: FracParams):
-    """Split u into its mean-mode component and the zero-mean remainder."""
-    z = project_zero_mean(u)
-    y = Spectrum(u.grid, u.coeffs - z.coeffs)
-    return y, z

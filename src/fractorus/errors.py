@@ -25,10 +25,6 @@ class SymmetryViolation(FractorusError):
     """Spectrum fails Hermitian symmetry beyond tolerance."""
 
 
-class SingularMode(FractorusError):
-    """Right-hand side has content in a mode where the multiplier vanishes."""
-
-
 class ZeroModeNoDecay(FractorusError):
     """Massless extension requested for a field with nonzero mean."""
 
@@ -67,7 +63,7 @@ class BoundaryNotNegative(FractorusError):
 
 
 class DivergedRefinement(FractorusError):
-    """Newton polishing increased the residual repeatedly."""
+    """Newton polishing stalled or ran out of iterations above its tolerance."""
 
 
 class LimitCollapsed(FractorusError):

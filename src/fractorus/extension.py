@@ -75,23 +75,6 @@ class ExtensionField:
         damp = _theta_at(self.profile, self.mode_rates() * y)
         return inverse_transform(Spectrum(self.grid, self.base.coeffs * damp), check=False)
 
-    def interior_residual(self, y_samples) -> float:
-        """Max per-unit-energy residual of -div(y^{1-2s} grad v) + m^2 y^{1-2s} v.
-
-        For each mode the residual reduces to lam_k |c_k| times the theta ODE
-        residual at sqrt(lam_k) y.
-        """
-        rates = self.mode_rates()
-        c = np.abs(self.base.coeffs)
-        energy = kappa(self.params.s) * hs_norm(self.base, self.params) ** 2
-        if energy == 0.0:
-            return 0.0
-        pos = rates > 0
-        r = rates[pos][:, None]
-        y = np.asarray(y_samples, dtype=float)
-        res = r**2 * c[pos][:, None] * self.profile.ode_residual(r * y)
-        return float(np.max(res, initial=0.0)) / energy
-
 
 def extend(u: Spectrum, p: FracParams) -> ExtensionField:
     """Minimal-energy extension of u to the half-cylinder."""

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadExponent, DomainError, SingularMode, SymmetryViolation
+from .errors import BadExponent, DomainError, SymmetryViolation
 
 HERMITIAN_TOL = 1e-8
 # Largest n^N a grid may have; the largest grid any workload uses is 3-D n=32.
@@ -246,22 +246,6 @@ def apply_shifted_operator(S: Spectrum, p: FracParams) -> Spectrum:
     return Spectrum(S.grid, S.coeffs * multiplier(S.grid, p, shifted=True))
 
 
-def solve_linear(g: Spectrum, p: FracParams) -> Spectrum:
-    """Invert the multiplier (omega^2 |k|^2 + m^2)^s; singular modes must be absent."""
-    mult = multiplier(g.grid, p)
-    singular = mult == 0.0
-    if np.any(singular):
-        norm = g.l2_norm()
-        bad = np.abs(g.coeffs[singular])
-        if norm > 0 and np.any(bad > 1e-10 * norm):
-            raise SingularMode(
-                "right-hand side has content in a zero-multiplier mode"
-            )
-    coeffs = np.zeros_like(g.coeffs)
-    np.divide(g.coeffs, mult, out=coeffs, where=~singular)
-    return Spectrum(g.grid, coeffs)
-
-
 def hs_norm(S: Spectrum, p: FracParams) -> float:
     """|u|_{H^s_{m,T}} = sqrt(sum (omega^2|k|^2+m^2)^s |c_k|^2)."""
     mult = multiplier(S.grid, p)
@@ -328,15 +312,13 @@ def grid_from_json(doc: dict) -> TorusGrid:
     return TorusGrid(N=int(doc["N"]), T=float(doc["T"]), n=int(doc["n"]))
 
 
-def object_from_json(doc: dict):
-    """Round-trip loader for the {grid, kind, data} persistence format."""
+def object_from_json(doc: dict) -> Spectrum:
+    """Round-trip loader for the {grid, kind, data} documents of spectrum_to_json."""
     grid = grid_from_json(doc["grid"])
     kind = doc.get("kind")
-    if kind == "spectrum":
-        flat = np.array([complex(re, im) for re, im in doc["data"]])
-        if not np.all(np.isfinite(flat)):
-            raise DomainError("spectrum data must be finite")
-        return Spectrum(grid, flat.reshape(grid.shape))
-    if kind == "field":
-        return Field(grid, np.asarray(doc["data"], dtype=float).reshape(grid.shape))
-    raise DomainError(f"unknown serialized kind {kind!r}")
+    if kind != "spectrum":
+        raise DomainError(f"unknown serialized kind {kind!r}")
+    flat = np.array([complex(re, im) for re, im in doc["data"]])
+    if not np.all(np.isfinite(flat)):
+        raise DomainError("spectrum data must be finite")
+    return Spectrum(grid, flat.reshape(grid.shape))

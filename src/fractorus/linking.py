@@ -57,8 +57,12 @@ ALIGN_NEWTON_STEPS = 8  # Newton steps polishing the grid shift in align_spectra
 class LinkingConfig:
     """Geometry and stopping parameters of the minimax search.
 
-    R = 0 or R_prime = 0 requests auto-calibration: both caps are doubled
-    until the functional is nonpositive on the sampled boundary.
+    Caps R, R_prime > 0 are used as given: a positive level on the sampled
+    boundary of the linking rectangle raises BoundaryNotNegative.  R = 0 or
+    R_prime = 0 requests auto-calibration: an unset R starts at
+    max(2 eta_lb, 1), with eta_lb the certified ridge radius, an unset
+    R_prime at R, and both caps are doubled until the functional is
+    nonpositive on the sampled boundary.
     """
 
     R: float = 0.0
@@ -78,13 +82,17 @@ class SolverState:
     iterate: Spectrum
     level: float
     grad_norm: float
-    history: list
     status: str  # Converged | MaxIters | NoNontrivialSolution
-    trace: list = dc_field(default_factory=list)
+    trace: list = dc_field(default_factory=list)  # (sweep, level, gnorm, c, r) per sweep
     R: float = 0.0
     R_prime: float = 0.0
     rho: float = 0.0  # certified lower bound of I on the ridge sphere (_ridge_bound)
     delta_hat: float = 0.0  # sampled max of the level over the linking rectangle
+
+    @property
+    def history(self) -> list:
+        """(level, gnorm) per sweep."""
+        return [(level, gnorm) for _, level, gnorm, _, _ in self.trace]
 
 
 def pick_z_direction(grid: TorusGrid, p: FracParams) -> Spectrum:
@@ -190,16 +198,15 @@ def _sphere_step(disc: Discretization, G, v, lv, radius, scale, step, value):
 
 
 def _calibrate_caps(disc: Discretization, yhat, z, cfg: LinkingConfig, eta: float):
-    """Double R, R' until the sampled boundary of A is nonpositive; returns
-    the caps, the sampled c and r, and the levels at c yhat + r z."""
+    """The caps R, R', the sampled c and r and the levels at c yhat + r z,
+    once the sampled boundary of A is nonpositive.  Two given caps are tried
+    as they are; otherwise both double from the given cap or from R =
+    max(2 eta, 1).  Raises BoundaryNotNegative when that fails."""
     R = cfg.R if cfg.R > 0 else max(2.0 * eta, 1.0)
     Rp = cfg.R_prime if cfg.R_prime > 0 else R
     fixed = cfg.R > 0 and cfg.R_prime > 0
     nc, nr = GRID_A
     for _ in range(40):
-        if R <= eta:
-            R *= 2.0
-            continue
         cs = np.linspace(-Rp, Rp, nc)
         rs = np.linspace(0.0, R, nr)
         lv = disc.levels(np.multiply.outer(cs, yhat.coeffs)[:, None]
@@ -268,14 +275,12 @@ def minimax_search(
     v = z.coeffs
     level, c, r, u = _peak(disc, yhat, v, float(cs[i]), float(rs[j]))
 
-    history = []
     trace = []
     status = "MaxIters"
     step = 1.0
     for sweep in range(cfg.max_iters):
         G = disc.grad(u)
         gnorm = float(disc.dual_norms(G))
-        history.append((level, gnorm))
         trace.append((sweep, level, gnorm, c, r))
 
         if disc.hs_norms(u) < COLLAPSE_TOL:
@@ -313,7 +318,6 @@ def minimax_search(
         iterate=Spectrum(grid, u),
         level=level,
         grad_norm=_residual_norm(disc, u),
-        history=history,
         status=status,
         trace=trace,
         R=R,
@@ -390,7 +394,9 @@ def newton_refine(
 
     Each step is a matrix-free MINRES solve on the band (see _newton_step);
     the dual residual norm decides Armijo backtracking.  At an exact
-    discrete solution the input is returned after zero iterations.
+    discrete solution the input is returned after zero iterations.  Raises
+    DivergedRefinement when no damping of a step lowers the residual, or
+    after max_iters steps.
     """
     disc = Discretization(u0.grid, p, spec)
     return _newton_refine(disc, u0, tol, max_iters, enforce_zero_mean)
@@ -406,7 +412,6 @@ def _newton_refine(
     u = (project_zero_mean(u0) if enforce_zero_mean else u0).coeffs
     R = disc.grad(u)
     rnorm = float(disc.dual_norms(R))
-    bad_streak = 0
     for _ in range(max_iters):
         if rnorm < tol:
             return Spectrum(disc.grid, u)
@@ -420,15 +425,11 @@ def _newton_refine(
             rc = float(disc.dual_norms(Rc))
             if rc < rnorm * (1.0 - ARMIJO_SLOPE * lam):
                 u, R, rnorm = cand, Rc, rc
-                bad_streak = 0
                 break
             lam *= 0.5
         else:
-            bad_streak += 1
-            if bad_streak >= 5:
-                raise DivergedRefinement(
-                    f"residual stalled at {rnorm:.3e} (tol {tol:.1e})"
-                )
+            # u, R and rnorm are unchanged, so a retry would repeat this step
+            raise DivergedRefinement(f"residual stalled at {rnorm:.3e} (tol {tol:.1e})")
     if rnorm < tol:
         return Spectrum(disc.grid, u)
     raise DivergedRefinement(f"no convergence in {max_iters} iterations, residual {rnorm:.3e}")

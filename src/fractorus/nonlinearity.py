@@ -202,14 +202,6 @@ def restrict_values(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
     return _hermitian_full(_restrict_half(F, g, m), g.N)
 
 
-def pad_to_grid(S: Spectrum, m: int) -> np.ndarray:
-    return pad_coeffs(S.coeffs, S.grid, m)
-
-
-def restrict_to_grid(values: np.ndarray, grid: TorusGrid) -> Spectrum:
-    return Spectrum(grid, restrict_values(values, grid))
-
-
 # ---------------------------------------------------------------------------
 # the discretized reduced functional
 

@@ -113,15 +113,6 @@ class ThetaProfile:
         q = self.conormal_integrand(y)
         return float(extrapolate_to_zero(y, q[:, None], small_y_exponents(self.s))[0].real)
 
-    def bound_witnesses(self) -> dict:
-        """Empirical sup of theta and of -y^{1-2s} theta' (the A_s, B_s bounds)
-        over 400 log-spaced y in [1e-6, 100]."""
-        y = np.logspace(-6, 2, 400)
-        return {
-            "theta_sup": float(np.max(self.theta(y))),
-            "conormal_sup": float(np.max(self.conormal_integrand(y))),
-        }
-
 
 def small_y_exponents(s: float) -> list[float]:
     """Leading correction exponents of -y^{1-2s} theta'(y) near 0."""
@@ -162,7 +153,7 @@ def extrapolate_to_zero(y: np.ndarray, Q: np.ndarray, exponents) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HalflineRule:
-    """Rule for integrals int_0^inf y^beta h(y) dy with h bounded and decaying.
+    """Rule w @ h(y) for integrals int_0^inf y^beta h(y) dy with h bounded and decaying.
 
     Built from Gauss-Jacobi nodes for the endpoint weight t^beta composed with
     the substitution y = -log(1-t), which handles both the algebraic endpoint
@@ -173,9 +164,6 @@ class HalflineRule:
     nodes: int
     y: np.ndarray = dc_field(repr=False)
     w: np.ndarray = dc_field(repr=False)
-
-    def integrate(self, h) -> float:
-        return float(np.sum(self.w * h(self.y)))
 
 
 @functools.lru_cache(maxsize=64)  # an energy check needs 4 rules per exponent s

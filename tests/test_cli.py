@@ -203,6 +203,8 @@ MALFORMED = [
                  id="solution_file-other-grid"),
     pytest.param("diagnose", _with(("solution_file",), "{tmp}/nan.json", mode="diagnose"),
                  id="solution_file-nan"),
+    pytest.param("diagnose", _with(("solution_file",), "{tmp}/field.json", mode="diagnose"),
+                 id="solution_file-field"),
     pytest.param("sweep", _with(("mode",), "solve"), id="sweep-on-solve-config"),
     pytest.param("solve", {k: v for k, v in _with(("mode",), "verify").items()
                            if k != "nonlinearity"}, id="solve-on-verify-config"),
@@ -216,6 +218,8 @@ def test_main_malformed_config_exits_config(tmp_path, capsys, mode, doc):
     (tmp_path / "other-grid.json").write_text(json.dumps(spectrum_to_json(other)))
     nan = Spectrum(TorusGrid(1, 2 * np.pi, 64), np.full(64, np.nan, complex))
     (tmp_path / "nan.json").write_text(json.dumps(spectrum_to_json(nan)))
+    field = {"grid": {"N": 1, "T": 2 * np.pi, "n": 64}, "kind": "field", "data": [0.0] * 64}
+    (tmp_path / "field.json").write_text(json.dumps(field))
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(doc).replace("{tmp}", str(tmp_path)))
     code = cli.main([mode, "--config", str(cfg_path), "--output", str(tmp_path)])
@@ -240,19 +244,40 @@ def test_main_degenerate_ridge_exits_solver(tmp_path, capsys, doc):
     assert len(err.splitlines()) == 1 and err.startswith("solver error: NoPositiveRidge: ")
 
 
-@pytest.mark.parametrize("doc,want", [
+@pytest.mark.parametrize("doc,want,lines", [
     # the mean mode m^{-s} = 1e150 of the linking rectangle
-    pytest.param(_with(("frac", "m"), 1e-300), cli.EXIT_OK, id="frac.m-tiny"),
+    pytest.param(_with(("frac", "m"), 1e-300), cli.EXIT_OK, [], id="frac.m-tiny"),
     # caps seeded from a certified radius near 2e50
-    pytest.param(_with(("grid", "T"), 1e-100), cli.EXIT_SOLVER, id="grid.T-tiny"),
+    pytest.param(_with(("grid", "T"), 1e-100), cli.EXIT_SOLVER, ["solver error: MaxIters: "],
+                 id="grid.T-tiny"),
 ])
-def test_main_energy_overflow_is_silent(tmp_path, capsys, doc, want):
-    # |u|^{p+1} overflows on the sampled rectangle: the level there is -inf
+def test_main_energy_overflow_is_silent(tmp_path, capsys, doc, want, lines):
+    # |u|^{p+1} overflows on the sampled rectangle: the level there is -inf,
+    # and no overflow warning reaches stderr
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(doc))
     code = cli.main(["solve", "--config", str(cfg_path), "--output", str(tmp_path)])
     assert code == want
-    assert capsys.readouterr().err == ""
+    err = capsys.readouterr().err
+    assert "Warning" not in err
+    assert len(err.splitlines()) == len(lines)
+    assert all(got.startswith(line) for got, line in zip(err.splitlines(), lines))
+
+
+@pytest.mark.parametrize("mode,doc,prefix", [
+    pytest.param("solve", _with(("solver", "max_iters"), 1), "solver error: MaxIters: ",
+                 id="solve"),
+    pytest.param("sweep", _with(("solver", "max_iters"), 1, mode="sweep", m_list=[0.5, 0.1]),
+                 "solver error: Failed: DomainError: solver status MaxIters", id="sweep"),
+])
+def test_main_unconverged_run_exits_solver(tmp_path, capsys, mode, doc, prefix):
+    # a run that ends without converging says why, in one line
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    code = cli.main([mode, "--config", str(cfg_path), "--output", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_SOLVER
+    assert len(err.splitlines()) == 1 and err.startswith(prefix)
 
 
 # Any JSON value, for keys that get a value of the wrong type.

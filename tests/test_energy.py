@@ -27,7 +27,7 @@ def _tcos(grid, t=1.0):
 def test_quadratic_part_closed_form(grid64, params_half):
     # quad(t cos x) = (1/2)(sqrt 2 - 1) pi t^2
     for t in (1.0, 2.5):
-        got = energy.quadratic_part(_tcos(grid64, t), params_half)
+        got = energy.evaluate(_tcos(grid64, t), params_half, None).quad
         assert abs(got - 0.5 * (np.sqrt(2) - 1) * np.pi * t**2) < 1e-12 * t**2
 
 
@@ -109,11 +109,3 @@ def test_quadratic_gap_domain_errors(grid64, params_half):
         energy.quadratic_gap(shifted, params_half)  # nonzero mean
     with pytest.raises(DomainError):
         energy.quadratic_gap(Spectrum(grid64, np.zeros(grid64.shape, complex)), params_half)
-
-
-def test_decompose(grid64, params_half):
-    u = forward_transform(field_from_function(grid64, lambda x: 3.0 + np.cos(x)))
-    y, z = energy.decompose(u, params_half)
-    assert z.mean_coeff == 0.0
-    assert np.max(np.abs(y.coeffs + z.coeffs - u.coeffs)) == 0.0
-    assert np.sum(np.abs(y.coeffs) > 0) == 1  # only the mean mode

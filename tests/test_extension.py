@@ -87,12 +87,6 @@ def test_conormal_derivative_cos_half(grid64):
     assert np.max(np.abs(got.coeffs - u.coeffs)) < 1e-8
 
 
-def test_interior_residual_small(grid64, params_half, rng):
-    u = random_spectrum(grid64, rng, decay=0.5)
-    v = extend(u, params_half)
-    assert v.interior_residual([0.1, 1.0, 5.0]) < 1e-6
-
-
 GRIDS = ["grid64", "grid2d"]
 
 

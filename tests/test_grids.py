@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fractorus.errors import DomainError, SingularMode, SymmetryViolation
+from fractorus.errors import DomainError, SymmetryViolation
 from fractorus.grids import (
     MAX_GRID_POINTS,
     Field,
@@ -23,7 +23,6 @@ from fractorus.grids import (
     object_from_json,
     project_zero_mean,
     random_spectrum,
-    solve_linear,
     spectrum_to_json,
 )
 
@@ -95,21 +94,6 @@ def test_shifted_operator_kills_constants(grid64):
         c[0] = 7.0
         out = apply_shifted_operator(Spectrum(grid64, c), p)
         assert np.max(np.abs(out.coeffs)) == 0.0
-
-
-def test_solve_linear_inverts(grid64, params_half, rng):
-    u = random_spectrum(grid64, rng, decay=0.3)
-    g = apply_bessel_operator(u, params_half)
-    back = solve_linear(g, params_half)
-    assert np.max(np.abs(back.coeffs - u.coeffs)) < 1e-10
-
-
-def test_solve_linear_singular_mode(grid64):
-    p0 = FracParams(0.5, 0.0)
-    c = np.zeros(grid64.shape, complex)
-    c[0] = 1.0
-    with pytest.raises(SingularMode):
-        solve_linear(Spectrum(grid64, c), p0)
 
 
 def test_inverse_transform_rejects_asymmetric(grid64):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fractorus import energy, linking
-from fractorus.errors import BoundaryNotNegative, DomainError
+from fractorus.errors import BoundaryNotNegative, DivergedRefinement, DomainError
 from fractorus.grids import (
     Field,
     FracParams,
@@ -189,6 +189,16 @@ def test_minimax_fixed_caps_too_small(grid64, params_half, cubic):
         linking.minimax_search(grid64, params_half, cubic, cfg)
 
 
+def test_minimax_fixed_caps_are_used_as_given(grid64, params_half, cubic):
+    # R = 0.5 lies inside the certified ridge radius: the caps are not enlarged
+    eta, _ = linking._ridge_bound(Discretization(grid64, params_half, cubic))
+    assert 0.5 < eta
+    cfg = linking.LinkingConfig(R=0.5, R_prime=10.0)
+    with pytest.raises(BoundaryNotNegative) as exc:
+        linking.minimax_search(grid64, params_half, cubic, cfg)
+    assert (exc.value.R, exc.value.R_prime) == (0.5, 10.0)
+
+
 def test_odd_symmetry_level(grid64, params_half, cubic):
     st = linking.minimax_search(grid64, params_half, cubic, linking.LinkingConfig())
     u = st.iterate
@@ -208,6 +218,28 @@ def test_newton_zero_start_is_trivial(grid64, params_half, cubic):
     zero = Spectrum(grid64, np.zeros(grid64.shape, complex))
     out = linking.newton_refine(zero, params_half, cubic, tol=1e-10)
     assert out.l2_norm() == 0.0  # caller must reject via nontriviality check
+
+
+def test_newton_stops_at_first_failed_line_search(monkeypatch):
+    # the first start of criterion 08's draws stalls; a failed line search
+    # leaves u and |R|_* unchanged, so no step may be taken twice from them
+    g = TorusGrid(1, 2 * np.pi, 8)
+    p, spec = FracParams(0.5, 1.0), NonlinearitySpec(kind="pure_power", p=3.0)
+    rng = np.random.default_rng(42)
+    u0 = random_spectrum(g, rng, decay=0.2)
+    u0 = Spectrum(g, u0.coeffs * (0.5 + 2.0 * rng.random()))
+    calls, newton_step = [], linking._newton_step
+
+    def recorded(disc, u, R, rnorm):
+        calls.append((u.copy(), rnorm))
+        return newton_step(disc, u, R, rnorm)
+
+    monkeypatch.setattr(linking, "_newton_step", recorded)
+    with pytest.raises(DivergedRefinement, match="stalled"):
+        linking.newton_refine(u0, p, spec, tol=1e-11, max_iters=80)
+    assert len(calls) > 1
+    assert all(not (np.array_equal(a, b) and ra == rb)
+               for (a, ra), (b, rb) in zip(calls, calls[1:]))
 
 
 def test_newton_converges_from_cosine(grid64, params_half, cubic):

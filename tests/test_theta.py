@@ -117,7 +117,7 @@ def test_halfline_rule_polynomial_exactness():
     # int_0^inf y^beta e^{-y} dy = Gamma(beta + 1)
     for beta in (-0.5, 0.0, 0.5):
         rule = halfline_rule(beta, nodes=400)
-        val = rule.integrate(lambda y: np.exp(-y))
+        val = rule.w @ np.exp(-rule.y)
         assert abs(val - math.gamma(beta + 1.0)) < 2e-6 * math.gamma(beta + 1.0)
 
 
@@ -138,9 +138,3 @@ def test_profile_energy_integral_matches_kappa():
     for s in (0.25, 0.5, 0.75):
         val = profile_energy_integral(s, nodes=400)
         assert abs(val - kappa(s)) < 1e-9 * kappa(s)
-
-
-def test_bound_witnesses_finite():
-    w = ThetaProfile(0.3).bound_witnesses()
-    assert 0.9 < w["theta_sup"] <= 1.0 + 1e-6
-    assert np.isfinite(w["conormal_sup"])
