@@ -10,14 +10,16 @@ directory, and one JSON line is printed per item:
     {"item": i, "exit": code, "error": class name or null,
      "level": float | null,                       (solve)
      "alphas": [...], "statuses": [...],          (sweep)
+     "sobolev": {"C_sharp": float, "m0": float},  (sweep)
      "properties": {name: passed},                (verify)
      "trace_rows": rows of solver_trace.csv or null,
      "newton_steps": Newton steps taken inside the item}
 
 Running it in two checkouts with the same arguments and diffing the output
-compares their items: exit codes, levels and alphas to the last digit,
-verify properties, trace lengths and Newton work.  The script imports the
-`fractorus` source of the checkout it sits in.
+compares their items: exit codes, levels, alphas and the sweep's
+critical-Sobolev estimate to the last digit, verify properties, trace lengths
+and Newton work.  The script imports the `fractorus` source of the checkout it
+sits in.
 """
 
 import csv
@@ -71,6 +73,9 @@ def _digest(item: dict, out: Path, code: int, error) -> dict:
             rows = list(csv.DictReader(fh))
         doc["alphas"] = [float(r["alpha"]) for r in rows]
         doc["statuses"] = [r["status"] for r in rows]
+    sobolev = out / "sobolev.json"
+    if sobolev.exists():
+        doc["sobolev"] = json.loads(sobolev.read_text())
     report = out / "verify_report.json"
     if report.exists():
         doc["properties"] = {pr["name"]: pr["passed"]

@@ -36,6 +36,8 @@ from .grids import (
 from .nonlinearity import Discretization, NonlinearitySpec
 from . import energy, linking
 
+SOBOLEV_STARTS, SOBOLEV_TRIALS = 10, 200  # random starts; trial steps per start
+
 
 @dataclass(frozen=True)
 class SobolevEstimate:
@@ -63,14 +65,13 @@ class ContinuationRecord:
 def estimate_sobolev_constant(
     grid: TorusGrid,
     p: FracParams,
-    n_starts: int = 10,
-    iters: int = 200,
     rng: Optional[np.random.Generator] = None,
 ) -> SobolevEstimate:
     """Discrete critical-Sobolev constant by projected Rayleigh ascent.
 
     Maximizes |u|_{L^q} / (sum w^{2s}|k|^{2s}|c_k|^2)^{1/2} with q the critical
     exponent over zero-mean spectra; the mass does not enter the quotient.
+    Returns the best of 10 random starts of at most 200 trial steps each.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -82,29 +83,27 @@ def estimate_sobolev_constant(
     wts = (grid.omega**2 * grid.ksq()) ** p.s
     zero = (0,) * grid.N
 
-    def quotient(c):
-        den = np.sqrt(np.sum(wts * np.abs(c) ** 2).real)
+    def evaluate(c):
         u = inverse_transform(Spectrum(grid, c), check=False)
-        return lq_norm(u, q) / den
+        num, den2 = lq_norm(u, q), np.sum(wts * np.abs(c) ** 2).real
+        return u, num, den2, num / np.sqrt(den2)
 
     best = 0.0
-    for _ in range(n_starts):
+    for _ in range(SOBOLEV_STARTS):
         c = random_spectrum(grid, rng, decay=0.3, zero_mean=True).coeffs.copy()
-        val = quotient(c)
-        step = 0.5
-        for _ in range(iters):
-            # ascent direction: gradient of log-quotient in coefficient space
-            u = inverse_transform(Spectrum(grid, c), check=False)
-            g_num = fft_coeffs(grid, np.abs(u.values) ** (q - 1.0) * np.sign(u.values))
-            num = lq_norm(u, q)
-            den2 = np.sum(wts * np.abs(c) ** 2).real
-            d = g_num * (num ** (1.0 - q)) - (wts * c) / den2
-            d[zero] = 0.0
+        u, num, den2, val = evaluate(c)
+        step, d = 0.5, None
+        for _ in range(SOBOLEV_TRIALS):
+            if d is None:
+                # gradient of num - log den, not of log(num/den) (g_num num^(-q));
+                # kept, as the sweep masses are gated on its m0 (ROADMAP item 6)
+                g_num = fft_coeffs(grid, np.abs(u.values) ** (q - 1.0) * np.sign(u.values))
+                d = g_num * (num ** (1.0 - q)) - (wts * c) / den2
             cand = c + step * d
             cand[zero] = 0.0
-            v = quotient(cand)
-            if v > val:
-                c, val = cand, v
+            trial = evaluate(cand)
+            if trial[-1] > val:
+                c, (u, num, den2, val), d = cand, trial, None
                 step = min(step * 1.3, 2.0)
             else:
                 step *= 0.5

@@ -82,7 +82,7 @@ class SolverState:
     iterate: Spectrum
     level: float
     grad_norm: float
-    status: str  # Converged | MaxIters | NoNontrivialSolution
+    status: str  # Converged | MaxIters | Stalled | NoNontrivialSolution
     trace: list = dc_field(default_factory=list)  # (sweep, level, gnorm, c, r) per sweep
     R: float = 0.0
     R_prime: float = 0.0
@@ -309,7 +309,8 @@ def minimax_search(
         moved = _sphere_step(disc, G, v, level, 1.0, r, step,
                              lambda w: _peak(disc, yhat, w, c, r))
         if moved is None:
-            break  # the descent stalled
+            status = "Stalled"  # _sphere_step found no descent step
+            break
         step, v, (level, c, r, u) = moved
 
     if status == "NoNontrivialSolution":

@@ -248,7 +248,7 @@ def test_main_degenerate_ridge_exits_solver(tmp_path, capsys, doc):
     # the mean mode m^{-s} = 1e150 of the linking rectangle
     pytest.param(_with(("frac", "m"), 1e-300), cli.EXIT_OK, [], id="frac.m-tiny"),
     # caps seeded from a certified radius near 2e50
-    pytest.param(_with(("grid", "T"), 1e-100), cli.EXIT_SOLVER, ["solver error: MaxIters: "],
+    pytest.param(_with(("grid", "T"), 1e-100), cli.EXIT_SOLVER, ["solver error: Stalled: "],
                  id="grid.T-tiny"),
 ])
 def test_main_energy_overflow_is_silent(tmp_path, capsys, doc, want, lines):

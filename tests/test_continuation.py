@@ -36,7 +36,7 @@ def sweep_records(sweep_setup):
 
 def test_sobolev_estimate_arithmetic(sweep_setup):
     grid, p, _, _ = sweep_setup
-    est = continuation.estimate_sobolev_constant(grid, p, n_starts=3, iters=60)
+    est = continuation.estimate_sobolev_constant(grid, p)
     assert est.C_sharp > 0
     assert abs(est.m0 - 1.0 / (2.0 * est.C_sharp**2)) < 1e-15
 
@@ -44,7 +44,7 @@ def test_sobolev_estimate_arithmetic(sweep_setup):
 def test_sobolev_single_mode_lower_bound(sweep_setup):
     # any admissible candidate gives a lower bound; cos x is one of them
     grid, p, _, _ = sweep_setup
-    est = continuation.estimate_sobolev_constant(grid, p, n_starts=3, iters=60)
+    est = continuation.estimate_sobolev_constant(grid, p)
     u = forward_transform(field_from_function(grid, np.cos))
     from fractorus.grids import inverse_transform, lq_norm
 
@@ -56,12 +56,35 @@ def test_sobolev_single_mode_lower_bound(sweep_setup):
 def test_sobolev_monotone_under_refinement():
     p = FracParams(0.5, 1.0)
     coarse = continuation.estimate_sobolev_constant(
-        TorusGrid(1, 2 * np.pi, 16), p, n_starts=4, iters=120, rng=np.random.default_rng(5)
+        TorusGrid(1, 2 * np.pi, 16), p, rng=np.random.default_rng(5)
     )
     fine = continuation.estimate_sobolev_constant(
-        TorusGrid(1, 2 * np.pi, 32), p, n_starts=4, iters=120, rng=np.random.default_rng(5)
+        TorusGrid(1, 2 * np.pi, 32), p, rng=np.random.default_rng(5)
     )
     assert fine.C_sharp >= coarse.C_sharp - 1e-6
+
+
+def test_sobolev_ascent_evaluates_each_iterate_once(monkeypatch):
+    # an accepted trial's samples and an unmoved iterate's direction are
+    # reused, so no transform is ever asked for the same input twice
+    seen = {"inverse": [], "forward": []}
+    inverse, forward = continuation.inverse_transform, continuation.fft_coeffs
+
+    def inverse_once(spec, **kwargs):
+        seen["inverse"].append(spec.coeffs.tobytes())
+        return inverse(spec, **kwargs)
+
+    def forward_once(grid, values):
+        seen["forward"].append(values.tobytes())
+        return forward(grid, values)
+
+    monkeypatch.setattr(continuation, "inverse_transform", inverse_once)
+    monkeypatch.setattr(continuation, "fft_coeffs", forward_once)
+    continuation.estimate_sobolev_constant(
+        TorusGrid(1, 2 * np.pi, 64), FracParams(0.5, 1.0), rng=np.random.default_rng(9)
+    )
+    for inputs in seen.values():
+        assert inputs and len(set(inputs)) == len(inputs)
 
 
 def test_sweep_records(sweep_records):
