@@ -374,14 +374,13 @@ def run(cfg: RunConfig, output_dir=".", solver_trace=False, dump_extension=False
             _write_json(out / "energy.json", {"status": st.status, "level": st.level})
             return _solver_failed(f"{st.status}: level {st.level!r}, dual residual "
                                   f"{st.grad_norm:.3e}, sweeps {len(st.trace)}")
-        u = linking.newton_refine(st.iterate, cfg.frac, cfg.nonlinearity,
-                                  tol=cfg.solver.ps_tol * 0.1)
+        u = st.iterate
         rep = energy.evaluate(u, cfg.frac, cfg.nonlinearity)
         _write_json(out / "solution.json", spectrum_to_json(u))
         _write_json(out / "energy.json", {
             "status": st.status,
             "level": st.level,
-            "residual": linking.residual_norm(u, cfg.frac, cfg.nonlinearity),
+            "residual": st.grad_norm,
             "hs_norm": hs_norm(u, cfg.frac),
             "rho_lb": st.rho,
             "delta_hat": st.delta_hat,
@@ -429,6 +428,7 @@ def run(cfg: RunConfig, output_dir=".", solver_trace=False, dump_extension=False
         if obj.grid != cfg.grid:
             raise ValidationError(f"$.solution_file holds a spectrum on {obj.grid}, "
                                   f"not on $.grid {cfg.grid}")
+        _built("$.solution_file", inverse_transform, obj)  # Hermitian, finite samples
         qs = [2.0, 4.0, 8.0, 16.0]
         if cfg.grid.N > 2 * cfg.frac.s:
             qs = sorted(set(qs) | set(

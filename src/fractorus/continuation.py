@@ -23,10 +23,11 @@ from .errors import (
     NotCauchy,
 )
 from .grids import (
+    Field,
     FracParams,
     Spectrum,
     TorusGrid,
-    fft_coeffs,
+    forward_transform,
     hs_norm,
     inverse_transform,
     lq_norm,
@@ -97,7 +98,8 @@ def estimate_sobolev_constant(
             if d is None:
                 # gradient of num - log den, not of log(num/den) (g_num num^(-q));
                 # kept, as the sweep masses are gated on its m0 (ROADMAP item 6)
-                g_num = fft_coeffs(grid, np.abs(u.values) ** (q - 1.0) * np.sign(u.values))
+                g_num = forward_transform(
+                    Field(grid, np.abs(u.values) ** (q - 1.0) * np.sign(u.values))).coeffs
                 d = g_num * (num ** (1.0 - q)) - (wts * c) / den2
             cand = c + step * d
             cand[zero] = 0.0
@@ -149,7 +151,8 @@ def sweep_m(
                 sol = st.iterate
                 alpha = st.level
             else:
-                sol = linking.newton_refine(warm, p, spec, tol=cfg.ps_tol * 0.1)
+                sol = linking.newton_refine(warm, p, spec,
+                                            tol=cfg.ps_tol * linking.POLISH_TOL_FACTOR)
                 alpha = energy.evaluate(sol, p, spec).value
             res = linking.residual_norm(sol, p, spec)
             if hs_norm(sol, p) < 1e-6 or alpha <= 0:
@@ -205,7 +208,8 @@ def extract_limit(
 
     p0 = FracParams(p_base.s, 0.0)
     seed = project_zero_mean(good[-1].solution)
-    u = linking.newton_refine(seed, p0, spec, tol=tol * 0.1, enforce_zero_mean=True)
+    u = linking.newton_refine(seed, p0, spec, tol=tol * linking.POLISH_TOL_FACTOR,
+                              enforce_zero_mean=True)
     if hs_norm(u, pm1) < 1e-6:
         raise LimitCollapsed("m = 0 refinement collapsed to the trivial solution")
     if linking.residual_norm(u, p0, spec) >= tol:

@@ -9,7 +9,9 @@ with the Nyquist coefficient forced real.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
+from itertools import product
 
 import numpy as np
 
@@ -130,11 +132,12 @@ def _hermitian_full(H: np.ndarray, N: int) -> np.ndarray:
 
 def hermitian_defect(coeffs: np.ndarray) -> float:
     """Relative Hermitian-symmetry defect of a coefficient array."""
-    scale = np.linalg.norm(coeffs.ravel())
+    scale = np.max(np.abs(coeffs))
     if scale == 0.0:
         return 0.0
-    mirror = np.conj(_reverse_modes(coeffs, range(coeffs.ndim)))
-    return np.linalg.norm((coeffs - mirror).ravel()) / scale
+    c = coeffs / scale  # so that the norms cannot overflow
+    mirror = np.conj(_reverse_modes(c, range(c.ndim)))
+    return np.linalg.norm((c - mirror).ravel()) / np.linalg.norm(c.ravel())
 
 
 @dataclass(frozen=True)
@@ -185,43 +188,82 @@ def multiplier(grid: TorusGrid, p: FracParams, shifted: bool = False) -> np.ndar
     return mult
 
 
-def fft_coeffs(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
-    """Paper-normalized DFT coefficients of samples on an m-point-per-axis grid
-    of the torus, m read from the trailing axis; leading axes are batched."""
-    m = values.shape[-1]
-    axes = tuple(range(-grid.N, 0))
-    return np.fft.fftn(values, axes=axes) * (grid.T ** (grid.N / 2.0) / m**grid.N)
+@functools.lru_cache(maxsize=None)
+def _nyquist_weight(N: int, n: int) -> np.ndarray:
+    w = np.where(np.arange(n) == n // 2, 0.5, 1.0)
+    return _frozen_array(functools.reduce(np.multiply.outer, [w] * N), float)
 
 
-def ifft_values(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
-    """Real samples on the m-point-per-axis grid from paper-normalized DFT
-    coefficients, m read from the trailing axis; inverse of fft_coeffs."""
-    m = coeffs.shape[-1]
-    axes = tuple(range(-grid.N, 0))
-    return np.fft.ifftn(coeffs, axes=axes).real * (m**grid.N / grid.T ** (grid.N / 2.0))
+def nyquist_weight(grid: TorusGrid) -> np.ndarray:
+    """1/2 per axis on which |k_i| = n/2, else 1 (full FFT layout, read-only):
+    a coefficient on |k_i| = n/2 stands for the pair +-n/2, each image
+    carrying half of it."""
+    return _nyquist_weight(grid.N, grid.n)
+
+
+def _half_blocks(n: int, m: int, N: int):
+    """(coarse, fine) index pairs placing the retained band of an rfft half
+    spectrum into the rfft layout of the m >= n point grid: on each of the
+    first N - 1 axes the modes 0..n/2 and n/2..n-1 (that is -n/2..-1), so
+    n/2 meets both its images, on the last axis the modes 0..n/2."""
+    ny = n // 2
+    axis = ((slice(0, ny + 1), slice(0, ny + 1)), (slice(ny, n), slice(m - ny, m)))
+    last = (slice(0, ny + 1),)
+    for combo in product(axis, repeat=N - 1):
+        yield ((Ellipsis,) + tuple(c for c, _ in combo) + last,
+               (Ellipsis,) + tuple(f for _, f in combo) + last)
+
+
+def _irfft_values(X: np.ndarray, grid: TorusGrid, m: int) -> np.ndarray:
+    """Real samples on the m-point grid of an rfft half spectrum X in the
+    paper normalization (trailing N axes; leading axes are batched)."""
+    N = grid.N
+    # numpy.fft.irfft is irfftn at N = 1, with less call overhead
+    x = np.fft.irfft(X, m) if N == 1 else np.fft.irfftn(X, (m,) * N, tuple(range(-N, 0)))
+    return x * (m**N / grid.T ** (N / 2.0))
+
+
+def pad_coeffs(coeffs: np.ndarray, grid: TorusGrid, m: int) -> np.ndarray:
+    """Real samples on the refined m-point grid (m > n) of the interpolant of
+    a Hermitian spectrum; leading axes are batched.  Only the modes 0..n/2
+    of the last axis are read.  A coefficient on |k_i| = n/2 lands on both
+    images +-n/2 with its Nyquist weight, so the interpolant stays real (on
+    the last axis -n/2 is the Hermitian mirror, which the half spectrum
+    leaves out)."""
+    g, w = grid, nyquist_weight(grid)
+    big = np.zeros(coeffs.shape[: coeffs.ndim - g.N] + (m,) * (g.N - 1) + (m // 2 + 1,),
+                   dtype=complex)
+    for c, f in _half_blocks(g.n, m, g.N):
+        np.multiply(coeffs[c], w[c], out=big[f])
+    return _irfft_values(big, g, m)
+
+
+def restrict_values(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """Band-projected coefficients of samples on an m-point grid, m >= n read
+    from the trailing axis (leading axes are batched): each band mode sums
+    all its images, so a coefficient on |k_i| = n/2 holds the sum over +-n/2,
+    and the Nyquist planes are made real.  The half spectrum leaves out the
+    -n/2 column of the last axis, the conjugate of the n/2 column at -k over
+    the other axes, so that folded column is the real part of the n/2 column
+    at k plus at -k."""
+    g, N, ny, m = grid, grid.N, grid.n // 2, values.shape[-1]
+    F = np.fft.rfft(values) if N == 1 else np.fft.rfftn(values, axes=tuple(range(-N, 0)))
+    F *= g.T ** (N / 2.0) / m**N
+    out = np.zeros(F.shape[: F.ndim - N] + (g.n,) * (N - 1) + (ny + 1,), dtype=complex)
+    for c, f in _half_blocks(g.n, m, N):
+        out[c] += F[f]
+    col = out[..., ny].real
+    out[..., ny] = col + _reverse_modes(col, range(1 - N, 0))
+    for k in range(1, N):  # the n/2 plane of each of the first N - 1 axes
+        out[(Ellipsis, ny) + (slice(None),) * k].imag = 0.0
+    return _hermitian_full(out, N)
 
 
 def forward_transform(f: Field) -> Spectrum:
-    """Fourier coefficients in the paper normalization (trapezoid/DFT rule)."""
-    g = f.grid
-    return Spectrum(g, _symmetrize_nyquist(g, fft_coeffs(g, f.values)))
-
-
-def _plane(N: int, ax: int, index: int) -> tuple:
-    """Index of the hyperplane `index` along axis ax of the trailing N axes."""
-    sl = [slice(None)] * N
-    sl[ax] = index
-    return (Ellipsis,) + tuple(sl)
-
-
-def _symmetrize_nyquist(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
-    """Force the Nyquist-plane coefficients real (real-field consistency);
-    leading axes are batched."""
-    coeffs = coeffs.copy()
-    for ax in range(grid.N):
-        sl = _plane(grid.N, ax, grid.n // 2)
-        coeffs[sl] = coeffs[sl].real
-    return coeffs
+    """Fourier coefficients in the paper normalization (trapezoid/DFT rule):
+    the restriction at m = n, whose fold doubles each Nyquist plane, times
+    the Nyquist weight."""
+    return Spectrum(f.grid, nyquist_weight(f.grid) * restrict_values(f.values, f.grid))
 
 
 def inverse_transform(S: Spectrum, check: bool = True) -> Field:
@@ -233,7 +275,8 @@ def inverse_transform(S: Spectrum, check: bool = True) -> Field:
             raise SymmetryViolation(
                 f"Hermitian defect {defect:.3e} exceeds {HERMITIAN_TOL:.0e}"
             )
-    return Field(g, ifft_values(g, S.coeffs))
+    with np.errstate(over="ignore", invalid="ignore"):  # Field rejects non-finite samples
+        return Field(g, _irfft_values(S.coeffs[..., : g.n // 2 + 1], g, g.n))
 
 
 def apply_bessel_operator(S: Spectrum, p: FracParams) -> Spectrum:
@@ -289,7 +332,6 @@ def random_spectrum(
     coeffs = S.coeffs
     if decay > 0.0:
         coeffs = coeffs * np.exp(-decay * np.sqrt(grid.ksq()))
-        coeffs = _symmetrize_nyquist(grid, coeffs)
     S = Spectrum(grid, coeffs)
     if zero_mean:
         S = project_zero_mean(S)

@@ -50,6 +50,7 @@ COLLAPSE_TOL = 1e-8
 GRID_A = (9, 17)  # (n_c, n_r) sample points of the linking rectangle
 RIDGE_DIRS = 16  # random sphere directions besides the axis mode and z
 POLISH_AT = 1e-2  # after the first peak, polish once the dual residual is below this
+POLISH_TOL_FACTOR = 0.1  # a Newton polish stops at this fraction of the stopping tolerance
 ALIGN_NEWTON_STEPS = 8  # Newton steps polishing the grid shift in align_spectra
 
 
@@ -293,7 +294,8 @@ def minimax_search(
 
         if sweep == 0 or cfg.ps_tol <= gnorm < POLISH_AT:
             try:
-                polished = _newton_refine(disc, Spectrum(grid, u), tol=cfg.ps_tol * 0.1).coeffs
+                polished = _newton_refine(disc, Spectrum(grid, u),
+                                          tol=cfg.ps_tol * POLISH_TOL_FACTOR).coeffs
             except DivergedRefinement:
                 polished = np.zeros_like(u)  # trivial, so rejected below
             plev = float(disc.levels(polished))
@@ -378,7 +380,7 @@ def _newton_step(disc: Discretization, u: np.ndarray, R: np.ndarray, rnorm: floa
     the dual residual |J s + R|_* <= eta |R|_* with eta = min(FORCING_MAX,
     |R|_*) and |R|_* = rnorm = disc.dual_norms(R)."""
     eta = min(FORCING_MAX, rnorm)
-    return _minres(disc.linearization(u), lambda r: disc.inv_full * r, -R, eta * rnorm,
+    return _minres(disc.linearization(u), disc.precondition, -R, eta * rnorm,
                    min(disc.grid.size, KRYLOV_MAX_ITERS))
 
 

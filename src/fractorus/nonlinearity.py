@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 from functools import partial
-from itertools import product
 from typing import Optional
 
 import numpy as np
@@ -27,11 +26,11 @@ from .grids import (
     FracParams,
     Spectrum,
     TorusGrid,
-    _hermitian_full,
-    _plane,
-    _reverse_modes,
     forward_transform,
     multiplier,
+    nyquist_weight,
+    pad_coeffs,
+    restrict_values,
 )
 
 
@@ -133,75 +132,6 @@ def padded_size(n: int, spec: Optional[NonlinearitySpec]) -> int:
     return m + (m % 2)
 
 
-def _half_blocks(n: int, m: int, N: int):
-    """(coarse, fine) index pairs placing the retained band of an rfft half
-    spectrum into the padded layout: on each of the first N - 1 axes the
-    modes 0..n/2 and -n/2+1..-1, on the last axis the modes 0..n/2."""
-    ny = n // 2
-    axis = ((slice(0, ny + 1), slice(0, ny + 1)), (slice(ny + 1, n), slice(m - ny + 1, m)))
-    last = (slice(0, ny + 1),)
-    for combo in product(axis, repeat=N - 1):
-        yield ((Ellipsis,) + tuple(c for c, _ in combo) + last,
-               (Ellipsis,) + tuple(f for _, f in combo) + last)
-
-
-def _pad_half(X: np.ndarray, grid: TorusGrid, m: int) -> np.ndarray:
-    """The band of an rfft half spectrum (trailing N axes) in the rfft layout
-    of the m > n point grid, each Nyquist coefficient split evenly onto
-    +-n/2 so the interpolant stays real (on the last axis -n/2 is the
-    Hermitian mirror, which the half spectrum leaves out)."""
-    N, ny = grid.N, grid.n // 2
-    lead = X.shape[: X.ndim - N]
-    big = np.zeros(lead + (m,) * (N - 1) + (m // 2 + 1,), dtype=complex)
-    for c, f in _half_blocks(grid.n, m, N):
-        big[f] = X[c]
-    for ax in range(N - 1):
-        big[_plane(N, ax, ny)] *= 0.5
-        big[_plane(N, ax, m - ny)] = big[_plane(N, ax, ny)]
-    big[..., ny] *= 0.5
-    return big
-
-
-def _restrict_half(F: np.ndarray, grid: TorusGrid, m: int) -> np.ndarray:
-    """The band of an rfft half spectrum of the m > n point grid (F is
-    overwritten): -n/2 folded onto n/2 on every axis, and the Nyquist planes
-    made real.  The half spectrum leaves out the -n/2 column of the last
-    axis, the conjugate of the n/2 column at -k over the other axes, so the
-    folded column is the real part of the n/2 column at k plus at -k."""
-    N, ny = grid.N, grid.n // 2
-    for ax in range(N - 1):
-        F[_plane(N, ax, ny)] += F[_plane(N, ax, m - ny)]
-    lead = F.shape[: F.ndim - N]
-    out = np.empty(lead + (grid.n,) * (N - 1) + (ny + 1,), dtype=complex)
-    for c, f in _half_blocks(grid.n, m, N):
-        out[c] = F[f]
-    col = out[..., ny].real
-    out[..., ny] = col + _reverse_modes(col, range(1 - N, 0))
-    for ax in range(N - 1):
-        out[_plane(N, ax, ny)] = out[_plane(N, ax, ny)].real
-    return out
-
-
-def pad_coeffs(coeffs: np.ndarray, grid: TorusGrid, m: int) -> np.ndarray:
-    """Real samples on the refined m-point grid (m > n) of the interpolant of
-    a Hermitian spectrum; leading axes are batched.  Only the modes 0..n/2
-    of the last axis are read.
-    """
-    g, axes = grid, tuple(range(-grid.N, 0))
-    X = _pad_half(coeffs[..., : g.n // 2 + 1], g, m)
-    # numpy.fft.irfft and rfft are irfftn and rfftn at N = 1, with less call overhead
-    x = np.fft.irfft(X, m) if g.N == 1 else np.fft.irfftn(X, (m,) * g.N, axes)
-    return x * (m**g.N / g.T ** (g.N / 2.0))
-
-
-def restrict_values(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """Band-projected coefficients of refined-grid samples (batched)."""
-    g, axes, m = grid, tuple(range(-grid.N, 0)), values.shape[-1]
-    F = np.fft.rfft(values) if g.N == 1 else np.fft.rfftn(values, axes=axes)
-    F *= g.T ** (g.N / 2.0) / m**g.N
-    return _hermitian_full(_restrict_half(F, g, m), g.N)
-
-
 # ---------------------------------------------------------------------------
 # the discretized reduced functional
 
@@ -213,12 +143,12 @@ class Discretization:
 
     on one grid.  The multipliers, the padded grid size, the coefficient a(x)
     sampled on the padded grid and the padded cell volume are built once.
-    Every product is dealiased by the one real-FFT pad and restrict of this
-    module, pad_coeffs and restrict_values.  The nonlinear parts of grad and
+    Every product is dealiased by the one real-FFT pad and restrict of
+    grids, pad_coeffs and restrict_values.  The nonlinear parts of grad and
     linearization are the adjoint of the pad in the pairing
-    Re sum_k conj(R_k) w_k: restrict_values times `pairing`, which is 1/2
-    per axis on which |k_i| = n/2 (the pad splits such a coefficient evenly
-    onto +-n/2, the restriction folds in their sum).  So grad is the
+    Re sum_k conj(R_k) w_k: restrict_values times `pairing`, the
+    nyquist_weight of the grid (the pad splits a coefficient on |k_i| = n/2
+    evenly onto +-n/2, the restriction sums the two).  So grad is the
     exact derivative of levels, and the Jacobian is symmetric on the band.
     Every method takes coefficient arrays whose trailing N axes are the grid;
     leading axes are batch axes, so a single spectrum is the case of none.
@@ -251,10 +181,7 @@ class Discretization:
             put("shifted", multiplier(g, self.params, shifted=True))
             put("full", full)
             put("inv_full", np.where(full > 0.0, 1.0 / np.maximum(full, 1e-300), 1.0))
-        pairing = np.ones(g.shape)
-        for ax in range(g.N):
-            pairing[_plane(g.N, ax, g.n // 2)] *= 0.5
-        put("pairing", pairing)
+        put("pairing", nyquist_weight(g))
         m = padded_size(g.n, spec)
         put("m_pad", m)
         put("cell", (g.T / m) ** g.N)
@@ -305,9 +232,7 @@ class Discretization:
     def precondition(self, R: np.ndarray) -> np.ndarray:
         """X-metric gradient R_k / (omega^2|k|^2+m^2)^s; a zero-multiplier mode
         (k = 0 at m = 0) stays in the L2 metric."""
-        out = np.array(R, dtype=complex)
-        np.divide(R, self.full, out=out, where=self.full != 0.0)
-        return out
+        return self.inv_full * R
 
     def dual_norms(self, R: np.ndarray) -> np.ndarray:
         """sqrt(sum_k |R_k|^2 / (omega^2|k|^2+m^2)^s); a zero-multiplier mode

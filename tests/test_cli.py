@@ -205,6 +205,10 @@ MALFORMED = [
                  id="solution_file-nan"),
     pytest.param("diagnose", _with(("solution_file",), "{tmp}/field.json", mode="diagnose"),
                  id="solution_file-field"),
+    pytest.param("diagnose", _with(("solution_file",), "{tmp}/huge.json", mode="diagnose"),
+                 id="solution_file-samples-overflow"),
+    pytest.param("diagnose", _with(("solution_file",), "{tmp}/non-hermitian.json",
+                                   mode="diagnose"), id="solution_file-non-hermitian"),
     pytest.param("sweep", _with(("mode",), "solve"), id="sweep-on-solve-config"),
     pytest.param("solve", {k: v for k, v in _with(("mode",), "verify").items()
                            if k != "nonlinearity"}, id="solve-on-verify-config"),
@@ -220,6 +224,12 @@ def test_main_malformed_config_exits_config(tmp_path, capsys, mode, doc):
     (tmp_path / "nan.json").write_text(json.dumps(spectrum_to_json(nan)))
     field = {"grid": {"N": 1, "T": 2 * np.pi, "n": 64}, "kind": "field", "data": [0.0] * 64}
     (tmp_path / "field.json").write_text(json.dumps(field))
+    huge = Spectrum(TorusGrid(1, 2 * np.pi, 64), np.full(64, 1e308, complex))
+    (tmp_path / "huge.json").write_text(json.dumps(spectrum_to_json(huge)))
+    skew = np.zeros(64, complex)
+    skew[0] = 1j  # an imaginary mean: no real field has this spectrum
+    skew = Spectrum(TorusGrid(1, 2 * np.pi, 64), skew)
+    (tmp_path / "non-hermitian.json").write_text(json.dumps(spectrum_to_json(skew)))
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(doc).replace("{tmp}", str(tmp_path)))
     code = cli.main([mode, "--config", str(cfg_path), "--output", str(tmp_path)])

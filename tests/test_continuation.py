@@ -68,18 +68,18 @@ def test_sobolev_ascent_evaluates_each_iterate_once(monkeypatch):
     # an accepted trial's samples and an unmoved iterate's direction are
     # reused, so no transform is ever asked for the same input twice
     seen = {"inverse": [], "forward": []}
-    inverse, forward = continuation.inverse_transform, continuation.fft_coeffs
+    inverse, forward = continuation.inverse_transform, continuation.forward_transform
 
     def inverse_once(spec, **kwargs):
         seen["inverse"].append(spec.coeffs.tobytes())
         return inverse(spec, **kwargs)
 
-    def forward_once(grid, values):
-        seen["forward"].append(values.tobytes())
-        return forward(grid, values)
+    def forward_once(f):
+        seen["forward"].append(f.values.tobytes())
+        return forward(f)
 
     monkeypatch.setattr(continuation, "inverse_transform", inverse_once)
-    monkeypatch.setattr(continuation, "fft_coeffs", forward_once)
+    monkeypatch.setattr(continuation, "forward_transform", forward_once)
     continuation.estimate_sobolev_constant(
         TorusGrid(1, 2 * np.pi, 64), FracParams(0.5, 1.0), rng=np.random.default_rng(9)
     )

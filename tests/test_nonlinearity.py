@@ -10,9 +10,9 @@ from fractorus.grids import (
     FracParams,
     Spectrum,
     TorusGrid,
-    fft_coeffs,
     field_from_function,
     forward_transform,
+    nyquist_weight,
     random_spectrum,
 )
 from fractorus.nonlinearity import (
@@ -96,7 +96,8 @@ def test_pad_coeffs_is_the_band_interpolant(N, n, rng):
     m = padded_size(n, NonlinearitySpec(kind="pure_power", p=3.0))
     # DFT coefficients of real samples: Hermitian, with (for N > 1) nonreal
     # coefficients on the Nyquist planes
-    C = fft_coeffs(g, rng.standard_normal((2,) + g.shape))
+    axes = tuple(range(-N, 0))
+    C = np.fft.fftn(rng.standard_normal((2,) + g.shape), axes=axes) * (g.T ** (N / 2.0) / n**N)
     for ax in range(N):
         plane = C[(Ellipsis,) + (slice(None),) * ax + (n // 2,) + (slice(None),) * (N - 1 - ax)]
         assert np.max(np.abs(plane.imag if N > 1 else plane)) > 1e-3
@@ -107,13 +108,16 @@ def test_pad_coeffs_is_the_band_interpolant(N, n, rng):
     assert np.max(np.abs(got - want.real)) < 1e-12 * np.max(np.abs(want))
 
 
-@pytest.mark.parametrize("N,n", [(1, 16), (2, 8), (3, 4)])
-def test_restrict_values_is_the_folded_projection(N, n, rng):
+@pytest.mark.parametrize("N,n,padded", [
+    *(pytest.param(N, n, True, id=f"{N}-{n}") for N, n in [(1, 16), (2, 8), (3, 4)]),
+    *(pytest.param(N, n, False, id=f"{N}-{n}-unpadded") for N, n in [(1, 16), (2, 8), (3, 4)]),
+])
+def test_restrict_values_is_the_folded_projection(N, n, padded, rng):
     # c_k = T^{N/2}/m^N sum_x v(x) prod_i psi_{k_i}(x_i), psi_k = e^{-i omega k x};
     # on the Nyquist mode the +-n/2 pair is folded, psi = 2 cos(omega n/2 x),
     # and the coefficient is real
     g = TorusGrid(N, 2 * np.pi, n)
-    m = padded_size(n, NonlinearitySpec(kind="pure_power", p=3.0))
+    m = padded_size(n, NonlinearitySpec(kind="pure_power", p=3.0)) if padded else n
     v = rng.standard_normal((2,) + (m,) * N)
     k = g.axis_wavenumbers()
     x = np.arange(m) * (g.T / m)
@@ -128,6 +132,10 @@ def test_restrict_values_is_the_folded_projection(N, n, rng):
         want[sl] = want[sl].real
     got = restrict_values(v, g)
     assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+    if not padded:  # at m = n, times the Nyquist weight, the forward transform
+        for b in range(2):
+            assert np.array_equal(nyquist_weight(g) * got[b],
+                                  forward_transform(Field(g, v[b])).coeffs)
 
 
 def test_cubing_cos_is_alias_free(grid64, cubic):
