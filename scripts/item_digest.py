@@ -13,13 +13,14 @@ directory, and one JSON line is printed per item:
      "sobolev": {"C_sharp": float, "m0": float},  (sweep)
      "properties": {name: passed},                (verify)
      "trace_rows": rows of solver_trace.csv or null,
-     "newton_steps": Newton steps taken inside the item}
+     "newton_steps": Newton steps taken inside the item,
+     "pad_calls": calls of the dealiasing pad `pad_coeffs` inside the item}
 
 Running it in two checkouts with the same arguments and diffing the output
 compares their items: exit codes, levels, alphas and the sweep's
-critical-Sobolev estimate to the last digit, verify properties, trace lengths
-and Newton work.  The script imports the `fractorus` source of the checkout it
-sits in.
+critical-Sobolev estimate to the last digit, verify properties, trace lengths,
+Newton work and padding work.  The script imports the `fractorus` source of
+the checkout it sits in.
 """
 
 import csv
@@ -31,21 +32,25 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-from fractorus import cli, linking  # noqa: E402
+from fractorus import cli, grids, linking  # noqa: E402
 from fractorus.errors import FractorusError, ParseError, ValidationError  # noqa: E402
 import workloads  # noqa: E402
 
 
-def _count_newton_steps():
-    """Wrap linking._newton_step (looked up at call time by the Newton loop)
-    and return the list whose length is the number of steps so far."""
-    calls, step = [], linking._newton_step
+def _count_calls(fn, modules):
+    """Replace fn in every module that binds it by name (each looks it up at
+    call time) and return the list whose length is the number of calls so
+    far."""
+    calls = []
 
     def counted(*args, **kwargs):
         calls.append(None)
-        return step(*args, **kwargs)
+        return fn(*args, **kwargs)
 
-    linking._newton_step = counted
+    for mod in modules:
+        for attr, val in list(vars(mod).items()):
+            if val is fn:
+                setattr(mod, attr, counted)
     return calls
 
 
@@ -92,14 +97,16 @@ def main(argv=None) -> int:
         return 2
     workload, seed, seconds = args[0], int(args[1]), float(args[2])
     items = workloads.generate(workload, seed, workloads.item_count(workload, seconds))
-    steps = _count_newton_steps()
+    modules = [m for k, m in sys.modules.items() if k.split(".")[0] == "fractorus"]
+    steps = _count_calls(linking._newton_step, modules)
+    pads = _count_calls(grids.pad_coeffs, modules)
     with tempfile.TemporaryDirectory() as tmp:
         for i, item in enumerate(items):
             out = Path(tmp) / f"item{i}"
-            before = len(steps)
+            before = len(steps), len(pads)
             code, error = _run(item, out)
             doc = {"item": i, **_digest(item, out, code, error),
-                   "newton_steps": len(steps) - before}
+                   "newton_steps": len(steps) - before[0], "pad_calls": len(pads) - before[1]}
             print(json.dumps(doc), flush=True)
     return 0
 

@@ -191,6 +191,8 @@ def parse_config(text: str) -> RunConfig:
         if len(m_list) < 2:
             raise ValidationError("$.m_list needs at least two masses: the m = 0 "
                                   "limit is taken from a converged branch")
+        if not (grid.omega**2) ** frac.s > 0.0:  # the Sobolev weight (omega^2 |k|^2)^s at |k| = 1
+            raise ValidationError(f"$.grid.T = {grid.T!r}: the Sobolev weights underflow to 0")
 
     seed = _built("$.seed", _integer, doc.get("seed", 0))
     if seed < 0:

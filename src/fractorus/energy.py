@@ -42,10 +42,10 @@ def evaluate(
     u: Spectrum, p: FracParams, spec: Optional[NonlinearitySpec]
 ) -> EnergyReport:
     """Energy report; spec=None suppresses the nonlinear term (probe mode)."""
-    disc = Discretization(u.grid, p, spec)
-    quad = float(disc.quadratic(u.coeffs))
-    nl = float(disc.nonlinear_energy(u.coeffs)) if spec is not None else 0.0
-    grad_norm = Spectrum(u.grid, disc.grad(u.coeffs)).l2_norm()
+    pt = Discretization(u.grid, p, spec).at(u.coeffs)
+    quad = float(pt.quadratic)
+    nl = float(pt.nonlinear_energy) if spec is not None else 0.0
+    grad_norm = Spectrum(u.grid, pt.grad).l2_norm()
     return EnergyReport(value=quad - nl, quad=quad, nl=nl, grad_norm=grad_norm)
 
 
@@ -64,7 +64,7 @@ def gradient(
     if metric not in ("L2", "X"):
         raise DomainError(f"unknown metric {metric!r}")
     disc = Discretization(u.grid, p, spec)
-    R = disc.grad(u.coeffs)
+    R = disc.at(u.coeffs).grad
     return Spectrum(u.grid, R if metric == "L2" else disc.precondition(R))
 
 
@@ -79,7 +79,7 @@ def quadratic_gap(u: Spectrum, p: FracParams) -> float:
     h = hs_norm(u, p)
     if h == 0.0:
         raise DomainError("quadratic_gap undefined at u = 0")
-    return 2.0 * float(Discretization(u.grid, p, None).quadratic(u.coeffs)) / h**2
+    return 2.0 * float(Discretization(u.grid, p, None).at(u.coeffs).quadratic) / h**2
 
 
 def coercivity_constant(grid, p: FracParams) -> float:

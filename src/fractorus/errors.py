@@ -51,15 +51,14 @@ class NoPositiveRidge(FractorusError):
 
 
 class BoundaryNotNegative(FractorusError):
-    """Functional is positive somewhere on the linking-set boundary."""
+    """Functional is positive, or not finite, somewhere on the linking-set boundary."""
 
-    def __init__(self, R, R_prime, witness=None):
+    def __init__(self, R, R_prime, witness):
         self.R = R
         self.R_prime = R_prime
         self.witness = witness
-        super().__init__(
-            f"energy > 0 on linking boundary (R={R}, R'={R_prime}, witness={witness})"
-        )
+        what = "energy > 0" if witness["level"] < float("inf") else "energy not finite"
+        super().__init__(f"{what} on linking boundary (R={R}, R'={R_prime}, witness={witness})")
 
 
 class DivergedRefinement(FractorusError):

@@ -37,7 +37,7 @@ from .grids import (
     project_zero_mean,
     random_spectrum,
 )
-from .nonlinearity import Discretization, NonlinearitySpec
+from .nonlinearity import Discretization, NonlinearitySpec, Point
 
 # Not used here; kept as names of this module because perfbench's tests check
 # that the tracer wraps `linking.pad_coeffs` and `linking.energy.multiplier`.
@@ -137,17 +137,16 @@ def ridge_estimate(grid: TorusGrid, p: FracParams, spec: Optional[NonlinearitySp
         d = random_spectrum(grid, rng, decay=0.5, zero_mean=True)
         dirs.append(Spectrum(grid, d.coeffs / disc.hs_norms(d.coeffs)))
     D = np.stack([d.coeffs for d in dirs])
-    lv = np.stack([disc.levels(r * D) for r in radii])
+    lv = np.stack([disc.at(r * D).level for r in radii])
     i = int(np.argmax(np.min(lv, axis=1)))
     j = int(np.argmin(lv[i]))
-    eta, v, rho, step = float(radii[i]), radii[i] * D[j], float(lv[i, j]), 0.25
+    eta, pt, step = float(radii[i]), disc.at(radii[i] * D[j]), 0.25
     for _ in range(200):
-        moved = _sphere_step(disc, disc.grad(v), v, rho, eta, 1.0, step,
-                             lambda w: (float(disc.levels(w)),))
+        moved = _sphere_step(pt, pt.U, eta, 1.0, step, lambda w: (disc.at(w),))
         if moved is None:
             break
-        step, v, (rho,) = moved
-    return eta, rho
+        step, _, (pt,) = moved
+    return eta, float(pt.level)
 
 
 def _ridge_bound(disc: Discretization):
@@ -174,13 +173,14 @@ def _ridge_bound(disc: Discretization):
     return float(eta), float(rho)
 
 
-def _sphere_step(disc: Discretization, G, v, lv, radius, scale, step, value):
+def _sphere_step(pt: Point, v, radius, scale, step, value):
     """Projected Armijo step on the zero-mean H^s sphere of the given radius:
-    tang is scale times the zero-mean X-gradient of the L2 gradient G with
-    its part along v removed, and t halves from step until w = v - t tang,
-    rescaled to the sphere, has value(w)[0] < lv - ARMIJO_SLOPE t |tang|^2.
-    Returns (next step, w, value(w)), or None when no t passes."""
-    gX = disc.precondition(G)
+    tang is scale times the zero-mean X-gradient at the point pt with its
+    part along v removed, and t halves from step until w = v - t tang,
+    rescaled to the sphere, has value(w)[0].level < pt.level - ARMIJO_SLOPE
+    t |tang|^2.  Returns (next step, w, value(w)), or None when no t passes."""
+    disc = pt.disc
+    gX = disc.precondition(pt.grad)
     gX[(0,) * disc.grid.N] = 0.0  # stay on the zero-mean subspace
     inner = np.real(np.sum(disc.full * gX * np.conj(v))) / radius**2
     tang = scale * (gX - inner * v)
@@ -192,7 +192,7 @@ def _sphere_step(disc: Discretization, G, v, lv, radius, scale, step, value):
         w = v - trial * tang
         w = radius * w / disc.hs_norms(w)
         out = value(w)
-        if out[0] < lv - ARMIJO_SLOPE * trial * sz**2:
+        if out[0].level < pt.level - ARMIJO_SLOPE * trial * sz**2:
             return min(trial * 1.5, 4.0), w, out
         trial *= ARMIJO_SHRINK
     return None
@@ -202,22 +202,23 @@ def _calibrate_caps(disc: Discretization, yhat, z, cfg: LinkingConfig, eta: floa
     """The caps R, R', the sampled c and r and the levels at c yhat + r z,
     once the sampled boundary of A is nonpositive.  Two given caps are tried
     as they are; otherwise both double from the given cap or from R =
-    max(2 eta, 1).  Raises BoundaryNotNegative when that fails."""
+    max(2 eta, 1).  Raises BoundaryNotNegative when that fails or a level is not finite."""
     R = cfg.R if cfg.R > 0 else max(2.0 * eta, 1.0)
     Rp = cfg.R_prime if cfg.R_prime > 0 else R
     fixed = cfg.R > 0 and cfg.R_prime > 0
     nc, nr = GRID_A
     for _ in range(40):
-        cs = np.linspace(-Rp, Rp, nc)
-        rs = np.linspace(0.0, R, nr)
-        lv = disc.levels(np.multiply.outer(cs, yhat.coeffs)[:, None]
-                         + np.multiply.outer(rs, z.coeffs))
+        with np.errstate(all="ignore"):
+            cs = np.linspace(-Rp, Rp, nc)
+            rs = np.linspace(0.0, R, nr)
+            lv = disc.at(np.multiply.outer(cs, yhat.coeffs)[:, None]
+                         + np.multiply.outer(rs, z.coeffs)).level
         mask = np.ones((nc, nr), dtype=bool)  # the boundary of the rectangle
         mask[1:-1, 1:-1] = False
         worst = float(np.max(lv[mask]))
         if worst <= 0.0:
             return R, Rp, cs, rs, lv
-        if fixed:
+        if fixed or not worst < np.inf:
             idx = np.unravel_index(np.argmax(np.where(mask, lv, -np.inf)), lv.shape)
             raise BoundaryNotNegative(
                 R, Rp, witness={"c": float(cs[idx[0]]), "r": float(rs[idx[1]]), "level": worst}
@@ -231,32 +232,29 @@ def _peak(disc: Discretization, yhat: Spectrum, v: np.ndarray, c: float, r: floa
     """P(v): the local maximum of I over c yhat + r v with r > 0, by damped
     Newton on the 2x2 system from (c, r).  Where the 2x2 Hessian is not
     negative definite the step is the gradient instead; a step that does not
-    raise I is halved.  Returns (level, c, r, u)."""
-    W = np.stack([yhat.coeffs, v])
-    Wc = np.conj(W).reshape(2, -1)
+    raise I is halved.  Returns (point, c, r); W = [yhat, v] is padded once."""
+    W = disc.at(np.stack([yhat.coeffs, v]))
+    Wc = np.conj(W.U).reshape(2, -1)
     x = np.array([c, r])
-    u = np.tensordot(x, W, 1)
-    lv = float(disc.levels(u))
+    pt = disc.at(np.tensordot(x, W.U, 1))
     for _ in range(50):
         # derivatives of (c, r) -> I(c yhat + r v): g_a = <grad, W_a>, H_ab = <J W_b, W_a>
-        g = np.real(Wc @ disc.grad(u).ravel())
-        H = np.real(Wc @ disc.linearization(u)(W).reshape(2, -1).T)
+        g = np.real(Wc @ pt.grad.ravel())
+        H = np.real(Wc @ pt.linearization(W).reshape(2, -1).T)
         newton = H[0, 0] < 0.0 and np.linalg.det(H) > 0.0
         d = np.linalg.solve(H, -g) if newton else g
-        if g @ d <= 1e-14 * abs(lv):  # a rise the level cannot resolve
+        if g @ d <= 1e-14 * abs(pt.level):  # a rise the level cannot resolve
             break
         t = 1.0
         for _ in range(30):
             xt = x + t * d
-            ut = np.tensordot(xt, W, 1)
-            lt = float(disc.levels(ut)) if xt[1] > 0.0 else -np.inf
-            if lt > lv:
+            if xt[1] > 0.0 and (trial := disc.at(np.tensordot(xt, W.U, 1))).level > pt.level:
                 break
             t *= ARMIJO_SHRINK
         else:
             break
-        x, u, lv = xt, ut, lt
-    return lv, float(x[0]), float(x[1]), u
+        x, pt = xt, trial
+    return pt, float(x[0]), float(x[1])
 
 
 def minimax_search(
@@ -274,33 +272,33 @@ def minimax_search(
     delta_hat = float(np.max(lv))
     i, j = np.unravel_index(int(np.argmax(lv)), lv.shape)
     v = z.coeffs
-    level, c, r, u = _peak(disc, yhat, v, float(cs[i]), float(rs[j]))
+    pt, c, r = _peak(disc, yhat, v, float(cs[i]), float(rs[j]))
+
+    def stops(pt):
+        return pt.gnorm < cfg.ps_tol and rho - 1e-6 <= pt.level <= delta_hat + 1e-12
 
     trace = []
-    status = "MaxIters"
     step = 1.0
     for sweep in range(cfg.max_iters):
-        G = disc.grad(u)
-        gnorm = float(disc.dual_norms(G))
-        trace.append((sweep, level, gnorm, c, r))
+        gnorm = float(pt.gnorm)
+        trace.append((sweep, float(pt.level), gnorm, c, r))
 
-        if disc.hs_norms(u) < COLLAPSE_TOL:
+        if disc.hs_norms(pt.U) < COLLAPSE_TOL:
             status = "NoNontrivialSolution"
             break
 
-        if gnorm < cfg.ps_tol and rho - 1e-6 <= level <= delta_hat + 1e-12:
+        if stops(pt):
             status = "Converged"
             break
 
         if sweep == 0 or cfg.ps_tol <= gnorm < POLISH_AT:
             try:
-                polished = _newton_refine(disc, Spectrum(grid, u),
-                                          tol=cfg.ps_tol * POLISH_TOL_FACTOR).coeffs
+                polished = _newton_refine(pt, tol=cfg.ps_tol * POLISH_TOL_FACTOR)
             except DivergedRefinement:
-                polished = np.zeros_like(u)  # trivial, so rejected below
-            plev = float(disc.levels(polished))
-            if 0.0 < plev <= min(level, delta_hat) + 1e-12 and disc.hs_norms(polished) > 1e-6:
-                u, level = polished, plev
+                polished = disc.at(np.zeros_like(pt.U))  # trivial, so rejected below
+            plev = float(polished.level)
+            if 0.0 < plev <= min(pt.level, delta_hat) + 1e-12 and disc.hs_norms(polished.U) > 1e-6:
+                pt, u = polished, polished.U
                 c = float(np.real(np.sum(disc.full * u * np.conj(yhat.coeffs))))
                 r = float(disc.hs_norms(u - c * yhat.coeffs))
                 v = (u - c * yhat.coeffs) / r
@@ -308,19 +306,21 @@ def minimax_search(
 
         # projected Armijo step of phi(v) = I(P(v)), whose X-gradient is r
         # times the tangential zero-mean part of the X-gradient at the peak
-        moved = _sphere_step(disc, G, v, level, 1.0, r, step,
-                             lambda w: _peak(disc, yhat, w, c, r))
+        moved = _sphere_step(pt, v, 1.0, r, step, lambda w: _peak(disc, yhat, w, c, r))
         if moved is None:
             status = "Stalled"  # _sphere_step found no descent step
             break
-        step, v, (level, c, r, u) = moved
+        step, v, (pt, c, r) = moved
+    else:  # the point the last sweep moved to may already meet the stopping rule
+        status = "Converged" if stops(pt) else "MaxIters"
 
+    level = float(pt.level)
     if status == "NoNontrivialSolution":
-        u = np.zeros(grid.shape, dtype=complex)
+        pt = disc.at(np.zeros(grid.shape, dtype=complex))
     return SolverState(
-        iterate=Spectrum(grid, u),
+        iterate=Spectrum(grid, pt.U),
         level=level,
-        grad_norm=_residual_norm(disc, u),
+        grad_norm=float(pt.gnorm),
         status=status,
         trace=trace,
         R=R,
@@ -374,14 +374,15 @@ def _minres(apply, precondition, b: np.ndarray, tol: float, max_iters: int) -> n
     return x
 
 
-def _newton_step(disc: Discretization, u: np.ndarray, R: np.ndarray, rnorm: float) -> np.ndarray:
-    """Inexact Newton step on the band: MINRES on J s = -R, J =
-    disc.linearization(u), preconditioned by the inverse full multiplier, to
-    the dual residual |J s + R|_* <= eta |R|_* with eta = min(FORCING_MAX,
-    |R|_*) and |R|_* = rnorm = disc.dual_norms(R)."""
+def _newton_step(pt: Point) -> np.ndarray:
+    """Inexact Newton step on the band at the point pt: MINRES on J s = -R, J
+    = pt.linearization and R = pt.grad, preconditioned by the inverse full
+    multiplier, to the dual residual |J s + R|_* <= eta |R|_* with eta =
+    min(FORCING_MAX, |R|_*) and |R|_* = pt.gnorm."""
+    disc, rnorm = pt.disc, float(pt.gnorm)
     eta = min(FORCING_MAX, rnorm)
-    return _minres(disc.linearization(u), disc.precondition, -R, eta * rnorm,
-                   min(disc.grid.size, KRYLOV_MAX_ITERS))
+    return _minres(lambda w: pt.linearization(disc.at(w)), disc.precondition, -pt.grad,
+                   eta * rnorm, min(disc.grid.size, KRYLOV_MAX_ITERS))
 
 
 def newton_refine(
@@ -401,41 +402,32 @@ def newton_refine(
     DivergedRefinement when no damping of a step lowers the residual, or
     after max_iters steps.
     """
-    disc = Discretization(u0.grid, p, spec)
-    return _newton_refine(disc, u0, tol, max_iters, enforce_zero_mean)
-
-
-def _newton_refine(
-    disc: Discretization,
-    u0: Spectrum,
-    tol: float = 1e-10,
-    max_iters: int = 60,
-    enforce_zero_mean: bool = False,
-) -> Spectrum:
     u = (project_zero_mean(u0) if enforce_zero_mean else u0).coeffs
-    R = disc.grad(u)
-    rnorm = float(disc.dual_norms(R))
+    pt = Discretization(u0.grid, p, spec).at(u)
+    return Spectrum(u0.grid, _newton_refine(pt, tol, max_iters, enforce_zero_mean).U)
+
+
+def _newton_refine(pt: Point, tol: float, max_iters: int = 60,
+                   enforce_zero_mean: bool = False) -> Point:
     for _ in range(max_iters):
-        if rnorm < tol:
-            return Spectrum(disc.grid, u)
-        step = _newton_step(disc, u, R, rnorm)
+        if pt.gnorm < tol:
+            return pt
+        step = _newton_step(pt)
         if enforce_zero_mean:
-            step[(0,) * disc.grid.N] = 0.0
+            step[(0,) * pt.disc.grid.N] = 0.0
         lam = 1.0
         for _ in range(25):
-            cand = u + lam * step
-            Rc = disc.grad(cand)
-            rc = float(disc.dual_norms(Rc))
-            if rc < rnorm * (1.0 - ARMIJO_SLOPE * lam):
-                u, R, rnorm = cand, Rc, rc
+            cand = pt.disc.at(pt.U + lam * step)
+            if cand.gnorm < pt.gnorm * (1.0 - ARMIJO_SLOPE * lam):
+                pt = cand
                 break
             lam *= 0.5
         else:
-            # u, R and rnorm are unchanged, so a retry would repeat this step
-            raise DivergedRefinement(f"residual stalled at {rnorm:.3e} (tol {tol:.1e})")
-    if rnorm < tol:
-        return Spectrum(disc.grid, u)
-    raise DivergedRefinement(f"no convergence in {max_iters} iterations, residual {rnorm:.3e}")
+            # pt is unchanged, so a retry would repeat this step
+            raise DivergedRefinement(f"residual stalled at {pt.gnorm:.3e} (tol {tol:.1e})")
+    if pt.gnorm < tol:
+        return pt
+    raise DivergedRefinement(f"no convergence in {max_iters} iterations, residual {pt.gnorm:.3e}")
 
 
 def residual_norm(u: Spectrum, p: FracParams, spec: Optional[NonlinearitySpec]) -> float:
@@ -444,11 +436,7 @@ def residual_norm(u: Spectrum, p: FracParams, spec: Optional[NonlinearitySpec]) 
     Weights are 1/(w^2|k|^2+m^2)^s; the singular k = 0 mode at m = 0 keeps
     unit weight so nonzero-mean defects still register.
     """
-    return _residual_norm(Discretization(u.grid, p, spec), u.coeffs)
-
-
-def _residual_norm(disc: Discretization, coeffs: np.ndarray) -> float:
-    return float(disc.dual_norms(disc.grad(coeffs)))
+    return float(Discretization(u.grid, p, spec).at(u.coeffs).gnorm)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from functools import partial
+from functools import cached_property, partial
 from typing import Optional
 
 import numpy as np
@@ -104,11 +104,6 @@ def f_eval(spec: NonlinearitySpec, coeff: np.ndarray, t: np.ndarray) -> np.ndarr
     return coeff * np.abs(t) ** (spec.p - 1.0) * t
 
 
-def fprime_eval(spec: NonlinearitySpec, coeff: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """d f / d t, used by Newton refinement."""
-    return coeff * spec.p * np.abs(t) ** (spec.p - 1.0)
-
-
 # ---------------------------------------------------------------------------
 # dealiased pseudospectral evaluation
 
@@ -143,15 +138,16 @@ class Discretization:
 
     on one grid.  The multipliers, the padded grid size, the coefficient a(x)
     sampled on the padded grid and the padded cell volume are built once.
-    Every product is dealiased by the one real-FFT pad and restrict of
-    grids, pad_coeffs and restrict_values.  The nonlinear parts of grad and
-    linearization are the adjoint of the pad in the pairing
-    Re sum_k conj(R_k) w_k: restrict_values times `pairing`, the
-    nyquist_weight of the grid (the pad splits a coefficient on |k_i| = n/2
-    evenly onto +-n/2, the restriction sums the two).  So grad is the
-    exact derivative of levels, and the Jacobian is symmetric on the band.
-    Every method takes coefficient arrays whose trailing N axes are the grid;
-    leading axes are batch axes, so a single spectrum is the case of none.
+    at(U), the evaluation point of U, pads U once: I, its gradient and its
+    linearization at U all read those samples.  Every product is dealiased
+    by the one real-FFT pad and restrict of grids, pad_coeffs and
+    restrict_values.  The nonlinear parts of the gradient and linearization
+    are the adjoint of the pad in the pairing Re sum_k conj(R_k) w_k:
+    restrict_values times `pairing`, the nyquist_weight of the grid (the pad
+    splits a coefficient on |k_i| = n/2 evenly onto +-n/2, the restriction
+    sums the two).  So the gradient is the exact derivative of the level,
+    and the Jacobian is symmetric on the band.  Coefficient arrays have the
+    grid as their trailing N axes, and leading batch axes.
     spec = None drops the nonlinear term (the quadratic probe of
     ridge_estimate and residual_norm); params = None builds the nonlinear
     term only, and the multiplier methods are then unavailable.
@@ -160,23 +156,19 @@ class Discretization:
     grid: TorusGrid
     params: Optional[FracParams]
     spec: Optional[NonlinearitySpec]
-    shifted: Optional[np.ndarray] = dc_field(init=False, repr=False)
-    full: Optional[np.ndarray] = dc_field(init=False, repr=False)
-    inv_full: Optional[np.ndarray] = dc_field(init=False, repr=False)
+    shifted: Optional[np.ndarray] = dc_field(init=False, repr=False, default=None)
+    full: Optional[np.ndarray] = dc_field(init=False, repr=False, default=None)
+    inv_full: Optional[np.ndarray] = dc_field(init=False, repr=False, default=None)
     pairing: np.ndarray = dc_field(init=False, repr=False)
     m_pad: int = dc_field(init=False)
-    coeff_pad: Optional[np.ndarray] = dc_field(init=False, repr=False)
+    coeff_pad: Optional[np.ndarray] = dc_field(init=False, repr=False, default=None)
     cell: float = dc_field(init=False)
     axes: tuple = dc_field(init=False, repr=False)
 
     def __post_init__(self):
         g, spec = self.grid, self.spec
         put = partial(object.__setattr__, self)
-        if self.params is None:
-            put("shifted", None)
-            put("full", None)
-            put("inv_full", None)
-        else:
+        if self.params is not None:
             full = multiplier(g, self.params)
             put("shifted", multiplier(g, self.params, shifted=True))
             put("full", full)
@@ -186,48 +178,13 @@ class Discretization:
         put("m_pad", m)
         put("cell", (g.T / m) ** g.N)
         put("axes", tuple(range(-g.N, 0)))
-        if spec is None:
-            coeff = None
-        elif spec.kind == "pure_power":
-            coeff = np.ones((m,) * g.N)
-        else:
-            coeff = pad_coeffs(forward_transform(spec.a).coeffs, g, m)
-        put("coeff_pad", coeff)
+        if spec is not None:
+            put("coeff_pad", np.ones((m,) * g.N) if spec.kind == "pure_power"
+                else pad_coeffs(forward_transform(spec.a).coeffs, g, m))
 
-    def quadratic(self, U: np.ndarray) -> np.ndarray:
-        """1/2 sum_k [(omega^2|k|^2+m^2)^s - m^{2s}] |c_k|^2."""
-        return 0.5 * np.sum(self.shifted * np.abs(U) ** 2, axis=self.axes)
-
-    def nonlinear_energy(self, U: np.ndarray) -> np.ndarray:
-        """int F(x,u) dx with F = a |u|^{p+1}/(p+1), trapezoid rule on the padded grid;
-        +inf where |u|^{p+1} overflows, so the level there is -inf."""
-        p = self.spec.p
-        vals = pad_coeffs(U, self.grid, self.m_pad)
-        with np.errstate(over="ignore"):
-            return np.sum(self.coeff_pad * np.abs(vals) ** (p + 1.0), axis=self.axes) * (
-                self.cell / (p + 1.0))
-
-    def levels(self, U: np.ndarray) -> np.ndarray:
-        """I(u)."""
-        if self.spec is None:
-            return self.quadratic(U)
-        return self.quadratic(U) - self.nonlinear_energy(U)
-
-    def nonlinear_gradient(self, U: np.ndarray) -> np.ndarray:
-        """The derivative of nonlinear_energy in the pairing Re sum_k conj(.) w_k:
-        the band-limited coefficients of f(x, u(x)), dealiased by zero padding,
-        times `pairing` (1/2 per Nyquist axis of k)."""
-        vals = pad_coeffs(U, self.grid, self.m_pad)
-        return self.pairing * restrict_values(f_eval(self.spec, self.coeff_pad, vals), self.grid)
-
-    def grad(self, U: np.ndarray) -> np.ndarray:
-        """L2 gradient R_k = [(omega^2|k|^2+m^2)^s - m^{2s}] c_k - nonlinear_gradient_k,
-        the exact derivative of levels: d/dt levels(U + t W) at t = 0 is
-        Re sum_k conj(R_k) W_k for every Hermitian W with real Nyquist planes."""
-        R = self.shifted * U
-        if self.spec is not None:
-            R = R - self.nonlinear_gradient(U)
-        return R
+    def at(self, U: np.ndarray) -> Point:
+        """The evaluation point of the coefficient array U."""
+        return Point(self, U, None if self.spec is None else pad_coeffs(U, self.grid, self.m_pad))
 
     def precondition(self, R: np.ndarray) -> np.ndarray:
         """X-metric gradient R_k / (omega^2|k|^2+m^2)^s; a zero-multiplier mode
@@ -239,40 +196,94 @@ class Discretization:
         keeps unit weight so nonzero-mean defects still register."""
         return np.sqrt(np.sum(self.inv_full * np.abs(R) ** 2, axis=self.axes))
 
-    def linearization(self, U: np.ndarray):
-        """The derivative of grad at u: returns the map W -> shifted * W -
-        pairing * restrict_values(f_t(x, u) w), w the padded samples of W, on
-        coefficient arrays W (leading axes batched).  It is symmetric on the
-        band in the pairing Re sum_k conj(V_k) W_k.  f_t(x, u) is sampled on
-        the padded grid once."""
-        fp = fprime_eval(self.spec, self.coeff_pad, pad_coeffs(U, self.grid, self.m_pad))
-
-        def apply(W: np.ndarray) -> np.ndarray:
-            return self.shifted * W - self.pairing * restrict_values(
-                fp * pad_coeffs(W, self.grid, self.m_pad), self.grid)
-
-        return apply
-
-    def action(self, U: np.ndarray) -> np.ndarray:
-        """int f(x, u) u dx on the padded grid."""
-        vals = pad_coeffs(U, self.grid, self.m_pad)
-        return np.sum(f_eval(self.spec, self.coeff_pad, vals) * vals, axis=self.axes) * self.cell
-
     def hs_norms(self, U: np.ndarray) -> np.ndarray:
         """|u|_{H^s} = sqrt(sum_k (omega^2|k|^2+m^2)^s |c_k|^2)."""
         return np.sqrt(np.sum(self.full * np.abs(U) ** 2, axis=self.axes))
 
 
+@dataclass(frozen=True, eq=False)
+class Point:
+    """The functional of one Discretization at a coefficient array U (leading
+    axes batched) with vals, its samples on the padded grid (None without a
+    nonlinear term).  Each quantity is computed when first read."""
+
+    disc: Discretization
+    U: np.ndarray
+    vals: Optional[np.ndarray]
+
+    @cached_property
+    def quadratic(self) -> np.ndarray:
+        """1/2 sum_k [(omega^2|k|^2+m^2)^s - m^{2s}] |c_k|^2."""
+        return 0.5 * np.sum(self.disc.shifted * np.abs(self.U) ** 2, axis=self.disc.axes)
+
+    @cached_property
+    def nonlinear_energy(self) -> np.ndarray:
+        """int F(x,u) dx with F = a |u|^{p+1}/(p+1), trapezoid rule on the padded grid;
+        +inf where |u|^{p+1} overflows, so the level there is -inf."""
+        d, p = self.disc, self.disc.spec.p
+        with np.errstate(over="ignore"):
+            return np.sum(d.coeff_pad * np.abs(self.vals) ** (p + 1.0), axis=d.axes) * (
+                d.cell / (p + 1.0))
+
+    @cached_property
+    def level(self) -> np.ndarray:
+        """I(u)."""
+        if self.disc.spec is None:
+            return self.quadratic
+        return self.quadratic - self.nonlinear_energy
+
+    @cached_property
+    def nonlinear_gradient(self) -> np.ndarray:
+        """The derivative of nonlinear_energy in the pairing Re sum_k conj(.) w_k:
+        the band-limited coefficients of f(x, u(x)), dealiased by zero padding,
+        times `pairing` (1/2 per Nyquist axis of k)."""
+        d = self.disc
+        return d.pairing * restrict_values(f_eval(d.spec, d.coeff_pad, self.vals), d.grid)
+
+    @cached_property
+    def grad(self) -> np.ndarray:
+        """L2 gradient R_k = [(omega^2|k|^2+m^2)^s - m^{2s}] c_k - nonlinear_gradient_k,
+        the exact derivative of the level: d/dt I(U + t W) at t = 0 is
+        Re sum_k conj(R_k) W_k for every Hermitian W with real Nyquist planes."""
+        if self.disc.spec is None:
+            return self.disc.shifted * self.U
+        return self.disc.shifted * self.U - self.nonlinear_gradient
+
+    @cached_property
+    def gnorm(self) -> np.ndarray:
+        """The dual norm of grad: the residual norm."""
+        return self.disc.dual_norms(self.grad)
+
+    @cached_property
+    def fprime(self) -> np.ndarray:
+        """d f / d t at (x, u(x)) on the padded grid."""
+        d = self.disc
+        return d.coeff_pad * d.spec.p * np.abs(self.vals) ** (d.spec.p - 1.0)
+
+    def linearization(self, W: Point) -> np.ndarray:
+        """The derivative of grad here along the direction W, a point whose
+        padded samples w it reads: shifted * W - pairing * restrict_values(
+        fprime w).  It is symmetric on the band in Re sum_k conj(V_k) W_k."""
+        d = self.disc
+        return d.shifted * W.U - d.pairing * restrict_values(self.fprime * W.vals, d.grid)
+
+    @cached_property
+    def action(self) -> np.ndarray:
+        """int f(x, u) u dx on the padded grid."""
+        d = self.disc
+        return np.sum(f_eval(d.spec, d.coeff_pad, self.vals) * self.vals, axis=d.axes) * d.cell
+
+
 def nonlinear_energy(spec: NonlinearitySpec, u: Spectrum) -> float:
     """int F(x, u(x)) dx by the trapezoid rule on the dealiased grid."""
-    return float(Discretization(u.grid, None, spec).nonlinear_energy(u.coeffs))
+    return float(Discretization(u.grid, None, spec).at(u.coeffs).nonlinear_energy)
 
 
 def nonlinear_gradient(spec: NonlinearitySpec, u: Spectrum) -> Spectrum:
     """The derivative of nonlinear_energy in the pairing Re sum_k conj(.) w_k:
     the band-limited spectrum of f(x, u(x)), dealiased by zero padding, with
     each Nyquist axis of k weighted 1/2."""
-    return Spectrum(u.grid, Discretization(u.grid, None, spec).nonlinear_gradient(u.coeffs))
+    return Spectrum(u.grid, Discretization(u.grid, None, spec).at(u.coeffs).nonlinear_gradient)
 
 
 # ---------------------------------------------------------------------------

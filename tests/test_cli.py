@@ -209,6 +209,8 @@ MALFORMED = [
                  id="solution_file-samples-overflow"),
     pytest.param("diagnose", _with(("solution_file",), "{tmp}/non-hermitian.json",
                                    mode="diagnose"), id="solution_file-non-hermitian"),
+    pytest.param("sweep", _with(("grid", "T"), 1e170, mode="sweep", m_list=[0.5, 0.1]),
+                 id="grid.T-sweep-weights-underflow"),
     pytest.param("sweep", _with(("mode",), "solve"), id="sweep-on-solve-config"),
     pytest.param("solve", {k: v for k, v in _with(("mode",), "verify").items()
                            if k != "nonlinearity"}, id="solve-on-verify-config"),
@@ -260,9 +262,19 @@ def test_main_degenerate_ridge_exits_solver(tmp_path, capsys, doc):
     # caps seeded from a certified radius near 2e50
     pytest.param(_with(("grid", "T"), 1e-100), cli.EXIT_SOLVER, ["solver error: Stalled: "],
                  id="grid.T-tiny"),
+    # caps so large that |U|^2 overflows: the boundary level is not finite
+    pytest.param(_with(("solver",), {"R": 1e300, "R_prime": 1e300}), cli.EXIT_SOLVER,
+                 ["solver error: BoundaryNotNegative: energy not finite "],
+                 id="solver.R-R_prime-huge"),
+    pytest.param(_with(("solver",), {"R": 1e300}), cli.EXIT_SOLVER,
+                 ["solver error: BoundaryNotNegative: energy not finite "],
+                 id="solver.R-huge-auto-R_prime"),
+    pytest.param(_with(("solver",), {"R": 1e200, "R_prime": 1e200}), cli.EXIT_SOLVER,
+                 ["solver error: BoundaryNotNegative: energy not finite "],
+                 id="solver.R-R_prime-1e200"),
 ])
 def test_main_energy_overflow_is_silent(tmp_path, capsys, doc, want, lines):
-    # |u|^{p+1} overflows on the sampled rectangle: the level there is -inf,
+    # |u|^{p+1} (or, at huge caps, |U|^2) overflows on the sampled rectangle,
     # and no overflow warning reaches stderr
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(doc))
@@ -274,10 +286,14 @@ def test_main_energy_overflow_is_silent(tmp_path, capsys, doc, want, lines):
     assert all(got.startswith(line) for got, line in zip(err.splitlines(), lines))
 
 
+# One sweep, and a tolerance no polish reaches: the run does not converge.
+_UNREACHABLE = {"max_iters": 1, "ps_tol": 1e-30}
+
+
 @pytest.mark.parametrize("mode,doc,prefix", [
-    pytest.param("solve", _with(("solver", "max_iters"), 1), "solver error: MaxIters: ",
+    pytest.param("solve", _with(("solver",), _UNREACHABLE), "solver error: MaxIters: ",
                  id="solve"),
-    pytest.param("sweep", _with(("solver", "max_iters"), 1, mode="sweep", m_list=[0.5, 0.1]),
+    pytest.param("sweep", _with(("solver",), _UNREACHABLE, mode="sweep", m_list=[0.5, 0.1]),
                  "solver error: Failed: DomainError: solver status MaxIters", id="sweep"),
 ])
 def test_main_unconverged_run_exits_solver(tmp_path, capsys, mode, doc, prefix):
@@ -288,6 +304,20 @@ def test_main_unconverged_run_exits_solver(tmp_path, capsys, mode, doc, prefix):
     err = capsys.readouterr().err
     assert code == cli.EXIT_SOLVER
     assert len(err.splitlines()) == 1 and err.startswith(prefix)
+
+
+@pytest.mark.parametrize("mode,doc", [
+    pytest.param("solve", _with(("solver", "max_iters"), 1), id="solve"),
+    pytest.param("sweep", _with(("solver", "max_iters"), 1, mode="sweep", m_list=[0.5, 0.1]),
+                 id="sweep"),
+])
+def test_main_converged_last_sweep_exits_ok(tmp_path, capsys, mode, doc):
+    # the polish accepted in the only sweep meets the stopping rule
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    code = cli.main([mode, "--config", str(cfg_path), "--output", str(tmp_path)])
+    assert code == cli.EXIT_OK
+    assert capsys.readouterr().err == ""
 
 
 # Any JSON value, for keys that get a value of the wrong type.

@@ -111,7 +111,8 @@ def test_sweep_validations(sweep_setup):
 
 def test_sweep_failed_row_keeps_message(sweep_setup):
     grid, p, spec, _ = sweep_setup
-    (rec,) = continuation.sweep_m([0.5], p, spec, linking.LinkingConfig(max_iters=1), grid)
+    cfg = linking.LinkingConfig(max_iters=1, ps_tol=1e-30)
+    (rec,) = continuation.sweep_m([0.5], p, spec, cfg, grid)
     assert rec.solution is None
     assert rec.status == "Failed: DomainError: solver status MaxIters at m=0.5"
 

@@ -55,16 +55,18 @@ def case(request, grid):
 
 def test_batch_matches_single_calls(case):
     disc, U, W = case
-    for name in ("levels", "grad", "action", "hs_norms"):
-        method = getattr(disc, name)
-        batched = method(U)
+    for name in ("level", "grad", "action"):
+        batched = getattr(disc.at(U), name)
         for i in range(K):
-            _close(batched[i], method(U[i]))
+            _close(batched[i], getattr(disc.at(U[i]), name))
+    batched = disc.hs_norms(U)
     for i in range(K):
-        lin = disc.linearization(U[i])
-        batched = lin(W)
+        _close(batched[i], disc.hs_norms(U[i]))
+    for i in range(K):
+        pt = disc.at(U[i])
+        batched = pt.linearization(disc.at(W))
         for j in range(K):
-            _close(batched[j], lin(W[j]))
+            _close(batched[j], pt.linearization(disc.at(W[j])))
 
 
 def test_public_functions_agree(case):
@@ -72,13 +74,14 @@ def test_public_functions_agree(case):
     g, p, spec = disc.grid, disc.params, disc.spec
     for i in range(K):
         u = Spectrum(g, U[i])
+        pt = disc.at(U[i])
         rep = energy.evaluate(u, p, spec)
-        _close(rep.value, disc.levels(U[i]))
+        _close(rep.value, pt.level)
         _close(rep.nl, nonlinear_energy(spec, u))
-        _close(energy.gradient(u, p, spec).coeffs, disc.grad(U[i]))
-        _close(energy.gradient(u, p, spec, metric="X").coeffs * disc.full, disc.grad(U[i]))
-        _close(disc.shifted * U[i] - nonlinear_gradient(spec, u).coeffs, disc.grad(U[i]))
-        _close(continuation.nonlinear_action(spec, u), disc.action(U[i]))
+        _close(energy.gradient(u, p, spec).coeffs, pt.grad)
+        _close(energy.gradient(u, p, spec, metric="X").coeffs * disc.full, pt.grad)
+        _close(disc.shifted * U[i] - nonlinear_gradient(spec, u).coeffs, pt.grad)
+        _close(continuation.nonlinear_action(spec, u), pt.action)
         _close(hs_norm(u, p), disc.hs_norms(U[i]))
 
 
@@ -126,8 +129,8 @@ def _hermitian_basis(g):
 def test_grad_is_the_derivative_of_levels(N, n, kind):
     disc, u, w = _pairing_case(N, n, kind)
     eps = 1e-5
-    fd = float(disc.levels(u + eps * w) - disc.levels(u - eps * w)) / (2 * eps)
-    an = float(np.real(np.sum(np.conj(disc.grad(u)) * w)))
+    fd = float(disc.at(u + eps * w).level - disc.at(u - eps * w).level) / (2 * eps)
+    an = float(np.real(np.sum(np.conj(disc.at(u).grad) * w)))
     assert abs(fd - an) <= 1e-7 * max(abs(an), 1.0)
 
 
@@ -136,6 +139,6 @@ def test_grad_is_the_derivative_of_levels(N, n, kind):
 def test_jacobian_is_symmetric_on_the_band(N, n, kind):
     disc, u, _ = _pairing_case(N, n, kind)
     E = _hermitian_basis(disc.grid)
-    JE = disc.linearization(u)(E)
+    JE = disc.at(u).linearization(disc.at(E))
     B = np.real(np.conj(E).reshape(len(E), -1) @ JE.reshape(len(E), -1).T)
     assert np.max(np.abs(B - B.T)) <= 1e-12 * np.max(np.abs(B))

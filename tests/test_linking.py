@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fractorus import energy, linking
+from fractorus import energy, linking, nonlinearity
 from fractorus.errors import BoundaryNotNegative, DivergedRefinement, DomainError
 from fractorus.grids import (
     Field,
@@ -61,6 +61,22 @@ def test_minimax_standard_config(grid64, params_half, cubic):
     assert rho - 1e-6 <= st.level <= st.delta_hat + 1e-12
 
 
+def test_minimax_pads_each_array_once(monkeypatch, grid64, params_half, cubic):
+    # the level, gradient and linearization at a point share one padding of
+    # it, so no pad is asked for the input of the call before it
+    seen, pad = [], nonlinearity.pad_coeffs
+
+    def recorded(coeffs, grid, m):
+        seen.append((coeffs.shape, coeffs.tobytes()))
+        return pad(coeffs, grid, m)
+
+    for module in (nonlinearity, linking):
+        monkeypatch.setattr(module, "pad_coeffs", recorded)
+    st = linking.minimax_search(grid64, params_half, cubic, linking.LinkingConfig())
+    assert st.status == "Converged"
+    assert len(seen) > 1 and all(a != b for a, b in zip(seen, seen[1:]))
+
+
 def test_minimax_boundary_nonpositive(grid64, params_half, cubic):
     cfg = linking.LinkingConfig()
     st = linking.minimax_search(grid64, params_half, cubic, cfg)
@@ -72,7 +88,7 @@ def test_minimax_boundary_nonpositive(grid64, params_half, cubic):
     cs = np.linspace(-st.R_prime, st.R_prime, nc)
     rs = np.linspace(0.0, st.R, nr)
     U = cs[:, None, None] * yhat.coeffs + rs[None, :, None] * z.coeffs
-    lv = Discretization(grid64, params_half, cubic).levels(U)
+    lv = Discretization(grid64, params_half, cubic).at(U).level
     boundary = np.concatenate([lv[0], lv[-1], lv[:, 0], lv[:, -1]])
     assert np.max(boundary) <= 0.0
     assert np.max(lv) == st.delta_hat
@@ -154,7 +170,7 @@ def test_ridge_bound_below_sampled_sphere_levels(N, kind):
         D = np.stack([random_spectrum(g, rng, decay=decay, zero_mean=True).coeffs
                       for _ in range(64)])
         D *= eta / disc.hs_norms(D).reshape((-1,) + (1,) * N)
-        assert rho <= np.min(disc.levels(D))
+        assert rho <= np.min(disc.at(D).level)
 
 
 @pytest.mark.parametrize("case", ["standard", "modulated"])
@@ -170,10 +186,10 @@ def test_minimax_returns_a_peak(minimax_cases, case):
     assert float(disc.hs_norms(v)) == pytest.approx(1.0, rel=1e-12)
 
     def level(dc, dr):
-        return float(disc.levels((c + dc) * yhat + (r + dr) * v))
+        return float(disc.at((c + dc) * yhat + (r + dr) * v).level)
 
     W = np.stack([yhat, v])
-    g2 = np.real(np.sum(np.conj(W) * disc.grad(u), axis=-1))
+    g2 = np.real(np.sum(np.conj(W) * disc.at(u).grad, axis=-1))
     assert np.max(np.abs(g2)) < 1e-9
     h = 1e-3
     H = np.empty((2, 2))
@@ -230,9 +246,9 @@ def test_newton_stops_at_first_failed_line_search(monkeypatch):
     u0 = Spectrum(g, u0.coeffs * (0.5 + 2.0 * rng.random()))
     calls, newton_step = [], linking._newton_step
 
-    def recorded(disc, u, R, rnorm):
-        calls.append((u.copy(), rnorm))
-        return newton_step(disc, u, R, rnorm)
+    def recorded(pt):
+        calls.append((pt.U.copy(), pt.gnorm))
+        return newton_step(pt)
 
     monkeypatch.setattr(linking, "_newton_step", recorded)
     with pytest.raises(DivergedRefinement, match="stalled"):
@@ -308,20 +324,24 @@ def _newton_case(N, n, kind):
 @pytest.mark.parametrize("kind", ["pure", "modulated"])
 def test_newton_step_meets_forcing_term(N, n, kind):
     g, disc, u = _newton_case(N, n, kind)
-    R = disc.grad(u.coeffs)
-    rnorm = float(disc.dual_norms(R))
-    s = linking._newton_step(disc, u.coeffs, R, rnorm)
+    pt = disc.at(u.coeffs)
+    R, rnorm = pt.grad, float(pt.gnorm)
+    s = linking._newton_step(pt)
     eta = min(linking.FORCING_MAX, rnorm)
-    assert disc.dual_norms(disc.linearization(u.coeffs)(s) + R) <= eta * rnorm
+    assert disc.dual_norms(pt.linearization(disc.at(s)) + R) <= eta * rnorm
 
 
 @pytest.mark.parametrize("kind", ["pure", "modulated"])
 def test_minres_solves_the_dense_band_system(kind):
     g, disc, u = _newton_case(2, 8, kind)
     E = _hermitian_basis(g)  # a real basis of the band
-    J = disc.linearization(u.coeffs)
+    pt = disc.at(u.coeffs)
+
+    def J(w):
+        return pt.linearization(disc.at(w))
+
     A = np.real(np.conj(E).reshape(len(E), -1) @ J(E).reshape(len(E), -1).T)
-    b = disc.grad(u.coeffs)
+    b = pt.grad
     c = np.linalg.solve(A, np.real(np.conj(E).reshape(len(E), -1) @ b.ravel()))
     want = np.tensordot(c, E, 1)
     got = linking._minres(J, lambda r: disc.inv_full * r, b, 0.0, len(E))

@@ -176,7 +176,8 @@ def test_jacobian_fd_consistency(grid64, params_half, cubic, rng):
     um = Spectrum(grid64, u.coeffs - eps * w.coeffs)
     fd = (nonlinear_gradient(cubic, up).coeffs - nonlinear_gradient(cubic, um).coeffs) / (2 * eps)
     disc = Discretization(grid64, params_half, cubic)
-    an = disc.shifted * w.coeffs - disc.linearization(u.coeffs)(w.coeffs)  # its nonlinear part
+    # the nonlinear part of the linearization
+    an = disc.shifted * w.coeffs - disc.at(u.coeffs).linearization(disc.at(w.coeffs))
     assert np.max(np.abs(fd - an)) < 1e-7 * max(float(np.max(np.abs(an))), 1.0)
 
 
