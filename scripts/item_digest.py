@@ -14,16 +14,18 @@ directory, and one JSON line is printed per item:
      "properties": {name: passed},                (verify)
      "trace_rows": rows of solver_trace.csv or null,
      "newton_steps": Newton steps taken inside the item,
-     "pad_calls": calls of the dealiasing pad `pad_coeffs` inside the item}
+     "pad_calls": calls of the dealiasing pad `pad_coeffs` inside the item,
+     "outputs_sha256": SHA-256 of every file the item writes}
 
 Running it in two checkouts with the same arguments and diffing the output
 compares their items: exit codes, levels, alphas and the sweep's
 critical-Sobolev estimate to the last digit, verify properties, trace lengths,
-Newton work and padding work.  The script imports the `fractorus` source of
-the checkout it sits in.
+Newton work, padding work and every output file byte for byte.  The script
+imports the `fractorus` source of the checkout it sits in.
 """
 
 import csv
+import hashlib
 import json
 import sys
 import tempfile
@@ -67,6 +69,17 @@ def _run(item: dict, out: Path):
         return cli.EXIT_VERIFY, type(ex).__name__
 
 
+def _outputs_sha256(out: Path) -> str:
+    """SHA-256 over the relative path, size and bytes of every file under out,
+    in path order."""
+    h = hashlib.sha256()
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        data = path.read_bytes()
+        h.update(f"{path.relative_to(out).as_posix()}\0{len(data)}\0".encode())
+        h.update(data)
+    return h.hexdigest()
+
+
 def _digest(item: dict, out: Path, code: int, error) -> dict:
     doc = {"exit": code, "error": error}
     energy = out / "energy.json"
@@ -106,7 +119,8 @@ def main(argv=None) -> int:
             before = len(steps), len(pads)
             code, error = _run(item, out)
             doc = {"item": i, **_digest(item, out, code, error),
-                   "newton_steps": len(steps) - before[0], "pad_calls": len(pads) - before[1]}
+                   "newton_steps": len(steps) - before[0], "pad_calls": len(pads) - before[1],
+                   "outputs_sha256": _outputs_sha256(out)}
             print(json.dumps(doc), flush=True)
     return 0
 

@@ -41,7 +41,6 @@ from .grids import (
     hermitian_defect,
     hs_norm,
     inverse_transform,
-    multiplier,
     object_from_json,
     project_zero_mean,
     random_spectrum,
@@ -50,6 +49,7 @@ from .grids import (
 from .theta import ThetaProfile, kappa, profile_energy_integral
 from . import continuation, energy, extension, linking
 from .nonlinearity import (
+    Discretization,
     NonlinearitySpec,
     nonlinear_energy,
     pad_coeffs,
@@ -305,7 +305,9 @@ def _verify_properties(cfg: RunConfig):
         return abs(fd - an) < 1e-6 * max(abs(fd), 1.0)
 
     check("gradient_fd_consistency_L2", lambda: fd_check("L2", 1.0))
-    check("gradient_fd_consistency_X", lambda: fd_check("X", multiplier(g, p)))
+    # the X-gradient is precondition(R), so wdir pairs with it through the inverse weight
+    check("gradient_fd_consistency_X", lambda: fd_check(
+        "X", 1.0 / Discretization(g, p, spec).inv_full))
     zc = project_zero_mean(cosx)
     check("coercivity_gap_axis_mode", lambda: abs(
         energy.quadratic_gap(zc, p) - energy.coercivity_constant(g, p)) < 1e-12)
@@ -377,7 +379,7 @@ def run(cfg: RunConfig, output_dir=".", solver_trace=False, dump_extension=False
             return _solver_failed(f"{st.status}: level {st.level!r}, dual residual "
                                   f"{st.grad_norm:.3e}, sweeps {len(st.trace)}")
         u = st.iterate
-        rep = energy.evaluate(u, cfg.frac, cfg.nonlinearity)
+        rep = energy.report(st.point)
         _write_json(out / "solution.json", spectrum_to_json(u))
         _write_json(out / "energy.json", {
             "status": st.status,

@@ -35,7 +35,7 @@ from .grids import (
     random_spectrum,
 )
 from .nonlinearity import Discretization, NonlinearitySpec
-from . import energy, linking
+from . import linking
 
 SOBOLEV_STARTS, SOBOLEV_TRIALS = 10, 200  # random starts; trial steps per start
 
@@ -85,9 +85,12 @@ def estimate_sobolev_constant(
     zero = (0,) * grid.N
 
     def evaluate(c):
-        u = inverse_transform(Spectrum(grid, c), check=False)
-        num, den2 = lq_norm(u, q), np.sum(wts * np.abs(c) ** 2).real
-        return u, num, den2, num / np.sqrt(den2)
+        # a trial whose samples overflow in the L^q norm has a quotient of inf
+        # or nan, and is rejected below like one that does not rise
+        with np.errstate(over="ignore", invalid="ignore"):
+            u = inverse_transform(Spectrum(grid, c), check=False)
+            num, den2 = lq_norm(u, q), np.sum(wts * np.abs(c) ** 2).real
+            return u, num, den2, num / np.sqrt(den2)
 
     best = 0.0
     for _ in range(SOBOLEV_STARTS):
@@ -104,7 +107,7 @@ def estimate_sobolev_constant(
             cand = c + step * d
             cand[zero] = 0.0
             trial = evaluate(cand)
-            if trial[-1] > val:
+            if val < trial[-1] < np.inf:
                 c, (u, num, den2, val), d = cand, trial, None
                 step = min(step * 1.3, 2.0)
             else:
@@ -140,7 +143,7 @@ def sweep_m(
 
     ref_params = FracParams(p_base.s, 1.0)
     records = []
-    warm = None
+    warm = None  # the evaluation point of the last converged mass
     for m in m_list:
         p = FracParams(p_base.s, m)
         try:
@@ -148,27 +151,25 @@ def sweep_m(
                 st = linking.minimax_search(grid, p, spec, cfg)
                 if st.status != "Converged":
                     raise DomainError(f"solver status {st.status} at m={m}")
-                sol = st.iterate
-                alpha = st.level
-            else:
-                sol = linking.newton_refine(warm, p, spec,
-                                            tol=cfg.ps_tol * linking.POLISH_TOL_FACTOR)
-                alpha = energy.evaluate(sol, p, spec).value
-            res = linking.residual_norm(sol, p, spec)
+                pt = st.point
+            else:  # warm-started from the samples of the last point
+                pt = linking.refine_point(Discretization(grid, p, spec).rebase(warm),
+                                          tol=cfg.ps_tol * linking.POLISH_TOL_FACTOR)
+            sol, alpha = Spectrum(grid, pt.U), float(pt.level)
             if hs_norm(sol, p) < 1e-6 or alpha <= 0:
                 raise DomainError(f"trivial branch point at m={m}")
             records.append(
                 ContinuationRecord(
                     m=m,
-                    alpha=float(alpha),
+                    alpha=alpha,
                     hs_norm_T=hs_norm(sol, ref_params),
                     l2_norm=sol.l2_norm(),
-                    residual=res,
+                    residual=float(pt.gnorm),
                     solution=sol,
                     status="Converged",
                 )
             )
-            warm = sol
+            warm = pt
         except FractorusError as ex:  # a failed mass is recorded and skipped
             records.append(
                 ContinuationRecord(

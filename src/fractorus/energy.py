@@ -19,7 +19,7 @@ from .errors import DomainError
 # `multiplier` is not called here (Discretization calls it); it stays a name
 # of this module because perfbench's tests wrap and check `energy.multiplier`.
 from .grids import FracParams, Spectrum, hs_norm, multiplier  # noqa: F401
-from .nonlinearity import Discretization, NonlinearitySpec
+from .nonlinearity import Discretization, NonlinearitySpec, Point
 
 
 @dataclass(frozen=True)
@@ -42,10 +42,14 @@ def evaluate(
     u: Spectrum, p: FracParams, spec: Optional[NonlinearitySpec]
 ) -> EnergyReport:
     """Energy report; spec=None suppresses the nonlinear term (probe mode)."""
-    pt = Discretization(u.grid, p, spec).at(u.coeffs)
+    return report(Discretization(u.grid, p, spec).at(u.coeffs))
+
+
+def report(pt: Point) -> EnergyReport:
+    """Energy report of an evaluation point, from the samples it holds."""
     quad = float(pt.quadratic)
-    nl = float(pt.nonlinear_energy) if spec is not None else 0.0
-    grad_norm = Spectrum(u.grid, pt.grad).l2_norm()
+    nl = float(pt.nonlinear_energy) if pt.disc.spec is not None else 0.0
+    grad_norm = Spectrum(pt.disc.grid, pt.grad).l2_norm()
     return EnergyReport(value=quad - nl, quad=quad, nl=nl, grad_norm=grad_norm)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -121,15 +122,6 @@ def _reverse_modes(c: np.ndarray, axes) -> np.ndarray:
     return out
 
 
-def _hermitian_full(H: np.ndarray, N: int) -> np.ndarray:
-    """Full FFT-layout coefficients of a real field from its rfft half
-    spectrum over the trailing N axes (last axis: the modes 0..n/2); the
-    modes -n/2+1..-1 of the last axis are the conjugates of the modes at -k."""
-    ny = H.shape[-1] - 1
-    neg = np.conj(_reverse_modes(H[..., ny - 1 : 0 : -1], range(-N, -1)))
-    return np.concatenate((H, neg), axis=-1)
-
-
 def hermitian_defect(coeffs: np.ndarray) -> float:
     """Relative Hermitian-symmetry defect of a coefficient array."""
     scale = np.max(np.abs(coeffs))
@@ -214,6 +206,33 @@ def _half_blocks(n: int, m: int, N: int):
                (Ellipsis,) + tuple(f for _, f in combo) + last)
 
 
+class _Plan(NamedTuple):
+    """Read-only index plan of the pad and restriction between the n-point
+    and the m-point grid of an N-torus, on the full FFT layout of the band."""
+
+    blocks: tuple  # (coarse, fine, Nyquist weight of coarse) per _half_blocks pair
+    padded: tuple  # trailing shape of an rfft half spectrum on the m-point grid
+    fold: tuple  # the n/2 column of the last axis at -k over the other axes
+    planes: tuple  # the modes 0..n/2 of the last axis on each n/2 plane of the others
+    mirror: tuple  # the modes at -k of the last axis's modes -n/2+1..-1
+
+
+@functools.lru_cache(maxsize=None)
+def _plan(N: int, n: int, m: int) -> _Plan:
+    # at m = n the images +-n/2 are one mode of the m-point grid, which takes
+    # the whole Nyquist coefficient
+    ny, w = n // 2, _nyquist_weight(N, n) if m > n else _frozen_array(np.ones((n,) * N), float)
+    neg = _frozen_array(-np.arange(n) % n, np.intp)
+    fold = (Ellipsis,) + tuple(_frozen_array(i, np.intp) for i in np.ix_(*[neg] * (N - 1)))
+    return _Plan(
+        tuple((c, f, w[c]) for c, f in _half_blocks(n, m, N)),
+        (m,) * (N - 1) + (m // 2 + 1,),
+        fold,
+        tuple((Ellipsis, ny) + (slice(None),) * (k - 1) + (slice(0, ny + 1),) for k in range(1, N)),
+        fold + (slice(ny - 1, 0, -1),),
+    )
+
+
 def _irfft_values(X: np.ndarray, grid: TorusGrid, m: int) -> np.ndarray:
     """Real samples on the m-point grid of an rfft half spectrum X in the
     paper normalization (trailing N axes; leading axes are batched)."""
@@ -224,18 +243,17 @@ def _irfft_values(X: np.ndarray, grid: TorusGrid, m: int) -> np.ndarray:
 
 
 def pad_coeffs(coeffs: np.ndarray, grid: TorusGrid, m: int) -> np.ndarray:
-    """Real samples on the refined m-point grid (m > n) of the interpolant of
-    a Hermitian spectrum; leading axes are batched.  Only the modes 0..n/2
-    of the last axis are read.  A coefficient on |k_i| = n/2 lands on both
+    """Real samples on the m-point grid (m >= n) of the interpolant of a
+    Hermitian spectrum; leading axes are batched.  Only the modes 0..n/2 of
+    the last axis are read.  A coefficient on |k_i| = n/2 lands on both
     images +-n/2 with its Nyquist weight, so the interpolant stays real (on
     the last axis -n/2 is the Hermitian mirror, which the half spectrum
     leaves out)."""
-    g, w = grid, nyquist_weight(grid)
-    big = np.zeros(coeffs.shape[: coeffs.ndim - g.N] + (m,) * (g.N - 1) + (m // 2 + 1,),
-                   dtype=complex)
-    for c, f in _half_blocks(g.n, m, g.N):
-        np.multiply(coeffs[c], w[c], out=big[f])
-    return _irfft_values(big, g, m)
+    plan = _plan(grid.N, grid.n, m)
+    big = np.zeros(coeffs.shape[: coeffs.ndim - grid.N] + plan.padded, dtype=complex)
+    for c, f, w in plan.blocks:
+        np.multiply(coeffs[c], w, out=big[f])
+    return _irfft_values(big, grid, m)
 
 
 def restrict_values(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
@@ -246,17 +264,21 @@ def restrict_values(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
     -n/2 column of the last axis, the conjugate of the n/2 column at -k over
     the other axes, so that folded column is the real part of the n/2 column
     at k plus at -k."""
-    g, N, ny, m = grid, grid.N, grid.n // 2, values.shape[-1]
-    F = np.fft.rfft(values) if N == 1 else np.fft.rfftn(values, axes=tuple(range(-N, 0)))
-    F *= g.T ** (N / 2.0) / m**N
-    out = np.zeros(F.shape[: F.ndim - N] + (g.n,) * (N - 1) + (ny + 1,), dtype=complex)
-    for c, f in _half_blocks(g.n, m, N):
+    N, n, m = grid.N, grid.n, values.shape[-1]
+    ny, plan = n // 2, _plan(N, n, m)
+    F = np.fft.rfft(values)[..., : ny + 1]
+    for ax in range(-2, -N - 1, -1):  # rfftn's order, so its rounding
+        F = np.fft.fft(F, axis=ax)
+    F *= grid.T ** (N / 2.0) / m**N
+    out = np.zeros(F.shape[: F.ndim - N] + (n,) * N, dtype=complex)
+    for c, f, _ in plan.blocks:
         out[c] += F[f]
     col = out[..., ny].real
-    out[..., ny] = col + _reverse_modes(col, range(1 - N, 0))
-    for k in range(1, N):  # the n/2 plane of each of the first N - 1 axes
-        out[(Ellipsis, ny) + (slice(None),) * k].imag = 0.0
-    return _hermitian_full(out, N)
+    out[..., ny] = col + col[plan.fold]
+    for plane in plan.planes:
+        out[plane].imag = 0.0
+    np.conjugate(out[plan.mirror], out=out[..., ny + 1:])
+    return out
 
 
 def forward_transform(f: Field) -> Spectrum:

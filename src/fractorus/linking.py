@@ -81,6 +81,7 @@ class LinkingConfig:
 @dataclass
 class SolverState:
     iterate: Spectrum
+    point: Point  # the evaluation point of iterate
     level: float
     grad_norm: float
     status: str  # Converged | MaxIters | Stalled | NoNontrivialSolution
@@ -234,9 +235,14 @@ def _peak(disc: Discretization, yhat: Spectrum, v: np.ndarray, c: float, r: floa
     negative definite the step is the gradient instead; a step that does not
     raise I is halved.  Returns (point, c, r); W = [yhat, v] is padded once."""
     W = disc.at(np.stack([yhat.coeffs, v]))
-    Wc = np.conj(W.U).reshape(2, -1)
+    B = W.U.reshape(2, -1)
+    Wc = np.conj(B)
+
+    def point(x):  # the point x[0] yhat + x[1] v
+        return disc.at((x @ B).reshape(v.shape))
+
     x = np.array([c, r])
-    pt = disc.at(np.tensordot(x, W.U, 1))
+    pt = point(x)
     for _ in range(50):
         # derivatives of (c, r) -> I(c yhat + r v): g_a = <grad, W_a>, H_ab = <J W_b, W_a>
         g = np.real(Wc @ pt.grad.ravel())
@@ -248,7 +254,7 @@ def _peak(disc: Discretization, yhat: Spectrum, v: np.ndarray, c: float, r: floa
         t = 1.0
         for _ in range(30):
             xt = x + t * d
-            if xt[1] > 0.0 and (trial := disc.at(np.tensordot(xt, W.U, 1))).level > pt.level:
+            if xt[1] > 0.0 and (trial := point(xt)).level > pt.level:
                 break
             t *= ARMIJO_SHRINK
         else:
@@ -293,7 +299,7 @@ def minimax_search(
 
         if sweep == 0 or cfg.ps_tol <= gnorm < POLISH_AT:
             try:
-                polished = _newton_refine(pt, tol=cfg.ps_tol * POLISH_TOL_FACTOR)
+                polished = refine_point(pt, tol=cfg.ps_tol * POLISH_TOL_FACTOR)
             except DivergedRefinement:
                 polished = disc.at(np.zeros_like(pt.U))  # trivial, so rejected below
             plev = float(polished.level)
@@ -319,6 +325,7 @@ def minimax_search(
         pt = disc.at(np.zeros(grid.shape, dtype=complex))
     return SolverState(
         iterate=Spectrum(grid, pt.U),
+        point=pt,
         level=level,
         grad_norm=float(pt.gnorm),
         status=status,
@@ -404,11 +411,12 @@ def newton_refine(
     """
     u = (project_zero_mean(u0) if enforce_zero_mean else u0).coeffs
     pt = Discretization(u0.grid, p, spec).at(u)
-    return Spectrum(u0.grid, _newton_refine(pt, tol, max_iters, enforce_zero_mean).U)
+    return Spectrum(u0.grid, refine_point(pt, tol, max_iters, enforce_zero_mean).U)
 
 
-def _newton_refine(pt: Point, tol: float, max_iters: int = 60,
-                   enforce_zero_mean: bool = False) -> Point:
+def refine_point(pt: Point, tol: float, max_iters: int = 60,
+                 enforce_zero_mean: bool = False) -> Point:
+    """newton_refine from the evaluation point pt; returns the point it ends at."""
     for _ in range(max_iters):
         if pt.gnorm < tol:
             return pt

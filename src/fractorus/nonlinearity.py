@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property, partial
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -186,6 +186,13 @@ class Discretization:
         """The evaluation point of the coefficient array U."""
         return Point(self, U, None if self.spec is None else pad_coeffs(U, self.grid, self.m_pad))
 
+    def rebase(self, pt: Point) -> Point:
+        """pt, a point of a Discretization with this grid and nonlinearity, as a
+        point of this one: its padded samples do not depend on the params."""
+        if pt.disc.grid != self.grid or pt.disc.spec is not self.spec:
+            raise ValueError("a point keeps its samples only on the same grid and nonlinearity")
+        return Point(self, pt.U, pt.vals)
+
     def precondition(self, R: np.ndarray) -> np.ndarray:
         """X-metric gradient R_k / (omega^2|k|^2+m^2)^s; a zero-multiplier mode
         (k = 0 at m = 0) stays in the L2 metric."""
@@ -201,6 +208,22 @@ class Discretization:
         return np.sqrt(np.sum(self.full * np.abs(U) ** 2, axis=self.axes))
 
 
+class _computed_once:
+    """A lazily computed attribute: the first read stores the value in the
+    instance __dict__, where later reads find it.  functools.cached_property
+    does the same under a lock before Python 3.12, which costs more than some
+    of the values it guards."""
+
+    def __init__(self, fn):
+        self.fn, self.name, self.__doc__ = fn, fn.__name__, fn.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
 @dataclass(frozen=True, eq=False)
 class Point:
     """The functional of one Discretization at a coefficient array U (leading
@@ -211,12 +234,12 @@ class Point:
     U: np.ndarray
     vals: Optional[np.ndarray]
 
-    @cached_property
+    @_computed_once
     def quadratic(self) -> np.ndarray:
         """1/2 sum_k [(omega^2|k|^2+m^2)^s - m^{2s}] |c_k|^2."""
         return 0.5 * np.sum(self.disc.shifted * np.abs(self.U) ** 2, axis=self.disc.axes)
 
-    @cached_property
+    @_computed_once
     def nonlinear_energy(self) -> np.ndarray:
         """int F(x,u) dx with F = a |u|^{p+1}/(p+1), trapezoid rule on the padded grid;
         +inf where |u|^{p+1} overflows, so the level there is -inf."""
@@ -225,14 +248,14 @@ class Point:
             return np.sum(d.coeff_pad * np.abs(self.vals) ** (p + 1.0), axis=d.axes) * (
                 d.cell / (p + 1.0))
 
-    @cached_property
+    @_computed_once
     def level(self) -> np.ndarray:
         """I(u)."""
         if self.disc.spec is None:
             return self.quadratic
         return self.quadratic - self.nonlinear_energy
 
-    @cached_property
+    @_computed_once
     def nonlinear_gradient(self) -> np.ndarray:
         """The derivative of nonlinear_energy in the pairing Re sum_k conj(.) w_k:
         the band-limited coefficients of f(x, u(x)), dealiased by zero padding,
@@ -240,7 +263,7 @@ class Point:
         d = self.disc
         return d.pairing * restrict_values(f_eval(d.spec, d.coeff_pad, self.vals), d.grid)
 
-    @cached_property
+    @_computed_once
     def grad(self) -> np.ndarray:
         """L2 gradient R_k = [(omega^2|k|^2+m^2)^s - m^{2s}] c_k - nonlinear_gradient_k,
         the exact derivative of the level: d/dt I(U + t W) at t = 0 is
@@ -249,12 +272,12 @@ class Point:
             return self.disc.shifted * self.U
         return self.disc.shifted * self.U - self.nonlinear_gradient
 
-    @cached_property
+    @_computed_once
     def gnorm(self) -> np.ndarray:
         """The dual norm of grad: the residual norm."""
         return self.disc.dual_norms(self.grad)
 
-    @cached_property
+    @_computed_once
     def fprime(self) -> np.ndarray:
         """d f / d t at (x, u(x)) on the padded grid."""
         d = self.disc
@@ -267,7 +290,7 @@ class Point:
         d = self.disc
         return d.shifted * W.U - d.pairing * restrict_values(self.fprime * W.vals, d.grid)
 
-    @cached_property
+    @_computed_once
     def action(self) -> np.ndarray:
         """int f(x, u) u dx on the padded grid."""
         d = self.disc

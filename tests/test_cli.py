@@ -137,6 +137,14 @@ def test_diagnose_mode(tmp_path):
     assert doc["holder_alpha"] is None or 0 < doc["holder_alpha"] < 1
 
 
+@pytest.mark.parametrize("m", [0.0, 1e-300])
+def test_verify_at_zero_mass_exits_ok(tmp_path, m):
+    # the k = 0 mode has a zero multiplier and stays in the L2 metric of the X-gradient
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_with(("frac", "m"), m, mode="verify")))
+    assert cli.main(["verify", "--config", str(cfg_path), "--output", str(tmp_path)]) == 0
+
+
 def test_main_exit_codes(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(_doc(mode="verify"))
@@ -295,6 +303,10 @@ _UNREACHABLE = {"max_iters": 1, "ps_tol": 1e-30}
                  id="solve"),
     pytest.param("sweep", _with(("solver",), _UNREACHABLE, mode="sweep", m_list=[0.5, 0.1]),
                  "solver error: Failed: DomainError: solver status MaxIters", id="sweep"),
+    # the Sobolev ascent's trial steps overflow the L^q norm; they are rejected
+    pytest.param("sweep", _with(("grid",), {"N": 1, "T": 1e-30, "n": 16}, mode="sweep",
+                                m_list=[0.05, 0.01]),
+                 "solver error: Failed: DomainError: solver status Stalled", id="sweep-T-tiny"),
 ])
 def test_main_unconverged_run_exits_solver(tmp_path, capsys, mode, doc, prefix):
     # a run that ends without converging says why, in one line

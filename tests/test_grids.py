@@ -1,9 +1,12 @@
 """Spectral core: transforms, norms, multiplier operators, serialization."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fractorus import grids
 from fractorus.errors import DomainError, SymmetryViolation
 from fractorus.grids import (
     MAX_GRID_POINTS,
@@ -20,9 +23,12 @@ from fractorus.grids import (
     inverse_transform,
     lq_norm,
     multiplier,
+    nyquist_weight,
     object_from_json,
+    pad_coeffs,
     project_zero_mean,
     random_spectrum,
+    restrict_values,
     spectrum_to_json,
 )
 
@@ -164,3 +170,122 @@ def test_2d_roundtrip(grid2d, rng):
     u = random_spectrum(grid2d, rng, decay=0.2)
     f = inverse_transform(u)
     assert np.max(np.abs(forward_transform(f).coeffs - u.coeffs)) < 1e-12
+
+
+def _images(g: TorusGrid, m: int):
+    """Per axis, the (band index, m-grid index, weight) of every image of a
+    band mode: k itself, and both +-n/2 with weight 1/2 for the Nyquist mode
+    (one m-grid index twice at m = n)."""
+    ny = g.n // 2
+    src, dst, w = [], [], []
+    for j, k in enumerate(g.axis_wavenumbers()):
+        for image in ((ny, -ny) if k == ny else (k,)):
+            src.append(j)
+            dst.append(image % m)
+            w.append(0.5 if k == ny else 1.0)
+    return np.array(src), np.array(dst), np.array(w)
+
+
+def _reference_pad(C, g, m):
+    """Zero-pad the full complex spectrum onto the m-grid, then ifftn."""
+    src, dst, w = _images(g, m)
+    P = np.zeros(C.shape[:-g.N] + (m,) * g.N, dtype=complex)
+    W = functools.reduce(np.multiply.outer, [w] * g.N)
+    np.add.at(P, (Ellipsis,) + np.ix_(*[dst] * g.N), C[(Ellipsis,) + np.ix_(*[src] * g.N)] * W)
+    v = np.fft.ifftn(P, axes=tuple(range(-g.N, 0))) * (m**g.N / g.T ** (g.N / 2.0))
+    assert np.max(np.abs(v.imag)) < 1e-13 * np.max(np.abs(v))
+    return v.real
+
+
+def _reference_restrict(v, g):
+    """fftn on the m-grid, each band mode summing all its images, Nyquist planes real."""
+    m = v.shape[-1]
+    src, dst, _ = _images(g, m)
+    F = np.fft.fftn(v, axes=tuple(range(-g.N, 0))) * (g.T ** (g.N / 2.0) / m**g.N)
+    C = np.zeros(v.shape[:-g.N] + g.shape, dtype=complex)
+    np.add.at(C, (Ellipsis,) + np.ix_(*[src] * g.N), F[(Ellipsis,) + np.ix_(*[dst] * g.N)])
+    nyq = functools.reduce(np.logical_or.outer, [g.axis_wavenumbers() == g.n // 2] * g.N)
+    C[..., nyq] = C[..., nyq].real
+    return C
+
+
+def _close(got, want):
+    return np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("N,n", [(1, 16), (2, 8), (3, 8)])
+@pytest.mark.parametrize("factor", [1.0, 1.5, 2.5])
+def test_pad_and_restrict_match_the_complex_fft_reference(N, n, factor, rng):
+    g = TorusGrid(N, 2.7, n)
+    m = int(factor * n)
+    C = np.stack([random_spectrum(g, rng).coeffs for _ in range(2)])
+    assert _close(pad_coeffs(C, g, m), _reference_pad(C, g, m))
+    v = rng.standard_normal((2,) + (m,) * N)
+    assert _close(restrict_values(v, g), _reference_restrict(v, g))
+    if m == n:
+        f = Field(g, v[0])
+        assert _close(forward_transform(f).coeffs, nyquist_weight(g) * _reference_restrict(v[0], g))
+
+
+def _rfftn_pad(coeffs, g, m):
+    """The pad as one zero-filled rfft layout and one irfftn call."""
+    big = np.zeros(coeffs.shape[:-g.N] + (m,) * (g.N - 1) + (m // 2 + 1,), dtype=complex)
+    w = nyquist_weight(g)
+    for c, f in grids._half_blocks(g.n, m, g.N):
+        np.multiply(coeffs[c], w[c], out=big[f])
+    x = np.fft.irfftn(big, (m,) * g.N, tuple(range(-g.N, 0)))
+    return x * (m**g.N / g.T ** (g.N / 2.0))
+
+
+def _rfftn_restrict(values, g):
+    """The restriction as one rfftn call, the half spectrum folded block by
+    block and its conjugate mirror concatenated."""
+    N, ny, m = g.N, g.n // 2, values.shape[-1]
+    F = np.fft.rfftn(values, axes=tuple(range(-N, 0)))
+    F *= g.T ** (N / 2.0) / m**N
+    out = np.zeros(F.shape[:-N] + (g.n,) * (N - 1) + (ny + 1,), dtype=complex)
+    for c, f in grids._half_blocks(g.n, m, N):
+        out[c] += F[f]
+    col = out[..., ny].real
+    out[..., ny] = col + grids._reverse_modes(col, range(1 - N, 0))
+    for k in range(1, N):
+        out[(Ellipsis, ny) + (slice(None),) * k].imag = 0.0
+    neg = np.conj(grids._reverse_modes(out[..., ny - 1:0:-1], range(-N, -1)))
+    return np.concatenate((out, neg), axis=-1)
+
+
+@pytest.mark.parametrize("N,n", [(1, 16), (2, 8), (3, 8)])
+def test_pad_and_restrict_keep_the_rfftn_rounding(N, n, rng):
+    # the plans and the one-axis-at-a-time FFTs change no bit of the result
+    g = TorusGrid(N, 2.7, n)
+    C = np.stack([random_spectrum(g, rng).coeffs for _ in range(2)])
+    for m in (n, 3 * n // 2, 5 * n // 2):
+        v = np.round(rng.standard_normal((2,) + (m,) * N), 1)  # exact zeros in F
+        assert restrict_values(v, g).tobytes() == _rfftn_restrict(v, g).tobytes()
+        if m > n:
+            assert pad_coeffs(C, g, m).tobytes() == _rfftn_pad(C, g, m).tobytes()
+
+
+def _arrays(x):
+    if isinstance(x, np.ndarray):
+        return [x]
+    if isinstance(x, tuple):
+        return [a for item in x for a in _arrays(item)]
+    return []
+
+
+def test_plans_are_read_only_and_keyed_by_grid_sizes(rng):
+    for N, n, m in [(1, 16, 24), (2, 8, 20), (3, 8, 8)]:
+        plan = grids._plan(N, n, m)
+        assert grids._plan(N, n, m) is plan
+        assert plan.padded == (m,) * (N - 1) + (m // 2 + 1,)
+        arrays = _arrays(plan)
+        assert len(arrays) >= len(plan.blocks)
+        assert not any(a.flags.writeable for a in arrays)
+    assert grids._plan(2, 8, 12) is not grids._plan(2, 8, 20)
+    # the period is not part of the key: grids that differ only in T share a plan
+    C = random_spectrum(TorusGrid(2, 1.0, 8), rng).coeffs
+    pad_coeffs(C, TorusGrid(2, 1.0, 8), 12)
+    size = grids._plan.cache_info().currsize
+    pad_coeffs(C, TorusGrid(2, 3.0, 8), 12)
+    assert grids._plan.cache_info().currsize == size
