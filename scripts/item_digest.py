@@ -4,8 +4,10 @@ Usage: python3 scripts/item_digest.py WORKLOAD SEED SECONDS
 
 The items are those of `perfbench/workloads.generate` for the workload, the
 seed and the item count that a `--seconds SECONDS` benchmark run uses.  Each
-item goes through `cli.parse_config` and `cli.run` into a temporary
-directory, and one JSON line is printed per item:
+item runs through `perfbench/checks.run_item` into a temporary directory.
+That maps the item's exceptions to cli.main's exit codes, and to exit 1 with
+the exception's class where cli.main would end in a traceback.  One JSON line
+is printed per item:
 
     {"item": i, "exit": code, "error": class name or null,
      "level": float | null,                       (solve)
@@ -34,8 +36,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-from fractorus import cli, grids, linking  # noqa: E402
-from fractorus.errors import FractorusError, ParseError, ValidationError  # noqa: E402
+from fractorus import grids, linking  # noqa: E402
+from checks import run_item  # noqa: E402
 import workloads  # noqa: E402
 
 
@@ -56,19 +58,6 @@ def _count_calls(fn, modules):
     return calls
 
 
-def _run(item: dict, out: Path):
-    """(exit code, exception class name or None) as cli.main would end."""
-    try:
-        cfg = cli.parse_config(json.dumps(item["config"]))
-        return cli.run(cfg, output_dir=out, **item["flags"]), None
-    except (ParseError, ValidationError) as ex:
-        return cli.EXIT_CONFIG, type(ex).__name__
-    except cli._SOLVER_ERRORS as ex:
-        return cli.EXIT_SOLVER, type(ex).__name__
-    except FractorusError as ex:
-        return cli.EXIT_VERIFY, type(ex).__name__
-
-
 def _outputs_sha256(out: Path) -> str:
     """SHA-256 over the relative path, size and bytes of every file under out,
     in path order."""
@@ -80,8 +69,8 @@ def _outputs_sha256(out: Path) -> str:
     return h.hexdigest()
 
 
-def _digest(item: dict, out: Path, code: int, error) -> dict:
-    doc = {"exit": code, "error": error}
+def _digest(out: Path, outcome) -> dict:
+    doc = {"exit": outcome.code, "error": outcome.error}
     energy = out / "energy.json"
     if energy.exists():
         doc["level"] = json.loads(energy.read_text())["level"]
@@ -117,8 +106,7 @@ def main(argv=None) -> int:
         for i, item in enumerate(items):
             out = Path(tmp) / f"item{i}"
             before = len(steps), len(pads)
-            code, error = _run(item, out)
-            doc = {"item": i, **_digest(item, out, code, error),
+            doc = {"item": i, **_digest(out, run_item(item, out)),
                    "newton_steps": len(steps) - before[0], "pad_calls": len(pads) - before[1],
                    "outputs_sha256": _outputs_sha256(out)}
             print(json.dumps(doc), flush=True)

@@ -44,7 +44,6 @@ from .grids import (
 from .theta import HalflineRule, ThetaProfile, halfline_rule, kappa, profile_energy_integral
 from .extension import (
     CylinderFunction,
-    ExtensionField,
     as_cylinder,
     conormal_derivative,
     cylinder_energy,

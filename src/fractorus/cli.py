@@ -63,6 +63,9 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_VERIFY = 4
 
+# The nonlinearity verify checks when the config names none.
+_VERIFY_SPEC = NonlinearitySpec(kind="pure_power", p=3.0)
+
 _SOLVER_ERRORS = (
     NoPositiveRidge,
     BoundaryNotNegative,
@@ -178,6 +181,8 @@ def parse_config(text: str) -> RunConfig:
 
     spec = _section(doc, "nonlinearity", {"kind", "p", "mu", "r0", "a_values"},
                     build_spec, required=mode in ("solve", "sweep"))
+    # the dealiased products sample the padded grid, whose cells are smaller
+    _built("$.grid", grid.cell_at, padded_size(grid.n, spec or _VERIFY_SPEC))
 
     solver = _section(doc, "solver", _SOLVER_KEYS, lambda d: linking.LinkingConfig(
         **{k: _SOLVER_KEYS[k](v) for k, v in d.items()}), required=False)
@@ -278,7 +283,7 @@ def _verify_properties(cfg: RunConfig):
         check("ground_gap_zero_on_theta_mode", lambda: abs(
             extension.ground_gap(theta_mult, p)) < 1e-6)
 
-    spec = cfg.nonlinearity or NonlinearitySpec(kind="pure_power", p=3.0)
+    spec = cfg.nonlinearity or _VERIFY_SPEC
     m_pad = padded_size(g.n, spec)
     check("dealias_pad_roundtrip", lambda: np.max(np.abs(
         restrict_values(pad_coeffs(u_rand.coeffs, g, m_pad), g) - u_rand.coeffs)) < 1e-12)

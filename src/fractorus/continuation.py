@@ -103,7 +103,10 @@ def estimate_sobolev_constant(
                 # kept, as the sweep masses are gated on its m0 (ROADMAP item 6)
                 g_num = forward_transform(
                     Field(grid, np.abs(u.values) ** (q - 1.0) * np.sign(u.values))).coeffs
-                d = g_num * (num ** (1.0 - q)) - (wts * c) / den2
+                try:
+                    d = g_num * (num ** (1.0 - q)) - (wts * c) / den2
+                except (OverflowError, ZeroDivisionError):
+                    break  # num ** (1 - q) is no float: the start ends where it is
             cand = c + step * d
             cand[zero] = 0.0
             trial = evaluate(cand)
@@ -207,14 +210,15 @@ def extract_limit(
     if len(diffs) >= 2 and diffs[-1] > 10.0 * max(diffs[:-1]):
         raise NotCauchy(f"branch increments grew: {diffs}")
 
-    p0 = FracParams(p_base.s, 0.0)
     seed = project_zero_mean(good[-1].solution)
-    u = linking.newton_refine(seed, p0, spec, tol=tol * linking.POLISH_TOL_FACTOR,
-                              enforce_zero_mean=True)
+    pt = linking.refine_point(
+        Discretization(seed.grid, FracParams(p_base.s, 0.0), spec).at(seed.coeffs),
+        tol=tol * linking.POLISH_TOL_FACTOR, enforce_zero_mean=True)
+    u = Spectrum(seed.grid, pt.U)
     if hs_norm(u, pm1) < 1e-6:
         raise LimitCollapsed("m = 0 refinement collapsed to the trivial solution")
     lam_hat = min(r.alpha for r in good)
-    if nonlinear_action(spec, u) < 2.0 * lam_hat - tol:
+    if float(pt.action) < 2.0 * lam_hat - tol:
         raise LimitCollapsed("superquadratic activity bound failed in the limit")
     return u
 
@@ -248,9 +252,12 @@ def holder_proxy(u: Spectrum) -> float:
 
     Diagnostic only; raises InsufficientDecay when the top half of the band
     carries more than 10% of the energy (truncation-dominated spectra carry
-    no regularity information).
+    no regularity information), and DomainError at n = 4, whose one step
+    h = T/4 is the reference scale itself.
     """
     g = u.grid
+    if g.n <= 4:
+        raise DomainError(f"holder_proxy needs a step h < T/4, and n = {g.n} has none")
     if u.l2_norm() == 0.0:
         raise DomainError("holder_proxy needs a nontrivial field")
     kk = np.sqrt(g.ksq())
@@ -259,18 +266,15 @@ def holder_proxy(u: Spectrum) -> float:
     if top > 0.10:
         raise InsufficientDecay(f"top-band energy fraction {top:.2f} exceeds 10%")
     vals = inverse_transform(u, check=False).values
-    h_steps = range(1, max(2, g.n // 8))
+    # alpha such that osc ~ C h^alpha with C = max oscillation at h ~ T/4
+    scale = float(np.max(vals) - np.min(vals))
     best = 1.0
-    for j in h_steps:
+    for j in range(1, max(2, g.n // 8)):
         h = j * g.T / g.n
         osc = 0.0
         for ax in range(g.N):
             osc = max(osc, float(np.max(np.abs(np.roll(vals, -j, axis=ax) - vals))))
         if osc <= 0.0:
-            continue
-        # alpha such that osc ~ C h^alpha with C = max oscillation at h ~ T/4
-        scale = float(np.max(vals) - np.min(vals))
-        if scale <= 0:
             continue
         alpha = np.log(osc / scale) / np.log(h / (g.T / 4.0))
         if np.isfinite(alpha):

@@ -46,6 +46,7 @@ class TorusGrid:
             raise DomainError(f"n must be even and >= 4, got {self.n}")
         if self.n**self.N > MAX_GRID_POINTS:
             raise DomainError(f"n^N = {self.n}^{self.N} exceeds {MAX_GRID_POINTS} grid points")
+        self.cell_at(self.n)
 
     @property
     def omega(self) -> float:
@@ -61,7 +62,17 @@ class TorusGrid:
 
     @property
     def cell_volume(self) -> float:
-        return (self.T / self.n) ** self.N
+        return self.cell_at(self.n)
+
+    def cell_at(self, m: int) -> float:
+        """(T/m)^N, the cell volume at m points per axis; a positive finite float."""
+        try:
+            vol = (self.T / m) ** self.N
+        except OverflowError:
+            vol = np.inf
+        if not 0.0 < vol < np.inf:
+            raise DomainError(f"the cell volume (T/{m})^{self.N} at T={self.T} is {vol}")
+        return vol
 
     def axis_wavenumbers(self) -> np.ndarray:
         """Integer wavenumbers along one axis, FFT layout, Nyquist = +n/2."""

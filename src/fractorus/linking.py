@@ -398,7 +398,6 @@ def newton_refine(
     spec: NonlinearitySpec,
     tol: float = 1e-10,
     max_iters: int = 60,
-    enforce_zero_mean: bool = False,
 ) -> Spectrum:
     """Damped inexact Newton on the Euler-Lagrange residual, until its dual
     norm (that of residual_norm) is below tol.
@@ -409,14 +408,14 @@ def newton_refine(
     DivergedRefinement when no damping of a step lowers the residual, or
     after max_iters steps.
     """
-    u = (project_zero_mean(u0) if enforce_zero_mean else u0).coeffs
-    pt = Discretization(u0.grid, p, spec).at(u)
-    return Spectrum(u0.grid, refine_point(pt, tol, max_iters, enforce_zero_mean).U)
+    pt = Discretization(u0.grid, p, spec).at(u0.coeffs)
+    return Spectrum(u0.grid, refine_point(pt, tol, max_iters).U)
 
 
 def refine_point(pt: Point, tol: float, max_iters: int = 60,
                  enforce_zero_mean: bool = False) -> Point:
-    """newton_refine from the evaluation point pt; returns the point it ends at."""
+    """newton_refine from the evaluation point pt; returns the point it ends at.
+    With enforce_zero_mean no step moves the mean mode."""
     for _ in range(max_iters):
         if pt.gnorm < tol:
             return pt

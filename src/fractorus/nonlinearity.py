@@ -176,7 +176,7 @@ class Discretization:
         put("pairing", nyquist_weight(g))
         m = padded_size(g.n, spec)
         put("m_pad", m)
-        put("cell", (g.T / m) ** g.N)
+        put("cell", g.cell_at(m))
         put("axes", tuple(range(-g.N, 0)))
         if spec is not None:
             put("coeff_pad", np.ones((m,) * g.N) if spec.kind == "pure_power"

@@ -8,7 +8,14 @@ from hypothesis import given, settings, strategies as st
 
 from fractorus import cli
 from fractorus.errors import ParseError, ValidationError
-from fractorus.grids import Spectrum, TorusGrid, object_from_json, spectrum_to_json
+from fractorus.grids import (
+    Spectrum,
+    TorusGrid,
+    field_from_function,
+    forward_transform,
+    object_from_json,
+    spectrum_to_json,
+)
 
 MINIMAL = {
     "grid": {"N": 1, "T": 6.283185307179586, "n": 64},
@@ -137,6 +144,20 @@ def test_diagnose_mode(tmp_path):
     assert doc["holder_alpha"] is None or 0 < doc["holder_alpha"] < 1
 
 
+def test_diagnose_without_a_holder_step(tmp_path, capsys):
+    # at n = 4 the only step is h = T/4, the scale the Holder exponent is measured against
+    u = forward_transform(field_from_function(TorusGrid(1, 2 * np.pi, 4), np.cos))
+    (tmp_path / "cos.json").write_text(json.dumps(spectrum_to_json(u)))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_with(("grid", "n"), 4, mode="diagnose",
+                                         solution_file=str(tmp_path / "cos.json"))))
+    assert cli.main(["diagnose", "--config", str(cfg_path), "--output", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+    doc = json.loads((tmp_path / "diagnose.json").read_text())
+    assert doc["holder_alpha"] is None
+    assert doc["holder_note"].startswith("DomainError: holder_proxy needs a step h < T/4")
+
+
 @pytest.mark.parametrize("m", [0.0, 1e-300])
 def test_verify_at_zero_mass_exits_ok(tmp_path, m):
     # the k = 0 mode has a zero multiplier and stays in the L2 metric of the X-gradient
@@ -165,6 +186,16 @@ def _with(path, value, **overrides):
     for name in parents:
         sec = sec[name]
     sec[key] = value
+    return doc
+
+
+def _extreme(mode, N, n, T, s=0.5, m=1.0):
+    """A config at an extreme period: pure power p = 1.5 and, for a sweep,
+    the masses [0.05, 0.01]."""
+    doc = _with(("grid",), {"N": N, "T": T, "n": n}, mode=mode, frac={"s": s, "m": m},
+                nonlinearity={"kind": "pure_power", "p": 1.5})
+    if mode == "sweep":
+        doc["m_list"] = [0.05, 0.01]
     return doc
 
 
@@ -219,6 +250,12 @@ MALFORMED = [
                                    mode="diagnose"), id="solution_file-non-hermitian"),
     pytest.param("sweep", _with(("grid", "T"), 1e170, mode="sweep", m_list=[0.5, 0.1]),
                  id="grid.T-sweep-weights-underflow"),
+    # the cell volume (T/n)^N leaves the floats, on the grid or on the padded grid
+    pytest.param("sweep", _extreme("sweep", 3, 4, 1e150), id="grid.T-cell-overflow-sweep"),
+    pytest.param("solve", _extreme("solve", 3, 4, 1e150), id="grid.T-cell-overflow-solve"),
+    pytest.param("verify", _extreme("verify", 2, 8, 1e300), id="grid.T-cell-overflow-verify"),
+    pytest.param("sweep", _extreme("sweep", 3, 4, 1e-150), id="grid.T-cell-underflow-sweep"),
+    pytest.param("solve", _extreme("solve", 3, 4, 6e-108), id="grid.T-padded-cell-underflow"),
     pytest.param("sweep", _with(("mode",), "solve"), id="sweep-on-solve-config"),
     pytest.param("solve", {k: v for k, v in _with(("mode",), "verify").items()
                            if k != "nonlinearity"}, id="solve-on-verify-config"),
@@ -307,6 +344,12 @@ _UNREACHABLE = {"max_iters": 1, "ps_tol": 1e-30}
     pytest.param("sweep", _with(("grid",), {"N": 1, "T": 1e-30, "n": 16}, mode="sweep",
                                 m_list=[0.05, 0.01]),
                  "solver error: Failed: DomainError: solver status Stalled", id="sweep-T-tiny"),
+    # the Sobolev ascent's factor num ** (1 - q), q = 200, overflows, or num underflows
+    # to 0 and the factor is a division by zero; the start ends there
+    pytest.param("sweep", _extreme("sweep", 2, 8, 1e-150, s=0.99, m=1e-300),
+                 "solver error: Failed: NoPositiveRidge: ", id="sweep-ascent-direction-overflow"),
+    pytest.param("sweep", _extreme("sweep", 2, 4, 1e-150, s=0.99),
+                 "solver error: Failed: NoPositiveRidge: ", id="sweep-ascent-norm-underflow"),
 ])
 def test_main_unconverged_run_exits_solver(tmp_path, capsys, mode, doc, prefix):
     # a run that ends without converging says why, in one line

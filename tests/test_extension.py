@@ -1,6 +1,7 @@
 """Half-cylinder extension: energies, traces, conormal derivative, gaps."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from fractorus.errors import DomainError, QuadratureUnconverged, ZeroModeNoDecay
 from fractorus.extension import (
+    CylinderFunction,
     as_cylinder,
     conormal_derivative,
     cylinder_energy,
@@ -104,7 +106,7 @@ def test_sharp_gap_zero_on_extensions(request, grid_name, s, rng):
 @pytest.mark.parametrize("grid_name,s", [("grid64", 0.25), ("grid64", 0.4), ("grid64", 0.5),
                                          ("grid2d", 0.25), ("grid2d", 0.4), ("grid2d", 0.5),
                                          ("grid2d", 0.75)])
-@pytest.mark.parametrize("m", [0.34, 1.0])
+@pytest.mark.parametrize("m", [0.34, 1.0, 0.0])
 def test_cylinder_energy_of_extension_is_kappa_hs(request, grid_name, s, m):
     # the sampled extension's mode energies sum to kappa(s) |u|_{H^s}^2
     grid = request.getfixturevalue(grid_name)
@@ -231,3 +233,60 @@ def test_slice_at_decays(grid64, params_half):
     assert a0 > a1 > a2
     with pytest.raises(DomainError):
         v.slice_at(-1.0)
+
+
+def test_extend_is_a_cylinder_function_with_known_trace(grid64, params_half, rng):
+    v = extend(random_spectrum(grid64, rng, decay=0.4), params_half)
+    assert isinstance(v, CylinderFunction) and v.g0 == 1.0
+    assert as_cylinder(v).g0 is None
+
+
+def test_as_cylinder_extrapolates_the_trace(grid2d):
+    # at s = 0.75 the extrapolated theta(0+) is exactly 1.0, so count the calls of g
+    calls = []
+    v = extend(random_spectrum(grid2d, np.random.default_rng(5), decay=0.4), FracParams(0.75, 1.0))
+
+    def g(t):
+        calls.append(np.size(t))
+        return v.g(t)
+
+    counted = replace(v, g=g)
+    assert np.array_equal(trace(counted).coeffs, v.base.coeffs) and calls == []
+    assert np.array_equal(trace(as_cylinder(counted)).coeffs, v.base.coeffs)
+    assert calls == [3]
+
+
+@pytest.mark.parametrize("c", [1.5, 3.0])
+def test_conormal_derivative_of_exponential_profile(grid64, params_half, rng, c):
+    # s = 1/2, g = e^{-ct}: -dv/dy at y = 0 is c rate_k c_k mode by mode
+    u = random_spectrum(grid64, rng, decay=0.6)
+    v = cylinder_from_profiles(u, params_half, lambda t: np.exp(-c * t),
+                               lambda t: -c * np.exp(-c * t))
+    got = conormal_derivative(v, [1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
+    want = c * v.mode_rates() * u.coeffs
+    assert np.max(np.abs(got.coeffs - want)) < 1e-8 * np.max(np.abs(want))
+
+
+def test_slice_at_rate_zero_mode_takes_g_at_zero(grid64):
+    # at m = 0 the mean mode has rate 0: it is constant in y, at g(0+) = 2 times c_0
+    p0 = FracParams(0.5, 0.0)
+    u = _cos_spec(grid64)
+    coeffs = u.coeffs.copy()
+    coeffs[0] = 0.7
+    v = cylinder_from_profiles(Spectrum(grid64, coeffs), p0, lambda t: 2.0 * np.exp(-t),
+                               lambda t: -2.0 * np.exp(-t))
+    x = grid64.points()[0]
+    mean = 0.7 / np.sqrt(grid64.T)  # e_0 = 1/sqrt(T)
+    for y in (0.0, 0.5, 2.0):
+        want = 2.0 * (mean + np.exp(-y) * np.cos(x))
+        assert np.max(np.abs(v.slice_at(y).values - want)) < 1e-9
+
+
+@pytest.mark.parametrize("build", [
+    lambda u, p: extend(u, p),
+    lambda u, p: cylinder_from_profiles(u, p, np.exp, np.exp),
+], ids=["extend", "cylinder_from_profiles"])
+def test_constructors_check_the_grid(grid64, build):
+    # N = 1 < 2s at s = 0.75
+    with pytest.raises(DomainError, match="N >= 2s"):
+        build(project_zero_mean(_cos_spec(grid64)), FracParams(0.75, 1.0))

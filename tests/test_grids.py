@@ -51,6 +51,21 @@ def test_grid_size_bound():
             TorusGrid(N=N, T=1.0, n=n)
 
 
+@pytest.mark.parametrize("N,T,n", [(3, 1e150, 4), (2, 1e300, 8), (3, 1e-150, 4)])
+def test_grid_cell_volume_is_a_positive_float(N, T, n):
+    # (T/n)^N overflows, or underflows to 0
+    with pytest.raises(DomainError, match="cell volume"):
+        TorusGrid(N=N, T=T, n=n)
+
+
+def test_padded_cell_volume_is_checked():
+    # the padded cells of a grid are smaller than its own: here they underflow to 0
+    grid = TorusGrid(N=3, T=6e-108, n=4)
+    assert grid.cell_volume == grid.cell_at(4) > 0.0
+    with pytest.raises(DomainError, match=r"\(T/6\)\^3"):
+        grid.cell_at(6)
+
+
 def test_frac_params_validation():
     with pytest.raises(DomainError):
         FracParams(s=0.0, m=1.0)
