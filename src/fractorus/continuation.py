@@ -31,6 +31,8 @@ from .grids import (
     hs_norm,
     inverse_transform,
     lq_norm,
+    multiplier,
+    pad_coeffs,
     project_zero_mean,
     random_spectrum,
 )
@@ -81,14 +83,13 @@ def estimate_sobolev_constant(
         # boundary case N = 2s: every finite exponent is admissible; use a
         # large fixed surrogate so the constant stays finite and reportable
         q = 16.0
-    wts = (grid.omega**2 * grid.ksq()) ** p.s
-    zero = (0,) * grid.N
+    wts = multiplier(grid, FracParams(p.s, 0.0))  # (omega^2 |k|^2)^s
 
     def evaluate(c):
         # a trial whose samples overflow in the L^q norm has a quotient of inf
         # or nan, and is rejected below like one that does not rise
         with np.errstate(over="ignore", invalid="ignore"):
-            u = inverse_transform(Spectrum(grid, c), check=False)
+            u = Field(grid, pad_coeffs(c, grid, grid.n))
             num, den2 = lq_norm(u, q), np.sum(wts * np.abs(c) ** 2).real
             return u, num, den2, num / np.sqrt(den2)
 
@@ -108,7 +109,7 @@ def estimate_sobolev_constant(
                 except (OverflowError, ZeroDivisionError):
                     break  # num ** (1 - q) is no float: the start ends where it is
             cand = c + step * d
-            cand[zero] = 0.0
+            cand[(0,) * grid.N] = 0.0
             trial = evaluate(cand)
             if val < trial[-1] < np.inf:
                 c, (u, num, den2, val), d = cand, trial, None
@@ -231,7 +232,7 @@ def nonlinear_action(spec: NonlinearitySpec, u: Spectrum) -> float:
 def bootstrap_diagnostic(u: Spectrum, q_list):
     """Table of L^q trace norms along the integrability ladder."""
     rows = []
-    f = inverse_transform(u, check=False)
+    f = inverse_transform(u)
     for q in sorted(q_list):
         if q < 2 or not np.isfinite(q):
             raise DomainError(f"q_list entries must be finite and >= 2, got {q}")
@@ -265,7 +266,7 @@ def holder_proxy(u: Spectrum) -> float:
     top = float(np.sum(e2[kk > g.n / 4.0]) / np.sum(e2))
     if top > 0.10:
         raise InsufficientDecay(f"top-band energy fraction {top:.2f} exceeds 10%")
-    vals = inverse_transform(u, check=False).values
+    vals = inverse_transform(u).values
     # alpha such that osc ~ C h^alpha with C = max oscillation at h ~ T/4
     scale = float(np.max(vals) - np.min(vals))
     best = 1.0

@@ -25,6 +25,7 @@ from .grids import (
     TorusGrid,
     hs_norm,
     inverse_transform,
+    multiplier,
     project_zero_mean,
 )
 from .theta import (
@@ -73,8 +74,8 @@ class CylinderFunction:
         return extrapolate_to_zero(ts, self.g(ts)[:, None], exps)[0]
 
     def mode_rates(self) -> np.ndarray:
-        """sqrt(omega^2 |k|^2 + m^2) per mode."""
-        return np.sqrt(self.grid.omega**2 * self.grid.ksq() + self.params.m**2)
+        """sqrt(omega^2 |k|^2 + m^2) per mode: the symbol of (-Lap + m^2)^{1/2}."""
+        return multiplier(self.grid, FracParams(0.5, self.params.m))
 
     def slice_at(self, y: float) -> Field:
         """Field samples of v(., y); a mode at t = rate_k y = 0 takes g(0+)."""
@@ -84,7 +85,7 @@ class CylinderFunction:
             return inverse_transform(trace(self))
         t = self.mode_rates() * y
         damp = np.where(t > 0, self.g(np.where(t > 0, t, 1.0)), self.g_at_zero())
-        return inverse_transform(Spectrum(self.grid, self.base.coeffs * damp), check=False)
+        return inverse_transform(Spectrum(self.grid, self.base.coeffs * damp))
 
 
 def extend(u: Spectrum, p: FracParams) -> CylinderFunction:

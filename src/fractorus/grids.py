@@ -29,6 +29,13 @@ def _frozen_array(a, dtype):
     return a
 
 
+@functools.lru_cache(maxsize=None)
+def _ksq(N: int, n: int) -> np.ndarray:
+    j = np.arange(n)
+    k2 = np.minimum(j, n - j) ** 2.0  # per axis; the Nyquist mode has |k| = n/2
+    return _frozen_array(functools.reduce(np.add.outer, [k2] * N), float)
+
+
 @dataclass(frozen=True)
 class TorusGrid:
     """Uniform grid on the N-torus of period T with n points per axis."""
@@ -81,10 +88,8 @@ class TorusGrid:
         return k.astype(np.int64)
 
     def ksq(self) -> np.ndarray:
-        """|k|^2 on the full spectral grid."""
-        k = self.axis_wavenumbers().astype(float)
-        axes = np.meshgrid(*([k] * self.N), indexing="ij")
-        return sum(a**2 for a in axes)
+        """|k|^2 on the full spectral grid: one read-only array per (N, n)."""
+        return _ksq(self.N, self.n)
 
     def points(self):
         """Coordinate arrays x_j = j T / n, one per axis (meshgrid ij)."""
@@ -182,13 +187,19 @@ class Spectrum:
 
 
 def multiplier(grid: TorusGrid, p: FracParams, shifted: bool = False) -> np.ndarray:
-    """(omega^2 |k|^2 + m^2)^s, minus m^{2s} when shifted."""
+    """(omega^2 |k|^2 + m^2)^s, minus m^{2s} when shifted: the operator's
+    symbol, one read-only table per (grid, s, m, shifted)."""
+    return _multiplier(grid, p, shifted)
+
+
+@functools.lru_cache(maxsize=8)  # a sweep meets a new mass per row; a table is <= 32 MB
+def _multiplier(grid: TorusGrid, p: FracParams, shifted: bool) -> np.ndarray:
     p.check_grid(grid)
     mult = (grid.omega**2 * grid.ksq() + p.m**2) ** p.s
     if shifted:
         mult = mult - p.m ** (2.0 * p.s)
         mult[(0,) * grid.N] = 0.0  # exact kernel at k = 0
-    return mult
+    return _frozen_array(mult, float)
 
 
 @functools.lru_cache(maxsize=None)
@@ -244,27 +255,20 @@ def _plan(N: int, n: int, m: int) -> _Plan:
     )
 
 
-def _irfft_values(X: np.ndarray, grid: TorusGrid, m: int) -> np.ndarray:
-    """Real samples on the m-point grid of an rfft half spectrum X in the
-    paper normalization (trailing N axes; leading axes are batched)."""
-    N = grid.N
-    # numpy.fft.irfft is irfftn at N = 1, with less call overhead
-    x = np.fft.irfft(X, m) if N == 1 else np.fft.irfftn(X, (m,) * N, tuple(range(-N, 0)))
-    return x * (m**N / grid.T ** (N / 2.0))
-
-
 def pad_coeffs(coeffs: np.ndarray, grid: TorusGrid, m: int) -> np.ndarray:
     """Real samples on the m-point grid (m >= n) of the interpolant of a
-    Hermitian spectrum; leading axes are batched.  Only the modes 0..n/2 of
-    the last axis are read.  A coefficient on |k_i| = n/2 lands on both
-    images +-n/2 with its Nyquist weight, so the interpolant stays real (on
-    the last axis -n/2 is the Hermitian mirror, which the half spectrum
+    Hermitian spectrum, unchecked; leading axes are batched.  Only the modes
+    0..n/2 of the last axis are read.  A coefficient on |k_i| = n/2 lands on
+    both images +-n/2 with its Nyquist weight, so the interpolant stays real
+    (on the last axis -n/2 is the Hermitian mirror, which the half spectrum
     leaves out)."""
-    plan = _plan(grid.N, grid.n, m)
-    big = np.zeros(coeffs.shape[: coeffs.ndim - grid.N] + plan.padded, dtype=complex)
+    N, plan = grid.N, _plan(grid.N, grid.n, m)
+    big = np.zeros(coeffs.shape[: coeffs.ndim - N] + plan.padded, dtype=complex)
     for c, f, w in plan.blocks:
         np.multiply(coeffs[c], w, out=big[f])
-    return _irfft_values(big, grid, m)
+    # numpy.fft.irfft is irfftn at N = 1, with less call overhead
+    x = np.fft.irfft(big, m) if N == 1 else np.fft.irfftn(big, (m,) * N, tuple(range(-N, 0)))
+    return x * (m**N / grid.T ** (N / 2.0))
 
 
 def restrict_values(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
@@ -299,17 +303,14 @@ def forward_transform(f: Field) -> Spectrum:
     return Spectrum(f.grid, nyquist_weight(f.grid) * restrict_values(f.values, f.grid))
 
 
-def inverse_transform(S: Spectrum, check: bool = True) -> Field:
-    """Samples of sum_k c_k e^{i omega k.x}/sqrt(T^N) at the grid points."""
-    g = S.grid
-    if check:
-        defect = hermitian_defect(S.coeffs)
-        if defect > HERMITIAN_TOL:
-            raise SymmetryViolation(
-                f"Hermitian defect {defect:.3e} exceeds {HERMITIAN_TOL:.0e}"
-            )
+def inverse_transform(S: Spectrum) -> Field:
+    """Samples of sum_k c_k e^{i omega k.x}/sqrt(T^N) at the grid points: the
+    pad at m = n of a spectrum checked to be Hermitian."""
+    defect = hermitian_defect(S.coeffs)
+    if defect > HERMITIAN_TOL:
+        raise SymmetryViolation(f"Hermitian defect {defect:.3e} exceeds {HERMITIAN_TOL:.0e}")
     with np.errstate(over="ignore", invalid="ignore"):  # Field rejects non-finite samples
-        return Field(g, _irfft_values(S.coeffs[..., : g.n // 2 + 1], g, g.n))
+        return Field(S.grid, pad_coeffs(S.coeffs, S.grid, S.grid.n))
 
 
 def apply_bessel_operator(S: Spectrum, p: FracParams) -> Spectrum:
@@ -324,8 +325,7 @@ def apply_shifted_operator(S: Spectrum, p: FracParams) -> Spectrum:
 
 def hs_norm(S: Spectrum, p: FracParams) -> float:
     """|u|_{H^s_{m,T}} = sqrt(sum (omega^2|k|^2+m^2)^s |c_k|^2)."""
-    mult = multiplier(S.grid, p)
-    return float(np.sqrt(np.sum(mult * np.abs(S.coeffs) ** 2)))
+    return float(np.sqrt(np.sum(multiplier(S.grid, p) * np.abs(S.coeffs) ** 2)))
 
 
 def lq_norm(f: Field, q: float) -> float:
@@ -360,15 +360,11 @@ def random_spectrum(
     zero_mean: bool = False,
 ) -> Spectrum:
     """Random real field spectrum, optional exponential coefficient decay."""
-    values = rng.standard_normal(grid.shape)
-    S = forward_transform(Field(grid, values))
-    coeffs = S.coeffs
+    coeffs = forward_transform(Field(grid, rng.standard_normal(grid.shape))).coeffs
     if decay > 0.0:
         coeffs = coeffs * np.exp(-decay * np.sqrt(grid.ksq()))
     S = Spectrum(grid, coeffs)
-    if zero_mean:
-        S = project_zero_mean(S)
-    return S
+    return project_zero_mean(S) if zero_mean else S
 
 
 # ---------------------------------------------------------------------------

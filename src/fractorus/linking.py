@@ -34,6 +34,7 @@ from .grids import (
     field_from_function,
     forward_transform,
     hs_norm,
+    multiplier,
     project_zero_mean,
     random_spectrum,
 )
@@ -263,6 +264,8 @@ def _peak(disc: Discretization, yhat: Spectrum, v: np.ndarray, c: float, r: floa
     return pt, float(x[0]), float(x[1])
 
 
+# the overflows of extreme periods leave levels that fail every stopping test
+@np.errstate(over="ignore", invalid="ignore")
 def minimax_search(
     grid: TorusGrid,
     p: FracParams,
@@ -280,8 +283,8 @@ def minimax_search(
     v = z.coeffs
     pt, c, r = _peak(disc, yhat, v, float(cs[i]), float(rs[j]))
 
-    def stops(pt):
-        return pt.gnorm < cfg.ps_tol and rho - 1e-6 <= pt.level <= delta_hat + 1e-12
+    def stops(pt):  # false on a NaN or infinite level or residual
+        return pt.gnorm < cfg.ps_tol and rho - 1e-6 <= pt.level <= delta_hat + 1e-12 < np.inf
 
     trace = []
     step = 1.0
@@ -459,7 +462,7 @@ def align_spectra(ref: Spectrum, cand: Spectrum, p: FracParams) -> Spectrum:
     sign.
     """
     g = ref.grid
-    a = Discretization(g, p, None).full * np.conj(ref.coeffs) * cand.coeffs
+    a = multiplier(g, p) * np.conj(ref.coeffs) * cand.coeffs
     corr = np.fft.fftn(a).real  # C at the grid shifts tau = j T / n
     j = np.unravel_index(int(np.argmax(np.abs(corr))), g.shape)
     sign = -1.0 if corr[j] < 0.0 else 1.0

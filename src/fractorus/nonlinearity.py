@@ -136,8 +136,8 @@ class Discretization:
 
         I(u) = 1/2 sum_k [(omega^2|k|^2+m^2)^s - m^{2s}] |c_k|^2 - int F(x,u) dx
 
-    on one grid.  The multipliers, the padded grid size, the coefficient a(x)
-    sampled on the padded grid and the padded cell volume are built once.
+    on one grid: the tables of grids.multiplier, and the padded grid size, a(x)
+    sampled on the padded grid and the padded cell volume, built once.
     at(U), the evaluation point of U, pads U once: I, its gradient and its
     linearization at U all read those samples.  Every product is dealiased
     by the one real-FFT pad and restrict of grids, pad_coeffs and
@@ -169,10 +169,9 @@ class Discretization:
         g, spec = self.grid, self.spec
         put = partial(object.__setattr__, self)
         if self.params is not None:
-            full = multiplier(g, self.params)
+            put("full", multiplier(g, self.params))
             put("shifted", multiplier(g, self.params, shifted=True))
-            put("full", full)
-            put("inv_full", np.where(full > 0.0, 1.0 / np.maximum(full, 1e-300), 1.0))
+            put("inv_full", np.where(self.full > 0.0, 1.0 / np.maximum(self.full, 1e-300), 1.0))
         put("pairing", nyquist_weight(g))
         m = padded_size(g.n, spec)
         put("m_pad", m)

@@ -350,6 +350,16 @@ _UNREACHABLE = {"max_iters": 1, "ps_tol": 1e-30}
                  "solver error: Failed: NoPositiveRidge: ", id="sweep-ascent-direction-overflow"),
     pytest.param("sweep", _extreme("sweep", 2, 4, 1e-150, s=0.99),
                  "solver error: Failed: NoPositiveRidge: ", id="sweep-ascent-norm-underflow"),
+    # the peak and the sphere step overflow in the minimax descent, silently
+    pytest.param("solve", _extreme("solve", 1, 8, 1e-100, s=0.25, m=1e-300),
+                 "solver error: Stalled: ", id="solve-1d-T-1e-100-descent-overflow"),
+    pytest.param("solve", _extreme("solve", 1, 8, 1e-30, s=0.25, m=1e-300),
+                 "solver error: Stalled: ", id="solve-1d-T-1e-30-descent-overflow"),
+    pytest.param("solve", _extreme("solve", 2, 8, 1e-30, s=0.99),
+                 "solver error: Stalled: ", id="solve-2d-T-1e-30-descent-overflow"),
+    pytest.param("sweep", _extreme("sweep", 2, 8, 1e-30, s=0.99),
+                 "solver error: Failed: DomainError: solver status Stalled",
+                 id="sweep-2d-T-1e-30-descent-overflow"),
 ])
 def test_main_unconverged_run_exits_solver(tmp_path, capsys, mode, doc, prefix):
     # a run that ends without converging says why, in one line

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from fractorus import continuation, linking
-from fractorus.errors import DomainError, InsufficientDecay, LimitCollapsed
+from fractorus.errors import (
+    DomainError,
+    InsufficientDecay,
+    LimitCollapsed,
+    SymmetryViolation,
+)
 from fractorus.grids import (
     FracParams,
     Spectrum,
@@ -66,19 +71,19 @@ def test_sobolev_monotone_under_refinement():
 
 def test_sobolev_ascent_evaluates_each_iterate_once(monkeypatch):
     # an accepted trial's samples and an unmoved iterate's direction are
-    # reused, so no transform is ever asked for the same input twice
-    seen = {"inverse": [], "forward": []}
-    inverse, forward = continuation.inverse_transform, continuation.forward_transform
+    # reused, so no sample or transform is ever asked for the same input twice
+    seen = {"pad": [], "forward": []}
+    pad, forward = continuation.pad_coeffs, continuation.forward_transform
 
-    def inverse_once(spec, **kwargs):
-        seen["inverse"].append(spec.coeffs.tobytes())
-        return inverse(spec, **kwargs)
+    def pad_once(coeffs, grid, m):
+        seen["pad"].append(coeffs.tobytes())
+        return pad(coeffs, grid, m)
 
     def forward_once(f):
         seen["forward"].append(f.values.tobytes())
         return forward(f)
 
-    monkeypatch.setattr(continuation, "inverse_transform", inverse_once)
+    monkeypatch.setattr(continuation, "pad_coeffs", pad_once)
     monkeypatch.setattr(continuation, "forward_transform", forward_once)
     continuation.estimate_sobolev_constant(
         TorusGrid(1, 2 * np.pi, 64), FracParams(0.5, 1.0), rng=np.random.default_rng(9)
@@ -155,6 +160,18 @@ def test_bootstrap_closed_forms(sweep_setup):
     assert abs(table[4.0] - (3 * np.pi / 4) ** 0.25) < 1e-12
     zero = Spectrum(grid, np.zeros(grid.shape, complex))
     assert all(v == 0.0 for _, v in continuation.bootstrap_diagnostic(zero, [2.0, 8.0]))
+
+
+@pytest.mark.parametrize("diagnostic", [
+    lambda u: continuation.bootstrap_diagnostic(u, [2.0, 4.0]),
+    continuation.holder_proxy,
+], ids=["bootstrap", "holder"])
+def test_diagnostics_reject_a_non_hermitian_spectrum(diagnostic):
+    g = TorusGrid(1, 2 * np.pi, 16)
+    c = np.zeros(g.shape, complex)
+    c[1] = 1.0  # no conjugate partner at -1
+    with pytest.raises(SymmetryViolation):
+        diagnostic(Spectrum(g, c))
 
 
 def test_ladder_arithmetic():

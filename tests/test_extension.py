@@ -7,7 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fractorus.errors import DomainError, QuadratureUnconverged, ZeroModeNoDecay
+from fractorus.errors import (
+    DomainError,
+    QuadratureUnconverged,
+    SymmetryViolation,
+    ZeroModeNoDecay,
+)
 from fractorus.extension import (
     CylinderFunction,
     as_cylinder,
@@ -233,6 +238,24 @@ def test_slice_at_decays(grid64, params_half):
     assert a0 > a1 > a2
     with pytest.raises(DomainError):
         v.slice_at(-1.0)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+@pytest.mark.parametrize("m", [0.0, 0.7])
+def test_mode_rates_are_the_half_power_symbol_bitwise(N, m):
+    g = TorusGrid(N, 5.0, 8)
+    v = extend(project_zero_mean(random_spectrum(g, np.random.default_rng(N))), FracParams(0.3, m))
+    want = np.sqrt(g.omega**2 * g.ksq() + m**2)
+    assert v.mode_rates().tobytes() == want.tobytes()
+
+
+def test_slice_at_rejects_a_non_hermitian_base(grid64, params_half):
+    c = np.zeros(grid64.shape, complex)
+    c[1] = 1.0  # no conjugate partner at -1
+    v = CylinderFunction(Spectrum(grid64, c), params_half,
+                         lambda t: np.exp(-t), lambda t: -np.exp(-t))
+    with pytest.raises(SymmetryViolation):
+        v.slice_at(0.5)
 
 
 def test_extend_is_a_cylinder_function_with_known_trace(grid64, params_half, rng):

@@ -124,6 +124,52 @@ def test_inverse_transform_rejects_asymmetric(grid64):
         inverse_transform(Spectrum(grid64, c))
 
 
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_inverse_transform_is_the_pad_at_n(N, rng):
+    g = TorusGrid(N, 3.0, 8)
+    S = random_spectrum(g, rng)
+    assert inverse_transform(S).values.tobytes() == pad_coeffs(S.coeffs, g, g.n).tobytes()
+
+
+@pytest.mark.parametrize("table", [
+    lambda g: multiplier(g, FracParams(0.5, 1.0)),
+    lambda g: multiplier(g, FracParams(0.5, 1.0), shifted=True),
+    lambda g: g.ksq(),
+], ids=["multiplier", "shifted", "ksq"])
+def test_symbol_tables_are_cached_and_read_only(table):
+    a = table(TorusGrid(2, 3.0, 8))
+    assert table(TorusGrid(2, 3.0, 8)) is a
+    with pytest.raises(ValueError):
+        a[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("N,n", [(1, 8), (2, 98), (3, 16)])
+def test_ksq_is_one_array_per_dimension_and_size(N, n):
+    ksq = TorusGrid(N, 3.0, n).ksq()
+    assert TorusGrid(N, 7.0, n).ksq() is ksq
+    k = TorusGrid(N, 3.0, n).axis_wavenumbers().astype(float)
+    assert ksq.tobytes() == sum(a**2 for a in np.meshgrid(*[k] * N, indexing="ij")).tobytes()
+
+
+def test_multiplier_cache_lets_old_masses_go():
+    # a sweep meets a new mass on every row; the least recent tables are rebuilt
+    g = TorusGrid(1, 3.0, 8)
+    first = multiplier(g, FracParams(0.5, 0.125))
+    for i in range(64):
+        multiplier(g, FracParams(0.5, 1.0 + i))
+    again = multiplier(g, FracParams(0.5, 0.125))
+    assert again is not first and again.tobytes() == first.tobytes()
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+@pytest.mark.parametrize("s", [0.25, 0.5])
+def test_massless_multiplier_is_the_sobolev_weight_bitwise(N, s):
+    # the Sobolev ascent's weights (omega^2 |k|^2)^s, the table at m = 0 for a sweep at any mass
+    g = TorusGrid(N, 5.0, 8)
+    want = (g.omega**2 * g.ksq()) ** s
+    assert multiplier(g, FracParams(s, 0.0)).tobytes() == want.tobytes()
+
+
 def test_hs_norm_closed_form(grid64, params_half):
     u = forward_transform(field_from_function(grid64, np.cos))
     # |cos|_{H^s}^2 = 2^{s} * pi  (two modes, multiplier (1+1)^{1/2} each, pi each)
