@@ -17,14 +17,17 @@ is printed per item:
      "trace_rows": rows of solver_trace.csv or null,
      "newton_steps": Newton steps taken inside the item,
      "pad_calls": calls of the band sampler `pad_coeffs` inside the item,
+     "pad_rows": rows those calls sampled, one per row of a batched call,
      "multiplier_builds": multiplier tables built inside the item (the misses
                           of the `grids.multiplier` cache),
      "outputs_sha256": SHA-256 of every file the item writes}
 
 `pad_calls` counts every band sample: the dealiasing pads, the Sobolev
 ascent's trial samples and `inverse_transform`, the pad at m = n.  At seed 11
-and 20 s that makes 16,686 calls over the `sweep-1d-n256` items and 462 over
-the `verify-mixed` items, where the dealiasing pads alone made 4,670 and 396.
+and 20 s that makes 9,691 calls sampling 28,121 rows over the `sweep-1d-n256`
+items (the ascent samples its halving trials in batches) and 462 calls and
+rows over the `verify-mixed` items, where the dealiasing pads alone made 4,670
+and 396 calls.
 
 Running it in two checkouts with the same arguments and diffing the output
 compares their items: exit codes, levels, alphas and the sweep's
@@ -48,14 +51,13 @@ from checks import run_item  # noqa: E402
 import workloads  # noqa: E402
 
 
-def _count_calls(fn, modules):
+def _count_calls(fn, modules, rows=lambda *args: 1):
     """Replace fn in every module that binds it by name (each looks it up at
-    call time) and return the list whose length is the number of calls so
-    far."""
+    call time) and return the list of rows(*args) per call so far."""
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(None)
+        calls.append(rows(*args))
         return fn(*args, **kwargs)
 
     for mod in modules:
@@ -108,7 +110,7 @@ def main(argv=None) -> int:
     items = workloads.generate(workload, seed, workloads.item_count(workload, seconds))
     modules = [m for k, m in sys.modules.items() if k.split(".")[0] == "fractorus"]
     steps = _count_calls(linking._newton_step, modules)
-    pads = _count_calls(grids.pad_coeffs, modules)
+    pads = _count_calls(grids.pad_coeffs, modules, lambda coeffs, grid, m: coeffs.size // grid.size)
     builds = grids._multiplier.cache_info
     with tempfile.TemporaryDirectory() as tmp:
         for i, item in enumerate(items):
@@ -116,6 +118,7 @@ def main(argv=None) -> int:
             before = len(steps), len(pads), builds().misses
             doc = {"item": i, **_digest(out, run_item(item, out)),
                    "newton_steps": len(steps) - before[0], "pad_calls": len(pads) - before[1],
+                   "pad_rows": sum(pads[before[1]:]),
                    "multiplier_builds": builds().misses - before[2],
                    "outputs_sha256": _outputs_sha256(out)}
             print(json.dumps(doc), flush=True)

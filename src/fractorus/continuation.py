@@ -10,6 +10,7 @@ diagnostics, not certificates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -40,6 +41,9 @@ from .nonlinearity import Discretization, NonlinearitySpec
 from . import linking
 
 SOBOLEV_STARTS, SOBOLEV_TRIALS = 10, 200  # random starts; trial steps per start
+# Most grid samples in one batch of trial steps: on larger grids a row sampled
+# after the accepted one costs more than the call that batching saves.
+SOBOLEV_BATCH_POINTS = 2**12
 
 
 @dataclass(frozen=True)
@@ -75,6 +79,12 @@ def estimate_sobolev_constant(
     Maximizes |u|_{L^q} / (sum w^{2s}|k|^{2s}|c_k|^2)^{1/2} with q the critical
     exponent over zero-mean spectra; the mass does not enter the quotient.
     Returns the best of 10 random starts of at most 200 trial steps each.
+
+    A rejected trial halves the step, so along one direction the trials
+    c + t d, t/2, t/4, ... are known in advance.  They are sampled in batches
+    of 1, 2, 4, ... rows, each at most the trials left and at most
+    SOBOLEV_BATCH_POINTS samples, and the first row that rises is taken: the
+    trials, the result and the errors are those of one trial at a time.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -84,40 +94,72 @@ def estimate_sobolev_constant(
         # large fixed surrogate so the constant stays finite and reportable
         q = 16.0
     wts = multiplier(grid, FracParams(p.s, 0.0))  # (omega^2 |k|^2)^s
+    vol, cap = grid.cell_volume, max(1, SOBOLEV_BATCH_POINTS // grid.size)
 
-    def evaluate(c):
-        # a trial whose samples overflow in the L^q norm has a quotient of inf
-        # or nan, and is rejected below like one that does not rise
+    def evaluate(rows, val):
+        # (k, samples, |u|_q, den^2, quotient) of the first row k whose quotient
+        # rises above val, the first row when val is None, or None when no row
+        # rises.  One trial at a time samples the rows up to k, so theirs must be
+        # finite.  A trial whose samples overflow in the L^q norm has a quotient
+        # of inf or nan, and does not rise.
         with np.errstate(over="ignore", invalid="ignore"):
-            u = Field(grid, pad_coeffs(c, grid, grid.n))
-            num, den2 = lq_norm(u, q), np.sum(wts * np.abs(c) ** 2).real
-            return u, num, den2, num / np.sqrt(den2)
+            u = pad_coeffs(rows, grid, grid.n)
+            flat = u.reshape(len(rows), -1)  # one contiguous axis per row, as lq_norm sums
+            sums = np.sum(np.abs(flat) ** q, axis=1)
+            den2 = np.sum((wts * np.abs(rows) ** 2).reshape(len(rows), -1), axis=1)
+            for k, (sq, d2) in enumerate(zip(sums, den2)):
+                # a non-finite sample makes its row's sum non-finite
+                if not (math.isfinite(sq) or np.all(np.isfinite(flat[k]))):
+                    raise DomainError("field values must be finite")
+                # a scalar power per row: numpy's array power rounds differently
+                num = float((sq * vol) ** (1.0 / q))
+                quot = num / np.sqrt(d2)
+                if val is None or val < quot < np.inf:
+                    return k, u[k], num, d2, quot
+        return None
+
+    def batches(step, left):
+        # the trial steps along one direction, in batches of 1, 2, 4, ... rows
+        # of at most cap: halved after each rejection until below 1e-10, and
+        # at most `left` of them
+        batch, size = [], 1
+        for _ in range(left):
+            batch.append(step)
+            step *= 0.5
+            if step < 1e-10:
+                break
+            if len(batch) == min(size, cap):
+                yield batch
+                batch, size = [], size * 2
+        if batch:
+            yield batch
 
     best = 0.0
     for _ in range(SOBOLEV_STARTS):
         c = random_spectrum(grid, rng, decay=0.3, zero_mean=True).coeffs.copy()
-        u, num, den2, val = evaluate(c)
-        step, d = 0.5, None
-        for _ in range(SOBOLEV_TRIALS):
-            if d is None:
-                # gradient of num - log den, not of log(num/den) (g_num num^(-q));
-                # kept, as the sweep masses are gated on its m0 (ROADMAP item 6)
-                g_num = forward_transform(
-                    Field(grid, np.abs(u.values) ** (q - 1.0) * np.sign(u.values))).coeffs
-                try:
-                    d = g_num * (num ** (1.0 - q)) - (wts * c) / den2
-                except (OverflowError, ZeroDivisionError):
-                    break  # num ** (1 - q) is no float: the start ends where it is
-            cand = c + step * d
-            cand[(0,) * grid.N] = 0.0
-            trial = evaluate(cand)
-            if val < trial[-1] < np.inf:
-                c, (u, num, den2, val), d = cand, trial, None
-                step = min(step * 1.3, 2.0)
-            else:
-                step *= 0.5
-                if step < 1e-10:
+        _, u, num, den2, val = evaluate(c[None], None)
+        step, left = 0.5, SOBOLEV_TRIALS
+        while left > 0:
+            # gradient of num - log den, not of log(num/den) (g_num num^(-q));
+            # kept, as the sweep masses are gated on its m0 (ROADMAP item 3)
+            g_num = forward_transform(Field(grid, np.abs(u) ** (q - 1.0) * np.sign(u))).coeffs
+            try:
+                d = g_num * (num ** (1.0 - q)) - (wts * c) / den2
+            except (OverflowError, ZeroDivisionError):
+                break  # num ** (1 - q) is no float: the start ends where it is
+            tried = 0
+            for t in batches(step, left):
+                # complex steps: a real one would send the product through numpy's casting loop
+                rows = c + np.array(t, complex).reshape((-1,) + (1,) * grid.N) * d
+                rows[(slice(None),) + (0,) * grid.N] = 0.0
+                rise = evaluate(rows, val)
+                if rise is not None:
+                    k, u, num, den2, val = rise
+                    c, step, left = rows[k], min(t[k] * 1.3, 2.0), left - tried - k - 1
                     break
+                tried += len(t)
+            else:
+                break  # no trial rose: the step fell below 1e-10 or the budget is spent
         best = max(best, val)
     return SobolevEstimate(C_sharp=float(best), m0=float(1.0 / (2.0 * best**2)))
 

@@ -371,11 +371,10 @@ def random_spectrum(
 # serialization (CLI persistence format)
 
 def spectrum_to_json(S: Spectrum) -> dict:
-    flat = S.coeffs.ravel()
     return {
         "grid": {"N": S.grid.N, "T": S.grid.T, "n": S.grid.n},
         "kind": "spectrum",
-        "data": [[float(z.real), float(z.imag)] for z in flat],
+        "data": S.coeffs.ravel().view(float).reshape(-1, 2).tolist(),  # [re, im] per mode
     }
 
 

@@ -6,14 +6,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fractorus import cli
-from fractorus.errors import ParseError, ValidationError
+from fractorus import cli, extension
+from fractorus.errors import DomainError, ParseError, ValidationError
 from fractorus.grids import (
     Spectrum,
     TorusGrid,
     field_from_function,
     forward_transform,
     object_from_json,
+    project_zero_mean,
+    random_spectrum,
     spectrum_to_json,
 )
 
@@ -103,6 +105,51 @@ def test_solve_mode_artifacts(tmp_path):
     assert (tmp_path / "solver_trace.csv").exists()
     ext = json.loads((tmp_path / "extension.json").read_text())
     assert len(ext["slices"]) == len(ext["y"])
+
+
+def _stdlib_spectrum_bytes(S):
+    """The spectrum document as json's indent-2 encoder writes it, one float at a time."""
+    doc = {"grid": {"N": S.grid.N, "T": S.grid.T, "n": S.grid.n}, "kind": "spectrum",
+           "data": [[float(z.real), float(z.imag)] for z in S.coeffs.ravel()]}
+    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
+
+
+@pytest.mark.parametrize("T", [2 * np.pi, 1.0, 7.0], ids=["2pi", "1", "7"])
+@pytest.mark.parametrize("N, n", [(1, 16), (2, 8), (3, 4)])
+def test_spectrum_writer_matches_the_stdlib_bytes(tmp_path, N, n, T):
+    g, path = TorusGrid(N, T, n), tmp_path / "spectrum.json"
+    c = random_spectrum(g, np.random.default_rng(N)).coeffs.copy()
+    edge = [-0.0, 5e-324, 1e16, 1e-05, 1e300]
+    c.reshape(-1)[: len(edge)] = [complex(v, -v) for v in edge]
+    for coeffs in (c, c.T, np.asfortranarray(c)):  # C, reversed and Fortran order
+        S = Spectrum(g, coeffs)
+        cli._write_json(path, spectrum_to_json(S), rows="data")
+        assert path.read_bytes() == _stdlib_spectrum_bytes(S)
+        back = object_from_json(json.loads(path.read_text()))
+        assert back.coeffs.tobytes() == S.coeffs.tobytes()
+    c = c.copy()  # Spectrum froze c
+    c.reshape(-1)[-3:] = [complex(np.nan, 1.0), complex(np.inf, -np.inf), complex(-np.inf, np.nan)]
+    S = Spectrum(g, c)
+    cli._write_json(path, spectrum_to_json(S), rows="data")
+    assert path.read_bytes() == _stdlib_spectrum_bytes(S)
+    with pytest.raises(DomainError):
+        object_from_json(json.loads(path.read_text()))
+
+
+@pytest.mark.parametrize("overrides", [
+    {},
+    {"grid": {"N": 2, "T": 6.283185307179586, "n": 8}, "frac": {"s": 0.75, "m": 1.0}},
+], ids=["1d-n64", "2d-n8"])
+def test_dump_extension_matches_the_stdlib_bytes(tmp_path, overrides):
+    cfg = cli.parse_config(_doc(**overrides))
+    assert cli.run(cfg, output_dir=tmp_path, dump_extension=True) == cli.EXIT_OK
+    sol = object_from_json(json.loads((tmp_path / "solution.json").read_text()))
+    assert (tmp_path / "solution.json").read_bytes() == _stdlib_spectrum_bytes(sol)
+    ext = extension.extend(project_zero_mean(sol), cfg.frac)
+    y = [0.0, 0.1, 0.5, 1.0, 2.0]
+    want = {"y": y, "slices": [[float(v) for v in ext.slice_at(t).values.ravel()] for t in y]}
+    assert (tmp_path / "extension.json").read_bytes() == (
+        json.dumps(want, indent=2, sort_keys=True) + "\n").encode()
 
 
 def test_trace_determinism(tmp_path):

@@ -11,12 +11,16 @@ from fractorus.errors import (
     SymmetryViolation,
 )
 from fractorus.grids import (
+    Field,
     FracParams,
     Spectrum,
     TorusGrid,
     field_from_function,
     forward_transform,
     hs_norm,
+    lq_norm,
+    multiplier,
+    pad_coeffs,
     random_spectrum,
 )
 from fractorus.nonlinearity import NonlinearitySpec
@@ -71,12 +75,13 @@ def test_sobolev_monotone_under_refinement():
 
 def test_sobolev_ascent_evaluates_each_iterate_once(monkeypatch):
     # an accepted trial's samples and an unmoved iterate's direction are
-    # reused, so no sample or transform is ever asked for the same input twice
+    # reused, so no sample or transform is ever asked for the same input twice;
+    # every row of a batched pad counts as one sample
     seen = {"pad": [], "forward": []}
     pad, forward = continuation.pad_coeffs, continuation.forward_transform
 
     def pad_once(coeffs, grid, m):
-        seen["pad"].append(coeffs.tobytes())
+        seen["pad"] += [row.tobytes() for row in coeffs.reshape((-1,) + grid.shape)]
         return pad(coeffs, grid, m)
 
     def forward_once(f):
@@ -90,6 +95,127 @@ def test_sobolev_ascent_evaluates_each_iterate_once(monkeypatch):
     )
     for inputs in seen.values():
         assert inputs and len(set(inputs)) == len(inputs)
+
+
+def _sequential_sobolev(grid, p, rng, trials=continuation.SOBOLEV_TRIALS):
+    """The Sobolev ascent one trial at a time, as it ran before its halving
+    trials were batched: (C_sharp, m0), which the batched ascent must match
+    bit for bit."""
+    q = p.critical_exponent(grid.N)
+    if not np.isfinite(q):
+        q = 16.0
+    wts = multiplier(grid, FracParams(p.s, 0.0))
+
+    def evaluate(c):
+        with np.errstate(over="ignore", invalid="ignore"):
+            u = Field(grid, pad_coeffs(c, grid, grid.n))
+            num, den2 = lq_norm(u, q), np.sum(wts * np.abs(c) ** 2).real
+            return u, num, den2, num / np.sqrt(den2)
+
+    best = 0.0
+    for _ in range(continuation.SOBOLEV_STARTS):
+        c = random_spectrum(grid, rng, decay=0.3, zero_mean=True).coeffs.copy()
+        u, num, den2, val = evaluate(c)
+        step, d = 0.5, None
+        for _ in range(trials):
+            if d is None:
+                g_num = forward_transform(
+                    Field(grid, np.abs(u.values) ** (q - 1.0) * np.sign(u.values))).coeffs
+                try:
+                    d = g_num * (num ** (1.0 - q)) - (wts * c) / den2
+                except (OverflowError, ZeroDivisionError):
+                    break
+            cand = c + step * d
+            cand[(0,) * grid.N] = 0.0
+            trial = evaluate(cand)
+            if val < trial[-1] < np.inf:
+                c, (u, num, den2, val), d = cand, trial, None
+                step = min(step * 1.3, 2.0)
+            else:
+                step *= 0.5
+                if step < 1e-10:
+                    break
+        best = max(best, val)
+    return float(best), float(1.0 / (2.0 * best**2))
+
+
+_ASCENT_GRIDS = {1: 32, 2: 8, 3: 4}  # n per dimension N
+
+
+@pytest.mark.parametrize("T", [2 * np.pi, 1.0, 7.3], ids=["2pi", "1", "7.3"])
+@pytest.mark.parametrize("N, s", [(N, s) for N in (1, 2, 3) for s in (0.25, 0.5, 0.99)
+                                  if N >= 2 * s])
+def test_sobolev_ascent_matches_the_sequential_loop(monkeypatch, N, s, T):
+    # the starts are independent ascents; 3 of them per seed keep the 3-D cases short
+    monkeypatch.setattr(continuation, "SOBOLEV_STARTS", 3)
+    grid, p = TorusGrid(N, T, _ASCENT_GRIDS[N]), FracParams(s, 1.0)
+    for seed in range(3):
+        est = continuation.estimate_sobolev_constant(grid, p, rng=np.random.default_rng(seed))
+        assert (est.C_sharp, est.m0) == _sequential_sobolev(grid, p, np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize("points, trials, most", [
+    (2**12, 2, 1), (2**12, 4, 2),  # the budget binds
+    (4 * 32, 200, 4), (1, 200, 1),  # the sample cap binds
+])
+def test_sobolev_batches_stay_within_the_sample_cap_and_the_budget(
+        monkeypatch, points, trials, most):
+    # each batch holds at most the trials left and at most the capped samples
+    # (one row when a row alone exceeds the cap), and the result is the
+    # sequential loop's under the same budget
+    grid, p = TorusGrid(1, 2 * np.pi, 32), FracParams(0.5, 1.0)
+    monkeypatch.setattr(continuation, "SOBOLEV_BATCH_POINTS", points)
+    monkeypatch.setattr(continuation, "SOBOLEV_TRIALS", trials)
+    rows, pad = [], continuation.pad_coeffs
+
+    def counted(coeffs, g, m):
+        rows.append(coeffs.size // g.size)
+        return pad(coeffs, g, m)
+
+    monkeypatch.setattr(continuation, "pad_coeffs", counted)
+    est = continuation.estimate_sobolev_constant(grid, p, rng=np.random.default_rng(4))
+    assert max(rows) == most <= min(max(1, points // grid.size), trials)
+    assert (est.C_sharp, est.m0) == _sequential_sobolev(grid, p, np.random.default_rng(4), trials)
+
+
+def test_sobolev_non_finite_rows_raise_only_where_sampled_one_at_a_time(monkeypatch):
+    # a non-finite row up to the accepted one is a trial the sequential loop
+    # samples, so it raises as Field does; one after it is never looked at
+    grid, p = TorusGrid(1, 2 * np.pi, 64), FracParams(0.5, 1.0)
+    q, pad, forward = 16.0, continuation.pad_coeffs, continuation.forward_transform
+    calls = []  # [samples, index of the accepted row or None] per pad call
+
+    def recorded(coeffs, g, m):
+        calls.append([pad(coeffs, g, m), None])
+        return calls[-1][0]
+
+    def direction_from(f):  # the next direction is taken at the accepted row
+        for k, row in enumerate(calls[-1][0]):
+            if np.array_equal(np.abs(row) ** (q - 1.0) * np.sign(row), f.values):
+                calls[-1][1] = k
+        return forward(f)
+
+    monkeypatch.setattr(continuation, "pad_coeffs", recorded)
+    monkeypatch.setattr(continuation, "forward_transform", direction_from)
+    clean = continuation.estimate_sobolev_constant(grid, p, rng=np.random.default_rng(2))
+    i, k = next((i, k) for i, (u, k) in enumerate(calls)
+                if k is not None and 1 <= k < len(u) - 1)
+
+    def inject(row):
+        count = iter(range(len(calls)))
+
+        def poisoned(coeffs, g, m):
+            out = pad(coeffs, g, m)
+            if next(count) == i:
+                out[row] = np.nan
+            return out
+
+        monkeypatch.setattr(continuation, "pad_coeffs", poisoned)
+        return continuation.estimate_sobolev_constant(grid, p, rng=np.random.default_rng(2))
+
+    with pytest.raises(DomainError, match="field values must be finite"):
+        inject(k - 1)
+    assert inject(k + 1) == clean
 
 
 def test_sweep_records(sweep_records):
