@@ -18,16 +18,20 @@ is printed per item:
      "newton_steps": Newton steps taken inside the item,
      "pad_calls": calls of the band sampler `pad_coeffs` inside the item,
      "pad_rows": rows those calls sampled, one per row of a batched call,
+     "pad_sites": {site: pad calls}, each call charged to the innermost
+                  search site on its call stack (PAD_SITES), else "other",
      "multiplier_builds": multiplier tables built inside the item (the misses
                           of the `grids.multiplier` cache),
      "outputs_sha256": SHA-256 of every file the item writes}
 
 `pad_calls` counts every band sample: the dealiasing pads, the Sobolev
-ascent's trial samples and `inverse_transform`, the pad at m = n.  At seed 11
-and 20 s that makes 9,691 calls sampling 28,121 rows over the `sweep-1d-n256`
-items (the ascent samples its halving trials in batches) and 462 calls and
-rows over the `verify-mixed` items, where the dealiasing pads alone made 4,670
-and 396 calls.
+ascent's samples and `inverse_transform`, the pad at m = n.  The searches
+combine samples they hold, so the ascent pads once per start and once per
+ascent direction, not per trial.  At seed 11 and 20 s that makes 6,477 calls
+sampling 6,506 rows over the `sweep-1d-n256` items (2,007 in the ascent and
+3,836 in MINRES applies) and 462 calls and rows over the `verify-mixed` items.
+`pad_sites` splits the calls by search site, so the pad census of a workload
+is the sum of its items' `pad_sites`.
 
 Running it in two checkouts with the same arguments and diffing the output
 compares their items: exit codes, levels, alphas and the sweep's
@@ -41,6 +45,7 @@ import hashlib
 import json
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -49,6 +54,25 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 from fractorus import grids, linking  # noqa: E402
 from checks import run_item  # noqa: E402
 import workloads  # noqa: E402
+
+
+# the search sites `pad_sites` charges a pad to; a MINRES apply runs inside
+# _minres, called by _newton_step
+PAD_SITES = {"_peak": "_peak", "_sphere_step": "_sphere_step",
+             "_calibrate_caps": "_calibrate_caps", "refine_point": "refine_point",
+             "_minres": "_minres/_newton_step", "_newton_step": "_minres/_newton_step",
+             "estimate_sobolev_constant": "estimate_sobolev_constant"}
+
+
+def _pad_site() -> str:
+    """The PAD_SITES entry of the innermost site on the caller's stack."""
+    frame = sys._getframe(1)
+    while frame is not None:
+        site = PAD_SITES.get(frame.f_code.co_name)
+        if site:
+            return site
+        frame = frame.f_back
+    return "other"
 
 
 def _count_calls(fn, modules, rows=lambda *args: 1):
@@ -110,7 +134,8 @@ def main(argv=None) -> int:
     items = workloads.generate(workload, seed, workloads.item_count(workload, seconds))
     modules = [m for k, m in sys.modules.items() if k.split(".")[0] == "fractorus"]
     steps = _count_calls(linking._newton_step, modules)
-    pads = _count_calls(grids.pad_coeffs, modules, lambda coeffs, grid, m: coeffs.size // grid.size)
+    pads = _count_calls(grids.pad_coeffs, modules,
+                        lambda coeffs, grid, m: (coeffs.size // grid.size, _pad_site()))
     builds = grids._multiplier.cache_info
     with tempfile.TemporaryDirectory() as tmp:
         for i, item in enumerate(items):
@@ -118,7 +143,8 @@ def main(argv=None) -> int:
             before = len(steps), len(pads), builds().misses
             doc = {"item": i, **_digest(out, run_item(item, out)),
                    "newton_steps": len(steps) - before[0], "pad_calls": len(pads) - before[1],
-                   "pad_rows": sum(pads[before[1]:]),
+                   "pad_rows": sum(rows for rows, _ in pads[before[1]:]),
+                   "pad_sites": dict(sorted(Counter(site for _, site in pads[before[1]:]).items())),
                    "multiplier_builds": builds().misses - before[2],
                    "outputs_sha256": _outputs_sha256(out)}
             print(json.dumps(doc), flush=True)

@@ -446,15 +446,15 @@ def run(cfg: RunConfig, output_dir=".", solver_trace=False, dump_extension=False
         if obj.grid != cfg.grid:
             raise ValidationError(f"$.solution_file holds a spectrum on {obj.grid}, "
                                   f"not on $.grid {cfg.grid}")
-        _built("$.solution_file", inverse_transform, obj)  # Hermitian, finite samples
+        f = _built("$.solution_file", inverse_transform, obj)  # Hermitian, finite samples
         qs = [2.0, 4.0, 8.0, 16.0]
         if cfg.grid.N > 2 * cfg.frac.s:
             qs = sorted(set(qs) | set(
                 continuation.ladder_exponents(cfg.grid.N, cfg.frac.s, count=4)))
-        table = continuation.bootstrap_diagnostic(obj, qs)
+        table = continuation.bootstrap_diagnostic(obj, qs, f)
         doc = {"bootstrap": [{"q": q, "lq_norm": v} for q, v in table]}
         try:
-            doc["holder_alpha"] = continuation.holder_proxy(obj)
+            doc["holder_alpha"] = continuation.holder_proxy(obj, f)
         except FractorusError as ex:
             doc["holder_alpha"] = None
             doc["holder_note"] = f"{type(ex).__name__}: {ex}"

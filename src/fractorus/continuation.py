@@ -41,9 +41,6 @@ from .nonlinearity import Discretization, NonlinearitySpec
 from . import linking
 
 SOBOLEV_STARTS, SOBOLEV_TRIALS = 10, 200  # random starts; trial steps per start
-# Most grid samples in one batch of trial steps: on larger grids a row sampled
-# after the accepted one costs more than the call that batching saves.
-SOBOLEV_BATCH_POINTS = 2**12
 
 
 @dataclass(frozen=True)
@@ -69,6 +66,9 @@ class ContinuationRecord:
         return (self.m, self.alpha, self.hs_norm_T, self.l2_norm, self.residual, self.status)
 
 
+# a trial whose samples overflow in the L^q norm, or whose den^2 rounds to a
+# nonpositive value, has a quotient of inf or nan, and does not rise
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def estimate_sobolev_constant(
     grid: TorusGrid,
     p: FracParams,
@@ -80,11 +80,10 @@ def estimate_sobolev_constant(
     exponent over zero-mean spectra; the mass does not enter the quotient.
     Returns the best of 10 random starts of at most 200 trial steps each.
 
-    A rejected trial halves the step, so along one direction the trials
-    c + t d, t/2, t/4, ... are known in advance.  They are sampled in batches
-    of 1, 2, 4, ... rows, each at most the trials left and at most
-    SOBOLEV_BATCH_POINTS samples, and the first row that rises is taken: the
-    trials, the result and the errors are those of one trial at a time.
+    The pad is linear, and the trials along one ascent direction d are
+    c + t d for the step t, halved after each rejection.  So c is padded
+    once per start and d once per direction: a trial's samples are u + t u_d
+    and its den^2 is den^2 + 2 t Re<c, wts d> + t^2 <d, wts d>.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -94,72 +93,43 @@ def estimate_sobolev_constant(
         # large fixed surrogate so the constant stays finite and reportable
         q = 16.0
     wts = multiplier(grid, FracParams(p.s, 0.0))  # (omega^2 |k|^2)^s
-    vol, cap = grid.cell_volume, max(1, SOBOLEV_BATCH_POINTS // grid.size)
+    vol, zero = grid.cell_volume, (0,) * grid.N
 
-    def evaluate(rows, val):
-        # (k, samples, |u|_q, den^2, quotient) of the first row k whose quotient
-        # rises above val, the first row when val is None, or None when no row
-        # rises.  One trial at a time samples the rows up to k, so theirs must be
-        # finite.  A trial whose samples overflow in the L^q norm has a quotient
-        # of inf or nan, and does not rise.
-        with np.errstate(over="ignore", invalid="ignore"):
-            u = pad_coeffs(rows, grid, grid.n)
-            flat = u.reshape(len(rows), -1)  # one contiguous axis per row, as lq_norm sums
-            sums = np.sum(np.abs(flat) ** q, axis=1)
-            den2 = np.sum((wts * np.abs(rows) ** 2).reshape(len(rows), -1), axis=1)
-            for k, (sq, d2) in enumerate(zip(sums, den2)):
-                # a non-finite sample makes its row's sum non-finite
-                if not (math.isfinite(sq) or np.all(np.isfinite(flat[k]))):
-                    raise DomainError("field values must be finite")
-                # a scalar power per row: numpy's array power rounds differently
-                num = float((sq * vol) ** (1.0 / q))
-                quot = num / np.sqrt(d2)
-                if val is None or val < quot < np.inf:
-                    return k, u[k], num, d2, quot
-        return None
-
-    def batches(step, left):
-        # the trial steps along one direction, in batches of 1, 2, 4, ... rows
-        # of at most cap: halved after each rejection until below 1e-10, and
-        # at most `left` of them
-        batch, size = [], 1
-        for _ in range(left):
-            batch.append(step)
-            step *= 0.5
-            if step < 1e-10:
-                break
-            if len(batch) == min(size, cap):
-                yield batch
-                batch, size = [], size * 2
-        if batch:
-            yield batch
+    def lq(u):  # |u|_q of the samples u
+        sq = np.sum(np.abs(u) ** q)
+        # a non-finite sample makes the sum non-finite
+        if not (math.isfinite(sq) or np.all(np.isfinite(u))):
+            raise DomainError("field values must be finite")
+        return float((sq * vol) ** (1.0 / q))
 
     best = 0.0
     for _ in range(SOBOLEV_STARTS):
         c = random_spectrum(grid, rng, decay=0.3, zero_mean=True).coeffs.copy()
-        _, u, num, den2, val = evaluate(c[None], None)
-        step, left = 0.5, SOBOLEV_TRIALS
-        while left > 0:
-            # gradient of num - log den, not of log(num/den) (g_num num^(-q));
-            # kept, as the sweep masses are gated on its m0 (ROADMAP item 3)
-            g_num = forward_transform(Field(grid, np.abs(u) ** (q - 1.0) * np.sign(u))).coeffs
-            try:
-                d = g_num * (num ** (1.0 - q)) - (wts * c) / den2
-            except (OverflowError, ZeroDivisionError):
-                break  # num ** (1 - q) is no float: the start ends where it is
-            tried = 0
-            for t in batches(step, left):
-                # complex steps: a real one would send the product through numpy's casting loop
-                rows = c + np.array(t, complex).reshape((-1,) + (1,) * grid.N) * d
-                rows[(slice(None),) + (0,) * grid.N] = 0.0
-                rise = evaluate(rows, val)
-                if rise is not None:
-                    k, u, num, den2, val = rise
-                    c, step, left = rows[k], min(t[k] * 1.3, 2.0), left - tried - k - 1
-                    break
-                tried += len(t)
+        u = pad_coeffs(c, grid, grid.n)
+        num, den2 = lq(u), np.vdot(c, wts * c).real
+        val, step, d = num / np.sqrt(den2), 0.5, None
+        for _ in range(SOBOLEV_TRIALS):
+            if d is None:
+                # gradient of num - log den, not of log(num/den) (g_num num^(-q));
+                # kept, as the sweep masses are gated on its m0 (ROADMAP item 5)
+                g_num = forward_transform(Field(grid, np.abs(u) ** (q - 1.0) * np.sign(u))).coeffs
+                try:
+                    d = g_num * (num ** (1.0 - q)) - (wts * c) / den2
+                except (OverflowError, ZeroDivisionError):
+                    break  # num ** (1 - q) is no float: the start ends where it is
+                d[zero] = 0.0
+                u_d = pad_coeffs(d, grid, grid.n)
+                cross, dd = 2.0 * np.vdot(c, wts * d).real, np.vdot(d, wts * d).real
+            trial = u + step * u_d
+            t_num, t_den2 = lq(trial), den2 + step * cross + step**2 * dd
+            quot = t_num / np.sqrt(t_den2)
+            if val < quot < np.inf:
+                c, u, num, den2, val, d = c + step * d, trial, t_num, t_den2, quot, None
+                step = min(step * 1.3, 2.0)
             else:
-                break  # no trial rose: the step fell below 1e-10 or the budget is spent
+                step *= 0.5
+                if step < 1e-10:
+                    break
         best = max(best, val)
     return SobolevEstimate(C_sharp=float(best), m0=float(1.0 / (2.0 * best**2)))
 
@@ -271,10 +241,10 @@ def nonlinear_action(spec: NonlinearitySpec, u: Spectrum) -> float:
     return float(Discretization(u.grid, None, spec).at(u.coeffs).action)
 
 
-def bootstrap_diagnostic(u: Spectrum, q_list):
-    """Table of L^q trace norms along the integrability ladder."""
+def bootstrap_diagnostic(u: Spectrum, q_list, f: Optional[Field] = None):
+    """Table of L^q trace norms along the ladder; f is inverse_transform(u) if given."""
     rows = []
-    f = inverse_transform(u)
+    f = f or inverse_transform(u)
     for q in sorted(q_list):
         if q < 2 or not np.isfinite(q):
             raise DomainError(f"q_list entries must be finite and >= 2, got {q}")
@@ -290,8 +260,9 @@ def ladder_exponents(N: int, s: float, count: int = 6):
     return [2.0 * ratio**k for k in range(count)]
 
 
-def holder_proxy(u: Spectrum) -> float:
-    """Holder exponent estimate from the discrete modulus of continuity.
+def holder_proxy(u: Spectrum, f: Optional[Field] = None) -> float:
+    """Holder exponent estimate from the discrete modulus of continuity; f is
+    inverse_transform(u) if given.
 
     Diagnostic only; raises InsufficientDecay when the top half of the band
     carries more than 10% of the energy (truncation-dominated spectra carry
@@ -308,7 +279,7 @@ def holder_proxy(u: Spectrum) -> float:
     top = float(np.sum(e2[kk > g.n / 4.0]) / np.sum(e2))
     if top > 0.10:
         raise InsufficientDecay(f"top-band energy fraction {top:.2f} exceeds 10%")
-    vals = inverse_transform(u).values
+    vals = (f or inverse_transform(u)).values
     # alpha such that osc ~ C h^alpha with C = max oscillation at h ~ T/4
     scale = float(np.max(vals) - np.min(vals))
     best = 1.0

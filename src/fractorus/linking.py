@@ -144,10 +144,10 @@ def ridge_estimate(grid: TorusGrid, p: FracParams, spec: Optional[NonlinearitySp
     j = int(np.argmin(lv[i]))
     eta, pt, step = float(radii[i]), disc.at(radii[i] * D[j]), 0.25
     for _ in range(200):
-        moved = _sphere_step(pt, pt.U, eta, 1.0, step, lambda w: (disc.at(w),))
+        moved = _sphere_step(pt, pt, eta, 1.0, step, lambda w: (w,))
         if moved is None:
             break
-        step, _, (pt,) = moved
+        step, pt, _ = moved
     return eta, float(pt.level)
 
 
@@ -175,24 +175,25 @@ def _ridge_bound(disc: Discretization):
     return float(eta), float(rho)
 
 
-def _sphere_step(pt: Point, v, radius, scale, step, value):
+def _sphere_step(pt: Point, v: Point, radius, scale, step, value):
     """Projected Armijo step on the zero-mean H^s sphere of the given radius:
     tang is scale times the zero-mean X-gradient at the point pt with its
-    part along v removed, and t halves from step until w = v - t tang,
-    rescaled to the sphere, has value(w)[0].level < pt.level - ARMIJO_SLOPE
+    part along the point v removed, and t halves from step until the point
+    w = v - t tang, rescaled to the sphere and combined from the samples of
+    v and tang (padded once), has value(w)[0].level < pt.level - ARMIJO_SLOPE
     t |tang|^2.  Returns (next step, w, value(w)), or None when no t passes."""
     disc = pt.disc
     gX = disc.precondition(pt.grad)
     gX[(0,) * disc.grid.N] = 0.0  # stay on the zero-mean subspace
-    inner = np.real(np.sum(disc.full * gX * np.conj(v))) / radius**2
-    tang = scale * (gX - inner * v)
+    inner = np.real(np.sum(disc.full * gX * np.conj(v.U))) / radius**2
+    tang = scale * (gX - inner * v.U)
     sz = disc.hs_norms(tang)
     if sz < 1e-14:
         return None
+    line = Point.stack(v, disc.at(tang))
     trial = step
     for _ in range(30):
-        w = v - trial * tang
-        w = radius * w / disc.hs_norms(w)
+        w = line.combine(np.array([radius, -trial * radius]) / disc.hs_norms(v.U - trial * tang))
         out = value(w)
         if out[0].level < pt.level - ARMIJO_SLOPE * trial * sz**2:
             return min(trial * 1.5, 4.0), w, out
@@ -201,25 +202,26 @@ def _sphere_step(pt: Point, v, radius, scale, step, value):
 
 
 def _calibrate_caps(disc: Discretization, yhat, z, cfg: LinkingConfig, eta: float):
-    """The caps R, R', the sampled c and r and the levels at c yhat + r z,
-    once the sampled boundary of A is nonpositive.  Two given caps are tried
-    as they are; otherwise both double from the given cap or from R =
-    max(2 eta, 1).  Raises BoundaryNotNegative when that fails or a level is not finite."""
+    """The caps R, R', the sampled c and r, the levels at c yhat + r z and the
+    basis point [yhat, z], padded once, once the sampled boundary of A is
+    nonpositive.  Two given caps are tried as they are; otherwise both double
+    from the given cap or from R = max(2 eta, 1).  Raises BoundaryNotNegative
+    when that fails or a level is not finite."""
     R = cfg.R if cfg.R > 0 else max(2.0 * eta, 1.0)
     Rp = cfg.R_prime if cfg.R_prime > 0 else R
     fixed = cfg.R > 0 and cfg.R_prime > 0
     nc, nr = GRID_A
+    basis = disc.at(np.stack([yhat.coeffs, z.coeffs]))
     for _ in range(40):
         with np.errstate(all="ignore"):
             cs = np.linspace(-Rp, Rp, nc)
             rs = np.linspace(0.0, R, nr)
-            lv = disc.at(np.multiply.outer(cs, yhat.coeffs)[:, None]
-                         + np.multiply.outer(rs, z.coeffs)).level
+            lv = basis.combine(np.stack(np.meshgrid(cs, rs, indexing="ij"), axis=-1)).level
         mask = np.ones((nc, nr), dtype=bool)  # the boundary of the rectangle
         mask[1:-1, 1:-1] = False
         worst = float(np.max(lv[mask]))
         if worst <= 0.0:
-            return R, Rp, cs, rs, lv
+            return R, Rp, cs, rs, lv, basis
         if fixed or not worst < np.inf:
             idx = np.unravel_index(np.argmax(np.where(mask, lv, -np.inf)), lv.shape)
             raise BoundaryNotNegative(
@@ -230,24 +232,15 @@ def _calibrate_caps(disc: Discretization, yhat, z, cfg: LinkingConfig, eta: floa
     raise BoundaryNotNegative(R, Rp, witness={"level": worst})
 
 
-def _peak(disc: Discretization, yhat: Spectrum, v: np.ndarray, c: float, r: float):
-    """P(v): the local maximum of I over c yhat + r v with r > 0, by damped
-    Newton on the 2x2 system from (c, r).  Where the 2x2 Hessian is not
-    negative definite the step is the gradient instead; a step that does not
-    raise I is halved.  Returns (point, c, r); W = [yhat, v] is padded once."""
-    W = disc.at(np.stack([yhat.coeffs, v]))
-    B = W.U.reshape(2, -1)
-    Wc = np.conj(B)
-
-    def point(x):  # the point x[0] yhat + x[1] v
-        return disc.at((x @ B).reshape(v.shape))
-
+def _peak(W: Point, c: float, r: float):
+    """P(v): the local maximum of I over c yhat + r v with r > 0, for the basis
+    point W = [yhat, v], by damped Newton on the 2x2 system from (c, r), with
+    no pad.  Where the 2x2 Hessian is not negative definite the step is the
+    gradient instead; a step that does not raise I is halved.  Returns (point, c, r)."""
     x = np.array([c, r])
-    pt = point(x)
+    pt = W.combine(x)
     for _ in range(50):
-        # derivatives of (c, r) -> I(c yhat + r v): g_a = <grad, W_a>, H_ab = <J W_b, W_a>
-        g = np.real(Wc @ pt.grad.ravel())
-        H = np.real(Wc @ pt.linearization(W).reshape(2, -1).T)
+        g, H = pt.plane(W)  # derivatives of (c, r) -> I(c yhat + r v)
         newton = H[0, 0] < 0.0 and np.linalg.det(H) > 0.0
         d = np.linalg.solve(H, -g) if newton else g
         if g @ d <= 1e-14 * abs(pt.level):  # a rise the level cannot resolve
@@ -255,7 +248,7 @@ def _peak(disc: Discretization, yhat: Spectrum, v: np.ndarray, c: float, r: floa
         t = 1.0
         for _ in range(30):
             xt = x + t * d
-            if xt[1] > 0.0 and (trial := point(xt)).level > pt.level:
+            if xt[1] > 0.0 and (trial := W.combine(xt)).level > pt.level:
                 break
             t *= ARMIJO_SHRINK
         else:
@@ -277,11 +270,11 @@ def minimax_search(
     eta, rho = _ridge_bound(disc)
     yhat = _unit_constant(grid, p)
     z = pick_z_direction(grid, p)
-    R, Rp, cs, rs, lv = _calibrate_caps(disc, yhat, z, cfg, eta)
+    R, Rp, cs, rs, lv, basis = _calibrate_caps(disc, yhat, z, cfg, eta)
     delta_hat = float(np.max(lv))
     i, j = np.unravel_index(int(np.argmax(lv)), lv.shape)
-    v = z.coeffs
-    pt, c, r = _peak(disc, yhat, v, float(cs[i]), float(rs[j]))
+    Y, v = (Point(disc, basis.U[a], basis.vals[a]) for a in (0, 1))  # yhat and z
+    pt, c, r = _peak(basis, float(cs[i]), float(rs[j]))
 
     def stops(pt):  # false on a NaN or infinite level or residual
         return pt.gnorm < cfg.ps_tol and rho - 1e-6 <= pt.level <= delta_hat + 1e-12 < np.inf
@@ -310,12 +303,12 @@ def minimax_search(
                 pt, u = polished, polished.U
                 c = float(np.real(np.sum(disc.full * u * np.conj(yhat.coeffs))))
                 r = float(disc.hs_norms(u - c * yhat.coeffs))
-                v = (u - c * yhat.coeffs) / r
+                v = Point.stack(Y, pt).combine(np.array([-c, 1.0]) / r)  # (u - c yhat) / r
                 continue
 
         # projected Armijo step of phi(v) = I(P(v)), whose X-gradient is r
         # times the tangential zero-mean part of the X-gradient at the peak
-        moved = _sphere_step(pt, v, 1.0, r, step, lambda w: _peak(disc, yhat, w, c, r))
+        moved = _sphere_step(pt, v, 1.0, r, step, lambda w: _peak(Point.stack(Y, w), c, r))
         if moved is None:
             status = "Stalled"  # _sphere_step found no descent step
             break
@@ -425,9 +418,10 @@ def refine_point(pt: Point, tol: float, max_iters: int = 60,
         step = _newton_step(pt)
         if enforce_zero_mean:
             step[(0,) * pt.disc.grid.N] = 0.0
+        line = Point.stack(pt, pt.disc.at(step))  # U + lam step combines their samples
         lam = 1.0
         for _ in range(25):
-            cand = pt.disc.at(pt.U + lam * step)
+            cand = line.combine(np.array([1.0, lam]))
             if cand.gnorm < pt.gnorm * (1.0 - ARMIJO_SLOPE * lam):
                 pt = cand
                 break

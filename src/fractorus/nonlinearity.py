@@ -139,7 +139,10 @@ class Discretization:
     on one grid: the tables of grids.multiplier, and the padded grid size, a(x)
     sampled on the padded grid and the padded cell volume, built once.
     at(U), the evaluation point of U, pads U once: I, its gradient and its
-    linearization at U all read those samples.  Every product is dealiased
+    linearization at U all read those samples.  The pad is linear, so the
+    searches build their trial points by Point.combine from points already
+    padded, and pad only a new direction; the MINRES applies of the Newton
+    polish form no linear family and pad each vector.  Every product is dealiased
     by the one real-FFT pad and restrict of grids, pad_coeffs and
     restrict_values.  The nonlinear parts of the gradient and linearization
     are the adjoint of the pad in the pairing Re sum_k conj(R_k) w_k:
@@ -227,7 +230,10 @@ class _computed_once:
 class Point:
     """The functional of one Discretization at a coefficient array U (leading
     axes batched) with vals, its samples on the padded grid (None without a
-    nonlinear term).  Each quantity is computed when first read."""
+    nonlinear term): those of Discretization.at, or combinations of them.
+    Each quantity is computed when first read.  A point with rows along its
+    leading axis is a basis: combine builds the points of its span, and plane
+    reads the gradient and Hessian along its rows from samples."""
 
     disc: Discretization
     U: np.ndarray
@@ -281,6 +287,31 @@ class Point:
         """d f / d t at (x, u(x)) on the padded grid."""
         d = self.disc
         return d.coeff_pad * d.spec.p * np.abs(self.vals) ** (d.spec.p - 1.0)
+
+    def combine(self, x) -> Point:
+        """The point x @ self of a basis, rows along the leading axis: the pad
+        is linear, so its samples are x @ vals, and no pad is run."""
+        def mix(a):
+            return (x @ a.reshape(len(a), -1)).reshape(np.shape(x)[:-1] + a.shape[1:])
+        return Point(self.disc, mix(self.U), None if self.vals is None else mix(self.vals))
+
+    @staticmethod
+    def stack(*points: Point) -> Point:
+        """Points of one Discretization as the rows of a basis."""
+        return Point(points[0].disc, np.stack([pt.U for pt in points]),
+                     None if points[0].vals is None else np.stack([pt.vals for pt in points]))
+
+    def plane(self, W: Point):
+        """(g, H) of t -> I(U + t @ W.U) at t = 0 from samples, W a basis:
+        g_a = Re<W_a, shifted U> - cell sum f(u) w_a = Re<W_a, grad> and
+        H_ab = Re<W_a, shifted W_b> - cell sum f'(u) w_a w_b = Re<W_a, J W_b>."""
+        d, k = self.disc, len(W.U)
+        Wc, S = np.conj(W.U).reshape(k, -1), W.vals.reshape(k, -1)
+        g = np.real(Wc @ (d.shifted * self.U).ravel()) - d.cell * (
+            S @ f_eval(d.spec, d.coeff_pad, self.vals).ravel())
+        H = np.real(Wc @ (d.shifted * W.U).reshape(k, -1).T) - d.cell * (
+            (S * self.fprime.ravel()) @ S.T)
+        return g, H
 
     def linearization(self, W: Point) -> np.ndarray:
         """The derivative of grad here along the direction W, a point whose

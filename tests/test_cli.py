@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fractorus import cli, extension
+from fractorus import cli, continuation, extension
 from fractorus.errors import DomainError, ParseError, ValidationError
 from fractorus.grids import (
     Spectrum,
     TorusGrid,
     field_from_function,
     forward_transform,
+    inverse_transform,
     object_from_json,
     project_zero_mean,
     random_spectrum,
@@ -189,6 +190,24 @@ def test_diagnose_mode(tmp_path):
     doc = json.loads((tmp_path / "diagnose.json").read_text())
     assert len(doc["bootstrap"]) >= 3
     assert doc["holder_alpha"] is None or 0 < doc["holder_alpha"] < 1
+
+
+def test_diagnose_samples_the_solution_once(tmp_path, monkeypatch):
+    # the checked samples of the solution file feed both diagnostics
+    cli.run(cli.parse_config(_doc()), output_dir=tmp_path)
+    calls = []
+
+    def counted(S):
+        calls.append(S)
+        return inverse_transform(S)
+
+    for module in (cli, continuation):
+        monkeypatch.setattr(module, "inverse_transform", counted)
+    dcfg = cli.parse_config(_doc(mode="diagnose", solution_file=str(tmp_path / "solution.json")))
+    assert cli.run(dcfg, output_dir=tmp_path) == cli.EXIT_OK
+    doc = json.loads((tmp_path / "diagnose.json").read_text())
+    assert len(doc["bootstrap"]) >= 3 and "holder_alpha" in doc
+    assert len(calls) == 1
 
 
 def test_diagnose_without_a_holder_step(tmp_path, capsys):

@@ -98,9 +98,9 @@ def test_sobolev_ascent_evaluates_each_iterate_once(monkeypatch):
 
 
 def _sequential_sobolev(grid, p, rng, trials=continuation.SOBOLEV_TRIALS):
-    """The Sobolev ascent one trial at a time, as it ran before its halving
-    trials were batched: (C_sharp, m0), which the batched ascent must match
-    bit for bit."""
+    """The Sobolev ascent with one pad per trial: (C_sharp, m0), which the
+    ascent, whose trials combine the samples of the iterate and of the
+    direction, matches up to rounding."""
     q = p.critical_exponent(grid.N)
     if not np.isfinite(q):
         q = 16.0
@@ -142,6 +142,13 @@ def _sequential_sobolev(grid, p, rng, trials=continuation.SOBOLEV_TRIALS):
 _ASCENT_GRIDS = {1: 32, 2: 8, 3: 4}  # n per dimension N
 
 
+def _assert_matches_the_sequential_loop(grid, p, seed, trials=continuation.SOBOLEV_TRIALS):
+    # pad(c + t d) and pad(c) + t pad(d) differ in the last bit
+    est = continuation.estimate_sobolev_constant(grid, p, rng=np.random.default_rng(seed))
+    want = _sequential_sobolev(grid, p, np.random.default_rng(seed), trials)
+    assert np.allclose((est.C_sharp, est.m0), want, rtol=1e-12, atol=0.0)
+
+
 @pytest.mark.parametrize("T", [2 * np.pi, 1.0, 7.3], ids=["2pi", "1", "7.3"])
 @pytest.mark.parametrize("N, s", [(N, s) for N in (1, 2, 3) for s in (0.25, 0.5, 0.99)
                                   if N >= 2 * s])
@@ -150,72 +157,40 @@ def test_sobolev_ascent_matches_the_sequential_loop(monkeypatch, N, s, T):
     monkeypatch.setattr(continuation, "SOBOLEV_STARTS", 3)
     grid, p = TorusGrid(N, T, _ASCENT_GRIDS[N]), FracParams(s, 1.0)
     for seed in range(3):
-        est = continuation.estimate_sobolev_constant(grid, p, rng=np.random.default_rng(seed))
-        assert (est.C_sharp, est.m0) == _sequential_sobolev(grid, p, np.random.default_rng(seed))
+        _assert_matches_the_sequential_loop(grid, p, seed)
 
 
-@pytest.mark.parametrize("points, trials, most", [
-    (2**12, 2, 1), (2**12, 4, 2),  # the budget binds
-    (4 * 32, 200, 4), (1, 200, 1),  # the sample cap binds
-])
-def test_sobolev_batches_stay_within_the_sample_cap_and_the_budget(
-        monkeypatch, points, trials, most):
-    # each batch holds at most the trials left and at most the capped samples
-    # (one row when a row alone exceeds the cap), and the result is the
-    # sequential loop's under the same budget
-    grid, p = TorusGrid(1, 2 * np.pi, 32), FracParams(0.5, 1.0)
-    monkeypatch.setattr(continuation, "SOBOLEV_BATCH_POINTS", points)
+@pytest.mark.parametrize("trials", [2, 4])
+def test_sobolev_ascent_matches_the_sequential_loop_under_a_small_budget(monkeypatch, trials):
     monkeypatch.setattr(continuation, "SOBOLEV_TRIALS", trials)
-    rows, pad = [], continuation.pad_coeffs
-
-    def counted(coeffs, g, m):
-        rows.append(coeffs.size // g.size)
-        return pad(coeffs, g, m)
-
-    monkeypatch.setattr(continuation, "pad_coeffs", counted)
-    est = continuation.estimate_sobolev_constant(grid, p, rng=np.random.default_rng(4))
-    assert max(rows) == most <= min(max(1, points // grid.size), trials)
-    assert (est.C_sharp, est.m0) == _sequential_sobolev(grid, p, np.random.default_rng(4), trials)
+    _assert_matches_the_sequential_loop(TorusGrid(1, 2 * np.pi, 32), FracParams(0.5, 1.0), 4,
+                                        trials)
 
 
-def test_sobolev_non_finite_rows_raise_only_where_sampled_one_at_a_time(monkeypatch):
-    # a non-finite row up to the accepted one is a trial the sequential loop
-    # samples, so it raises as Field does; one after it is never looked at
+def test_sobolev_non_finite_direction_raises_at_its_first_trial(monkeypatch):
+    # the samples of a direction enter every trial along it, so non-finite
+    # ones raise as Field does at the first trial, before any other sample
+    # or transform
     grid, p = TorusGrid(1, 2 * np.pi, 64), FracParams(0.5, 1.0)
-    q, pad, forward = 16.0, continuation.pad_coeffs, continuation.forward_transform
-    calls = []  # [samples, index of the accepted row or None] per pad call
+    pad, forward = continuation.pad_coeffs, continuation.forward_transform
+    calls = []
 
-    def recorded(coeffs, g, m):
-        calls.append([pad(coeffs, g, m), None])
-        return calls[-1][0]
+    def poisoned(coeffs, g, m):
+        calls.append("pad")
+        out = pad(coeffs, g, m)
+        if calls.count("pad") == 3:  # the second direction of the first start
+            out[5] = np.nan
+        return out
 
-    def direction_from(f):  # the next direction is taken at the accepted row
-        for k, row in enumerate(calls[-1][0]):
-            if np.array_equal(np.abs(row) ** (q - 1.0) * np.sign(row), f.values):
-                calls[-1][1] = k
+    def counted(f):
+        calls.append("forward")
         return forward(f)
 
-    monkeypatch.setattr(continuation, "pad_coeffs", recorded)
-    monkeypatch.setattr(continuation, "forward_transform", direction_from)
-    clean = continuation.estimate_sobolev_constant(grid, p, rng=np.random.default_rng(2))
-    i, k = next((i, k) for i, (u, k) in enumerate(calls)
-                if k is not None and 1 <= k < len(u) - 1)
-
-    def inject(row):
-        count = iter(range(len(calls)))
-
-        def poisoned(coeffs, g, m):
-            out = pad(coeffs, g, m)
-            if next(count) == i:
-                out[row] = np.nan
-            return out
-
-        monkeypatch.setattr(continuation, "pad_coeffs", poisoned)
-        return continuation.estimate_sobolev_constant(grid, p, rng=np.random.default_rng(2))
-
+    monkeypatch.setattr(continuation, "pad_coeffs", poisoned)
+    monkeypatch.setattr(continuation, "forward_transform", counted)
     with pytest.raises(DomainError, match="field values must be finite"):
-        inject(k - 1)
-    assert inject(k + 1) == clean
+        continuation.estimate_sobolev_constant(grid, p, rng=np.random.default_rng(2))
+    assert calls == ["pad", "forward", "pad", "forward", "pad"]
 
 
 def test_sweep_records(sweep_records):

@@ -16,6 +16,7 @@ from fractorus.grids import (
 from fractorus.nonlinearity import (
     Discretization,
     NonlinearitySpec,
+    Point,
     nonlinear_energy,
     nonlinear_gradient,
 )
@@ -83,6 +84,37 @@ def test_public_functions_agree(case):
         _close(disc.shifted * U[i] - nonlinear_gradient(spec, u).coeffs, pt.grad)
         _close(continuation.nonlinear_action(spec, u), pt.action)
         _close(hs_norm(u, p), disc.hs_norms(U[i]))
+
+
+# ---------------------------------------------------------------------------
+# points combined from padded samples: the pad is linear
+
+X = np.array([[0.7, -1.3, 0.4], [-2.1, 0.2, 1.5]])  # two combinations of the K rows
+
+
+def _within(got, want, rtol=1e-13):
+    got, want = np.asarray(got), np.asarray(want)
+    assert np.max(np.abs(got - want)) <= rtol * float(np.max(np.abs(want)))
+
+
+def test_combined_point_matches_the_padded_point(case):
+    disc, U, _ = case
+    combined = disc.at(U).combine(X)
+    direct = disc.at(combined.U)
+    _close(combined.U, (X @ U.reshape(K, -1)).reshape(combined.U.shape))
+    for name in ("level", "grad", "gnorm"):
+        _within(getattr(combined, name), getattr(direct, name))
+
+
+def test_plane_pairs_samples_as_grad_and_linearization(case):
+    disc, U, W = case
+    basis = Point.stack(*(disc.at(w) for w in W))
+    Wc = np.conj(W).reshape(K, -1)
+    for i in range(K):
+        pt = disc.at(U[i])
+        g, H = pt.plane(basis)
+        _within(g, np.real(Wc @ pt.grad.ravel()))
+        _within(H, np.real(Wc @ pt.linearization(basis).reshape(K, -1).T))
 
 
 # ---------------------------------------------------------------------------

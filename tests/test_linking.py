@@ -80,18 +80,24 @@ def test_minimax_pads_each_array_once(monkeypatch, grid64, params_half, cubic):
 def test_minimax_boundary_nonpositive(grid64, params_half, cubic):
     cfg = linking.LinkingConfig()
     st = linking.minimax_search(grid64, params_half, cubic, cfg)
-    # resample the linking rectangle on the reported caps: its boundary is
-    # nonpositive and its maximum is the reported delta_hat
+    # resample the linking rectangle on the reported caps, combining the
+    # samples of [yhat, z] as the search does: its boundary is nonpositive,
+    # its maximum is the reported delta_hat, and its levels are those of the
+    # rectangle padded point by point up to rounding
+    disc = Discretization(grid64, params_half, cubic)
     yhat = linking._unit_constant(grid64, params_half)
     z = linking.pick_z_direction(grid64, params_half)
     nc, nr = linking.GRID_A
     cs = np.linspace(-st.R_prime, st.R_prime, nc)
     rs = np.linspace(0.0, st.R, nr)
-    U = cs[:, None, None] * yhat.coeffs + rs[None, :, None] * z.coeffs
-    lv = Discretization(grid64, params_half, cubic).at(U).level
+    rect = disc.at(np.stack([yhat.coeffs, z.coeffs])).combine(
+        np.stack(np.meshgrid(cs, rs, indexing="ij"), axis=-1))
+    lv = rect.level
     boundary = np.concatenate([lv[0], lv[-1], lv[:, 0], lv[:, -1]])
     assert np.max(boundary) <= 0.0
     assert np.max(lv) == st.delta_hat
+    direct = disc.at(rect.U).level
+    assert np.max(np.abs(lv - direct)) <= 1e-12 * np.max(np.abs(direct))
 
 
 # Two modulated items of the solve-1d-n64 benchmark workload (seed 1, items
