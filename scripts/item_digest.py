@@ -22,6 +22,8 @@ is printed per item:
                   search site on its call stack (PAD_SITES), else "other",
      "multiplier_builds": multiplier tables built inside the item (the misses
                           of the `grids.multiplier` cache),
+     "theta_integrals": calls of `theta._split_pieces` inside the item, the
+                        half-line integrals of a profile actually computed,
      "outputs_sha256": SHA-256 of every file the item writes}
 
 `pad_calls` counts every band sample: the dealiasing pads, the Sobolev
@@ -32,6 +34,12 @@ sampling 6,506 rows over the `sweep-1d-n256` items (2,007 in the ascent and
 3,836 in MINRES applies) and 462 calls and rows over the `verify-mixed` items.
 `pad_sites` splits the calls by search site, so the pad census of a workload
 is the sum of its items' `pad_sites`.
+
+`theta_integrals` counts the rule evaluations of `split_energy`, two per
+miss of its cache (one at each node count).  That cache, like the one
+ThetaProfile per exponent, lives for the whole process, so only the first
+item at an exponent s pays for theta's integral: over the seed-7
+`verify-mixed` items, which use four exponents, the count is 8.
 
 Running it in two checkouts with the same arguments and diffing the output
 compares their items: exit codes, levels, alphas and the sweep's
@@ -51,7 +59,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-from fractorus import grids, linking  # noqa: E402
+from fractorus import grids, linking, theta  # noqa: E402
 from checks import run_item  # noqa: E402
 import workloads  # noqa: E402
 
@@ -136,16 +144,18 @@ def main(argv=None) -> int:
     steps = _count_calls(linking._newton_step, modules)
     pads = _count_calls(grids.pad_coeffs, modules,
                         lambda coeffs, grid, m: (coeffs.size // grid.size, _pad_site()))
+    integrals = _count_calls(theta._split_pieces, modules)
     builds = grids._multiplier.cache_info
     with tempfile.TemporaryDirectory() as tmp:
         for i, item in enumerate(items):
             out = Path(tmp) / f"item{i}"
-            before = len(steps), len(pads), builds().misses
+            before = len(steps), len(pads), builds().misses, len(integrals)
             doc = {"item": i, **_digest(out, run_item(item, out)),
                    "newton_steps": len(steps) - before[0], "pad_calls": len(pads) - before[1],
                    "pad_rows": sum(rows for rows, _ in pads[before[1]:]),
                    "pad_sites": dict(sorted(Counter(site for _, site in pads[before[1]:]).items())),
                    "multiplier_builds": builds().misses - before[2],
+                   "theta_integrals": len(integrals) - before[3],
                    "outputs_sha256": _outputs_sha256(out)}
             print(json.dumps(doc), flush=True)
     return 0

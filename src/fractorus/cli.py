@@ -12,7 +12,7 @@ import csv
 import functools
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -46,7 +46,7 @@ from .grids import (
     random_spectrum,
     spectrum_to_json,
 )
-from .theta import ThetaProfile, kappa, profile_energy_integral
+from .theta import kappa, profile_energy_integral, theta_profile
 from . import continuation, energy, extension, linking
 from .nonlinearity import (
     Discretization,
@@ -256,14 +256,14 @@ def _verify_properties(cfg: RunConfig):
     check("kappa_reflection_product", lambda: abs(kappa(p.s) * kappa(1.0 - p.s) - 1.0) < 1e-12)
     check("kappa_profile_integral", lambda: abs(
         profile_energy_integral(p.s) - kappa(p.s)) < 1e-5 * kappa(p.s))
-    prof = ThetaProfile(p.s)
+    prof = theta_profile(p.s)
     check("kappa_conormal_limit", lambda: abs(
         prof.conormal_limit_check([1e-2, 1e-3, 1e-4, 1e-5, 1e-6]) - kappa(p.s))
         < 1e-5 * kappa(p.s))
     ys = np.logspace(-3, np.log10(30.0), 60)
     check("theta_ode_residual", lambda: float(np.max(
         prof.ode_residual(ys) / np.maximum(1.0, prof.theta(ys)))) < 1e-8)
-    ph = ThetaProfile(0.5)
+    ph = theta_profile(0.5)
     check("theta_closed_form_half", lambda: float(np.max(
         np.abs(ph.theta(ys) - np.exp(-ys)))) < 1e-10)
 
@@ -350,18 +350,11 @@ def _write_json(path: Path, doc, rows: Optional[str] = None):
     path.write_text(text.replace(f'"{rows}": null', f'"{rows}": {layout}', 1) + "\n")
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
-
-
 def _write_csv(path: Path, header, rows):
     with open(path, "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(header)
-        for row in rows:
-            wr.writerow([_fmt(v) for v in row])
+        wr.writerows(rows)
 
 
 def _solver_failed(message: str) -> int:
@@ -404,7 +397,7 @@ def run(cfg: RunConfig, output_dir=".", solver_trace=False, dump_extension=False
             "hs_norm": hs_norm(u, cfg.frac),
             "rho_lb": st.rho,
             "delta_hat": st.delta_hat,
-            **rep.to_json(),
+            **asdict(rep),
         })
         if dump_extension:
             ext = extension.extend(project_zero_mean(u), cfg.frac)
@@ -424,7 +417,7 @@ def run(cfg: RunConfig, output_dir=".", solver_trace=False, dump_extension=False
         _write_csv(out / "sweep.csv",
                    ["m", "alpha", "hs_norm_T", "l2_norm", "residual", "status"],
                    [r.row() for r in recs])
-        _write_json(out / "sobolev.json", est.to_json())
+        _write_json(out / "sobolev.json", asdict(est))
         for r in recs:
             if r.solution is not None:
                 _write_json(out / f"sol_m{r.m:g}.json", spectrum_to_json(r.solution),

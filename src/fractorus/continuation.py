@@ -48,9 +48,6 @@ class SobolevEstimate:
     C_sharp: float
     m0: float
 
-    def to_json(self) -> dict:
-        return {"C_sharp": self.C_sharp, "m0": self.m0}
-
 
 @dataclass
 class ContinuationRecord:

@@ -29,14 +29,6 @@ class EnergyReport:
     nl: float
     grad_norm: float
 
-    def to_json(self) -> dict:
-        return {
-            "value": self.value,
-            "quad": self.quad,
-            "nl": self.nl,
-            "grad_norm": self.grad_norm,
-        }
-
 
 def evaluate(
     u: Spectrum, p: FracParams, spec: Optional[NonlinearitySpec]

@@ -30,11 +30,11 @@ from .grids import (
 )
 from .theta import (
     DEFAULT_NODES,
-    ThetaProfile,
     extrapolate_to_zero,
     kappa,
     small_y_exponents,
     split_energy,
+    theta_profile,
 )
 
 _CONVERGENCE_TOL = 1e-6
@@ -94,7 +94,7 @@ def extend(u: Spectrum, p: FracParams) -> CylinderFunction:
         if abs(u.mean_coeff) > 1e-12 * u.l2_norm():
             raise ZeroModeNoDecay("constant mode has no finite-energy extension at m = 0")
         u = project_zero_mean(u)
-    prof = ThetaProfile(p.s)
+    prof = theta_profile(p.s)
     return CylinderFunction(u, p, prof.theta, prof.theta_prime, g0=1.0)
 
 

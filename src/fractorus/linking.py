@@ -138,8 +138,10 @@ def ridge_estimate(grid: TorusGrid, p: FracParams, spec: Optional[NonlinearitySp
     for _ in range(RIDGE_DIRS):
         d = random_spectrum(grid, rng, decay=0.5, zero_mean=True)
         dirs.append(Spectrum(grid, d.coeffs / disc.hs_norms(d.coeffs)))
-    D = np.stack([d.coeffs for d in dirs])
-    lv = np.stack([disc.at(r * D).level for r in radii])
+    base = disc.at(np.stack([d.coeffs for d in dirs]))  # the pad is linear: pad D once
+    D, vals = base.U, base.vals
+    lv = np.stack([Point(disc, r * D, None if vals is None else r * vals).level
+                   for r in radii])
     i = int(np.argmax(np.min(lv, axis=1)))
     j = int(np.argmin(lv[i]))
     eta, pt, step = float(radii[i]), disc.at(radii[i] * D[j]), 0.25

@@ -5,14 +5,22 @@ import math
 import numpy as np
 import pytest
 
+from scipy.special import kve
+
+from fractorus import theta
 from fractorus.errors import DomainError, ExtrapolationDiverged
+from fractorus.extension import as_cylinder, cylinder_energy, extend
+from fractorus.grids import FracParams, TorusGrid, hs_norm, random_spectrum
 from fractorus.theta import (
+    DEFAULT_NODES,
     ThetaProfile,
     extrapolate_to_zero,
     halfline_rule,
     kappa,
     profile_energy_integral,
     small_y_exponents,
+    split_energy,
+    theta_profile,
 )
 
 # mpmath oracle, dps = 30: theta(s, y) = 2/Gamma(s) (y/2)^s K_s(y)
@@ -82,7 +90,7 @@ def test_theta_boundary_and_decay():
         prof = ThetaProfile(s)
         assert abs(prof.theta(1e-9) - 1.0) < 1e-4  # theta(0+) = 1, rate y^{2s}
         assert prof.theta(50.0) < 1e-18
-        assert prof.theta(700.0) < 1e-200  # scaled-kv branch, no underflow to junk
+        assert prof.theta(700.0) < 1e-200  # kv underflows toward 0 here, no junk
         assert np.isfinite(prof.theta(1e4))
 
 
@@ -138,3 +146,56 @@ def test_profile_energy_integral_matches_kappa():
     for s in (0.25, 0.5, 0.75):
         val = profile_energy_integral(s, nodes=400)
         assert abs(val - kappa(s)) < 1e-9 * kappa(s)
+
+
+def _scaled_kv(order, y):
+    """K_order(y) in the exponentially scaled form kve(order, y) e^{-y}."""
+    return kve(order, y) * np.exp(-y)
+
+
+@pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+def test_theta_at_large_y_matches_the_scaled_kv_form(s):
+    # kv agrees with kve e^{-y} to rounding up to y ~ 665, to 1e-12 relative
+    # up to y ~ 697.87, and underflows to 0 beyond, where theta < 1e-300
+    prof = ThetaProfile(s)
+
+    def pairs(y):
+        env = 2.0 / math.gamma(s) * (y / 2.0) ** s
+        k0, k1, k2 = (_scaled_kv(order, y) for order in (s, 1.0 - s, 2.0 - s))
+        return [(prof.theta(y), env * k0), (prof.theta_prime(y), -env * k1),
+                (prof.theta_second(y), -env * (k1 / y - k2))]
+
+    for lo, hi, rel in [(600.0, 664.0, 1e-14), (664.0, 697.8, 1e-12)]:
+        for got, want in pairs(np.linspace(lo, hi, 401)):
+            assert np.all(np.abs(got - want) <= rel * np.abs(want))
+    for got, want in pairs(np.array([697.9, 699.9, 700.0, 740.0, 800.0, 1e4])):
+        assert np.all(np.isfinite(got)) and np.all(np.abs(got) < 1e-300)
+        assert np.all(np.abs(got - want) < 1e-300)
+
+
+def test_theta_profile_is_one_object_per_exponent():
+    assert theta_profile(0.3) is theta_profile(0.3)
+    assert theta_profile(0.3) == ThetaProfile(0.3)
+    with pytest.raises(DomainError):
+        theta_profile(1.0)
+
+
+def test_theta_integral_is_computed_once_per_exponent(monkeypatch):
+    s, p = 0.35, FracParams(0.35, 1.0)
+    runs, pieces = [], theta._split_pieces
+
+    def counted(s, nodes, g, dg):
+        runs.append(nodes)
+        return pieces(s, nodes, g, dg)
+
+    split_energy.cache_clear()
+    monkeypatch.setattr(theta, "_split_pieces", counted)
+    u = random_spectrum(TorusGrid(1, 2 * np.pi, 16), np.random.default_rng(5), decay=0.5)
+    v = extend(u, p)
+    kap = profile_energy_integral(s)
+    energies = cylinder_energy(v), cylinder_energy(as_cylinder(v))
+    assert runs == [DEFAULT_NODES, DEFAULT_NODES // 2]
+    prof = theta_profile(s)
+    fine = split_energy.__wrapped__(s, DEFAULT_NODES, prof.theta, prof.theta_prime)[0]
+    assert kap == fine
+    assert energies == (hs_norm(u, p) ** 2 * fine,) * 2
