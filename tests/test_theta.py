@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 import pytest
-
 from scipy.special import kve
 
 from fractorus import theta
@@ -171,13 +170,6 @@ def test_theta_at_large_y_matches_the_scaled_kv_form(s):
     for got, want in pairs(np.array([697.9, 699.9, 700.0, 740.0, 800.0, 1e4])):
         assert np.all(np.isfinite(got)) and np.all(np.abs(got) < 1e-300)
         assert np.all(np.abs(got - want) < 1e-300)
-
-
-def test_theta_profile_is_one_object_per_exponent():
-    assert theta_profile(0.3) is theta_profile(0.3)
-    assert theta_profile(0.3) == ThetaProfile(0.3)
-    with pytest.raises(DomainError):
-        theta_profile(1.0)
 
 
 def test_theta_integral_is_computed_once_per_exponent(monkeypatch):
