@@ -47,7 +47,6 @@ from .extension import (
     as_cylinder,
     conormal_derivative,
     cylinder_energy,
-    cylinder_from_profiles,
     extend,
     ground_gap,
     sharp_trace_gap,

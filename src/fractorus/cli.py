@@ -298,9 +298,10 @@ def _verify_properties(cfg: RunConfig):
 
     @functools.cache
     def fd_quotient():
-        Ip = energy.evaluate(Spectrum(g, v.coeffs + eps * wdir.coeffs), p, spec).value
-        Im = energy.evaluate(Spectrum(g, v.coeffs - eps * wdir.coeffs), p, spec).value
-        return (Ip - Im) / (2 * eps)
+        disc = Discretization(g, p, spec)
+        Ip = disc.at(v.coeffs + eps * wdir.coeffs).level
+        Im = disc.at(v.coeffs - eps * wdir.coeffs).level
+        return float(Ip - Im) / (2 * eps)
 
     def fd_check(metric, weight):
         # the derivative along wdir is the metric's gradient paired with weight * wdir
@@ -316,8 +317,8 @@ def _verify_properties(cfg: RunConfig):
     zc = project_zero_mean(cosx)
     check("coercivity_gap_axis_mode", lambda: abs(
         energy.quadratic_gap(zc, p) - energy.coercivity_constant(g, p)) < 1e-12)
-    rep = verify_hypotheses(spec, g, np.linspace(-3, 3, 41))
-    check("hypotheses_hold_for_shipped_family", lambda: rep.all_pass)
+    check("hypotheses_hold_for_shipped_family", lambda: verify_hypotheses(
+        spec, g, np.linspace(-3, 3, 41)).all_pass)
 
     def negative_control():
         bad = Field(g, np.cos(w * g.points()[0]))  # sign-changing modulation
@@ -442,9 +443,8 @@ def run(cfg: RunConfig, output_dir=".", solver_trace=False, dump_extension=False
         f = _built("$.solution_file", inverse_transform, obj)  # Hermitian, finite samples
         qs = [2.0, 4.0, 8.0, 16.0]
         if cfg.grid.N > 2 * cfg.frac.s:
-            qs = sorted(set(qs) | set(
-                continuation.ladder_exponents(cfg.grid.N, cfg.frac.s, count=4)))
-        table = continuation.bootstrap_diagnostic(obj, qs, f)
+            qs = sorted(set(qs) | set(continuation.ladder_exponents(cfg.grid.N, cfg.frac.s)))
+        table = continuation.bootstrap_diagnostic(f, qs)
         doc = {"bootstrap": [{"q": q, "lq_norm": v} for q, v in table]}
         try:
             doc["holder_alpha"] = continuation.holder_proxy(obj, f)

@@ -30,7 +30,6 @@ from .grids import (
     TorusGrid,
     forward_transform,
     hs_norm,
-    inverse_transform,
     lq_norm,
     multiplier,
     pad_coeffs,
@@ -109,7 +108,10 @@ def estimate_sobolev_constant(
             if d is None:
                 # gradient of num - log den, not of log(num/den) (g_num num^(-q));
                 # kept, as the sweep masses are gated on its m0 (ROADMAP item 5)
-                g_num = forward_transform(Field(grid, np.abs(u) ** (q - 1.0) * np.sign(u))).coeffs
+                g_u = np.abs(u) ** (q - 1.0) * np.sign(u)
+                if not np.all(np.isfinite(g_u)):
+                    break  # |u|^(q-1) overflows: the start ends where it is
+                g_num = forward_transform(Field(grid, g_u)).coeffs
                 try:
                     d = g_num * (num ** (1.0 - q)) - (wts * c) / den2
                 except (OverflowError, ZeroDivisionError):
@@ -238,10 +240,9 @@ def nonlinear_action(spec: NonlinearitySpec, u: Spectrum) -> float:
     return float(Discretization(u.grid, None, spec).at(u.coeffs).action)
 
 
-def bootstrap_diagnostic(u: Spectrum, q_list, f: Optional[Field] = None):
-    """Table of L^q trace norms along the ladder; f is inverse_transform(u) if given."""
+def bootstrap_diagnostic(f: Field, q_list):
+    """Table of L^q norms of the trace samples f along the ladder."""
     rows = []
-    f = f or inverse_transform(u)
     for q in sorted(q_list):
         if q < 2 or not np.isfinite(q):
             raise DomainError(f"q_list entries must be finite and >= 2, got {q}")
@@ -249,17 +250,17 @@ def bootstrap_diagnostic(u: Spectrum, q_list, f: Optional[Field] = None):
     return rows
 
 
-def ladder_exponents(N: int, s: float, count: int = 6):
-    """q_k = 2 (N/(N-2s))^k; requires N > 2s."""
+def ladder_exponents(N: int, s: float):
+    """The first four rungs q_k = 2 (N/(N-2s))^k, k = 0..3; requires N > 2s."""
     if N <= 2 * s:
         raise DomainError("ladder needs N > 2s")
     ratio = N / (N - 2.0 * s)
-    return [2.0 * ratio**k for k in range(count)]
+    return [2.0 * ratio**k for k in range(4)]
 
 
-def holder_proxy(u: Spectrum, f: Optional[Field] = None) -> float:
-    """Holder exponent estimate from the discrete modulus of continuity; f is
-    inverse_transform(u) if given.
+def holder_proxy(u: Spectrum, f: Field) -> float:
+    """Holder exponent estimate from the discrete modulus of continuity of f,
+    the samples of the spectrum u.
 
     Diagnostic only; raises InsufficientDecay when the top half of the band
     carries more than 10% of the energy (truncation-dominated spectra carry
@@ -276,7 +277,7 @@ def holder_proxy(u: Spectrum, f: Optional[Field] = None) -> float:
     top = float(np.sum(e2[kk > g.n / 4.0]) / np.sum(e2))
     if top > 0.10:
         raise InsufficientDecay(f"top-band energy fraction {top:.2f} exceeds 10%")
-    vals = (f or inverse_transform(u)).values
+    vals = f.values
     # alpha such that osc ~ C h^alpha with C = max oscillation at h ~ T/4
     scale = float(np.max(vals) - np.min(vals))
     best = 1.0

@@ -13,12 +13,11 @@ extensions.  Critical points of I are exactly the discrete solutions of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+
+import numpy as np
 
 from .errors import DomainError
-# `multiplier` is not called here (Discretization calls it); it stays a name
-# of this module because perfbench's tests wrap and check `energy.multiplier`.
-from .grids import FracParams, Spectrum, hs_norm, multiplier  # noqa: F401
+from .grids import FracParams, Spectrum, hs_norm, multiplier
 from .nonlinearity import Discretization, NonlinearitySpec, Point
 
 
@@ -30,27 +29,20 @@ class EnergyReport:
     grad_norm: float
 
 
-def evaluate(
-    u: Spectrum, p: FracParams, spec: Optional[NonlinearitySpec]
-) -> EnergyReport:
-    """Energy report; spec=None suppresses the nonlinear term (probe mode)."""
+def evaluate(u: Spectrum, p: FracParams, spec: NonlinearitySpec) -> EnergyReport:
+    """Energy report of u."""
     return report(Discretization(u.grid, p, spec).at(u.coeffs))
 
 
 def report(pt: Point) -> EnergyReport:
     """Energy report of an evaluation point, from the samples it holds."""
     quad = float(pt.quadratic)
-    nl = float(pt.nonlinear_energy) if pt.disc.spec is not None else 0.0
+    nl = float(pt.nonlinear_energy)
     grad_norm = Spectrum(pt.disc.grid, pt.grad).l2_norm()
     return EnergyReport(value=quad - nl, quad=quad, nl=nl, grad_norm=grad_norm)
 
 
-def gradient(
-    u: Spectrum,
-    p: FracParams,
-    spec: Optional[NonlinearitySpec],
-    metric: str = "L2",
-) -> Spectrum:
+def gradient(u: Spectrum, p: FracParams, spec: NonlinearitySpec, metric: str = "L2") -> Spectrum:
     """Residual spectrum of the Euler-Lagrange equation.
 
     L2: R_k = [(omega^2|k|^2+m^2)^s - m^{2s}] c_k - (f(.,u))_k.
@@ -65,7 +57,7 @@ def gradient(
 
 
 def quadratic_gap(u: Spectrum, p: FracParams) -> float:
-    """Coercivity ratio quad(u)/|u|_{H^s}^2 on the zero-mean subspace.
+    """Coercivity ratio 2 quad(u)/|u|_{H^s}^2 on the zero-mean subspace.
 
     Bounded below by 1 - m^{2s}/(omega^2+m^2)^s, the exact minimum of the
     discrete multiplier ratio, attained at |k| = 1.
@@ -75,7 +67,7 @@ def quadratic_gap(u: Spectrum, p: FracParams) -> float:
     h = hs_norm(u, p)
     if h == 0.0:
         raise DomainError("quadratic_gap undefined at u = 0")
-    return 2.0 * float(Discretization(u.grid, p, None).at(u.coeffs).quadratic) / h**2
+    return float(np.sum(multiplier(u.grid, p, shifted=True) * np.abs(u.coeffs) ** 2)) / h**2
 
 
 def coercivity_constant(grid, p: FracParams) -> float:

@@ -88,6 +88,10 @@ class CylinderFunction:
         return inverse_transform(Spectrum(self.grid, self.base.coeffs * damp))
 
 
+# acceptance criterion 04 builds its cylinder functions under this name
+cylinder_from_profiles = CylinderFunction
+
+
 def extend(u: Spectrum, p: FracParams) -> CylinderFunction:
     """Minimal-energy extension of u to the half-cylinder: profile theta."""
     if p.m == 0.0:
@@ -96,13 +100,6 @@ def extend(u: Spectrum, p: FracParams) -> CylinderFunction:
         u = project_zero_mean(u)
     prof = theta_profile(p.s)
     return CylinderFunction(u, p, prof.theta, prof.theta_prime, g0=1.0)
-
-
-def cylinder_from_profiles(
-    base: Spectrum, p: FracParams, g: Callable, dg: Callable
-) -> CylinderFunction:
-    """Separable cylinder function v = sum c_k g(rate_k y) e_k."""
-    return CylinderFunction(base, p, g, dg)
 
 
 def as_cylinder(v: CylinderFunction) -> CylinderFunction:

@@ -17,7 +17,6 @@ genuine discrete critical point.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Optional
 
 import numpy as np
 
@@ -124,13 +123,12 @@ def _axis_mode(grid: TorusGrid, p: FracParams) -> Spectrum:
     return Spectrum(grid, u.coeffs / hs_norm(u, p))
 
 
-def ridge_estimate(grid: TorusGrid, p: FracParams, spec: Optional[NonlinearitySpec]):
+def ridge_estimate(grid: TorusGrid, p: FracParams, spec: NonlinearitySpec):
     """Sampled ridge radius eta and level rho-hat on the zero-mean sphere, a
     diagnostic: an upper estimate of the infimum that _ridge_bound bounds below.
     Directions include the |k| = 1 axis mode (the sharp coercivity minimizer)
-    and the linking z-direction alongside random draws, so the sampled minimum
-    is exact for the quadratic probe spec = None; projected descent on its
-    sphere then sharpens the best sampled radius once."""
+    and the linking z-direction alongside random draws; projected descent on
+    its sphere then sharpens the best sampled radius once."""
     disc = Discretization(grid, p, spec)
     radii = np.geomspace(1e-2, 4.0, 40)
     rng = np.random.default_rng(0)
@@ -140,8 +138,7 @@ def ridge_estimate(grid: TorusGrid, p: FracParams, spec: Optional[NonlinearitySp
         dirs.append(Spectrum(grid, d.coeffs / disc.hs_norms(d.coeffs)))
     base = disc.at(np.stack([d.coeffs for d in dirs]))  # the pad is linear: pad D once
     D, vals = base.U, base.vals
-    lv = np.stack([Point(disc, r * D, None if vals is None else r * vals).level
-                   for r in radii])
+    lv = np.stack([Point(disc, r * D, r * vals).level for r in radii])
     i = int(np.argmax(np.min(lv, axis=1)))
     j = int(np.argmin(lv[i]))
     eta, pt, step = float(radii[i]), disc.at(radii[i] * D[j]), 0.25
@@ -436,7 +433,7 @@ def refine_point(pt: Point, tol: float, max_iters: int = 60,
     raise DivergedRefinement(f"no convergence in {max_iters} iterations, residual {pt.gnorm:.3e}")
 
 
-def residual_norm(u: Spectrum, p: FracParams, spec: Optional[NonlinearitySpec]) -> float:
+def residual_norm(u: Spectrum, p: FracParams, spec: NonlinearitySpec) -> float:
     """Dual-norm size of the Euler-Lagrange residual.
 
     Weights are 1/(w^2|k|^2+m^2)^s; the singular k = 0 mode at m = 0 keeps

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fractorus import cli, continuation, extension
-from fractorus.errors import DomainError, ParseError, ValidationError
+from fractorus import cli, extension
+from fractorus.errors import DomainError, HypothesisViolated, ParseError, ValidationError
 from fractorus.grids import (
     Spectrum,
     TorusGrid,
@@ -201,8 +201,7 @@ def test_diagnose_samples_the_solution_once(tmp_path, monkeypatch):
         calls.append(S)
         return inverse_transform(S)
 
-    for module in (cli, continuation):
-        monkeypatch.setattr(module, "inverse_transform", counted)
+    monkeypatch.setattr(cli, "inverse_transform", counted)
     dcfg = cli.parse_config(_doc(mode="diagnose", solution_file=str(tmp_path / "solution.json")))
     assert cli.run(dcfg, output_dir=tmp_path) == cli.EXIT_OK
     doc = json.loads((tmp_path / "diagnose.json").read_text())
@@ -230,6 +229,19 @@ def test_verify_at_zero_mass_exits_ok(tmp_path, m):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(_with(("frac", "m"), m, mode="verify")))
     assert cli.main(["verify", "--config", str(cfg_path), "--output", str(tmp_path)]) == 0
+
+
+def test_verify_reports_a_violated_hypothesis(tmp_path, monkeypatch):
+    # a HypothesisViolated from the hypothesis checks fails that property only
+    def violated(*args):
+        raise HypothesisViolated("f5", witness=(1.0, -3.0))
+
+    monkeypatch.setattr(cli, "verify_hypotheses", violated)
+    assert cli.run(cli.parse_config(_doc(mode="verify")), output_dir=tmp_path) == cli.EXIT_VERIFY
+    props = json.loads((tmp_path / "verify_report.json").read_text())["properties"]
+    failed = [pr for pr in props if not pr["passed"]]
+    assert [pr["name"] for pr in failed] == ["hypotheses_hold_for_shipped_family"]
+    assert failed[0]["detail"].startswith("HypothesisViolated: ")
 
 
 def test_main_exit_codes(tmp_path):
@@ -322,6 +334,19 @@ MALFORMED = [
     pytest.param("verify", _extreme("verify", 2, 8, 1e300), id="grid.T-cell-overflow-verify"),
     pytest.param("sweep", _extreme("sweep", 3, 4, 1e-150), id="grid.T-cell-underflow-sweep"),
     pytest.param("solve", _extreme("solve", 3, 4, 6e-108), id="grid.T-padded-cell-underflow"),
+    # beyond p = 30 the sampled hypothesis checks fail on the shipped family
+    pytest.param("verify", _with(("grid", "n"), 16, mode="verify", seed=1,
+                                 nonlinearity={"kind": "pure_power", "p": 60.0}),
+                 id="nonlinearity.p-60-verify"),
+    pytest.param("verify", _with(("grid", "n"), 16, mode="verify", seed=1,
+                                 nonlinearity={"kind": "pure_power", "p": 1000.0, "r0": 0.1}),
+                 id="nonlinearity.p-1000-r0-verify"),
+    # q = 2N/(N - 2s) is near 4e9: |u|^(q-1) overflows in the Sobolev ascent,
+    # each start ends there, and the estimate m0 = 0 admits no mass
+    pytest.param("sweep", _with(("grid",), {"N": 2, "T": 6.283185307179586, "n": 8},
+                                frac={"s": 0.999999999, "m": 0.3}, mode="sweep", seed=26,
+                                m_list=[0.3, 0.1, 0.01]),
+                 id="frac.s-near-1-sweep-ascent-overflow"),
     pytest.param("sweep", _with(("mode",), "solve"), id="sweep-on-solve-config"),
     pytest.param("solve", {k: v for k, v in _with(("mode",), "verify").items()
                            if k != "nonlinearity"}, id="solve-on-verify-config"),
@@ -383,13 +408,19 @@ def test_main_degenerate_ridge_exits_solver(tmp_path, capsys, doc):
     pytest.param(_with(("solver",), {"R": 1e200, "R_prime": 1e200}), cli.EXIT_SOLVER,
                  ["solver error: BoundaryNotNegative: energy not finite "],
                  id="solver.R-R_prime-1e200"),
+    # verify's finite-difference levels at a multiplier near 1e300; the
+    # extension properties fail at s this close to 1
+    pytest.param(_with(("grid",), {"N": 2, "T": 6.283185307179586, "n": 8},
+                       frac={"s": 0.999999999, "m": 1e150}, mode="verify", seed=93,
+                       nonlinearity={"kind": "pure_power", "p": 2.0}),
+                 cli.EXIT_VERIFY, [], id="verify-frac.m-1e150"),
 ])
 def test_main_energy_overflow_is_silent(tmp_path, capsys, doc, want, lines):
     # |u|^{p+1} (or, at huge caps, |U|^2) overflows on the sampled rectangle,
     # and no overflow warning reaches stderr
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(doc))
-    code = cli.main(["solve", "--config", str(cfg_path), "--output", str(tmp_path)])
+    code = cli.main([doc["mode"], "--config", str(cfg_path), "--output", str(tmp_path)])
     assert code == want
     err = capsys.readouterr().err
     assert "Warning" not in err

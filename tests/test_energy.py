@@ -17,17 +17,17 @@ from fractorus.grids import (
     project_zero_mean,
     random_spectrum,
 )
-from fractorus.nonlinearity import NonlinearitySpec
+from fractorus.nonlinearity import NonlinearitySpec, nonlinear_gradient
 
 
 def _tcos(grid, t=1.0):
     return forward_transform(field_from_function(grid, lambda x: t * np.cos(x)))
 
 
-def test_quadratic_part_closed_form(grid64, params_half):
-    # quad(t cos x) = (1/2)(sqrt 2 - 1) pi t^2
+def test_quadratic_part_closed_form(grid64, params_half, cubic):
+    # quad(t cos x) = (1/2)(sqrt 2 - 1) pi t^2, whatever the nonlinearity
     for t in (1.0, 2.5):
-        got = energy.evaluate(_tcos(grid64, t), params_half, None).quad
+        got = energy.evaluate(_tcos(grid64, t), params_half, cubic).quad
         assert abs(got - 0.5 * (np.sqrt(2) - 1) * np.pi * t**2) < 1e-12 * t**2
 
 
@@ -39,18 +39,12 @@ def test_evaluate_report(grid64, params_half, cubic):
     assert rep.grad_norm > 0
 
 
-def test_probe_mode_drops_nonlinearity(grid64, params_half):
-    rep = energy.evaluate(_tcos(grid64), params_half, None)
-    assert rep.nl == 0.0
-    assert abs(rep.value - rep.quad) < 1e-15
-
-
-def test_gradient_linear_probe(grid64, params_half):
-    # f = 0: R_k is exactly the shifted multiplier action
+def test_gradient_linear_probe(grid64, params_half, cubic):
+    # the linear part of R_k is exactly the shifted multiplier action
     u = _tcos(grid64)
-    R = energy.gradient(u, params_half, None, metric="L2")
+    R = energy.gradient(u, params_half, cubic, metric="L2")
     want = multiplier(grid64, params_half, shifted=True) * u.coeffs
-    assert np.max(np.abs(R.coeffs - want)) < 1e-12
+    assert np.max(np.abs(R.coeffs + nonlinear_gradient(cubic, u).coeffs - want)) < 1e-12
 
 
 def test_gradient_metrics_consistent(grid64, params_half, cubic, rng):

@@ -18,7 +18,6 @@ from fractorus.extension import (
     as_cylinder,
     conormal_derivative,
     cylinder_energy,
-    cylinder_from_profiles,
     extend,
     ground_gap,
     sharp_trace_gap,
@@ -133,7 +132,7 @@ def test_cylinder_energy_unconverged_quadrature(grid64, rng):
     def gp(t):
         return -2.0 * (1.0 + t) ** -3
 
-    v = cylinder_from_profiles(u, FracParams(0.25, 1.0), g, gp)
+    v = CylinderFunction(u, FracParams(0.25, 1.0), g, gp)
     with pytest.raises(QuadratureUnconverged, match="moved by"):
         cylinder_energy(v)
 
@@ -150,7 +149,7 @@ def test_cylinder_energy_exponential_profile_closed_form(request, grid_name, s, 
     u = random_spectrum(grid, np.random.default_rng(7), decay=0.4)
     want = (c * c + 1.0) * math.gamma(2.0 - 2.0 * s) * (2.0 * c) ** (2.0 * s - 2.0)
     want *= hs_norm(u, p) ** 2
-    v = cylinder_from_profiles(u, p, lambda t: np.exp(-c * t), lambda t: -c * np.exp(-c * t))
+    v = CylinderFunction(u, p, lambda t: np.exp(-c * t), lambda t: -c * np.exp(-c * t))
     assert abs(cylinder_energy(v) - want) <= 1e-9 * want
 
 
@@ -167,8 +166,8 @@ def test_profile_points_do_not_grow_with_grid():
             seen.append(np.size(t))
             return -2.0 * np.exp(-2.0 * t)
 
-        v = cylinder_from_profiles(random_spectrum(grid, np.random.default_rng(3), decay=0.5),
-                                   FracParams(0.5, 1.0), g, dg)
+        v = CylinderFunction(random_spectrum(grid, np.random.default_rng(3), decay=0.5),
+                             FracParams(0.5, 1.0), g, dg)
         cylinder_energy(v)
         trace(v)
         return sum(seen)
@@ -186,7 +185,7 @@ def test_sharp_gap_positive_on_wrong_profile(grid64, params_half):
     def gp(t):
         return -2.0 * np.exp(-2.0 * t)
 
-    v = cylinder_from_profiles(u, params_half, g, gp)
+    v = CylinderFunction(u, params_half, g, gp)
     assert sharp_trace_gap(v, params_half) > 1e-3
 
 
@@ -203,7 +202,7 @@ def test_sharp_gap_nonnegative_random(seed, rate_fudge):
     def dprof(t):
         return -rate_fudge * np.exp(-rate_fudge * t)
 
-    v = cylinder_from_profiles(u, p, prof, dprof)
+    v = CylinderFunction(u, p, prof, dprof)
     assert sharp_trace_gap(v, p) >= -1e-8
 
 
@@ -283,8 +282,8 @@ def test_as_cylinder_extrapolates_the_trace(grid2d):
 def test_conormal_derivative_of_exponential_profile(grid64, params_half, rng, c):
     # s = 1/2, g = e^{-ct}: -dv/dy at y = 0 is c rate_k c_k mode by mode
     u = random_spectrum(grid64, rng, decay=0.6)
-    v = cylinder_from_profiles(u, params_half, lambda t: np.exp(-c * t),
-                               lambda t: -c * np.exp(-c * t))
+    v = CylinderFunction(u, params_half, lambda t: np.exp(-c * t),
+                         lambda t: -c * np.exp(-c * t))
     got = conormal_derivative(v, [1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
     want = c * v.mode_rates() * u.coeffs
     assert np.max(np.abs(got.coeffs - want)) < 1e-8 * np.max(np.abs(want))
@@ -296,8 +295,8 @@ def test_slice_at_rate_zero_mode_takes_g_at_zero(grid64):
     u = _cos_spec(grid64)
     coeffs = u.coeffs.copy()
     coeffs[0] = 0.7
-    v = cylinder_from_profiles(Spectrum(grid64, coeffs), p0, lambda t: 2.0 * np.exp(-t),
-                               lambda t: -2.0 * np.exp(-t))
+    v = CylinderFunction(Spectrum(grid64, coeffs), p0, lambda t: 2.0 * np.exp(-t),
+                         lambda t: -2.0 * np.exp(-t))
     x = grid64.points()[0]
     mean = 0.7 / np.sqrt(grid64.T)  # e_0 = 1/sqrt(T)
     for y in (0.0, 0.5, 2.0):
@@ -307,8 +306,8 @@ def test_slice_at_rate_zero_mode_takes_g_at_zero(grid64):
 
 @pytest.mark.parametrize("build", [
     lambda u, p: extend(u, p),
-    lambda u, p: cylinder_from_profiles(u, p, np.exp, np.exp),
-], ids=["extend", "cylinder_from_profiles"])
+    lambda u, p: CylinderFunction(u, p, np.exp, np.exp),
+], ids=["extend", "CylinderFunction"])
 def test_constructors_check_the_grid(grid64, build):
     # N = 1 < 2s at s = 0.75
     with pytest.raises(DomainError, match="N >= 2s"):

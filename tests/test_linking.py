@@ -34,14 +34,6 @@ def test_pick_z_direction(grid64, params_half):
     assert set(nz.tolist()) == {1, grid64.n - 1}
 
 
-def test_ridge_quadratic_probe(grid64, params_half):
-    # f = 0: min over unit directions of (1/2)|r d|^2-ish is (1/2) C_gap r^2,
-    # exact because the axis mode attains the coercivity floor
-    eta, rho = linking.ridge_estimate(grid64, params_half, None)
-    cg = energy.coercivity_constant(grid64, params_half)
-    assert abs(rho - 0.5 * cg * eta**2) < 1e-10 * rho
-
-
 def test_ridge_positive_standard(grid64, params_half, cubic):
     eta, rho = linking.ridge_estimate(grid64, params_half, cubic)
     assert eta > 0 and rho > 0
@@ -69,10 +61,9 @@ def _ridge_by_radius(grid, p, spec):
     return eta, float(pt.level)
 
 
-@pytest.mark.parametrize("N,n,spec", [(1, 64, "cubic"), (1, 64, None), (2, 32, "cubic")])
-def test_ridge_estimate_pads_its_directions_once(monkeypatch, N, n, spec, params_half, cubic):
-    grid = TorusGrid(N, 2 * np.pi, n)
-    spec = cubic if spec else None
+@pytest.mark.parametrize("N,n,spec", [(1, 64, "cubic"), (2, 32, "cubic")])
+def test_ridge_estimate_pads_its_directions_once(monkeypatch, request, N, n, spec, params_half):
+    grid, spec = TorusGrid(N, 2 * np.pi, n), request.getfixturevalue(spec)
     eta_ref, rho_ref = _ridge_by_radius(grid, params_half, spec)
     shapes, pad = [], nonlinearity.pad_coeffs
 
@@ -86,7 +77,7 @@ def test_ridge_estimate_pads_its_directions_once(monkeypatch, N, n, spec, params
     assert abs(rho - rho_ref) <= 1e-12 * abs(rho_ref)
     # the 18 directions are sampled in one pad, not once per radius
     batches = [s for s in shapes if len(s) > N]
-    assert batches == ([] if spec is None else [(linking.RIDGE_DIRS + 2,) + grid.shape])
+    assert batches == [(linking.RIDGE_DIRS + 2,) + grid.shape]
 
 
 def test_minimax_standard_config(grid64, params_half, cubic):
@@ -316,13 +307,14 @@ def test_newton_converges_from_cosine(grid64, params_half, cubic):
 def test_residual_norm_cases(grid64, params_half, cubic):
     zero = Spectrum(grid64, np.zeros(grid64.shape, complex))
     assert linking.residual_norm(zero, params_half, cubic) == 0.0
-    # linear probe: residual of the pure quadratic functional at any u is the
-    # weighted shifted-multiplier action; check the dual weighting explicitly
+    # the residual is the shifted-multiplier action less the nonlinear
+    # gradient; check the dual weighting explicitly
     u = forward_transform(field_from_function(grid64, np.cos))
-    r = linking.residual_norm(u, params_half, None)
+    r = linking.residual_norm(u, params_half, cubic)
     ms = multiplier(grid64, params_half, shifted=True)
     mm = multiplier(grid64, params_half)
-    want = np.sqrt(np.sum(ms**2 / mm * np.abs(u.coeffs) ** 2))
+    R = ms * u.coeffs - nonlinearity.nonlinear_gradient(cubic, u).coeffs
+    want = np.sqrt(np.sum(np.abs(R) ** 2 / mm))
     assert abs(r - want) < 1e-12
 
 

@@ -16,6 +16,7 @@ from fractorus.grids import (
     random_spectrum,
 )
 from fractorus.nonlinearity import (
+    MAX_EXPONENT,
     Discretization,
     NonlinearitySpec,
     _falls_to_zero,
@@ -37,6 +38,8 @@ def test_spec_validation(grid64):
         NonlinearitySpec(kind="pure_power", p=3.0, mu=4.5)  # mu <= p+1
     with pytest.raises(ValidationError):
         NonlinearitySpec(kind="bogus", p=3.0)
+    with pytest.raises(ValidationError):
+        NonlinearitySpec(kind="pure_power", p=MAX_EXPONENT + 1.0)
     spec = NonlinearitySpec(kind="pure_power", p=3.0)
     assert spec.mu == 4.0  # default mu = p+1
 
@@ -60,7 +63,6 @@ def test_growth_gate():
 def test_padded_size_integer_rule():
     spec = NonlinearitySpec(kind="pure_power", p=3.0)
     assert padded_size(64, spec) == 160  # (3+2)/2 * 64
-    assert padded_size(64, None) == 64
     frac = NonlinearitySpec(kind="pure_power", p=2.5)
     assert padded_size(64, frac) == 96  # 3/2 fallback
 
@@ -202,6 +204,16 @@ def test_f3_holds_for_every_superlinear_power(grid64, p):
     rep = verify_hypotheses(NonlinearitySpec(kind="pure_power", p=p), grid64)
     assert rep.passed["f3_small_o"]
     assert abs(rep.details["f3_slope"] - (p - 1.0)) < 1e-9
+
+
+@pytest.mark.parametrize("p", [12.0, 17.5, 25.0, MAX_EXPONENT])
+def test_hypotheses_hold_up_to_the_largest_exponent(grid64, p):
+    # on verify mode's samples; F's AR bound is an equality at mu = p + 1, so
+    # the sampled check holds only to rounding
+    a = field_from_function(grid64, lambda x: 1.5 + np.sin(x))
+    for spec in (NonlinearitySpec(kind="pure_power", p=p),
+                 NonlinearitySpec(kind="modulated_power", p=p, a=a)):
+        assert verify_hypotheses(spec, grid64, np.linspace(-3, 3, 41)).all_pass
 
 
 def test_f3_rejects_a_ratio_levelling_off():
