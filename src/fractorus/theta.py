@@ -17,6 +17,10 @@ differences.  With K_nu' = (nu/y) K_nu - K_{nu+1} one gets the closed forms
 
 so the ODE residual probes the numerical consistency of the K evaluations at
 three distinct orders rather than being an algebraic identity.
+
+K_nu and the Gauss-Jacobi rules are computed here with numpy alone: K_nu by
+the trapezoid rule on its integral over t (`bessel_k`), the rules' nodes by a
+simultaneous Newton iteration on the three-term recurrence (`gauss_jacobi`).
 """
 
 from __future__ import annotations
@@ -27,9 +31,8 @@ from dataclasses import dataclass, field as dc_field
 from typing import Callable
 
 import numpy as np
-from scipy.special import kv, roots_jacobi
 
-from .errors import DomainError, ExtrapolationDiverged
+from .errors import DomainError, ExtrapolationDiverged, QuadratureUnconverged
 
 # Node count of the half-line rules; energies are checked against half as many.
 DEFAULT_NODES = 400
@@ -42,14 +45,82 @@ def kappa(s: float) -> float:
     return 2.0 ** (1.0 - 2.0 * s) * math.gamma(1.0 - s) / math.gamma(s)
 
 
-def _positive_y(method):
-    """Run method on y as a float array of y > 0; a scalar y gives a float."""
+# The trapezoid rule for K_nu (Gil, Segura & Temme, Numerical Methods for
+# Special Functions, SIAM 2007, ch. 5).  Its nodes stop where
+# exp(nu t - y (cosh t - 1)) falls below e^-40.  A step of 0.2 keeps every nu
+# in (0, 2) to rounding (a step of 0.33 left 4e-11 at nu = 1.999); past
+# y = (0.7/0.2)^2 the integrand narrows like a Gaussian of width 1/sqrt(y), and
+# a step of 0.7/sqrt(y) resolves it.  Beyond y = 708, e^-y and K_nu(y) leave
+# the normal floats, so a larger y does not refine the step.
+_K_CUT = 40.0
+_K_STEP = 0.2
+_K_WIDTH = 0.7
+_K_YMAX = 708.0
+# The exponents are floored at -700: numpy's exp is several times slower where
+# its result leaves the normal floats, and the floored terms, below 1e-304,
+# move no sum that matters.
+_K_FLOOR = -700.0
+# Exponentials per block of rows: the memory of a call stays bounded whatever
+# the number of arguments (an extension slice of a fine grid has one per mode).
+_K_BLOCK = 2**16
+
+
+@functools.lru_cache(maxsize=128)
+def _k_nodes(orders: tuple, h: float, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """-2 sinh^2(t/2) at the nodes t = j h, j = 0..nodes, and per order nu the
+    weights h cosh(nu t), halved at t = 0; read-only."""
+    t = h * np.arange(nodes + 1)
+    c = np.sinh(0.5 * t)
+    c *= -2.0 * c
+    w = h * np.cosh(np.multiply.outer(orders, t))
+    w[:, 0] *= 0.5
+    c.setflags(write=False)
+    w.setflags(write=False)
+    return c, w
+
+
+def bessel_k(orders: tuple, y: np.ndarray) -> np.ndarray:
+    """K_nu(y) for each nu in orders (0 <= nu < 2) at a float array y > 0,
+    with shape (len(orders),) + y.shape.
+
+    K_nu(y) = e^{-y} int_0^inf exp(-2y sinh^2(t/2)) cosh(nu t) dt by the
+    trapezoid rule.  Every y and every order share one set of nodes: the
+    smallest y sets how far they reach, the largest y their step, and the
+    exponentials are computed once for all orders.  e^{-y} is applied last, so
+    the result keeps its relative accuracy until e^{-y} leaves the normal
+    floats (y ~ 708) and underflows to 0 beyond y ~ 745.  The nodes reach
+    t ~ log(100/min y); a call keeps that accuracy while nu t stays below about
+    690 there, for min y above 1e-148 at nu = 2 and above 1e-297 at nu = 1.
+    A y below 1e-300 is a DomainError: not far below, the node range overflows.
+    """
+    lo, hi = y.min(), y.max()
+    if not lo >= 1e-300:
+        raise DomainError(f"K_nu requires y >= 1e-300, got min y = {lo}")
+    # the step 0.7/sqrt(hi), at most 0.2, rounded down to 0.2 * 2^(-e/4): a
+    # few node sets serve every call
+    e = max(0, math.ceil(2.0 * math.log2(min(hi, _K_YMAX) * (_K_STEP / _K_WIDTH) ** 2)))
+    h = _K_STEP * 2.0 ** (-0.25 * e)
+    # past t_max, lo (cosh t - 1) exceeds the cut plus nu t
+    t_max = math.acosh(1.0 + (_K_CUT + max(orders) * math.log(2.0 + 2.0 * _K_CUT / lo)) / lo)
+    c, w = _k_nodes(orders, h, math.ceil(t_max / h))
+    flat = y.ravel()
+    out = np.empty((len(orders), flat.size))
+    rows = max(1, _K_BLOCK // c.size)
+    for i in range(0, flat.size, rows):
+        x = np.multiply.outer(c, flat[i:i + rows])
+        np.maximum(x, _K_FLOOR, out=x)
+        np.exp(x, out=x)
+        np.matmul(w, x, out=out[:, i:i + rows])
+    out *= np.exp(-flat)
+    return out.reshape((len(orders),) + y.shape)
+
+
+def _on_array(method):
+    """Run method on y as a float array; a scalar y gives a float.  The method's
+    `bessel_k` call rejects y <= 0 (and y below 1e-300)."""
     @functools.wraps(method)
     def on_array(self, y):
-        y = np.asarray(y, dtype=float)
-        if np.any(y <= 0.0):
-            raise DomainError("theta requires y > 0")
-        out = method(self, y)
+        out = method(self, np.asarray(y, dtype=float))
         return out if out.ndim else float(out)
     return on_array
 
@@ -58,9 +129,11 @@ def _positive_y(method):
 class ThetaProfile:
     """Evaluator for theta, theta', theta'' at a fixed exponent s.
 
-    K_nu is scipy's kv at every y.  It keeps 1e-12 relative accuracy up to
-    y ~ 697.8 and underflows to 0 beyond, where theta is below 1e-300; the
-    half-line rules' nodes stop at y = 11.6.
+    Each method takes K_nu from one `bessel_k` call at the orders it needs: s
+    for theta, 1-s for theta', 1-s and 2-s for theta'', all three for the ODE
+    residual.  K_nu keeps 1e-13 relative accuracy up to y ~ 697.8, where theta
+    is below 1e-300, and underflows to 0 beyond y ~ 745; the half-line rules'
+    nodes stop at y = 11.6.
     """
 
     s: float
@@ -74,26 +147,27 @@ class ThetaProfile:
     def _envelope(self, y: np.ndarray) -> np.ndarray:
         return self._pref * (y / 2.0) ** self.s
 
-    @_positive_y
+    @_on_array
     def theta(self, y):
-        return self._envelope(y) * kv(self.s, y)
+        return self._envelope(y) * bessel_k((self.s,), y)[0]
 
-    @_positive_y
+    @_on_array
     def theta_prime(self, y):
-        return -self._envelope(y) * kv(1.0 - self.s, y)
+        return -self._envelope(y) * bessel_k((1.0 - self.s,), y)[0]
 
-    @_positive_y
+    @_on_array
     def theta_second(self, y):
-        return -self._envelope(y) * (kv(1.0 - self.s, y) / y - kv(2.0 - self.s, y))
+        k1, k2 = bessel_k((1.0 - self.s, 2.0 - self.s), y)
+        return -self._envelope(y) * (k1 / y - k2)
 
-    @_positive_y
+    @_on_array
     def ode_residual(self, y):
-        """|theta'' + ((1-2s)/y) theta' - theta| with recurrence derivatives."""
-        return np.abs(
-            self.theta_second(y)
-            + (1.0 - 2.0 * self.s) / y * self.theta_prime(y)
-            - self.theta(y)
-        )
+        """|theta'' + ((1-2s)/y) theta' - theta| with recurrence derivatives,
+        each of the orders s, 1-s and 2-s of K computed once."""
+        k0, k1, k2 = bessel_k((self.s, 1.0 - self.s, 2.0 - self.s), y)
+        env = self._envelope(y)
+        theta, dtheta, d2theta = env * k0, -env * k1, -env * (k1 / y - k2)
+        return np.abs(d2theta + (1.0 - 2.0 * self.s) / y * dtheta - theta)
 
     def conormal_limit_check(self, y_list) -> float:
         """Extrapolated y->0 limit of -y^{1-2s} theta'(y), which tends to kappa(s)."""
@@ -146,6 +220,57 @@ def extrapolate_to_zero(y: np.ndarray, Q: np.ndarray, exponents) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # weighted half-line quadrature
 
+def _jacobi_slope(n: int, beta: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_n(x) and P_n'(x) of the Jacobi polynomials P_k^{(0, beta)}, n >= 1:
+    P_n and P_{n-1} by their three-term recurrence, the slope from both."""
+    p0, p1 = np.ones_like(x), 0.5 * ((beta + 2.0) * x - beta)
+    for k in range(2, n + 1):
+        c = 2.0 * k + beta
+        d = 2.0 * k * (k + beta) * (c - 2.0)
+        a, b = (c - 1.0) * c * (c - 2.0) / d, (c - 1.0) * beta * beta / d
+        e = 2.0 * (k - 1) * (k + beta - 1.0) * c / d
+        p0, p1 = p1, (a * x - b) * p1 - e * p0
+    c = 2.0 * n + beta
+    return p1, n * ((-beta - c * x) * p1 + 2.0 * (n + beta) * p0) / (c * (1.0 - x) * (1.0 + x))
+
+
+# Iterations allowed to gauss_jacobi's root finder; from Szego's zeros it took
+# 3 or 4 on a grid of n up to 1000 and beta from -0.999 to 1.
+_GJ_MAX_ITERS = 20
+
+
+def gauss_jacobi(n: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending nodes x and weights w of the n-point Gauss rule for
+    int_{-1}^{1} (1+x)^beta f(x) dx, beta > -1.
+
+    The nodes are the zeros of P_n^{(0, beta)}, found together by the
+    Aberth-Ehrlich iteration (Ehrlich, Comm. ACM 10 (1967) 107-108; Aberth,
+    Math. Comp. 27 (1973) 339-344): Newton's step on the three-term
+    recurrence, each zero held off the others, from Szego's asymptotic zeros
+    cos((k - 1/4) pi / (n + (beta + 1)/2)).  The weights are
+    1 / ((1 - x^2) P_n'(x)^2) at the converged nodes, scaled to the exact total
+    2^{beta+1} / (beta+1): as beta -> -1 nearly all of it sits on the node
+    nearest -1, whose 1+x is known only to the rounding of x.  No LAPACK call:
+    numpy's dense eigvalsh of the Jacobi matrix (Golub-Welsch) runs
+    multithreaded BLAS, whose first call in a process can stall for a second.
+    """
+    x = np.cos((np.arange(n, 0, -1) - 0.25) * np.pi / (n + 0.5 * (beta + 1.0)))
+    for _ in range(_GJ_MAX_ITERS):
+        p, dp = _jacobi_slope(n, beta, x)
+        gap = np.subtract.outer(x, x)
+        np.fill_diagonal(gap, np.inf)
+        r = p / dp
+        step = r / (1.0 - r * (1.0 / gap).sum(axis=1))
+        x = x - step
+        if np.max(np.abs(step)) < 1e-15:
+            break
+    else:
+        raise QuadratureUnconverged(f"Gauss-Jacobi nodes for n={n}, beta={beta} did not settle")
+    _, dp = _jacobi_slope(n, beta, x)
+    w = 1.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
+    return x, w * (2.0 ** (beta + 1.0) / (beta + 1.0) / w.sum())
+
+
 @dataclass(frozen=True)
 class HalflineRule:
     """Rule w @ h(y) for integrals int_0^inf y^beta h(y) dy with h bounded and decaying.
@@ -167,7 +292,7 @@ def halfline_rule(beta: float, nodes: int = DEFAULT_NODES) -> HalflineRule:
     (beta, nodes); its y and w arrays are read-only."""
     if beta <= -1.0:
         raise DomainError(f"weight exponent must exceed -1, got {beta}")
-    x, wj = roots_jacobi(nodes, 0.0, beta)
+    x, wj = gauss_jacobi(nodes, beta)
     t = (x + 1.0) / 2.0
     wj = wj / 2.0 ** (beta + 1.0)  # now sum wj h(t) ~ int_0^1 t^beta h dt
     y = -np.log1p(-t)

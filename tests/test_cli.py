@@ -1,6 +1,10 @@
 """CLI: config parsing, run modes, exit codes, artifact round-trips."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -106,6 +110,24 @@ def test_solve_mode_artifacts(tmp_path):
     assert (tmp_path / "solver_trace.csv").exists()
     ext = json.loads((tmp_path / "extension.json").read_text())
     assert len(ext["slices"]) == len(ext["y"])
+
+
+def test_runs_without_scipy(tmp_path):
+    # scipy is a test-only oracle: with its import failing, a verify and a
+    # solve that dumps its extension (both evaluate theta) exit 0
+    script = ("import sys; sys.modules['scipy'] = None; from fractorus import cli; "
+              "sys.exit(cli.main(sys.argv[1:]))")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    runs = [("verify", _with(("grid", "n"), 16, mode="verify"), []),
+            ("solve", _with(("grid", "n"), 16), ["--dump-extension"])]
+    for mode, doc, flags in runs:
+        cfg = tmp_path / f"{mode}.json"
+        cfg.write_text(json.dumps(doc))
+        proc = subprocess.run([sys.executable, "-c", script, mode, "--config", str(cfg),
+                               "--output", str(tmp_path / mode), *flags],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == cli.EXIT_OK, proc.stderr
+    assert (tmp_path / "solve" / "extension.json").exists()
 
 
 def _stdlib_spectrum_bytes(S):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fractorus import extension
 from fractorus.errors import (
     DomainError,
     QuadratureUnconverged,
@@ -34,7 +35,7 @@ from fractorus.grids import (
     project_zero_mean,
     random_spectrum,
 )
-from fractorus.theta import kappa
+from fractorus.theta import extrapolate_to_zero, kappa
 
 
 def _cos_spec(grid):
@@ -263,19 +264,27 @@ def test_extend_is_a_cylinder_function_with_known_trace(grid64, params_half, rng
     assert as_cylinder(v).g0 is None
 
 
-def test_as_cylinder_extrapolates_the_trace(grid2d):
-    # at s = 0.75 the extrapolated theta(0+) is exactly 1.0, so count the calls of g
-    calls = []
+def test_as_cylinder_extrapolates_the_trace(grid2d, monkeypatch):
+    # as_cylinder forgets theta(0+) = 1: its trace is the base times the limit
+    # extrapolated from three samples of g, which is 1 to within rounding
+    calls, limits = [], []
     v = extend(random_spectrum(grid2d, np.random.default_rng(5), decay=0.4), FracParams(0.75, 1.0))
 
     def g(t):
         calls.append(np.size(t))
         return v.g(t)
 
+    def recorded(*args):
+        limits.append(extrapolate_to_zero(*args))
+        return limits[-1]
+
+    monkeypatch.setattr(extension, "extrapolate_to_zero", recorded)
     counted = replace(v, g=g)
     assert np.array_equal(trace(counted).coeffs, v.base.coeffs) and calls == []
-    assert np.array_equal(trace(as_cylinder(counted)).coeffs, v.base.coeffs)
-    assert calls == [3]
+    got = trace(as_cylinder(counted)).coeffs
+    assert calls == [3] and len(limits) == 1
+    assert np.array_equal(got, limits[0][0] * v.base.coeffs)
+    assert abs(limits[0][0] - 1.0) < 1e-14
 
 
 @pytest.mark.parametrize("c", [1.5, 3.0])

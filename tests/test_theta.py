@@ -2,18 +2,21 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from scipy.special import kve
+from scipy.special import kve, roots_jacobi
 
 from fractorus import theta
-from fractorus.errors import DomainError, ExtrapolationDiverged
+from fractorus.errors import DomainError, ExtrapolationDiverged, QuadratureUnconverged
 from fractorus.extension import as_cylinder, cylinder_energy, extend
 from fractorus.grids import FracParams, TorusGrid, hs_norm, random_spectrum
 from fractorus.theta import (
     DEFAULT_NODES,
     ThetaProfile,
+    bessel_k,
     extrapolate_to_zero,
+    gauss_jacobi,
     halfline_rule,
     kappa,
     profile_energy_integral,
@@ -89,7 +92,7 @@ def test_theta_boundary_and_decay():
         prof = ThetaProfile(s)
         assert abs(prof.theta(1e-9) - 1.0) < 1e-4  # theta(0+) = 1, rate y^{2s}
         assert prof.theta(50.0) < 1e-18
-        assert prof.theta(700.0) < 1e-200  # kv underflows toward 0 here, no junk
+        assert prof.theta(700.0) < 1e-200  # K_nu heads toward underflow here, no junk
         assert np.isfinite(prof.theta(1e4))
 
 
@@ -141,10 +144,75 @@ def test_halfline_rule_domain():
         halfline_rule(-1.0)
 
 
+NUS = (0.001, 0.5, 0.999, 1.001, 1.999)
+
+
+def test_bessel_k_against_mpmath():
+    # one call shares one node set from y = 1e-8 to the edge of theta's range;
+    # each y alone gets its own
+    y = np.geomspace(1e-8, 697.8, 40)
+    with mpmath.workdps(30):
+        want = np.array([[float(mpmath.besselk(nu, v)) for v in y] for nu in NUS])
+    alone = np.stack([bessel_k(NUS, y[i:i + 1])[:, 0] for i in range(y.size)], axis=1)
+    for got in (bessel_k(NUS, y), alone):
+        assert np.max(np.abs(got / want - 1.0)) < 1e-13
+
+
+def test_bessel_k_blocks_keep_the_values(monkeypatch):
+    # 3,000 arguments take several blocks of rows; one block gives the same values
+    y = np.geomspace(1e-3, 30.0, 3000).reshape(60, 50)
+    blocked = bessel_k((0.25, 1.75), y)
+    monkeypatch.setattr(theta, "_K_BLOCK", 1000 * y.size)
+    assert blocked.shape == (2, 60, 50)
+    assert np.max(np.abs(blocked / bessel_k((0.25, 1.75), y) - 1.0)) < 1e-15
+
+
+def test_bessel_k_domain():
+    for y in (0.0, -1.0, np.nan, 1e-320):
+        with pytest.raises(DomainError):
+            bessel_k((0.5,), np.array([1.0, y]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 200, 400])
+@pytest.mark.parametrize("beta", [-0.98, -0.5, 0.0, 0.5, 0.98])
+def test_gauss_jacobi_integrates_polynomials_exactly(n, beta):
+    # int_{-1}^{1} (1-x)^j (1+x)^beta dx = 2^{beta+j+1} B(beta+1, j+1), and the
+    # (1-x)^j with j < 2n span the polynomials the rule integrates exactly.  The
+    # node nearest -1 holds 1+x only to the rounding of x, and the higher
+    # moments weigh it most: that sets the tolerance.
+    x, w = gauss_jacobi(n, beta)
+    j = np.arange(2 * n)
+    got = (1.0 - x) ** j[:, None] @ w
+    want = np.exp([math.lgamma(beta + 1.0) + math.lgamma(i + 1.0) - math.lgamma(beta + i + 2.0)
+                   + (beta + i + 1.0) * math.log(2.0) for i in j])
+    assert np.max(np.abs(got / want - 1.0)) < 1e-12 + 4.0 * np.finfo(float).eps / (1.0 + x[0])
+
+
+def test_gauss_jacobi_reports_unsettled_nodes(monkeypatch):
+    monkeypatch.setattr(theta, "_GJ_MAX_ITERS", 1)
+    with pytest.raises(QuadratureUnconverged):
+        gauss_jacobi(50, 0.3)
+
+
+@pytest.mark.parametrize("n", [200, 400])
+@pytest.mark.parametrize("beta", [-0.98, 0.0, 0.98])
+def test_gauss_jacobi_nodes_match_scipy(n, beta):
+    # scipy's roots_jacobi is a test-only oracle; its weights are 1e-8 off here
+    x, _ = gauss_jacobi(n, beta)
+    assert np.max(np.abs(x - roots_jacobi(n, 0.0, beta)[0])) <= 1e-15
+
+
 def test_profile_energy_integral_matches_kappa():
     for s in (0.25, 0.5, 0.75):
         val = profile_energy_integral(s, nodes=400)
         assert abs(val - kappa(s)) < 1e-9 * kappa(s)
+
+
+def test_profile_energy_integral_near_s_one():
+    # the weight y^{1-2s} puts nearly all its mass on the rule's first node,
+    # whose weight the rule takes from the exact total
+    s = 0.999999999
+    assert abs(profile_energy_integral(s) - kappa(s)) < 1e-9 * kappa(s)
 
 
 def _scaled_kv(order, y):
@@ -154,8 +222,9 @@ def _scaled_kv(order, y):
 
 @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
 def test_theta_at_large_y_matches_the_scaled_kv_form(s):
-    # kv agrees with kve e^{-y} to rounding up to y ~ 665, to 1e-12 relative
-    # up to y ~ 697.87, and underflows to 0 beyond, where theta < 1e-300
+    # K_nu agrees with kve e^{-y} to 1e-15 relative while e^{-y} is a normal
+    # float (y < 708); past y ~ 697.8 theta is below 1e-300, and K_nu
+    # underflows to 0 by y ~ 745
     prof = ThetaProfile(s)
 
     def pairs(y):
