@@ -24,7 +24,8 @@ is printed per item:
                           of the `grids.multiplier` cache),
      "theta_integrals": calls of `theta._split_pieces` inside the item, the
                         half-line integrals of a profile actually computed,
-     "outputs_sha256": SHA-256 of every file the item writes}
+     "outputs_sha256": SHA-256 of every file the item writes, a .json file
+                       by its parsed content, any other file by its bytes}
 
 `pad_calls` counts every band sample: the dealiasing pads, the Sobolev
 ascent's samples and `inverse_transform`, the pad at m = n.  The searches
@@ -44,8 +45,9 @@ item at an exponent s pays for theta's integral: over the seed-7
 Running it in two checkouts with the same arguments and diffing the output
 compares their items: exit codes, levels, alphas and the sweep's
 critical-Sobolev estimate to the last digit, verify properties, trace lengths,
-Newton work, sampling work, multiplier builds and every output file byte for
-byte.  The script imports the `fractorus` source of the checkout it sits in.
+Newton work, sampling work, multiplier builds, the content of every JSON
+output and the bytes of every other output (`solver_trace.csv` among them).
+The script imports the `fractorus` source of the checkout it sits in.
 """
 
 import csv
@@ -100,11 +102,15 @@ def _count_calls(fn, modules, rows=lambda *args: 1):
 
 
 def _outputs_sha256(out: Path) -> str:
-    """SHA-256 over the relative path, size and bytes of every file under out,
-    in path order."""
+    """SHA-256 over the relative path, size and data of every file under out,
+    in path order.  The data of a .json file is its parsed content encoded
+    again with sorted keys, so its layout does not count; that of any other
+    file is its bytes."""
     h = hashlib.sha256()
     for path in sorted(p for p in out.rglob("*") if p.is_file()):
         data = path.read_bytes()
+        if path.suffix == ".json":
+            data = json.dumps(json.loads(data), sort_keys=True).encode()
         h.update(f"{path.relative_to(out).as_posix()}\0{len(data)}\0".encode())
         h.update(data)
     return h.hexdigest()

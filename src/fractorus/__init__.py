@@ -41,7 +41,7 @@ from .grids import (
     project_zero_mean,
     random_spectrum,
 )
-from .theta import HalflineRule, ThetaProfile, halfline_rule, kappa, profile_energy_integral
+from .theta import ThetaProfile, halfline_rule, kappa, profile_energy_integral
 from .extension import (
     CylinderFunction,
     as_cylinder,

@@ -336,19 +336,9 @@ def _verify_properties(cfg: RunConfig):
     return props
 
 
-def _write_json(path: Path, doc, rows: Optional[str] = None):
-    """doc as JSON at indent 2 with sorted keys.  doc[rows], when named, is a
-    nonempty list of nonempty number lists: one call of json's C encoder (which
-    runs only without an indent) encodes it, laid out to the bytes that the
-    indenting encoder, one Python call per number, would write."""
-    if rows is None:
-        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-        return
-    flat = json.dumps(doc[rows], separators=(",", ":"))  # [[a,b],[c,d]]; no number holds , [ or ]
-    layout = ("[\n    [\n      " + flat[2:-2].replace(",", ",\n      ").replace(
-        "],\n      [", "\n    ],\n    [\n      ") + "\n    ]\n  ]")
-    text = json.dumps({**doc, rows: None}, indent=2, sort_keys=True)
-    path.write_text(text.replace(f'"{rows}": null', f'"{rows}": {layout}', 1) + "\n")
+def _write_json(path: Path, doc):
+    """doc as one line of JSON with sorted keys."""
+    path.write_text(json.dumps(doc, sort_keys=True) + "\n")
 
 
 def _write_csv(path: Path, header, rows):
@@ -390,7 +380,7 @@ def run(cfg: RunConfig, output_dir=".", solver_trace=False, dump_extension=False
                                   f"{st.grad_norm:.3e}, sweeps {len(st.trace)}")
         u = st.iterate
         rep = energy.report(st.point)
-        _write_json(out / "solution.json", spectrum_to_json(u), rows="data")
+        _write_json(out / "solution.json", spectrum_to_json(u))
         _write_json(out / "energy.json", {
             "status": st.status,
             "level": st.level,
@@ -406,7 +396,7 @@ def run(cfg: RunConfig, output_dir=".", solver_trace=False, dump_extension=False
             _write_json(out / "extension.json", {
                 "y": y_list,
                 "slices": [ext.slice_at(y).values.ravel().tolist() for y in y_list],
-            }, rows="slices")
+            })
         return EXIT_OK
 
     if cfg.mode == "sweep":
@@ -421,15 +411,14 @@ def run(cfg: RunConfig, output_dir=".", solver_trace=False, dump_extension=False
         _write_json(out / "sobolev.json", asdict(est))
         for r in recs:
             if r.solution is not None:
-                _write_json(out / f"sol_m{r.m:g}.json", spectrum_to_json(r.solution),
-                            rows="data")
+                _write_json(out / f"sol_m{r.m:g}.json", spectrum_to_json(r.solution))
         failed = [r for r in recs if r.status != "Converged"]
         if failed:
             return _solver_failed(f"{failed[0].status} ({len(failed)} of {len(recs)} "
                                   "masses failed)")
         limit = continuation.extract_limit(recs, cfg.frac, cfg.nonlinearity,
                                            tol=cfg.solver.ps_tol)
-        _write_json(out / "limit.json", spectrum_to_json(limit), rows="data")
+        _write_json(out / "limit.json", spectrum_to_json(limit))
         return EXIT_OK
 
     if cfg.mode == "diagnose":

@@ -225,7 +225,7 @@ def extract_limit(
     seed = project_zero_mean(good[-1].solution)
     pt = linking.refine_point(
         Discretization(seed.grid, FracParams(p_base.s, 0.0), spec).at(seed.coeffs),
-        tol=tol * linking.POLISH_TOL_FACTOR, enforce_zero_mean=True)
+        tol=tol * linking.POLISH_TOL_FACTOR)
     u = Spectrum(seed.grid, pt.U)
     if hs_norm(u, pm1) < 1e-6:
         raise LimitCollapsed("m = 0 refinement collapsed to the trivial solution")

@@ -398,8 +398,9 @@ def newton_refine(
     norm (that of residual_norm) is below tol.
 
     Each step is a matrix-free MINRES solve on the band (see _newton_step);
-    the dual residual norm decides Armijo backtracking.  At an exact
-    discrete solution the input is returned after zero iterations.  Raises
+    the dual residual norm decides Armijo backtracking.  At m = 0 no step
+    moves the mean mode, so the result keeps u0's mean coefficient.  At an
+    exact discrete solution the input is returned after zero iterations.  Raises
     DivergedRefinement when no damping of a step lowers the residual, or
     after max_iters steps.
     """
@@ -407,15 +408,14 @@ def newton_refine(
     return Spectrum(u0.grid, refine_point(pt, tol, max_iters).U)
 
 
-def refine_point(pt: Point, tol: float, max_iters: int = 60,
-                 enforce_zero_mean: bool = False) -> Point:
+def refine_point(pt: Point, tol: float, max_iters: int = 60) -> Point:
     """newton_refine from the evaluation point pt; returns the point it ends at.
-    With enforce_zero_mean no step moves the mean mode."""
+    At m = 0 no step moves the mean mode."""
     for _ in range(max_iters):
         if pt.gnorm < tol:
             return pt
         step = _newton_step(pt)
-        if enforce_zero_mean:
+        if pt.disc.params.m == 0.0:
             step[(0,) * pt.disc.grid.N] = 0.0
         line = Point.stack(pt, pt.disc.at(step))  # U + lam step combines their samples
         lam = 1.0

@@ -19,8 +19,8 @@ so the ODE residual probes the numerical consistency of the K evaluations at
 three distinct orders rather than being an algebraic identity.
 
 K_nu and the Gauss-Jacobi rules are computed here with numpy alone: K_nu by
-the trapezoid rule on its integral over t (`bessel_k`), the rules' nodes by a
-simultaneous Newton iteration on the three-term recurrence (`gauss_jacobi`).
+the trapezoid rule on its integral over t (`bessel_k`), the rules' nodes by
+Newton's method on the three-term recurrence (`gauss_jacobi`).
 """
 
 from __future__ import annotations
@@ -234,8 +234,8 @@ def _jacobi_slope(n: int, beta: float, x: np.ndarray) -> tuple[np.ndarray, np.nd
     return p1, n * ((-beta - c * x) * p1 + 2.0 * (n + beta) * p0) / (c * (1.0 - x) * (1.0 + x))
 
 
-# Iterations allowed to gauss_jacobi's root finder; from Szego's zeros it took
-# 3 or 4 on a grid of n up to 1000 and beta from -0.999 to 1.
+# Newton iterations allowed to gauss_jacobi; from Szego's zeros it took 4 or 5
+# on a grid of n from 2 to 1000 and beta from -0.999 to 1.
 _GJ_MAX_ITERS = 20
 
 
@@ -243,11 +243,12 @@ def gauss_jacobi(n: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
     """Ascending nodes x and weights w of the n-point Gauss rule for
     int_{-1}^{1} (1+x)^beta f(x) dx, beta > -1.
 
-    The nodes are the zeros of P_n^{(0, beta)}, found together by the
-    Aberth-Ehrlich iteration (Ehrlich, Comm. ACM 10 (1967) 107-108; Aberth,
-    Math. Comp. 27 (1973) 339-344): Newton's step on the three-term
-    recurrence, each zero held off the others, from Szego's asymptotic zeros
-    cos((k - 1/4) pi / (n + (beta + 1)/2)).  The weights are
+    The nodes are the zeros of P_n^{(0, beta)}, found by Newton's method on
+    the three-term recurrence from Szego's asymptotic zeros
+    cos((k - 1/4) pi / (n + (beta + 1)/2)), each close enough to its own zero
+    that no step needs to hold it off the others (Hale & Townsend, SIAM J.
+    Sci. Comput. 35 (2013) A652-A674); nodes that do not end strictly
+    increasing are a QuadratureUnconverged.  The weights are
     1 / ((1 - x^2) P_n'(x)^2) at the converged nodes, scaled to the exact total
     2^{beta+1} / (beta+1): as beta -> -1 nearly all of it sits on the node
     nearest -1, whose 1+x is known only to the rounding of x.  No LAPACK call:
@@ -257,39 +258,29 @@ def gauss_jacobi(n: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
     x = np.cos((np.arange(n, 0, -1) - 0.25) * np.pi / (n + 0.5 * (beta + 1.0)))
     for _ in range(_GJ_MAX_ITERS):
         p, dp = _jacobi_slope(n, beta, x)
-        gap = np.subtract.outer(x, x)
-        np.fill_diagonal(gap, np.inf)
-        r = p / dp
-        step = r / (1.0 - r * (1.0 / gap).sum(axis=1))
+        step = p / dp
         x = x - step
         if np.max(np.abs(step)) < 1e-15:
             break
     else:
         raise QuadratureUnconverged(f"Gauss-Jacobi nodes for n={n}, beta={beta} did not settle")
+    if not np.all(np.diff(x) > 0.0):
+        raise QuadratureUnconverged(
+            f"Gauss-Jacobi nodes for n={n}, beta={beta} are not strictly increasing")
     _, dp = _jacobi_slope(n, beta, x)
     w = 1.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
     return x, w * (2.0 ** (beta + 1.0) / (beta + 1.0) / w.sum())
 
 
-@dataclass(frozen=True)
-class HalflineRule:
-    """Rule w @ h(y) for integrals int_0^inf y^beta h(y) dy with h bounded and decaying.
-
-    Built from Gauss-Jacobi nodes for the endpoint weight t^beta composed with
-    the substitution y = -log(1-t), which handles both the algebraic endpoint
-    behavior at 0 and the exponential decay at infinity.
-    """
-
-    beta: float
-    nodes: int
-    y: np.ndarray = dc_field(repr=False)
-    w: np.ndarray = dc_field(repr=False)
-
-
 @functools.lru_cache(maxsize=64)  # an energy check needs 4 rules per exponent s
-def halfline_rule(beta: float, nodes: int = DEFAULT_NODES) -> HalflineRule:
-    """The rule for weight y^beta at the given node count, built once per
-    (beta, nodes); its y and w arrays are read-only."""
+def halfline_rule(beta: float, nodes: int = DEFAULT_NODES) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes y and weights w of the rule w @ h(y) for int_0^inf y^beta h(y) dy
+    with h bounded and decaying; built once per (beta, nodes), read-only.
+
+    Gauss-Jacobi nodes for the endpoint weight t^beta composed with the
+    substitution y = -log(1-t) handle both the algebraic endpoint behavior at
+    0 and the exponential decay at infinity.
+    """
     if beta <= -1.0:
         raise DomainError(f"weight exponent must exceed -1, got {beta}")
     x, wj = gauss_jacobi(nodes, beta)
@@ -300,17 +291,17 @@ def halfline_rule(beta: float, nodes: int = DEFAULT_NODES) -> HalflineRule:
     w = wj * (y / t) ** beta / (1.0 - t)
     y.setflags(write=False)
     w.setflags(write=False)
-    return HalflineRule(beta=beta, nodes=nodes, y=y, w=w)
+    return y, w
 
 
 def _split_pieces(s: float, nodes: int, g: Callable, dg: Callable) -> np.ndarray:
     """[int t^{1-2s} g^2, int t^{2s-1} (t^{1-2s} g')^2, int t^{1-2s} g'^2]."""
-    rule_a = halfline_rule(1.0 - 2.0 * s, nodes)
-    rule_b = halfline_rule(2.0 * s - 1.0, nodes)
+    ya, wa = halfline_rule(1.0 - 2.0 * s, nodes)
+    yb, wb = halfline_rule(2.0 * s - 1.0, nodes)
     return np.array([
-        rule_a.w @ g(rule_a.y) ** 2,
-        rule_b.w @ (rule_b.y ** (1.0 - 2.0 * s) * dg(rule_b.y)) ** 2,
-        rule_a.w @ dg(rule_a.y) ** 2,
+        wa @ g(ya) ** 2,
+        wb @ (yb ** (1.0 - 2.0 * s) * dg(yb)) ** 2,
+        wa @ dg(ya) ** 2,
     ])
 
 

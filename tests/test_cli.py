@@ -130,31 +130,49 @@ def test_runs_without_scipy(tmp_path):
     assert (tmp_path / "solve" / "extension.json").exists()
 
 
+def _same(a, b) -> bool:
+    """a and b are the same JSON value: floats bitwise (NaN is NaN, -0.0 is
+    not 0.0), containers element by element, everything else by type and ==."""
+    if isinstance(a, dict):
+        return isinstance(b, dict) and a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    if isinstance(a, list):
+        return isinstance(b, list) and len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, float):
+        return isinstance(b, float) and np.float64(a).tobytes() == np.float64(b).tobytes()
+    return type(a) is type(b) and a == b
+
+
 def _stdlib_spectrum_bytes(S):
-    """The spectrum document as json's indent-2 encoder writes it, one float at a time."""
+    """The spectrum document, built one float at a time, as json's encoder writes it."""
     doc = {"grid": {"N": S.grid.N, "T": S.grid.T, "n": S.grid.n}, "kind": "spectrum",
            "data": [[float(z.real), float(z.imag)] for z in S.coeffs.ravel()]}
-    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
+    return (json.dumps(doc, sort_keys=True) + "\n").encode()
 
 
 @pytest.mark.parametrize("T", [2 * np.pi, 1.0, 7.0], ids=["2pi", "1", "7"])
 @pytest.mark.parametrize("N, n", [(1, 16), (2, 8), (3, 4)])
 def test_spectrum_writer_matches_the_stdlib_bytes(tmp_path, N, n, T):
+    # a spectrum document reads back as the dict written, and a finite one as
+    # the spectrum bitwise; edge values included
     g, path = TorusGrid(N, T, n), tmp_path / "spectrum.json"
     c = random_spectrum(g, np.random.default_rng(N)).coeffs.copy()
     edge = [-0.0, 5e-324, 1e16, 1e-05, 1e300]
     c.reshape(-1)[: len(edge)] = [complex(v, -v) for v in edge]
     for coeffs in (c, c.T, np.asfortranarray(c)):  # C, reversed and Fortran order
         S = Spectrum(g, coeffs)
-        cli._write_json(path, spectrum_to_json(S), rows="data")
+        doc = spectrum_to_json(S)
+        cli._write_json(path, doc)
         assert path.read_bytes() == _stdlib_spectrum_bytes(S)
+        assert _same(json.loads(path.read_text()), doc)
         back = object_from_json(json.loads(path.read_text()))
         assert back.coeffs.tobytes() == S.coeffs.tobytes()
     c = c.copy()  # Spectrum froze c
     c.reshape(-1)[-3:] = [complex(np.nan, 1.0), complex(np.inf, -np.inf), complex(-np.inf, np.nan)]
     S = Spectrum(g, c)
-    cli._write_json(path, spectrum_to_json(S), rows="data")
+    doc = spectrum_to_json(S)
+    cli._write_json(path, doc)
     assert path.read_bytes() == _stdlib_spectrum_bytes(S)
+    assert _same(json.loads(path.read_text()), doc)
     with pytest.raises(DomainError):
         object_from_json(json.loads(path.read_text()))
 
@@ -164,15 +182,39 @@ def test_spectrum_writer_matches_the_stdlib_bytes(tmp_path, N, n, T):
     {"grid": {"N": 2, "T": 6.283185307179586, "n": 8}, "frac": {"s": 0.75, "m": 1.0}},
 ], ids=["1d-n64", "2d-n8"])
 def test_dump_extension_matches_the_stdlib_bytes(tmp_path, overrides):
+    # extension.json holds the extension of the written solution, float for float
     cfg = cli.parse_config(_doc(**overrides))
     assert cli.run(cfg, output_dir=tmp_path, dump_extension=True) == cli.EXIT_OK
     sol = object_from_json(json.loads((tmp_path / "solution.json").read_text()))
-    assert (tmp_path / "solution.json").read_bytes() == _stdlib_spectrum_bytes(sol)
     ext = extension.extend(project_zero_mean(sol), cfg.frac)
     y = [0.0, 0.1, 0.5, 1.0, 2.0]
     want = {"y": y, "slices": [[float(v) for v in ext.slice_at(t).values.ravel()] for t in y]}
     assert (tmp_path / "extension.json").read_bytes() == (
-        json.dumps(want, indent=2, sort_keys=True) + "\n").encode()
+        json.dumps(want, sort_keys=True) + "\n").encode()
+    assert _same(json.loads((tmp_path / "extension.json").read_text()), want)
+
+
+@pytest.mark.parametrize("mode, overrides, flags", [
+    ("solve", {}, {"solver_trace": True, "dump_extension": True}),
+    ("sweep", {"mode": "sweep", "m_list": [0.5, 0.1]}, {}),
+    ("verify", {"mode": "verify"}, {}),
+])
+def test_every_document_reads_back_as_written(tmp_path, monkeypatch, mode, overrides, flags):
+    written, write = [], cli._write_json
+
+    def recorded(path, doc):
+        written.append((path, doc))
+        write(path, doc)
+
+    monkeypatch.setattr(cli, "_write_json", recorded)
+    cfg = cli.parse_config(_doc(**overrides))
+    assert cli.run(cfg, output_dir=tmp_path, **flags) == cli.EXIT_OK
+    names = {path.name for path, _ in written}
+    assert names >= {"solve": {"solution.json", "energy.json", "extension.json"},
+                     "sweep": {"sobolev.json", "sol_m0.5.json", "sol_m0.1.json", "limit.json"},
+                     "verify": {"verify_report.json"}}[mode]
+    for path, doc in written:
+        assert _same(json.loads(path.read_text()), doc), path.name
 
 
 def test_trace_determinism(tmp_path):

@@ -297,6 +297,16 @@ def test_newton_stops_at_first_failed_line_search(monkeypatch):
                for (a, ra), (b, rb) in zip(calls, calls[1:]))
 
 
+def test_newton_at_zero_mass_keeps_the_mean_coefficient(grid64, cubic):
+    # at m = 0 no step moves the mean mode: the refined spectrum keeps the
+    # nonzero mean coefficient of the start bitwise while its other modes move
+    u0 = forward_transform(field_from_function(grid64, lambda x: 0.05 + 0.5 * np.cos(x)))
+    p0 = FracParams(0.5, 0.0)
+    u = linking.newton_refine(u0, p0, cubic, tol=1e-3)
+    assert linking.residual_norm(u, p0, cubic) < 1e-3 < linking.residual_norm(u0, p0, cubic)
+    assert u0.coeffs[0] != 0.0 and u.coeffs[0].tobytes() == u0.coeffs[0].tobytes()
+
+
 def test_newton_converges_from_cosine(grid64, params_half, cubic):
     u0 = forward_transform(field_from_function(grid64, np.cos))
     u = linking.newton_refine(u0, params_half, cubic, tol=1e-11)

@@ -126,17 +126,17 @@ def test_small_y_exponents():
 def test_halfline_rule_polynomial_exactness():
     # int_0^inf y^beta e^{-y} dy = Gamma(beta + 1)
     for beta in (-0.5, 0.0, 0.5):
-        rule = halfline_rule(beta, nodes=400)
-        val = rule.w @ np.exp(-rule.y)
+        y, w = halfline_rule(beta, nodes=400)
+        val = w @ np.exp(-y)
         assert abs(val - math.gamma(beta + 1.0)) < 2e-6 * math.gamma(beta + 1.0)
 
 
 def test_halfline_rule_is_cached_and_read_only():
-    rule = halfline_rule(0.3, 200)
+    y, w = rule = halfline_rule(0.3, 200)
     assert halfline_rule(0.3, 200) is rule
-    assert not rule.y.flags.writeable and not rule.w.flags.writeable
+    assert not y.flags.writeable and not w.flags.writeable
     with pytest.raises(ValueError):
-        rule.w[0] = 0.0
+        w[0] = 0.0
 
 
 def test_halfline_rule_domain():
@@ -194,12 +194,35 @@ def test_gauss_jacobi_reports_unsettled_nodes(monkeypatch):
         gauss_jacobi(50, 0.3)
 
 
-@pytest.mark.parametrize("n", [200, 400])
-@pytest.mark.parametrize("beta", [-0.98, 0.0, 0.98])
+@pytest.mark.parametrize("n", [4, 50, 200, 400, 1000])
+@pytest.mark.parametrize("beta", [-0.999, -0.98, 0.0, 0.98])
 def test_gauss_jacobi_nodes_match_scipy(n, beta):
     # scipy's roots_jacobi is a test-only oracle; its weights are 1e-8 off here
     x, _ = gauss_jacobi(n, beta)
     assert np.max(np.abs(x - roots_jacobi(n, 0.0, beta)[0])) <= 1e-15
+
+
+@pytest.mark.parametrize("beta", [-0.999999998, 0.999999998])
+def test_gauss_jacobi_nodes_increase_near_the_ends_of_the_range(beta):
+    # the weight exponents 1-2s and 2s-1 of s = 0.999999999, the exponent of
+    # test_profile_energy_integral_near_s_one
+    x, _ = gauss_jacobi(DEFAULT_NODES, beta)
+    assert np.all(np.diff(x) > 0.0)
+
+
+def test_gauss_jacobi_reports_coincident_nodes(monkeypatch):
+    # two starting zeros that coincide run the same Newton steps to the same
+    # zero; the rule refuses them rather than weigh one zero twice
+    cos = np.cos
+
+    def doubled(a):
+        x = cos(a)
+        x[1] = x[0]
+        return x
+
+    monkeypatch.setattr(theta.np, "cos", doubled)
+    with pytest.raises(QuadratureUnconverged, match="strictly increasing"):
+        gauss_jacobi(50, 0.3)
 
 
 def test_profile_energy_integral_matches_kappa():
