@@ -400,8 +400,8 @@ def run(cfg: RunConfig, output_dir=".", solver_trace=False, dump_extension=False
         return EXIT_OK
 
     if cfg.mode == "sweep":
-        est = continuation.estimate_sobolev_constant(cfg.grid, cfg.frac,
-                                                     rng=np.random.default_rng(cfg.seed))
+        est = _built("$.frac", continuation.estimate_sobolev_constant, cfg.grid, cfg.frac,
+                     np.random.default_rng(cfg.seed))
         _built("$.m_list", continuation.check_mass_list, cfg.m_list, est.m0)
         recs = continuation.sweep_m(cfg.m_list, cfg.frac, cfg.nonlinearity,
                                     cfg.solver, cfg.grid, m0=est.m0)

@@ -80,6 +80,8 @@ def estimate_sobolev_constant(
     c + t d for the step t, halved after each rejection.  So c is padded
     once per start and d once per direction: a trial's samples are u + t u_d
     and its den^2 is den^2 + 2 t Re<c, wts d> + t^2 <d, wts d>.
+    Raises DomainError when a sample is not finite, or when |u|^q
+    underflows on every start, so that C^2 rounds to 0 and m0 is no float.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -130,6 +132,8 @@ def estimate_sobolev_constant(
                 if step < 1e-10:
                     break
         best = max(best, val)
+    if not best**2 > 0.0:
+        raise DomainError(f"|u|^q underflows on every start of the Sobolev ascent at q = {q:.6g}")
     return SobolevEstimate(C_sharp=float(best), m0=float(1.0 / (2.0 * best**2)))
 
 

@@ -204,8 +204,11 @@ def _calibrate_caps(disc: Discretization, yhat, z, cfg: LinkingConfig, eta: floa
     """The caps R, R', the sampled c and r, the levels at c yhat + r z and the
     basis point [yhat, z], padded once, once the sampled boundary of A is
     nonpositive.  Two given caps are tried as they are; otherwise both double
-    from the given cap or from R = max(2 eta, 1).  Raises BoundaryNotNegative
-    when that fails or a level is not finite."""
+    from the given cap or from R = max(2 eta, 1).  A doubling cap samples its
+    r = R edge first, and a positive, finite level there doubles it with
+    nothing else sampled; a cap that passes its edge, and a given one, samples
+    its whole rectangle in one call.  Raises BoundaryNotNegative when 40
+    doublings fail or a level is not finite."""
     R = cfg.R if cfg.R > 0 else max(2.0 * eta, 1.0)
     Rp = cfg.R_prime if cfg.R_prime > 0 else R
     fixed = cfg.R > 0 and cfg.R_prime > 0
@@ -214,6 +217,12 @@ def _calibrate_caps(disc: Discretization, yhat, z, cfg: LinkingConfig, eta: floa
     for _ in range(40):
         with np.errstate(all="ignore"):
             cs = np.linspace(-Rp, Rp, nc)
+            if not fixed:
+                worst = float(np.max(basis.combine(np.stack([cs, np.full(nc, R)], axis=-1)).level))
+                if 0.0 < worst < np.inf:
+                    R *= 2.0
+                    Rp *= 2.0
+                    continue
             rs = np.linspace(0.0, R, nr)
             lv = basis.combine(np.stack(np.meshgrid(cs, rs, indexing="ij"), axis=-1)).level
         mask = np.ones((nc, nr), dtype=bool)  # the boundary of the rectangle

@@ -398,7 +398,7 @@ MALFORMED = [
     pytest.param("verify", _extreme("verify", 2, 8, 1e300), id="grid.T-cell-overflow-verify"),
     pytest.param("sweep", _extreme("sweep", 3, 4, 1e-150), id="grid.T-cell-underflow-sweep"),
     pytest.param("solve", _extreme("solve", 3, 4, 6e-108), id="grid.T-padded-cell-underflow"),
-    # beyond p = 30 the sampled hypothesis checks fail on the shipped family
+    # p > 30 is refused; from p = 54 on the sampled (f3) check fails too
     pytest.param("verify", _with(("grid", "n"), 16, mode="verify", seed=1,
                                  nonlinearity={"kind": "pure_power", "p": 60.0}),
                  id="nonlinearity.p-60-verify"),
@@ -411,6 +411,13 @@ MALFORMED = [
                                 frac={"s": 0.999999999, "m": 0.3}, mode="sweep", seed=26,
                                 m_list=[0.3, 0.1, 0.01]),
                  id="frac.s-near-1-sweep-ascent-overflow"),
+    # its twin: q = 2N/(N - 2s) is near 2e6, |u|^q underflows on every
+    # start, and C_sharp = 0 leaves no estimate m0 = 1/(2 C^2)
+    pytest.param("sweep", _with(("grid",), {"N": 2, "T": 100.0, "n": 16},
+                                frac={"s": 0.999999, "m": 1.0}, mode="sweep", seed=88,
+                                nonlinearity={"kind": "pure_power", "p": 2.5},
+                                m_list=[0.1, 0.001, 1e-06]),
+                 id="frac.s-near-1-sweep-ascent-underflow"),
     pytest.param("sweep", _with(("mode",), "solve"), id="sweep-on-solve-config"),
     pytest.param("solve", {k: v for k, v in _with(("mode",), "verify").items()
                            if k != "nonlinearity"}, id="solve-on-verify-config"),

@@ -254,6 +254,84 @@ def test_minimax_fixed_caps_are_used_as_given(grid64, params_half, cubic):
     assert (exc.value.R, exc.value.R_prime) == (0.5, 10.0)
 
 
+def _caps_by_rectangle(disc, yhat, z, cfg, eta):
+    """_calibrate_caps with every cap sampled on its whole rectangle: the reference."""
+    R = cfg.R if cfg.R > 0 else max(2.0 * eta, 1.0)
+    Rp = cfg.R_prime if cfg.R_prime > 0 else R
+    fixed = cfg.R > 0 and cfg.R_prime > 0
+    nc, nr = linking.GRID_A
+    basis = disc.at(np.stack([yhat.coeffs, z.coeffs]))
+    for _ in range(40):
+        with np.errstate(all="ignore"):
+            cs = np.linspace(-Rp, Rp, nc)
+            rs = np.linspace(0.0, R, nr)
+            lv = basis.combine(np.stack(np.meshgrid(cs, rs, indexing="ij"), axis=-1)).level
+        mask = np.ones((nc, nr), dtype=bool)
+        mask[1:-1, 1:-1] = False
+        worst = float(np.max(lv[mask]))
+        if worst <= 0.0:
+            return R, Rp, cs, rs, lv
+        if fixed or not worst < np.inf:
+            idx = np.unravel_index(np.argmax(np.where(mask, lv, -np.inf)), lv.shape)
+            raise BoundaryNotNegative(
+                R, Rp, witness={"c": float(cs[idx[0]]), "r": float(rs[idx[1]]), "level": worst}
+            )
+        R *= 2.0
+        Rp *= 2.0
+    raise BoundaryNotNegative(R, Rp, witness={"level": worst})
+
+
+def _caps_case(name):
+    if name == "1d-modulated":
+        g, p, spec = _modulated_item(NO_SOLUTION_ITEM)
+    else:
+        g, p, spec = _ridge_case(2 if name == "2d-pure" else 1, "pure")
+    disc = Discretization(g, p, spec)
+    yhat, z = linking._unit_constant(g, p), linking.pick_z_direction(g, p)
+    return disc, yhat, z, linking._ridge_bound(disc)[0]
+
+
+@pytest.mark.parametrize("name", ["1d-pure", "1d-modulated", "2d-pure"])
+def test_calibrated_caps_match_the_whole_rectangle_loop(monkeypatch, name):
+    disc, yhat, z, eta = _caps_case(name)
+    cfg = linking.LinkingConfig()
+    R, Rp, cs, rs, lv = _caps_by_rectangle(disc, yhat, z, cfg, eta)
+    rows, combine = [], nonlinearity.Point.combine
+
+    def counted(self, x):
+        rows.append(np.size(x) // 2)
+        return combine(self, x)
+
+    monkeypatch.setattr(nonlinearity.Point, "combine", counted)
+    got = linking._calibrate_caps(disc, yhat, z, cfg, eta)
+    assert got[:2] == (R, Rp)
+    assert all(np.array_equal(a, b) for a, b in zip(got[2:5], (cs, rs, lv)))
+    # every cap sampled its r = R edge, and only the accepted one its rectangle
+    doublings = round(np.log2(R / max(2.0 * eta, 1.0)))
+    assert doublings >= 1
+    nc, nr = linking.GRID_A
+    assert rows == [nc] * (doublings + 1) + [nc * nr]
+
+
+@pytest.mark.parametrize("caps", [(0.05, 0.05), (10.0, 0.05), (1e300, 1e300), (1e-20, 0.0)],
+                         ids=["small", "side-edge", "huge", "forty-doublings"])
+def test_failing_caps_raise_as_the_whole_rectangle_loop(caps):
+    # R = 1e-20 with R' auto doubles 40 times inside the certified ridge
+    disc, yhat, z, eta = _caps_case("1d-pure")
+    cfg = linking.LinkingConfig(R=caps[0], R_prime=caps[1])
+    with pytest.raises(BoundaryNotNegative) as want:
+        _caps_by_rectangle(disc, yhat, z, cfg, eta)
+    with pytest.raises(BoundaryNotNegative) as got:
+        linking._calibrate_caps(disc, yhat, z, cfg, eta)
+    assert (got.value.R, got.value.R_prime) == (want.value.R, want.value.R_prime)
+    if caps[1] > 0.0:
+        assert (got.value.R, got.value.R_prime) == caps
+    assert repr(got.value.witness) == repr(want.value.witness)
+    assert str(got.value) == str(want.value)
+    if caps == (10.0, 0.05):  # the witness sits on a side edge, not on r = R
+        assert got.value.witness["c"] == -0.05 and got.value.witness["r"] < 10.0
+
+
 def test_odd_symmetry_level(grid64, params_half, cubic):
     st = linking.minimax_search(grid64, params_half, cubic, linking.LinkingConfig())
     u = st.iterate

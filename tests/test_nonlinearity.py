@@ -216,6 +216,14 @@ def test_hypotheses_hold_up_to_the_largest_exponent(grid64, p):
         assert verify_hypotheses(spec, grid64, np.linspace(-3, 3, 41)).all_pass
 
 
+@pytest.mark.parametrize("p", [12.0, MAX_EXPONENT])
+def test_f2_holds_on_the_default_samples_of_a_small_r0(grid64, p):
+    # the samples [-10 r0, 10 r0] at r0 = 0.1: |t|^{p-1} t jumps by about
+    # p h max|f| / max|t| between samples h apart, above 10 h max|f| once p > 10
+    rep = verify_hypotheses(NonlinearitySpec(kind="pure_power", p=p, r0=0.1), grid64)
+    assert rep.passed["f2_continuous"] and rep.all_pass
+
+
 def test_f3_rejects_a_ratio_levelling_off():
     t = np.logspace(-6, -2, 21)
     assert _falls_to_zero(t, 0.7 * t**0.25)[0]
