@@ -109,7 +109,7 @@ def estimate_sobolev_constant(
         for _ in range(SOBOLEV_TRIALS):
             if d is None:
                 # gradient of num - log den, not of log(num/den) (g_num num^(-q));
-                # kept, as the sweep masses are gated on its m0 (ROADMAP item 5)
+                # kept, as the sweep masses are gated on its m0 (ROADMAP item 7)
                 g_u = np.abs(u) ** (q - 1.0) * np.sign(u)
                 if not np.all(np.isfinite(g_u)):
                     break  # |u|^(q-1) overflows: the start ends where it is

@@ -1,10 +1,12 @@
 """Power-type nonlinearities f(x,t), their primitives, and dealiased evaluation.
 
 Shipped families are |t|^{p-1} t and a(x) |t|^{p-1} t with a periodic strictly
-positive modulation a.  Both satisfy the structural hypotheses (periodicity,
-continuity, superlinearity at infinity with Ambrosetti-Rabinowitz exponent
-mu <= p+1, sign condition t f >= 0); verify_hypotheses samples them and
-reports the fitted growth constants.
+positive modulation a.  f has one definition, f_eval, and F one, primitive;
+verify_hypotheses samples those two to check the structural hypotheses
+(periodicity, continuity, superlinearity at infinity with Ambrosetti-Rabinowitz
+exponent mu <= p+1, sign condition t f >= 0) and reports the fitted growth
+constants.  Point.nonlinear_energy sums a |u|^{p+1} before it divides by p+1,
+the same F in another rounding, which the tests tie to primitive.
 
 Pointwise products of band-limited fields are evaluated on a zero-padded grid
 so that, for integer p, the projection of f(x,u) back to the retained band is
@@ -95,19 +97,17 @@ class NonlinearitySpec:
             raise ValidationError("coefficient field lives on a different grid")
         return self.a.values
 
-    # AR lower-bound witnesses F >= a3 |t|^mu - a4 (tight for mu = p+1).
-    def ar_constants(self, grid: TorusGrid):
-        a_min = float(np.min(self.coefficient(grid)))
-        if self.mu == self.p + 1.0:
-            return a_min / (self.p + 1.0), 0.0
-        # for mu < p+1: |t|^{p+1} >= |t|^mu - 1 pointwise
-        a3 = a_min / (self.p + 1.0)
-        return a3, a3
-
 
 def f_eval(spec: NonlinearitySpec, coeff: np.ndarray, t: np.ndarray) -> np.ndarray:
     """f(x,t) sampled on the grid; coeff is spec.coefficient(grid)."""
     return coeff * np.abs(t) ** (spec.p - 1.0) * t
+
+
+def primitive(spec: NonlinearitySpec, coeff: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """F(x,t) = int_0^t f(x,tau) dtau sampled on the grid; coeff is
+    spec.coefficient(grid).  Both families are homogeneous of degree p in t,
+    so F = t f / (p+1) exactly."""
+    return t * f_eval(spec, coeff, t) / (spec.p + 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +141,8 @@ class Discretization:
         I(u) = 1/2 sum_k [(omega^2|k|^2+m^2)^s - m^{2s}] |c_k|^2 - int F(x,u) dx
 
     on one grid: the tables of grids.multiplier, and the padded grid size, a(x)
-    sampled on the padded grid and the padded cell volume, built once.
+    sampled on the padded grid and the padded cell volume, built once; a(x) is
+    read through spec.coefficient, which rejects a field of another grid.
     at(U), the evaluation point of U, pads U once: I, its gradient and its
     linearization at U all read those samples.  The pad is linear, so the
     searches build their trial points by Point.combine from points already
@@ -184,7 +185,7 @@ class Discretization:
         put("cell", g.cell_at(m))
         put("axes", tuple(range(-g.N, 0)))
         put("coeff_pad", np.ones((m,) * g.N) if spec.kind == "pure_power"
-            else pad_coeffs(forward_transform(spec.a).coeffs, g, m))
+            else pad_coeffs(forward_transform(Field(g, spec.coefficient(g))).coeffs, g, m))
 
     def at(self, U: np.ndarray) -> Point:
         """The evaluation point of the coefficient array U."""
@@ -387,7 +388,10 @@ def verify_hypotheses(
     # each distinct sampled value once, where it is first sampled: every check
     # below is a max, a min or an all over these rows
     x_idx = x_idx[np.sort(np.unique(flat[x_idx], return_index=True)[1])]
-    a_vals = flat[x_idx]
+    a = flat[x_idx][:, None]
+    # f and F at every (a, t), read by every hypothesis below
+    f, F = f_eval(spec, a, t), primitive(spec, a, t)
+    tf = t * f
 
     passed, details = {}, {}
     # (f1) periodicity: exact by construction (coefficient lives on the grid).
@@ -395,65 +399,59 @@ def verify_hypotheses(
     # (f2) continuity: the max jump of f in t on a refined grid, at most 10 h
     # times f's Lipschitz constant p max|f| / max|t| on the sampled interval.
     tt = np.linspace(t.min(), t.max(), 4001)
-    fv = np.abs(a_vals[:, None]) * np.abs(tt) ** (spec.p - 1.0) * tt
+    fv = f_eval(spec, a, tt)
     jump = float(np.max(np.abs(np.diff(fv, axis=1))))
     passed["f2_continuous"] = jump <= 10.0 * spec.p * np.max(np.abs(fv)) * (
         tt[1] - tt[0]) / np.max(np.abs(tt))
     details["f2_max_jump"] = jump
     # (f3) f(x,t) = o(t): sup_x |f(x,+-t)/t| falls toward 0 as t -> 0.
     small = np.logspace(-6, -2, 21)
-    fs = f_eval(spec, a_vals[:, None, None], np.stack([small, -small]))
+    fs = f_eval(spec, a[:, :, None], np.stack([small, -small]))
     passed["f3_small_o"], details["f3_slope"], details["f3_tail_slope"] = _falls_to_zero(
         small, np.max(np.abs(fs), axis=(0, 1)) / small)
     # (f4) growth |f| <= C (1 + |t|^p): fitted C.
-    fmax = np.abs(a_vals[:, None]) * np.abs(t) ** spec.p
-    C_fit = float(np.max(fmax / (1.0 + np.abs(t) ** spec.p)))
+    C_fit = float(np.max(np.abs(f) / (1.0 + np.abs(t) ** spec.p)))
     passed["f4_growth"] = np.isfinite(C_fit)
     details["f4_C"] = C_fit
     # (f5) AR: 0 < mu F <= t f on |t| >= r0.
-    big = t[np.abs(t) >= r0]
-    lhs = spec.mu * np.abs(a_vals[:, None]) * np.abs(big) ** (spec.p + 1) / (spec.p + 1)
-    rhs = np.abs(a_vals[:, None]) * np.abs(big) ** (spec.p + 1)
-    ok = np.all(lhs > 0) and np.all(lhs <= rhs * (1 + 1e-12))
-    if not ok:
-        bad = np.unravel_index(int(np.argmax(lhs - rhs)), lhs.shape)
-        raise HypothesisViolated("f5", witness=(float(a_vals[bad[0]]), float(big[bad[1]])))
+    big = np.abs(t) >= r0
+    lhs, rhs = spec.mu * F[:, big], tf[:, big]
+    bad = ~((lhs > 0) & (lhs <= rhs * (1 + 1e-12)))
+    if np.any(bad):
+        i, j = np.unravel_index(int(np.argmax(bad)), bad.shape)
+        raise HypothesisViolated("f5", witness=(float(a[i, 0]), float(t[big][j])))
     passed["f5_ambrosetti_rabinowitz"] = True
     details["f5_equality"] = bool(spec.mu == spec.p + 1.0)
-    # (f6) sign: t f(x,t) >= 0 needs a >= 0 (construction rejects sign changes,
+    # (f6) sign: t f(x,t) >= 0 (construction rejects a sign-changing a,
     # re-checked here on the samples).
-    tf = a_vals[:, None] * np.abs(t) ** (spec.p + 1)
     if np.min(tf) < 0:
-        bad = np.unravel_index(int(np.argmin(tf)), tf.shape)
-        raise HypothesisViolated("f6", witness=(int(x_idx[bad[0]]), float(t[bad[1]])))
+        i, j = np.unravel_index(int(np.argmin(tf)), tf.shape)
+        raise HypothesisViolated("f6", witness=(float(a[i, 0]), float(t[j])))
     passed["f6_sign"] = True
-    # epsilon-split growth bounds with reported C_eps.
-    amax = float(np.max(np.abs(a_vals)))
+    # epsilon-split growth bounds |f| <= 2 eps |t| + (p+1) C_eps |t|^p and
+    # F <= eps t^2 + C_eps |t|^{p+1}, with reported C_eps; at t = 0 both
+    # quotients are 0/0, which nanmax skips.
+    f_top, F_top = np.max(np.abs(f), axis=0), np.max(F, axis=0)
+    tp, tp1 = np.abs(t) ** spec.p, np.abs(t) ** (spec.p + 1)
+    fin = t != 0
     for eps in (1.0, 0.1):
-        # f: a|t|^p <= 2 eps |t| + (p+1) C_eps |t|^p;
-        # F: a|t|^{p+1}/(p+1) <= eps t^2 + C_eps |t|^{p+1}
         with np.errstate(divide="ignore", invalid="ignore"):
-            need_f = (amax * np.abs(t) ** spec.p - 2 * eps * np.abs(t)) / (
-                (spec.p + 1) * np.abs(t) ** spec.p
-            )
-            need_F = (amax * np.abs(t) ** (spec.p + 1) / (spec.p + 1) - eps * t**2) / (
-                np.abs(t) ** (spec.p + 1)
-            )
+            need_f = (f_top - 2 * eps * np.abs(t)) / ((spec.p + 1) * tp)
+            need_F = (F_top - eps * t**2) / tp1
         C_eps = float(max(np.nanmax(need_f), np.nanmax(need_F), 0.0))
         details[f"C_eps_{eps}"] = C_eps
-        fin = t[t != 0]
-        lhs_f = amax * np.abs(fin) ** spec.p
-        rhs_f = 2 * eps * np.abs(fin) + (spec.p + 1) * C_eps * np.abs(fin) ** spec.p
-        lhs_F = amax * np.abs(fin) ** (spec.p + 1) / (spec.p + 1)
-        rhs_F = eps * fin**2 + C_eps * np.abs(fin) ** (spec.p + 1)
+        rhs_f = 2 * eps * np.abs(t) + (spec.p + 1) * C_eps * tp
+        rhs_F = eps * t**2 + C_eps * tp1
         passed[f"growth_split_eps_{eps}"] = bool(
-            np.all(lhs_f <= rhs_f * (1 + 1e-9)) and np.all(lhs_F <= rhs_F * (1 + 1e-9))
-        )
-    a3, a4 = spec.ar_constants(grid)
+            np.all(f_top[fin] <= rhs_f[fin] * (1 + 1e-9))
+            and np.all(F_top[fin] <= rhs_F[fin] * (1 + 1e-9)))
+    # F >= a3 |t|^mu - a4: F(x,t) = F(x,1) |t|^{p+1}, so a3 = min_x F(x,1) holds
+    # with a4 = 0 at mu = p+1; for mu < p+1, |t|^{p+1} >= |t|^mu - 1 gives a4 = a3.
+    a3 = float(np.min(primitive(spec, flat, 1.0)))
+    a4 = 0.0 if spec.mu == spec.p + 1.0 else a3
     details["a3"], details["a4"] = a3, a4
-    Fv = np.abs(a_vals[:, None]) * np.abs(t) ** (spec.p + 1) / (spec.p + 1)
     passed["F_superquadratic_bound"] = bool(
-        np.all(Fv * (1 + 1e-12) >= a3 * np.abs(t) ** spec.mu - a4 - 1e-12)
+        np.all(F * (1 + 1e-12) >= a3 * np.abs(t) ** spec.mu - a4 - 1e-12)
     )
     return HypothesisReport(passed=passed, details=details)
 

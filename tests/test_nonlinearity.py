@@ -15,6 +15,7 @@ from fractorus.grids import (
     nyquist_weight,
     random_spectrum,
 )
+from fractorus import nonlinearity
 from fractorus.nonlinearity import (
     MAX_EXPONENT,
     Discretization,
@@ -24,6 +25,7 @@ from fractorus.nonlinearity import (
     nonlinear_gradient,
     pad_coeffs,
     padded_size,
+    primitive,
     restrict_values,
     verify_hypotheses,
 )
@@ -235,6 +237,44 @@ def test_verify_hypotheses_modulated(grid64):
     a = field_from_function(grid64, lambda x: 1.5 + np.sin(x))
     spec = NonlinearitySpec(kind="modulated_power", p=3.0, a=a)
     assert verify_hypotheses(spec, grid64).all_pass
+
+
+def test_verify_samples_the_specs_f(grid64, cubic, monkeypatch):
+    # (f2) bounds the jump by 10 h p max|f| / max|t|, about 15 here
+    f_eval = nonlinearity.f_eval
+    monkeypatch.setattr(nonlinearity, "f_eval",
+                        lambda spec, coeff, t: f_eval(spec, coeff, t) + 100.0 * (t > 0.5))
+    assert not verify_hypotheses(cubic, grid64).passed["f2_continuous"]
+    # F follows f, so 0 < mu F is the first check a sign-flipped f fails
+    monkeypatch.setattr(nonlinearity, "f_eval", lambda spec, coeff, t: -f_eval(spec, coeff, t))
+    with pytest.raises(HypothesisViolated) as exc:
+        verify_hypotheses(cubic, grid64)
+    assert exc.value.hypothesis == "f5"
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0, 7.25])
+def test_primitive_is_the_antiderivative_of_f(grid64, rng, p):
+    a = field_from_function(grid64, lambda x: 1.5 + np.sin(x))
+    spec = NonlinearitySpec(kind="modulated_power", p=p, a=a)
+    coeff, t, h = a.values[:, None], np.linspace(-2.0, 2.0, 9), 1e-5
+    fd = (primitive(spec, coeff, t + h) - primitive(spec, coeff, t - h)) / (2 * h)
+    f = nonlinearity.f_eval(spec, coeff, t)
+    assert np.max(np.abs(fd - f)) < 1e-8 * np.max(np.abs(f))
+    assert np.all(primitive(spec, coeff, 0.0) == 0.0)
+    # the level's int F(x,u) dx is the trapezoid sum of primitive on the padded grid
+    disc = Discretization(grid64, None, spec)
+    pt = disc.at(random_spectrum(grid64, rng, decay=0.5).coeffs)
+    quad = np.sum(primitive(spec, disc.coeff_pad, pt.vals)) * disc.cell
+    assert abs(quad - pt.nonlinear_energy) < 1e-13 * abs(quad)
+
+
+def test_coefficient_from_another_grid_rejected():
+    a = field_from_function(TorusGrid(1, 2 * np.pi, 32), lambda x: 1.5 + np.sin(x))
+    spec = NonlinearitySpec(kind="modulated_power", p=3.0, a=a)
+    for g in (TorusGrid(1, 2 * np.pi, 16), TorusGrid(1, 2 * np.pi, 64),
+              TorusGrid(2, 2 * np.pi, 32)):
+        with pytest.raises(ValidationError):
+            Discretization(g, None, spec)
 
 
 @settings(max_examples=20, deadline=None)
