@@ -388,6 +388,8 @@ def run(cfg: RunConfig, output_dir=".", solver_trace=False, dump_extension=False
             "hs_norm": hs_norm(u, cfg.frac),
             "rho_lb": st.rho,
             "delta_hat": st.delta_hat,
+            "coarse_n": st.coarse_n,
+            "coarse_level": st.coarse_level,
             **asdict(rep),
         })
         if dump_extension:

@@ -313,6 +313,15 @@ def inverse_transform(S: Spectrum) -> Field:
         return Field(S.grid, pad_coeffs(S.coeffs, S.grid, S.grid.n))
 
 
+def prolong(S: Spectrum, grid: TorusGrid) -> Spectrum:
+    """S zero-padded to a grid of the same torus with as many or more points
+    per axis: the transform of its interpolant's samples there, so a
+    coefficient on |k_i| = n_c/2 splits evenly onto +-n_c/2."""
+    if (grid.N, grid.T) != (S.grid.N, S.grid.T) or grid.n < S.grid.n:
+        raise DomainError(f"cannot prolong a spectrum on {S.grid} to {grid}")
+    return forward_transform(Field(grid, pad_coeffs(S.coeffs, S.grid, grid.n)))
+
+
 def apply_bessel_operator(S: Spectrum, p: FracParams) -> Spectrum:
     """Multiplier action d_k = (omega^2 |k|^2 + m^2)^s c_k."""
     return Spectrum(S.grid, S.coeffs * multiplier(S.grid, p))

@@ -12,11 +12,27 @@ Comput. 23 (2001) 840-865) moves a direction v, from z, on the zero-mean unit
 H^s sphere down the peak level max{I(c yhat + r v) : r > 0}; that level is the
 non-increasing minimax estimate.  A damped Newton polish turns the peak into a
 genuine discrete critical point.
+
+The critical point is smooth, so it can be found on a coarser grid (nested
+iteration; Brandt, Math. Comp. 31 (1977) 333-390): where n/2 is even and
+(n/2)^N >= COARSE_MIN_POINTS, minimax_search runs itself on the grid of n/2
+points per axis, with a(x) cut to that band, zero-pads the coarse solution to
+n and finishes it with Newton on the fine grid, whose step count does not grow
+with n (Allgower, Boehmer, Potra & Rheinboldt, SIAM J. Numer. Anal. 23 (1986)
+160-169).  It keeps that point when it is nontrivial, its residual is below
+ps_tol and its level lies in [rho_lb(n) - 1e-6, delta_hat(n/2) + 1e-6] and not
+above the coarse level (within the search's 1e-12).  Otherwise (a coarse status
+other than Converged, a coarse error, a diverged Newton) it runs the search on
+the grid itself, so every outcome but that accepted point is the direct
+search's.  The trace, delta_hat and the caps of an accepted point are the
+coarse search's, with one trace row for the fine point appended, and rho is
+the fine grid's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from typing import Optional
 
 import numpy as np
 
@@ -24,6 +40,7 @@ from .errors import (
     BoundaryNotNegative,
     DivergedRefinement,
     DomainError,
+    FractorusError,
     NoPositiveRidge,
 )
 from .grids import (
@@ -35,6 +52,7 @@ from .grids import (
     hs_norm,
     multiplier,
     project_zero_mean,
+    prolong,
     random_spectrum,
 )
 from .nonlinearity import Discretization, NonlinearitySpec, Point
@@ -52,6 +70,7 @@ RIDGE_DIRS = 16  # random sphere directions besides the axis mode and z
 POLISH_AT = 1e-2  # after the first peak, polish once the dual residual is below this
 POLISH_TOL_FACTOR = 0.1  # a Newton polish stops at this fraction of the stopping tolerance
 ALIGN_NEWTON_STEPS = 8  # Newton steps polishing the grid shift in align_spectra
+COARSE_MIN_POINTS = 256  # the search runs on the grid of n/2 points per axis if it has this many
 
 
 @dataclass(frozen=True)
@@ -80,6 +99,13 @@ class LinkingConfig:
 
 @dataclass
 class SolverState:
+    """The result of minimax_search.  A coarse-to-fine solve (coarse_n set)
+    reports the coarse search's trace plus one row for the Newton-polished
+    point on this grid, the caps R, R' and delta_hat of the coarse rectangle,
+    and rho from _ridge_bound on this grid; coarse_level is the level of the
+    coarse solve, whose difference from level estimates the resolution error.
+    A search on this grid leaves coarse_n and coarse_level None."""
+
     iterate: Spectrum
     point: Point  # the evaluation point of iterate
     level: float
@@ -90,6 +116,8 @@ class SolverState:
     R_prime: float = 0.0
     rho: float = 0.0  # certified lower bound of I on the ridge sphere (_ridge_bound)
     delta_hat: float = 0.0  # sampled max of the level over the linking rectangle
+    coarse_n: Optional[int] = None  # points per axis of the coarse search
+    coarse_level: Optional[float] = None
 
     @property
     def history(self) -> list:
@@ -265,6 +293,54 @@ def _peak(W: Point, c: float, r: float):
     return pt, float(x[0]), float(x[1])
 
 
+def _coordinates(disc: Discretization, u: np.ndarray, yhat: Spectrum):
+    """(c, r) with u = c yhat + r v, v zero-mean of unit H^s norm."""
+    c = float(np.real(np.sum(disc.full * u * np.conj(yhat.coeffs))))
+    return c, float(disc.hs_norms(u - c * yhat.coeffs))
+
+
+def _from_coarse_grid(disc: Discretization, rho: float, yhat: Spectrum, cfg: LinkingConfig):
+    """The search on the grid of n/2 points per axis, when n/2 is even and
+    (n/2)^N >= COARSE_MIN_POINTS, prolonged to this grid and polished there
+    by Newton to the search's polish tolerance.  Returns its SolverState, or
+    None when the grid is too small, the coarse search does not converge or
+    raises, the polish diverges, or the polished point is trivial, has a
+    residual not below ps_tol, or a level outside [rho - 1e-6, coarse delta_hat
+    + 1e-6] or above the coarse level by more than the 1e-12 within which the
+    search counts its levels non-increasing."""
+    g, nc = disc.grid, disc.grid.n // 2
+    if nc % 2 or nc**g.N < COARSE_MIN_POINTS:
+        return None
+    try:
+        coarse = TorusGrid(g.N, g.T, nc)
+        st = minimax_search(coarse, disc.params, disc.spec.coarsened(coarse), cfg)
+        if st.status != "Converged":
+            return None
+        pt = refine_point(disc.at(prolong(st.iterate, g).coeffs),
+                          tol=cfg.ps_tol * POLISH_TOL_FACTOR)
+    except FractorusError:
+        return None
+    level = float(pt.level)
+    if not (pt.gnorm < cfg.ps_tol and disc.hs_norms(pt.U) > 1e-6
+            and rho - 1e-6 <= level <= min(st.delta_hat + 1e-6, st.level + 1e-12)):
+        return None
+    gnorm = float(pt.gnorm)
+    return SolverState(
+        iterate=Spectrum(g, pt.U),
+        point=pt,
+        level=level,
+        grad_norm=gnorm,
+        status="Converged",
+        trace=st.trace + [(len(st.trace), level, gnorm, *_coordinates(disc, pt.U, yhat))],
+        R=st.R,
+        R_prime=st.R_prime,
+        rho=rho,
+        delta_hat=st.delta_hat,
+        coarse_n=nc,
+        coarse_level=st.level,
+    )
+
+
 # the overflows of extreme periods leave levels that fail every stopping test
 @np.errstate(over="ignore", invalid="ignore")
 def minimax_search(
@@ -273,10 +349,14 @@ def minimax_search(
     spec: NonlinearitySpec,
     cfg: LinkingConfig,
 ) -> SolverState:
-    """Local minimax descent of the peak level toward a PS point."""
+    """Local minimax descent of the peak level toward a PS point, run on the
+    coarse grid first where _from_coarse_grid accepts that, else on this one."""
     disc = Discretization(grid, p, spec)
     eta, rho = _ridge_bound(disc)
     yhat = _unit_constant(grid, p)
+    fine = _from_coarse_grid(disc, rho, yhat, cfg)
+    if fine is not None:
+        return fine
     z = pick_z_direction(grid, p)
     R, Rp, cs, rs, lv, basis = _calibrate_caps(disc, yhat, z, cfg, eta)
     delta_hat = float(np.max(lv))
@@ -308,9 +388,8 @@ def minimax_search(
                 polished = disc.at(np.zeros_like(pt.U))  # trivial, so rejected below
             plev = float(polished.level)
             if 0.0 < plev <= min(pt.level, delta_hat) + 1e-12 and disc.hs_norms(polished.U) > 1e-6:
-                pt, u = polished, polished.U
-                c = float(np.real(np.sum(disc.full * u * np.conj(yhat.coeffs))))
-                r = float(disc.hs_norms(u - c * yhat.coeffs))
+                pt = polished
+                c, r = _coordinates(disc, pt.U, yhat)
                 v = Point.stack(Y, pt).combine(np.array([-c, 1.0]) / r)  # (u - c yhat) / r
                 continue
 

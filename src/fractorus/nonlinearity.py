@@ -16,7 +16,7 @@ alias-free.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from functools import partial
 from typing import Optional
 
@@ -76,6 +76,13 @@ class NonlinearitySpec:
                 )
         elif self.a is not None:
             raise ValidationError("pure_power takes no coefficient field")
+        # verify_hypotheses samples f by default on [-10 r0, 10 r0]
+        a_max = 1.0 if self.a is None else float(np.max(self.a.values))
+        with np.errstate(over="ignore"):
+            f_top = a_max * np.float64(10.0 * self.r0) ** self.p
+        if not f_top < np.inf:
+            raise ValidationError(f"AR threshold r0 = {self.r0}: f overflows at t = 10 r0, "
+                                  f"max(a) (10 r0)^p = {f_top}")
 
     def check_growth(self, params: FracParams, grid: TorusGrid):
         """Subcritical growth p < 2 Sharp_s - 1 on the attached grid."""
@@ -89,6 +96,15 @@ class NonlinearitySpec:
     def integer_degree(self) -> Optional[int]:
         p = self.p
         return int(round(p)) if abs(p - round(p)) < 1e-12 else None
+
+    def coarsened(self, grid: TorusGrid) -> NonlinearitySpec:
+        """This nonlinearity on a coarser grid of the same torus: a(x) cut to
+        its band, the modes beyond n_c/2 dropped and the images +-n_c/2
+        summed onto its Nyquist mode, then sampled at its points."""
+        if self.a is None:
+            return self
+        return replace(self, a=Field(grid, pad_coeffs(restrict_values(self.a.values, grid),
+                                                      grid, grid.n)))
 
     def coefficient(self, grid: TorusGrid) -> np.ndarray:
         if self.kind == "pure_power":

@@ -112,6 +112,23 @@ def test_solve_mode_artifacts(tmp_path):
     assert len(ext["slices"]) == len(ext["y"])
 
 
+@pytest.mark.parametrize("grid,frac,coarse_n", [
+    ({"N": 1, "T": 6.283185307179586, "n": 64}, {"s": 0.5, "m": 1.0}, None),
+    ({"N": 2, "T": 6.283185307179586, "n": 32}, {"s": 0.75, "m": 1.0}, 16),
+], ids=["1d-n64", "2d-n32"])
+def test_energy_json_names_the_coarse_solve(tmp_path, grid, frac, coarse_n):
+    # 32^2 / 4 = 256 points make the 2-D search run on the 16-point grid;
+    # 64 / 2 = 32 points keep the 1-D search on its own grid
+    code = cli.run(cli.parse_config(_doc(grid=grid, frac=frac)), output_dir=tmp_path)
+    assert code == cli.EXIT_OK
+    erep = json.loads((tmp_path / "energy.json").read_text())
+    assert erep["coarse_n"] == coarse_n
+    if coarse_n is None:
+        assert erep["coarse_level"] is None
+    else:
+        assert np.isfinite(erep["coarse_level"]) and erep["level"] <= erep["coarse_level"]
+
+
 def test_runs_without_scipy(tmp_path):
     # scipy is a test-only oracle: with its import failing, a verify and a
     # solve that dumps its extension (both evaluate theta) exit 0
@@ -370,6 +387,9 @@ MALFORMED = [
     pytest.param("solve", _with(("grid", "T"), 1e-300), id="grid.T-multiplier-overflow"),
     pytest.param("solve", _with(("frac", "m"), 0.0), id="frac.m-zero-solve"),
     pytest.param("solve", _with(("nonlinearity", "r0"), "nan"), id="nonlinearity.r0-nan"),
+    # verify_hypotheses samples f at t = +-10 r0, where (10 r0)^30 overflows
+    pytest.param("verify", _with(("nonlinearity",), {"kind": "pure_power", "p": 30, "r0": 1e10},
+                                 mode="verify"), id="nonlinearity.r0-f-overflow"),
     pytest.param("solve", _with(("solver", "ps_tol"), "nan"), id="solver.ps_tol-nan"),
     pytest.param("solve", _with(("solver", "R"), "inf"), id="solver.R-inf"),
     pytest.param("diagnose", _with(("solution_file",), 5, mode="diagnose"),

@@ -1,6 +1,7 @@
 """Spectral core: transforms, norms, multiplier operators, serialization."""
 
 import functools
+from itertools import product
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from fractorus.grids import (
     object_from_json,
     pad_coeffs,
     project_zero_mean,
+    prolong,
     random_spectrum,
     restrict_values,
     spectrum_to_json,
@@ -350,3 +352,25 @@ def test_plans_are_read_only_and_keyed_by_grid_sizes(rng):
     size = grids._plan.cache_info().currsize
     pad_coeffs(C, TorusGrid(2, 3.0, 8), 12)
     assert grids._plan.cache_info().currsize == size
+
+
+@pytest.mark.parametrize("N,nc", [(1, 16), (2, 8), (3, 4)])
+def test_prolong_splits_the_nyquist_mode_and_restricts_back(N, nc, rng):
+    coarse, fine = TorusGrid(N, 2.7, nc), TorusGrid(N, 2.7, 2 * nc)
+    S = random_spectrum(coarse, rng)
+    got = prolong(S, fine).coeffs
+    # each coarse mode lands on its images, one per axis off the Nyquist
+    # planes and +-n_c/2 on each of them, which share the coefficient evenly
+    want = np.zeros(fine.shape, complex)
+    k = coarse.axis_wavenumbers()
+    for idx in np.ndindex(coarse.shape):
+        images = list(product(*[(k[i],) if k[i] != nc // 2 else (nc // 2, -nc // 2)
+                                for i in idx]))
+        for img in images:
+            want[tuple(np.mod(img, fine.n))] += S.coeffs[idx] / len(images)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    assert hermitian_defect(got) < 1e-14
+    back = restrict_values(pad_coeffs(got, fine, fine.n), coarse)
+    assert np.max(np.abs(back - S.coeffs)) <= 1e-14 * np.max(np.abs(S.coeffs))
+    with pytest.raises(DomainError):
+        prolong(S, TorusGrid(N, 3.0, 2 * nc))

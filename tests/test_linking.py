@@ -1,5 +1,7 @@
 """Minimax solver: linking geometry, deformation flow, Newton polish."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -236,6 +238,79 @@ def test_minimax_returns_a_peak(minimax_cases, case):
     H[1, 1] = (level(0, h) - 2 * level(0, 0) + level(0, -h)) / h**2
     H[0, 1] = H[1, 0] = (level(h, h) - level(h, -h) - level(-h, h) + level(-h, -h)) / (4 * h**2)
     assert np.max(np.linalg.eigvalsh(H)) < 0.0
+
+
+# the level of the search run on the 2-D n=32 grid itself (s=0.75, m=1, p=3)
+SOLVE_2D_N32_LEVEL = 5.86026590646053
+
+
+@pytest.fixture(scope="module")
+def solve_2d_n32():
+    g, p = TorusGrid(2, 2 * np.pi, 32), FracParams(0.75, 1.0)
+    spec = NonlinearitySpec(kind="pure_power", p=3.0)
+    return g, p, spec, linking.minimax_search(g, p, spec, linking.LinkingConfig())
+
+
+def test_coarse_to_fine_solve_2d_n32(solve_2d_n32):
+    g, p, spec, st = solve_2d_n32
+    cfg = linking.LinkingConfig()
+    assert st.status == "Converged" and st.coarse_n == 16
+    assert abs(st.level - SOLVE_2D_N32_LEVEL) <= 1e-12 * SOLVE_2D_N32_LEVEL
+    assert st.grad_norm < cfg.ps_tol
+    assert linking.residual_norm(st.iterate, p, spec) < cfg.ps_tol
+    # the coarse sweeps, whose last level is coarse_level, then one fine row
+    levels = [h[0] for h in st.history]
+    assert levels[-2] == st.coarse_level and levels[-1] == st.level
+    assert all(b <= a + 1e-12 for a, b in zip(levels, levels[1:]))
+    assert st.rho == linking._ridge_bound(Discretization(g, p, spec))[1]
+    assert st.rho - 1e-9 <= st.level <= st.delta_hat + 1e-12
+
+
+@pytest.fixture(scope="module")
+def direct_2d_n32(solve_2d_n32):
+    g, p, spec, _ = solve_2d_n32
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(linking, "COARSE_MIN_POINTS", g.size)  # no coarser grid is large enough
+        return linking.minimax_search(g, p, spec, linking.LinkingConfig())
+
+
+@pytest.mark.parametrize("force", ["fine-polish-diverges", "coarse-max-iters",
+                                   "fine-level-above-coarse"])
+def test_rejected_fine_point_falls_back_to_the_direct_search(monkeypatch, solve_2d_n32,
+                                                             direct_2d_n32, force):
+    g, p, spec, _ = solve_2d_n32
+    direct = direct_2d_n32
+    assert direct.coarse_n is None
+    assert abs(direct.level - SOLVE_2D_N32_LEVEL) <= 1e-12 * SOLVE_2D_N32_LEVEL
+    search, refine, forced = linking.minimax_search, linking.refine_point, []
+
+    def coarse_search(grid, *args):
+        st = search(grid, *args)
+        if grid != g:
+            forced.append(grid)
+            if force == "coarse-max-iters":
+                return dataclasses.replace(st, status="MaxIters")
+            if force == "fine-level-above-coarse":
+                return dataclasses.replace(st, level=st.level - 1e-3)
+        return st
+
+    def fine_polish(pt, tol, max_iters=60):
+        if pt.disc.grid == g and not forced:  # the polish of the prolonged point
+            forced.append(pt)
+            raise DivergedRefinement("forced")
+        return refine(pt, tol, max_iters)
+
+    if force == "fine-polish-diverges":
+        monkeypatch.setattr(linking, "refine_point", fine_polish)
+    else:
+        monkeypatch.setattr(linking, "minimax_search", coarse_search)
+    st = linking.minimax_search(g, p, spec, linking.LinkingConfig())
+    assert len(forced) == 1
+    assert st.trace == direct.trace
+    assert (st.status, st.level, st.R, st.R_prime, st.rho, st.delta_hat) == (
+        direct.status, direct.level, direct.R, direct.R_prime, direct.rho, direct.delta_hat)
+    assert st.coarse_n is None and st.coarse_level is None
+    assert np.array_equal(st.iterate.coeffs, direct.iterate.coeffs)
 
 
 def test_minimax_fixed_caps_too_small(grid64, params_half, cubic):

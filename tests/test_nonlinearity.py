@@ -44,6 +44,13 @@ def test_spec_validation(grid64):
         NonlinearitySpec(kind="pure_power", p=MAX_EXPONENT + 1.0)
     spec = NonlinearitySpec(kind="pure_power", p=3.0)
     assert spec.mu == 4.0  # default mu = p+1
+    # verify_hypotheses samples f at +-10 r0: max(a) (10 r0)^p must be a float
+    NonlinearitySpec(kind="pure_power", p=30.0, r0=1.8e9)
+    with pytest.raises(ValidationError, match="r0"):
+        NonlinearitySpec(kind="pure_power", p=30.0, r0=1.9e9)
+    a = Field(grid64, np.full(grid64.shape, 2.0**40))
+    with pytest.raises(ValidationError, match="r0"):
+        NonlinearitySpec(kind="modulated_power", p=30.0, r0=1e9, a=a)
 
 
 def test_sign_changing_modulation_rejected(grid64):
@@ -275,6 +282,29 @@ def test_coefficient_from_another_grid_rejected():
               TorusGrid(2, 2 * np.pi, 32)):
         with pytest.raises(ValidationError):
             Discretization(g, None, spec)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_coarsened_cuts_a_to_the_coarse_band(N):
+    fine, coarse = TorusGrid(N, 2 * np.pi, 16), TorusGrid(N, 2 * np.pi, 8)
+
+    def low(*xs):  # |k| <= 1, plus a mode on the coarse Nyquist planes, |k_1| = 4
+        return 1.0 + 0.5 * np.cos(xs[0] + 0.3) + 0.1 * np.cos(4 * xs[0] + 0.4)
+
+    def high(*xs):  # modes above n_c/2 = 4, which alias into the band at the coarse points
+        return low(*xs) + 0.1 * np.cos(5 * xs[0] + 0.2) + 0.05 * np.sin(7 * xs[-1])
+
+    want = field_from_function(coarse, low).values
+    for fn in (low, high):
+        spec = NonlinearitySpec(kind="modulated_power", p=2.5, r0=2.0,
+                                a=field_from_function(fine, fn))
+        cut = spec.coarsened(coarse)
+        assert (cut.kind, cut.p, cut.mu, cut.r0, cut.a.grid) == ("modulated_power", 2.5, 3.5,
+                                                                 2.0, coarse)
+        assert np.max(np.abs(cut.a.values - want)) <= 1e-14
+    assert np.max(np.abs(field_from_function(coarse, high).values - want)) > 0.04
+    pure = NonlinearitySpec(kind="pure_power", p=3.0)
+    assert pure.coarsened(coarse) is pure
 
 
 @settings(max_examples=20, deadline=None)
