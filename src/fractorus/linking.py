@@ -14,19 +14,22 @@ non-increasing minimax estimate.  A damped Newton polish turns the peak into a
 genuine discrete critical point.
 
 The critical point is smooth, so it can be found on a coarser grid (nested
-iteration; Brandt, Math. Comp. 31 (1977) 333-390): where n/2 is even and
-(n/2)^N >= COARSE_MIN_POINTS, minimax_search runs itself on the grid of n/2
-points per axis, with a(x) cut to that band, zero-pads the coarse solution to
-n and finishes it with Newton on the fine grid, whose step count does not grow
-with n (Allgower, Boehmer, Potra & Rheinboldt, SIAM J. Numer. Anal. 23 (1986)
-160-169).  It keeps that point when it is nontrivial, its residual is below
-ps_tol and its level lies in [rho_lb(n) - 1e-6, delta_hat(n/2) + 1e-6] and not
-above the coarse level (within the search's 1e-12).  Otherwise (a coarse status
-other than Converged, a coarse error, a diverged Newton) it runs the search on
-the grid itself, so every outcome but that accepted point is the direct
-search's.  The trace, delta_hat and the caps of an accepted point are the
-coarse search's, with one trace row for the fine point appended, and rho is
-the fine grid's.
+iteration; Brandt, Math. Comp. 31 (1977) 333-390): where n/2 is even, at
+least COARSE_MIN_N and (n/2)^N >= COARSE_MIN_POINTS, minimax_search runs
+itself on the grid of n/2 points per axis, with a(x) cut to that band,
+zero-pads the coarse solution to n and finishes it with Newton on the fine
+grid, whose step count does not grow with n (Allgower, Boehmer, Potra &
+Rheinboldt, SIAM J. Numer. Anal. 23 (1986) 160-169).  It keeps that point
+when it is nontrivial, meets the search's stopping test with the coarse
+delta_hat (residual below ps_tol, level in [rho_lb(n) - 1e-6,
+delta_hat(n/2) + 1e-12]) and lies at most COARSE_RISE of the coarse level
+above it; a larger rise marks a higher critical point.
+Otherwise (a coarse status other than Converged, a coarse error, a diverged
+Newton) it runs the search on the grid itself, so every outcome but that
+accepted point is the direct search's.  The accepted point can be another
+critical point than the direct search's, near it in level.  Its trace is one
+row, the fine point's; delta_hat and the caps are the coarse search's, and rho
+is the fine grid's.
 """
 
 from __future__ import annotations
@@ -71,6 +74,8 @@ POLISH_AT = 1e-2  # after the first peak, polish once the dual residual is below
 POLISH_TOL_FACTOR = 0.1  # a Newton polish stops at this fraction of the stopping tolerance
 ALIGN_NEWTON_STEPS = 8  # Newton steps polishing the grid shift in align_spectra
 COARSE_MIN_POINTS = 256  # the search runs on the grid of n/2 points per axis if it has this many
+COARSE_MIN_N = 16  # and at least this many per axis
+COARSE_RISE = 1e-3  # a fine level above the coarse one by more than this fraction is rejected
 
 
 @dataclass(frozen=True)
@@ -82,7 +87,9 @@ class LinkingConfig:
     R_prime = 0 requests auto-calibration: an unset R starts at
     max(2 eta_lb, 1), with eta_lb the certified ridge radius, an unset
     R_prime at R, and both caps are doubled until the functional is
-    nonpositive on the sampled boundary.
+    nonpositive on the sampled boundary.  max_iters bounds the sweeps of
+    the search on each grid: a coarse search that ends MaxIters or Stalled
+    is followed by the search on the finer grid with the same budget.
     """
 
     R: float = 0.0
@@ -100,11 +107,12 @@ class LinkingConfig:
 @dataclass
 class SolverState:
     """The result of minimax_search.  A coarse-to-fine solve (coarse_n set)
-    reports the coarse search's trace plus one row for the Newton-polished
-    point on this grid, the caps R, R' and delta_hat of the coarse rectangle,
-    and rho from _ridge_bound on this grid; coarse_level is the level of the
-    coarse solve, whose difference from level estimates the resolution error.
-    A search on this grid leaves coarse_n and coarse_level None."""
+    reports one trace row, that of the Newton-polished point on this grid, the
+    caps R, R' and delta_hat of the coarse rectangle, and rho from _ridge_bound
+    on this grid; coarse_level is the level of the coarse solve, whose
+    difference from level estimates the resolution error.  Its point can be
+    another critical point than the search on this grid reaches, near it in
+    level.  A search on this grid leaves coarse_n and coarse_level None."""
 
     iterate: Spectrum
     point: Point  # the evaluation point of iterate
@@ -300,38 +308,37 @@ def _coordinates(disc: Discretization, u: np.ndarray, yhat: Spectrum):
 
 
 def _from_coarse_grid(disc: Discretization, rho: float, yhat: Spectrum, cfg: LinkingConfig):
-    """The search on the grid of n/2 points per axis, when n/2 is even and
-    (n/2)^N >= COARSE_MIN_POINTS, prolonged to this grid and polished there
-    by Newton to the search's polish tolerance.  Returns its SolverState, or
+    """The search on the grid of n/2 points per axis, when n/2 is even,
+    n/2 >= COARSE_MIN_N and (n/2)^N >= COARSE_MIN_POINTS, prolonged to this
+    grid and polished there by Newton to the search's polish tolerance.  Returns its SolverState, or
     None when the grid is too small, the coarse search does not converge or
-    raises, the polish diverges, or the polished point is trivial, has a
-    residual not below ps_tol, or a level outside [rho - 1e-6, coarse delta_hat
-    + 1e-6] or above the coarse level by more than the 1e-12 within which the
-    search counts its levels non-increasing."""
+    raises, the polish diverges, or the polished point is trivial, fails the
+    search's stopping test (residual below ps_tol, level in [rho - 1e-6,
+    coarse delta_hat + 1e-12]) or lies above the coarse level by more than
+    COARSE_RISE of it, which marks a higher critical point than the coarse one."""
     g, nc = disc.grid, disc.grid.n // 2
-    if nc % 2 or nc**g.N < COARSE_MIN_POINTS:
+    if nc % 2 or nc < COARSE_MIN_N or nc**g.N < COARSE_MIN_POINTS:
         return None
     try:
         coarse = TorusGrid(g.N, g.T, nc)
-        st = minimax_search(coarse, disc.params, disc.spec.coarsened(coarse), cfg)
+        st = _search(coarse, disc.params, disc.spec.coarsened(coarse), cfg)
         if st.status != "Converged":
             return None
         pt = refine_point(disc.at(prolong(st.iterate, g).coeffs),
                           tol=cfg.ps_tol * POLISH_TOL_FACTOR)
     except FractorusError:
         return None
-    level = float(pt.level)
-    if not (pt.gnorm < cfg.ps_tol and disc.hs_norms(pt.U) > 1e-6
-            and rho - 1e-6 <= level <= min(st.delta_hat + 1e-6, st.level + 1e-12)):
+    level, gnorm = float(pt.level), float(pt.gnorm)
+    top = min(st.delta_hat + 1e-12, st.level + COARSE_RISE * abs(st.level))
+    if not (gnorm < cfg.ps_tol and disc.hs_norms(pt.U) > 1e-6 and rho - 1e-6 <= level <= top):
         return None
-    gnorm = float(pt.gnorm)
     return SolverState(
         iterate=Spectrum(g, pt.U),
         point=pt,
         level=level,
         grad_norm=gnorm,
         status="Converged",
-        trace=st.trace + [(len(st.trace), level, gnorm, *_coordinates(disc, pt.U, yhat))],
+        trace=[(0, level, gnorm, *_coordinates(disc, pt.U, yhat))],
         R=st.R,
         R_prime=st.R_prime,
         rho=rho,
@@ -341,8 +348,6 @@ def _from_coarse_grid(disc: Discretization, rho: float, yhat: Spectrum, cfg: Lin
     )
 
 
-# the overflows of extreme periods leave levels that fail every stopping test
-@np.errstate(over="ignore", invalid="ignore")
 def minimax_search(
     grid: TorusGrid,
     p: FracParams,
@@ -351,6 +356,14 @@ def minimax_search(
 ) -> SolverState:
     """Local minimax descent of the peak level toward a PS point, run on the
     coarse grid first where _from_coarse_grid accepts that, else on this one."""
+    return _search(grid, p, spec, cfg)
+
+
+# the overflows of extreme periods leave levels that fail every stopping test
+@np.errstate(over="ignore", invalid="ignore")
+def _search(grid: TorusGrid, p: FracParams, spec: NonlinearitySpec, cfg: LinkingConfig):
+    """minimax_search; _from_coarse_grid calls this body, so a solve is one
+    call of the public name."""
     disc = Discretization(grid, p, spec)
     eta, rho = _ridge_bound(disc)
     yhat = _unit_constant(grid, p)

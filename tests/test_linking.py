@@ -258,10 +258,9 @@ def test_coarse_to_fine_solve_2d_n32(solve_2d_n32):
     assert abs(st.level - SOLVE_2D_N32_LEVEL) <= 1e-12 * SOLVE_2D_N32_LEVEL
     assert st.grad_norm < cfg.ps_tol
     assert linking.residual_norm(st.iterate, p, spec) < cfg.ps_tol
-    # the coarse sweeps, whose last level is coarse_level, then one fine row
-    levels = [h[0] for h in st.history]
-    assert levels[-2] == st.coarse_level and levels[-1] == st.level
-    assert all(b <= a + 1e-12 for a, b in zip(levels, levels[1:]))
+    # one trace row, the fine point's; the coarse search's level is coarse_level
+    assert st.history == [(st.level, st.grad_norm)]
+    assert st.level <= st.coarse_level * (1.0 + linking.COARSE_RISE)
     assert st.rho == linking._ridge_bound(Discretization(g, p, spec))[1]
     assert st.rho - 1e-9 <= st.level <= st.delta_hat + 1e-12
 
@@ -275,14 +274,14 @@ def direct_2d_n32(solve_2d_n32):
 
 
 @pytest.mark.parametrize("force", ["fine-polish-diverges", "coarse-max-iters",
-                                   "fine-level-above-coarse"])
+                                   "fine-level-above-coarse", "fine-level-above-delta-hat"])
 def test_rejected_fine_point_falls_back_to_the_direct_search(monkeypatch, solve_2d_n32,
                                                              direct_2d_n32, force):
     g, p, spec, _ = solve_2d_n32
     direct = direct_2d_n32
     assert direct.coarse_n is None
     assert abs(direct.level - SOLVE_2D_N32_LEVEL) <= 1e-12 * SOLVE_2D_N32_LEVEL
-    search, refine, forced = linking.minimax_search, linking.refine_point, []
+    search, refine, forced = linking._search, linking.refine_point, []
 
     def coarse_search(grid, *args):
         st = search(grid, *args)
@@ -291,7 +290,9 @@ def test_rejected_fine_point_falls_back_to_the_direct_search(monkeypatch, solve_
             if force == "coarse-max-iters":
                 return dataclasses.replace(st, status="MaxIters")
             if force == "fine-level-above-coarse":
-                return dataclasses.replace(st, level=st.level - 1e-3)
+                return dataclasses.replace(st, level=st.level * (1.0 - 2 * linking.COARSE_RISE))
+            if force == "fine-level-above-delta-hat":
+                return dataclasses.replace(st, delta_hat=st.level * (1.0 - 2 * linking.COARSE_RISE))
         return st
 
     def fine_polish(pt, tol, max_iters=60):
@@ -303,7 +304,7 @@ def test_rejected_fine_point_falls_back_to_the_direct_search(monkeypatch, solve_
     if force == "fine-polish-diverges":
         monkeypatch.setattr(linking, "refine_point", fine_polish)
     else:
-        monkeypatch.setattr(linking, "minimax_search", coarse_search)
+        monkeypatch.setattr(linking, "_search", coarse_search)
     st = linking.minimax_search(g, p, spec, linking.LinkingConfig())
     assert len(forced) == 1
     assert st.trace == direct.trace
@@ -311,6 +312,32 @@ def test_rejected_fine_point_falls_back_to_the_direct_search(monkeypatch, solve_
         direct.status, direct.level, direct.R, direct.R_prime, direct.rho, direct.delta_hat)
     assert st.coarse_n is None and st.coarse_level is None
     assert np.array_equal(st.iterate.coeffs, direct.iterate.coeffs)
+
+
+def test_coarse_to_fine_solve_is_one_call_of_minimax_search(monkeypatch, solve_2d_n32):
+    # a wrapper of the public name, like a tracer's, sees one call per solve
+    g, p, spec, st = solve_2d_n32
+    search, calls = linking.minimax_search, []
+
+    def counted(*args):
+        calls.append(args[0])
+        return search(*args)
+
+    monkeypatch.setattr(linking, "minimax_search", counted)
+    again = linking.minimax_search(g, p, spec, linking.LinkingConfig())
+    assert calls == [g] and again.coarse_n == 16 and again.level == st.level
+
+
+def test_modulated_3d_n16_searches_on_its_own_grid():
+    # n/2 = 8 points per axis (512 in all) resolve too little: searched there
+    # and polished here, this instance ends at a critical point of level 38.4,
+    # not at the 4.63 that the search on the 16-point grid reaches
+    g = TorusGrid(3, 2 * np.pi, 16)
+    a = Field(g, 1.0 + 0.5 * np.cos(sum(g.points()) + 2.82))
+    spec = NonlinearitySpec(kind="modulated_power", p=2.0, a=a)
+    st = linking.minimax_search(g, FracParams(0.68, 0.36), spec, linking.LinkingConfig())
+    assert st.status == "Converged" and st.coarse_n is None
+    assert abs(st.level - 4.627852072595148) <= 1e-9 * st.level
 
 
 def test_minimax_fixed_caps_too_small(grid64, params_half, cubic):
