@@ -243,8 +243,9 @@ def _calibrate_caps(disc: Discretization, yhat, z, cfg: LinkingConfig, eta: floa
     from the given cap or from R = max(2 eta, 1).  A doubling cap samples its
     r = R edge first, and a positive, finite level there doubles it with
     nothing else sampled; a cap that passes its edge, and a given one, samples
-    its whole rectangle in one call.  Raises BoundaryNotNegative when 40
-    doublings fail or a level is not finite."""
+    its whole rectangle.  Both are sampled through basis.levels, in blocks of
+    rows.  Raises BoundaryNotNegative when 40 doublings fail or a level is
+    not finite."""
     R = cfg.R if cfg.R > 0 else max(2.0 * eta, 1.0)
     Rp = cfg.R_prime if cfg.R_prime > 0 else R
     fixed = cfg.R > 0 and cfg.R_prime > 0
@@ -254,13 +255,13 @@ def _calibrate_caps(disc: Discretization, yhat, z, cfg: LinkingConfig, eta: floa
         with np.errstate(all="ignore"):
             cs = np.linspace(-Rp, Rp, nc)
             if not fixed:
-                worst = float(np.max(basis.combine(np.stack([cs, np.full(nc, R)], axis=-1)).level))
+                worst = float(np.max(basis.levels(np.stack([cs, np.full(nc, R)], axis=-1))))
                 if 0.0 < worst < np.inf:
                     R *= 2.0
                     Rp *= 2.0
                     continue
             rs = np.linspace(0.0, R, nr)
-            lv = basis.combine(np.stack(np.meshgrid(cs, rs, indexing="ij"), axis=-1)).level
+            lv = basis.levels(np.stack(np.meshgrid(cs, rs, indexing="ij"), axis=-1))
         mask = np.ones((nc, nr), dtype=bool)  # the boundary of the rectangle
         mask[1:-1, 1:-1] = False
         worst = float(np.max(lv[mask]))
@@ -438,6 +439,7 @@ def _search(grid: TorusGrid, p: FracParams, spec: NonlinearitySpec, cfg: Linking
 
 FORCING_MAX = 1e-2  # cap of the inexact-Newton forcing term eta = min(FORCING_MAX, |R|_*)
 KRYLOV_MAX_ITERS = 200  # MINRES stops after min(grid.size, this) iterations
+TINY = np.finfo(float).tiny  # the floor of a MINRES rotation's norm
 
 
 def _minres(apply, precondition, b: np.ndarray, tol: float, max_iters: int) -> np.ndarray:
@@ -468,7 +470,7 @@ def _minres(apply, precondition, b: np.ndarray, tol: float, max_iters: int) -> n
         # the Givens rotation that brings the next Lanczos column to triangular form
         oldeps, delta = eps, cs * dbar + sn * alpha
         gbar, eps, dbar = sn * dbar - cs * alpha, sn * beta, -cs * beta
-        gamma = max(float(np.hypot(gbar, beta)), np.finfo(float).tiny)
+        gamma = max(float(np.hypot(gbar, beta)), TINY)
         cs, sn = gbar / gamma, beta / gamma
         w1, w2 = w2, w
         w = (v - oldeps * w1 - delta * w2) / gamma

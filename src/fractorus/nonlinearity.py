@@ -40,6 +40,11 @@ from .grids import (
 # underflows at its smallest sample t = 1e-6.
 MAX_EXPONENT = 30.0
 
+# Bytes of coefficients plus samples per block of Point.levels: glibc's
+# default M_MMAP_THRESHOLD, above which each temporary is mmap'd fresh and
+# faulted in page by page, below which malloc reuses its heap.
+LEVEL_BLOCK_BYTES = 1 << 17
+
 
 @dataclass(frozen=True)
 class NonlinearitySpec:
@@ -309,6 +314,17 @@ class Point:
         def mix(a):
             return (x @ a.reshape(len(a), -1)).reshape(np.shape(x)[:-1] + a.shape[1:])
         return Point(self.disc, mix(self.U), mix(self.vals))
+
+    def levels(self, x) -> np.ndarray:
+        """combine(x).level, bit for bit, for x of shape (..., k), evaluated over
+        consecutive blocks of the rows of x whose coefficients and samples fit in
+        LEVEL_BLOCK_BYTES.  A block has at least 3 rows, so that an even split
+        never leaves one row alone: numpy multiplies a single row by gemv,
+        whose rounding differs from gemm's."""
+        rows = np.reshape(x, (-1, np.shape(x)[-1]))
+        size = max(3, LEVEL_BLOCK_BYTES // (self.U[0].nbytes + self.vals[0].nbytes))
+        blocks = np.array_split(rows, math.ceil(len(rows) / size))
+        return np.concatenate([self.combine(b).level for b in blocks]).reshape(np.shape(x)[:-1])
 
     @staticmethod
     def stack(*points: Point) -> Point:

@@ -398,21 +398,29 @@ def test_calibrated_caps_match_the_whole_rectangle_loop(monkeypatch, name):
     disc, yhat, z, eta = _caps_case(name)
     cfg = linking.LinkingConfig()
     R, Rp, cs, rs, lv = _caps_by_rectangle(disc, yhat, z, cfg, eta)
-    rows, combine = [], nonlinearity.Point.combine
+    calls, levels, combine = [], nonlinearity.Point.levels, nonlinearity.Point.combine
+
+    def sampled(self, x):
+        calls.append([])
+        return levels(self, x)
 
     def counted(self, x):
-        rows.append(np.size(x) // 2)
-        return combine(self, x)
+        pt = combine(self, x)
+        calls[-1].append((len(x), pt.U.nbytes + pt.vals.nbytes))
+        return pt
 
+    monkeypatch.setattr(nonlinearity.Point, "levels", sampled)
     monkeypatch.setattr(nonlinearity.Point, "combine", counted)
     got = linking._calibrate_caps(disc, yhat, z, cfg, eta)
     assert got[:2] == (R, Rp)
     assert all(np.array_equal(a, b) for a, b in zip(got[2:5], (cs, rs, lv)))
-    # every cap sampled its r = R edge, and only the accepted one its rectangle
+    # every cap sampled its r = R edge, and only the accepted one its rectangle,
+    # each in blocks within the byte budget
     doublings = round(np.log2(R / max(2.0 * eta, 1.0)))
     assert doublings >= 1
     nc, nr = linking.GRID_A
-    assert rows == [nc] * (doublings + 1) + [nc * nr]
+    assert [sum(rows for rows, _ in c) for c in calls] == [nc] * (doublings + 1) + [nc * nr]
+    assert all(size <= nonlinearity.LEVEL_BLOCK_BYTES for c in calls for _, size in c)
 
 
 @pytest.mark.parametrize("caps", [(0.05, 0.05), (10.0, 0.05), (1e300, 1e300), (1e-20, 0.0)],
