@@ -172,7 +172,7 @@ def parse_config(text: str) -> RunConfig:
         spec = NonlinearitySpec(
             kind=str(d.get("kind", "pure_power")),
             p=float(d["p"]),
-            mu=float(d.get("mu", 0.0)),
+            mu=float(d["mu"]) if "mu" in d else None,
             r0=float(d.get("r0", 1.0)),
             a=a,
         )
@@ -182,7 +182,7 @@ def parse_config(text: str) -> RunConfig:
     spec = _section(doc, "nonlinearity", {"kind", "p", "mu", "r0", "a_values"},
                     build_spec, required=mode in ("solve", "sweep"))
     # the dealiased products sample the padded grid, whose cells are smaller
-    _built("$.grid", grid.cell_at, padded_size(grid.n, spec or _VERIFY_SPEC))
+    _built("$.grid", grid.cell_at, padded_size(grid.n))
 
     solver = _section(doc, "solver", _SOLVER_KEYS, lambda d: linking.LinkingConfig(
         **{k: _SOLVER_KEYS[k](v) for k, v in d.items()}), required=False)
@@ -284,7 +284,7 @@ def _verify_properties(cfg: RunConfig):
             extension.ground_gap(theta_mult, p)) < 1e-6)
 
     spec = cfg.nonlinearity or _VERIFY_SPEC
-    m_pad = padded_size(g.n, spec)
+    m_pad = padded_size(g.n)
     check("dealias_pad_roundtrip", lambda: np.max(np.abs(
         restrict_values(pad_coeffs(u_rand.coeffs, g, m_pad), g) - u_rand.coeffs)) < 1e-12)
     cosx = forward_transform(field_from_function(g, lambda *xs: np.cos(w * xs[0])))

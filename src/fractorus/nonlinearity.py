@@ -8,9 +8,8 @@ exponent mu <= p+1, sign condition t f >= 0) and reports the fitted growth
 constants.  Point.nonlinear_energy sums a |u|^{p+1} before it divides by p+1,
 the same F in another rounding, which the tests tie to primitive.
 
-Pointwise products of band-limited fields are evaluated on a zero-padded grid
-so that, for integer p, the projection of f(x,u) back to the retained band is
-alias-free.
+Pointwise products of band-limited fields are evaluated on one zero-padded
+grid, of padded_size(n) points per axis, whatever p.
 """
 
 from __future__ import annotations
@@ -52,7 +51,7 @@ class NonlinearitySpec:
 
     kind: str  # "pure_power" | "modulated_power"
     p: float
-    mu: float = 0.0  # defaults to p + 1
+    mu: Optional[float] = None  # defaults to p + 1
     r0: float = 1.0
     a: Optional[Field] = None
 
@@ -62,7 +61,7 @@ class NonlinearitySpec:
         if not (1.0 < self.p <= MAX_EXPONENT):
             raise ValidationError(
                 f"growth exponent p must lie in (1, {MAX_EXPONENT:g}], got {self.p}")
-        if self.mu == 0.0:
+        if self.mu is None:
             object.__setattr__(self, "mu", self.p + 1.0)
         if not (2.0 < self.mu <= self.p + 1.0):
             raise ValidationError(
@@ -97,11 +96,6 @@ class NonlinearitySpec:
                 f"p={self.p} must be < critical growth {limit} (N={grid.N}, s={params.s})"
             )
 
-    @property
-    def integer_degree(self) -> Optional[int]:
-        p = self.p
-        return int(round(p)) if abs(p - round(p)) < 1e-12 else None
-
     def coarsened(self, grid: TorusGrid) -> NonlinearitySpec:
         """This nonlinearity on a coarser grid of the same torus: a(x) cut to
         its band, the modes beyond n_c/2 dropped and the images +-n_c/2
@@ -134,21 +128,12 @@ def primitive(spec: NonlinearitySpec, coeff: np.ndarray, t: np.ndarray) -> np.nd
 # ---------------------------------------------------------------------------
 # dealiased pseudospectral evaluation
 
-def padded_size(n: int, spec: NonlinearitySpec) -> int:
-    """Grid size making products up to the working degree alias-free.
-
-    Odd integer p: |t|^{p-1} t = t^p is polynomial and degree p+1 enters
-    through the primitive, so pad to (p_int+2)/2 * n (one extra n/2 when a
-    modulation is present).  Even or fractional p is not polynomial (the |t|
-    kink survives), so no finite padding is exact; the 3/2 rule keeps the
-    residual alias error spectrally small.
-    """
-    deg = spec.integer_degree
-    if deg is None or deg % 2 == 0:
-        factor = 1.5
-    else:
-        factor = (deg + 2) / 2.0 + (0.5 if spec.kind == "modulated_power" else 0.0)
-    m = int(math.ceil(n * factor))
+def padded_size(n: int) -> int:
+    """Points per axis of the padded grid of every nonlinear product: Orszag's
+    3n/2, rounded up to even.  No finite padding is exact for |t|^{p-1} t
+    unless p is an odd integer; for a smooth u the aliasing the 3/2 rule
+    leaves in the band lies below the band's truncation error."""
+    m = int(math.ceil(1.5 * n))
     return m + (m % 2)
 
 
@@ -161,8 +146,9 @@ class Discretization:
 
         I(u) = 1/2 sum_k [(omega^2|k|^2+m^2)^s - m^{2s}] |c_k|^2 - int F(x,u) dx
 
-    on one grid: the tables of grids.multiplier, and the padded grid size, a(x)
-    sampled on the padded grid and the padded cell volume, built once; a(x) is
+    on one grid: the tables of grids.multiplier, the padded grid size
+    padded_size(n), which no nonlinearity changes, a(x) sampled on the padded
+    grid and the padded cell volume, built once; a(x) is
     read through spec.coefficient, which rejects a field of another grid.
     at(U), the evaluation point of U, pads U once: I, its gradient and its
     linearization at U all read those samples.  The pad is linear, so the
@@ -201,7 +187,7 @@ class Discretization:
             put("shifted", multiplier(g, self.params, shifted=True))
             put("inv_full", np.where(self.full > 0.0, 1.0 / np.maximum(self.full, 1e-300), 1.0))
         put("pairing", nyquist_weight(g))
-        m = padded_size(g.n, spec)
+        m = padded_size(g.n)
         put("m_pad", m)
         put("cell", g.cell_at(m))
         put("axes", tuple(range(-g.N, 0)))

@@ -387,6 +387,9 @@ MALFORMED = [
     pytest.param("solve", _with(("grid", "T"), 1e-300), id="grid.T-multiplier-overflow"),
     pytest.param("solve", _with(("frac", "m"), 0.0), id="frac.m-zero-solve"),
     pytest.param("solve", _with(("nonlinearity", "r0"), "nan"), id="nonlinearity.r0-nan"),
+    # an explicit mu = 0 is an AR exponent outside (2, p+1], not an absent one
+    pytest.param("solve", _with(("nonlinearity", "mu"), 0), id="nonlinearity.mu-zero"),
+    pytest.param("solve", _with(("nonlinearity", "mu"), -0.0), id="nonlinearity.mu-negative-zero"),
     # verify_hypotheses samples f at t = +-10 r0, where (10 r0)^30 overflows
     pytest.param("verify", _with(("nonlinearity",), {"kind": "pure_power", "p": 30, "r0": 1e10},
                                  mode="verify"), id="nonlinearity.r0-f-overflow"),
