@@ -21,6 +21,11 @@ from .errors import BadExponent, DomainError, SymmetryViolation
 HERMITIAN_TOL = 1e-8
 # Largest n^N a grid may have; the largest grid any workload uses is 3-D n=32.
 MAX_GRID_POINTS = 2**22
+# Most float64 entries, 2 n^N m^N, of the matrix by which the pad and the
+# restriction between the n- and the m-point grid run on small grids: there
+# one product costs less than numpy's FFT calls.  1-D n = 64 at m = 96 is a
+# 12,288-entry product; 1-D n = 128 at m = 192 and 2-D n = 16 run FFTs.
+DENSE_MAX_ENTRIES = 2**15
 
 
 def _frozen_array(a, dtype):
@@ -255,36 +260,26 @@ def _plan(N: int, n: int, m: int) -> _Plan:
     )
 
 
-def pad_coeffs(coeffs: np.ndarray, grid: TorusGrid, m: int) -> np.ndarray:
-    """Real samples on the m-point grid (m >= n) of the interpolant of a
-    Hermitian spectrum, unchecked; leading axes are batched.  Only the modes
-    0..n/2 of the last axis are read.  A coefficient on |k_i| = n/2 lands on
-    both images +-n/2 with its Nyquist weight, so the interpolant stays real
-    (on the last axis -n/2 is the Hermitian mirror, which the half spectrum
-    leaves out)."""
-    N, plan = grid.N, _plan(grid.N, grid.n, m)
+def _fft_pad(coeffs: np.ndarray, N: int, n: int, m: int, scale: float) -> np.ndarray:
+    """The pad as FFTs: the band scattered into the m-point rfft layout with
+    its Nyquist weights, then irfftn, times scale."""
+    plan = _plan(N, n, m)
     big = np.zeros(coeffs.shape[: coeffs.ndim - N] + plan.padded, dtype=complex)
     for c, f, w in plan.blocks:
         np.multiply(coeffs[c], w, out=big[f])
     # numpy.fft.irfft is irfftn at N = 1, with less call overhead
     x = np.fft.irfft(big, m) if N == 1 else np.fft.irfftn(big, (m,) * N, tuple(range(-N, 0)))
-    return x * (m**N / grid.T ** (N / 2.0))
+    return x * scale
 
 
-def restrict_values(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """Band-projected coefficients of samples on an m-point grid, m >= n read
-    from the trailing axis (leading axes are batched): each band mode sums
-    all its images, so a coefficient on |k_i| = n/2 holds the sum over +-n/2,
-    and the Nyquist planes are made real.  The half spectrum leaves out the
-    -n/2 column of the last axis, the conjugate of the n/2 column at -k over
-    the other axes, so that folded column is the real part of the n/2 column
-    at k plus at -k."""
-    N, n, m = grid.N, grid.n, values.shape[-1]
-    ny, plan = n // 2, _plan(N, n, m)
+def _fft_restrict(values: np.ndarray, N: int, n: int, scale: float) -> np.ndarray:
+    """The restriction as FFTs: the band's half spectrum times scale, folded
+    block by block, its Nyquist planes made real and its mirror written."""
+    ny, plan = n // 2, _plan(N, n, values.shape[-1])
     F = np.fft.rfft(values)[..., : ny + 1]
     for ax in range(-2, -N - 1, -1):  # rfftn's order, so its rounding
         F = np.fft.fft(F, axis=ax)
-    F *= grid.T ** (N / 2.0) / m**N
+    F *= scale
     out = np.zeros(F.shape[: F.ndim - N] + (n,) * N, dtype=complex)
     for c, f, _ in plan.blocks:
         out[c] += F[f]
@@ -294,6 +289,71 @@ def restrict_values(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
         out[plane].imag = 0.0
     np.conjugate(out[plan.mirror], out=out[..., ny + 1:])
     return out
+
+
+def _dense(N: int, n: int, m: int) -> bool:
+    """Whether the pad and restriction between the n- and the m-point grid
+    run as one product with a cached matrix: that matrix has at most
+    DENSE_MAX_ENTRIES entries, and m <= 2n keeps the restriction's identity
+    batch, m^N rows of m^N samples, within 2^N times it."""
+    return m <= 2 * n and 2 * (n * m) ** N <= DENSE_MAX_ENTRIES
+
+
+@functools.lru_cache(maxsize=None)
+def _pad_matrix(N: int, n: int, m: int) -> np.ndarray:
+    """The pad at T = 1 as a read-only real (2 n^N, m^N) matrix, acting on
+    the float view of the band: the FFT pad of an identity batch."""
+    eye = np.eye(2 * n**N).view(complex).reshape((2 * n**N,) + (n,) * N)
+    return _frozen_array(_fft_pad(eye, N, n, m, float(m**N)).reshape(2 * n**N, m**N), float)
+
+
+@functools.lru_cache(maxsize=None)
+def _restrict_matrix(N: int, n: int, m: int) -> np.ndarray:
+    """The restriction at T = 1 as a read-only real (m^N, 2 n^N) matrix whose
+    products are the float view of the band: the FFT restriction of an
+    identity batch."""
+    eye = np.eye(m**N).reshape((m**N,) + (m,) * N)
+    return _frozen_array(_fft_restrict(eye, N, n, 1.0 / m**N).reshape(m**N, n**N).view(float),
+                         float)
+
+
+def pad_coeffs(coeffs: np.ndarray, grid: TorusGrid, m: int) -> np.ndarray:
+    """Real samples on the m-point grid (m >= n) of the interpolant of a
+    Hermitian spectrum, unchecked; leading axes are batched.  Only the modes
+    0..n/2 of the last axis are read.  A coefficient on |k_i| = n/2 lands on
+    both images +-n/2 with its Nyquist weight, so the interpolant stays real
+    (on the last axis -n/2 is the Hermitian mirror, which the half spectrum
+    leaves out).  On small grids (_dense) each row is one np.vecmat of its
+    float view with the cached _pad_matrix, then the period's scale, where
+    numpy's FFT would cost more in call overhead than in arithmetic; else it
+    is one irfftn of the band scattered into the m-point rfft layout."""
+    N, n = grid.N, grid.n
+    if not _dense(N, n, m):
+        return _fft_pad(coeffs, N, n, m, m**N / grid.T ** (N / 2.0))
+    lead = coeffs.shape[: coeffs.ndim - N]
+    x = np.ascontiguousarray(coeffs, dtype=complex).reshape(lead + (-1,)).view(float)
+    out = np.vecmat(x, _pad_matrix(N, n, m))
+    out *= grid.T ** (-N / 2.0)
+    return out.reshape(lead + (m,) * N)
+
+
+def restrict_values(values: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """Band-projected coefficients of samples on an m-point grid, m >= n read
+    from the trailing axis (leading axes are batched): each band mode sums
+    all its images, so a coefficient on |k_i| = n/2 holds the sum over +-n/2,
+    and the Nyquist planes are made real.  The half spectrum leaves out the
+    -n/2 column of the last axis, the conjugate of the n/2 column at -k over
+    the other axes, so that folded column is the real part of the n/2 column
+    at k plus at -k.  On small grids (_dense) each row is one np.vecmat of its
+    samples with the cached _restrict_matrix, then the period's scale; else
+    it is the FFTs of the band's half spectrum and a block gather."""
+    N, n, m = grid.N, grid.n, values.shape[-1]
+    if not _dense(N, n, m):
+        return _fft_restrict(values, N, n, grid.T ** (N / 2.0) / m**N)
+    lead = values.shape[: values.ndim - N]
+    out = np.vecmat(values.reshape(lead + (-1,)), _restrict_matrix(N, n, m))
+    out *= grid.T ** (N / 2.0)
+    return out.view(complex).reshape(lead + (n,) * N)
 
 
 def forward_transform(f: Field) -> Spectrum:

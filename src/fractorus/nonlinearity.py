@@ -155,7 +155,7 @@ class Discretization:
     searches build their trial points by Point.combine from points already
     padded, and pad only a new direction; the MINRES applies of the Newton
     polish form no linear family and pad each vector.  Every product is dealiased
-    by the one real-FFT pad and restrict of grids, pad_coeffs and
+    by the one pad and restrict of grids, pad_coeffs and
     restrict_values.  The nonlinear parts of the gradient and linearization
     are the adjoint of the pad in the pairing Re sum_k conj(R_k) w_k:
     restrict_values times `pairing`, the nyquist_weight of the grid (the pad

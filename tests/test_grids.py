@@ -137,7 +137,9 @@ def test_inverse_transform_is_the_pad_at_n(N, rng):
     lambda g: multiplier(g, FracParams(0.5, 1.0)),
     lambda g: multiplier(g, FracParams(0.5, 1.0), shifted=True),
     lambda g: g.ksq(),
-], ids=["multiplier", "shifted", "ksq"])
+    lambda g: grids._pad_matrix(g.N, g.n, 12),
+    lambda g: grids._restrict_matrix(g.N, g.n, 12),
+], ids=["multiplier", "shifted", "ksq", "pad-matrix", "restrict-matrix"])
 def test_symbol_tables_are_cached_and_read_only(table):
     a = table(TorusGrid(2, 3.0, 8))
     assert table(TorusGrid(2, 3.0, 8)) is a
@@ -276,7 +278,7 @@ def _close(got, want):
     return np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
-@pytest.mark.parametrize("N,n", [(1, 16), (2, 8), (3, 8)])
+@pytest.mark.parametrize("N,n", [(1, 16), (1, 256), (2, 8), (3, 4), (3, 8)])
 @pytest.mark.parametrize("factor", [1.0, 1.5, 2.5])
 def test_pad_and_restrict_match_the_complex_fft_reference(N, n, factor, rng):
     g = TorusGrid(N, 2.7, n)
@@ -317,16 +319,34 @@ def _rfftn_restrict(values, g):
     return np.concatenate((out, neg), axis=-1)
 
 
-@pytest.mark.parametrize("N,n", [(1, 16), (2, 8), (3, 8)])
+@pytest.mark.parametrize("N,n", [(1, 256), (2, 16), (3, 8)])
 def test_pad_and_restrict_keep_the_rfftn_rounding(N, n, rng):
-    # the plans and the one-axis-at-a-time FFTs change no bit of the result
+    # on grids too large for the matrix product, the plans and the
+    # one-axis-at-a-time FFTs change no bit of the result
     g = TorusGrid(N, 2.7, n)
+    assert not grids._dense(N, n, n)
     C = np.stack([random_spectrum(g, rng).coeffs for _ in range(2)])
     for m in (n, 3 * n // 2, 5 * n // 2):
         v = np.round(rng.standard_normal((2,) + (m,) * N), 1)  # exact zeros in F
         assert restrict_values(v, g).tobytes() == _rfftn_restrict(v, g).tobytes()
         if m > n:
             assert pad_coeffs(C, g, m).tobytes() == _rfftn_pad(C, g, m).tobytes()
+
+
+@pytest.mark.parametrize("N,n,dense", [
+    (1, 64, True), (2, 8, True), (3, 4, True), (1, 256, False), (2, 16, False), (3, 8, False),
+])
+def test_batched_rows_are_the_single_row_calls_bitwise(N, n, dense, rng):
+    # a point's samples do not depend on the rows it was padded or restricted with
+    g = TorusGrid(N, 2.7, n)
+    for m in (n, 3 * n // 2):
+        assert grids._dense(N, n, m) is dense
+        C = np.stack([random_spectrum(g, rng).coeffs for _ in range(3)])
+        v = rng.standard_normal((3,) + (m,) * N)
+        pads, rests = pad_coeffs(C, g, m), restrict_values(v, g)
+        for i in range(3):
+            assert pads[i].tobytes() == pad_coeffs(C[i], g, m).tobytes()
+            assert rests[i].tobytes() == restrict_values(v[i], g).tobytes()
 
 
 def _arrays(x):
