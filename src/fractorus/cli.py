@@ -102,7 +102,7 @@ def _integer(value) -> int:
 
 # $.solver keys and their JSON conversions; absent keys take the
 # LinkingConfig defaults.
-_SOLVER_KEYS = {"R": float, "R_prime": float, "ps_tol": float, "max_iters": _integer}
+_SOLVER_KEYS = {"ps_tol": float, "max_iters": _integer}
 
 
 def _require_keys(doc: dict, allowed: set, path: str):

@@ -53,12 +53,11 @@ class NoPositiveRidge(FractorusError):
 class BoundaryNotNegative(FractorusError):
     """Functional is positive, or not finite, somewhere on the linking-set boundary."""
 
-    def __init__(self, R, R_prime, witness):
+    def __init__(self, R, witness):
         self.R = R
-        self.R_prime = R_prime
         self.witness = witness
         what = "energy > 0" if witness["level"] < float("inf") else "energy not finite"
-        super().__init__(f"{what} on linking boundary (R={R}, R'={R_prime}, witness={witness})")
+        super().__init__(f"{what} on linking boundary (R={R}, witness={witness})")
 
 
 class DivergedRefinement(FractorusError):

@@ -4,7 +4,7 @@ The search runs entirely on the trace space: every critical trace extends
 uniquely and minimally, so the saddle geometry of the cylinder functional
 survives the reduction.  The linking set is the rectangle
 
-    A = {c yhat + r z : |c| <= R', 0 <= r <= R}
+    A = {c yhat + r z : |c| <= R, 0 <= r <= R}
 
 with yhat the normalized constant mode and z a normalized zero-mean direction.
 The local minimax method with support span{yhat} (Li & Zhou, SIAM J. Sci.
@@ -20,16 +20,15 @@ itself on the grid of n/2 points per axis, with a(x) cut to that band,
 zero-pads the coarse solution to n and finishes it with Newton on the fine
 grid, whose step count does not grow with n (Allgower, Boehmer, Potra &
 Rheinboldt, SIAM J. Numer. Anal. 23 (1986) 160-169).  It keeps that point
-when it is nontrivial, meets the search's stopping test with the coarse
-delta_hat (residual below ps_tol, level in [rho_lb(n) - 1e-6,
-delta_hat(n/2) + 1e-12]) and lies at most COARSE_RISE of the coarse level
-above it; a larger rise marks a higher critical point.
+when it is nontrivial, meets the search's stopping test (_stops) with
+rho_lb(n) and the coarse delta_hat, and lies at most COARSE_RISE of the
+coarse level above it; a larger rise marks a higher critical point.
 Otherwise (a coarse status other than Converged, a coarse error, a diverged
 Newton) it runs the search on the grid itself, so every outcome but that
 accepted point is the direct search's.  The accepted point can be another
 critical point than the direct search's, near it in level.  Its trace is one
-row, the fine point's; delta_hat and the caps are the coarse search's, and rho
-is the fine grid's.
+row, the fine point's; delta_hat and the cap R are the coarse search's, and
+rho is the fine grid's.
 """
 
 from __future__ import annotations
@@ -80,26 +79,17 @@ COARSE_RISE = 1e-3  # a fine level above the coarse one by more than this fracti
 
 @dataclass(frozen=True)
 class LinkingConfig:
-    """Geometry and stopping parameters of the minimax search.
-
-    Caps R, R_prime > 0 are used as given: a positive level on the sampled
-    boundary of the linking rectangle raises BoundaryNotNegative.  R = 0 or
-    R_prime = 0 requests auto-calibration: an unset R starts at
-    max(2 eta_lb, 1), with eta_lb the certified ridge radius, an unset
-    R_prime at R, and both caps are doubled until the functional is
-    nonpositive on the sampled boundary.  max_iters bounds the sweeps of
-    the search on each grid: a coarse search that ends MaxIters or Stalled
-    is followed by the search on the finer grid with the same budget.
+    """Stopping parameters of the minimax search; the cap of the linking
+    rectangle is always calibrated (_calibrate_caps).  ps_tol bounds the
+    dual residual of a converged point.  max_iters bounds the sweeps of the
+    search on each grid: a coarse search that ends MaxIters or Stalled is
+    followed by the search on the finer grid with the same budget.
     """
 
-    R: float = 0.0
-    R_prime: float = 0.0
     ps_tol: float = 1e-8
     max_iters: int = 2000
 
     def __post_init__(self):
-        if not (0.0 <= self.R < np.inf and 0.0 <= self.R_prime < np.inf):
-            raise DomainError("caps R, R' must be nonnegative and finite (0 = auto)")
         if not (0.0 < self.ps_tol < np.inf) or self.max_iters < 1:
             raise DomainError("ps_tol, max_iters must be positive and finite")
 
@@ -108,8 +98,8 @@ class LinkingConfig:
 class SolverState:
     """The result of minimax_search.  A coarse-to-fine solve (coarse_n set)
     reports one trace row, that of the Newton-polished point on this grid, the
-    caps R, R' and delta_hat of the coarse rectangle, and rho from _ridge_bound
-    on this grid; coarse_level is the level of the coarse solve, whose
+    cap R and delta_hat of the coarse rectangle, and rho from _ridge_bound on
+    this grid; coarse_level is the level of the coarse solve, whose
     difference from level estimates the resolution error.  Its point can be
     another critical point than the search on this grid reaches, near it in
     level.  A search on this grid leaves coarse_n and coarse_level None."""
@@ -120,10 +110,9 @@ class SolverState:
     grad_norm: float
     status: str  # Converged | MaxIters | Stalled | NoNontrivialSolution
     trace: list = dc_field(default_factory=list)  # (sweep, level, gnorm, c, r) per sweep
-    R: float = 0.0
-    R_prime: float = 0.0
+    R: float = 0.0  # the cap of the linking rectangle {|c| <= R, 0 <= r <= R}
     rho: float = 0.0  # certified lower bound of I on the ridge sphere (_ridge_bound)
-    delta_hat: float = 0.0  # sampled max of the level over the linking rectangle
+    delta_hat: float = 0.0  # sampled max of the level over A, not a bound; gates Converged
     coarse_n: Optional[int] = None  # points per axis of the coarse search
     coarse_level: Optional[float] = None
 
@@ -236,45 +225,39 @@ def _sphere_step(pt: Point, v: Point, radius, scale, step, value):
     return None
 
 
-def _calibrate_caps(disc: Discretization, yhat, z, cfg: LinkingConfig, eta: float):
-    """The caps R, R', the sampled c and r, the levels at c yhat + r z and the
-    basis point [yhat, z], padded once, once the sampled boundary of A is
-    nonpositive.  Two given caps are tried as they are; otherwise both double
-    from the given cap or from R = max(2 eta, 1).  A doubling cap samples its
-    r = R edge first, and a positive, finite level there doubles it with
-    nothing else sampled; a cap that passes its edge, and a given one, samples
-    its whole rectangle.  Both are sampled through basis.levels, in blocks of
-    rows.  Raises BoundaryNotNegative when 40 doublings fail or a level is
-    not finite."""
-    R = cfg.R if cfg.R > 0 else max(2.0 * eta, 1.0)
-    Rp = cfg.R_prime if cfg.R_prime > 0 else R
-    fixed = cfg.R > 0 and cfg.R_prime > 0
+def _calibrate_caps(disc: Discretization, yhat, z, eta: float):
+    """The cap R, the sampled c and r, the levels at c yhat + r z and the
+    basis point [yhat, z], padded once, once the sampled boundary of
+    A = {|c| <= R, 0 <= r <= R} is nonpositive.  R doubles from
+    max(2 eta, 1).  Each cap samples its r = R edge first, and a positive,
+    finite level there doubles it with nothing else sampled; a cap that
+    passes its edge samples its whole rectangle.  Both are sampled through
+    basis.levels, in blocks of rows.  Raises BoundaryNotNegative when 40
+    doublings fail or a boundary level is not finite."""
+    R = max(2.0 * eta, 1.0)
     nc, nr = GRID_A
     basis = disc.at(np.stack([yhat.coeffs, z.coeffs]))
     for _ in range(40):
         with np.errstate(all="ignore"):
-            cs = np.linspace(-Rp, Rp, nc)
-            if not fixed:
-                worst = float(np.max(basis.levels(np.stack([cs, np.full(nc, R)], axis=-1))))
-                if 0.0 < worst < np.inf:
-                    R *= 2.0
-                    Rp *= 2.0
-                    continue
+            cs = np.linspace(-R, R, nc)
+            worst = float(np.max(basis.levels(np.stack([cs, np.full(nc, R)], axis=-1))))
+            if 0.0 < worst < np.inf:
+                R *= 2.0
+                continue
             rs = np.linspace(0.0, R, nr)
             lv = basis.levels(np.stack(np.meshgrid(cs, rs, indexing="ij"), axis=-1))
         mask = np.ones((nc, nr), dtype=bool)  # the boundary of the rectangle
         mask[1:-1, 1:-1] = False
         worst = float(np.max(lv[mask]))
         if worst <= 0.0:
-            return R, Rp, cs, rs, lv, basis
-        if fixed or not worst < np.inf:
+            return R, cs, rs, lv, basis
+        if not worst < np.inf:
             idx = np.unravel_index(np.argmax(np.where(mask, lv, -np.inf)), lv.shape)
             raise BoundaryNotNegative(
-                R, Rp, witness={"c": float(cs[idx[0]]), "r": float(rs[idx[1]]), "level": worst}
+                R, witness={"c": float(cs[idx[0]]), "r": float(rs[idx[1]]), "level": worst}
             )
         R *= 2.0
-        Rp *= 2.0
-    raise BoundaryNotNegative(R, Rp, witness={"level": worst})
+    raise BoundaryNotNegative(R, witness={"level": worst})
 
 
 def _peak(W: Point, c: float, r: float):
@@ -308,15 +291,22 @@ def _coordinates(disc: Discretization, u: np.ndarray, yhat: Spectrum):
     return c, float(disc.hs_norms(u - c * yhat.coeffs))
 
 
+def _stops(pt: Point, tol: float, rho: float, delta_hat: float) -> bool:
+    """The search's stopping test: dual residual below tol and level in
+    [rho - 1e-6, delta_hat + 1e-12]; false on a NaN or infinite level,
+    residual or delta_hat."""
+    return pt.gnorm < tol and rho - 1e-6 <= pt.level <= delta_hat + 1e-12 < np.inf
+
+
 def _from_coarse_grid(disc: Discretization, rho: float, yhat: Spectrum, cfg: LinkingConfig):
     """The search on the grid of n/2 points per axis, when n/2 is even,
     n/2 >= COARSE_MIN_N and (n/2)^N >= COARSE_MIN_POINTS, prolonged to this
     grid and polished there by Newton to the search's polish tolerance.  Returns its SolverState, or
     None when the grid is too small, the coarse search does not converge or
-    raises, the polish diverges, or the polished point is trivial, fails the
-    search's stopping test (residual below ps_tol, level in [rho - 1e-6,
-    coarse delta_hat + 1e-12]) or lies above the coarse level by more than
-    COARSE_RISE of it, which marks a higher critical point than the coarse one."""
+    raises, the polish diverges, or the polished point is trivial, fails
+    _stops with rho and the coarse delta_hat, or lies above the coarse level
+    by more than COARSE_RISE of it, which marks a higher critical point than
+    the coarse one."""
     g, nc = disc.grid, disc.grid.n // 2
     if nc % 2 or nc < COARSE_MIN_N or nc**g.N < COARSE_MIN_POINTS:
         return None
@@ -330,8 +320,8 @@ def _from_coarse_grid(disc: Discretization, rho: float, yhat: Spectrum, cfg: Lin
     except FractorusError:
         return None
     level, gnorm = float(pt.level), float(pt.gnorm)
-    top = min(st.delta_hat + 1e-12, st.level + COARSE_RISE * abs(st.level))
-    if not (gnorm < cfg.ps_tol and disc.hs_norms(pt.U) > 1e-6 and rho - 1e-6 <= level <= top):
+    if not (_stops(pt, cfg.ps_tol, rho, st.delta_hat) and disc.hs_norms(pt.U) > 1e-6
+            and level <= st.level + COARSE_RISE * abs(st.level)):
         return None
     return SolverState(
         iterate=Spectrum(g, pt.U),
@@ -341,7 +331,6 @@ def _from_coarse_grid(disc: Discretization, rho: float, yhat: Spectrum, cfg: Lin
         status="Converged",
         trace=[(0, level, gnorm, *_coordinates(disc, pt.U, yhat))],
         R=st.R,
-        R_prime=st.R_prime,
         rho=rho,
         delta_hat=st.delta_hat,
         coarse_n=nc,
@@ -372,14 +361,11 @@ def _search(grid: TorusGrid, p: FracParams, spec: NonlinearitySpec, cfg: Linking
     if fine is not None:
         return fine
     z = pick_z_direction(grid, p)
-    R, Rp, cs, rs, lv, basis = _calibrate_caps(disc, yhat, z, cfg, eta)
+    R, cs, rs, lv, basis = _calibrate_caps(disc, yhat, z, eta)
     delta_hat = float(np.max(lv))
     i, j = np.unravel_index(int(np.argmax(lv)), lv.shape)
     Y, v = (Point(disc, basis.U[a], basis.vals[a]) for a in (0, 1))  # yhat and z
     pt, c, r = _peak(basis, float(cs[i]), float(rs[j]))
-
-    def stops(pt):  # false on a NaN or infinite level or residual
-        return pt.gnorm < cfg.ps_tol and rho - 1e-6 <= pt.level <= delta_hat + 1e-12 < np.inf
 
     trace = []
     step = 1.0
@@ -391,7 +377,7 @@ def _search(grid: TorusGrid, p: FracParams, spec: NonlinearitySpec, cfg: Linking
             status = "NoNontrivialSolution"
             break
 
-        if stops(pt):
+        if _stops(pt, cfg.ps_tol, rho, delta_hat):
             status = "Converged"
             break
 
@@ -415,7 +401,7 @@ def _search(grid: TorusGrid, p: FracParams, spec: NonlinearitySpec, cfg: Linking
             break
         step, v, (pt, c, r) = moved
     else:  # the point the last sweep moved to may already meet the stopping rule
-        status = "Converged" if stops(pt) else "MaxIters"
+        status = "Converged" if _stops(pt, cfg.ps_tol, rho, delta_hat) else "MaxIters"
 
     level = float(pt.level)
     if status == "NoNontrivialSolution":
@@ -428,7 +414,6 @@ def _search(grid: TorusGrid, p: FracParams, spec: NonlinearitySpec, cfg: Linking
         status=status,
         trace=trace,
         R=R,
-        R_prime=Rp,
         rho=rho,
         delta_hat=delta_hat,
     )

@@ -104,7 +104,7 @@ def test_solve_mode_artifacts(tmp_path):
     assert erep["status"] == "Converged"
     assert erep["residual"] < 1e-8
     assert erep["level"] > 0
-    # the certified bracket of the linking level
+    # the certified lower bound rho_lb and the sampled gate delta_hat of the level
     assert np.isfinite(erep["rho_lb"]) and np.isfinite(erep["delta_hat"])
     assert erep["rho_lb"] <= erep["level"] <= erep["delta_hat"]
     assert (tmp_path / "solver_trace.csv").exists()
@@ -395,6 +395,13 @@ MALFORMED = [
                                  mode="verify"), id="nonlinearity.r0-f-overflow"),
     pytest.param("solve", _with(("solver", "ps_tol"), "nan"), id="solver.ps_tol-nan"),
     pytest.param("solve", _with(("solver", "R"), "inf"), id="solver.R-inf"),
+    # the cap of the linking rectangle is always calibrated: R and R_prime are unknown keys
+    pytest.param("solve", _with(("solver",), {"R": 1e300, "R_prime": 1e300}),
+                 id="solver.R-R_prime-huge"),
+    pytest.param("solve", _with(("solver",), {"R": 1e300}), id="solver.R-huge-auto-R_prime"),
+    pytest.param("solve", _with(("solver",), {"R": 1e200, "R_prime": 1e200}),
+                 id="solver.R-R_prime-1e200"),
+    pytest.param("solve", _with(("solver",), {"R_prime": 2}), id="solver.R_prime"),
     pytest.param("diagnose", _with(("solution_file",), 5, mode="diagnose"),
                  id="solution_file-type"),
     pytest.param("diagnose", _with(("solution_file",), "{tmp}/absent.json", mode="diagnose"),
@@ -492,16 +499,6 @@ def test_main_degenerate_ridge_exits_solver(tmp_path, capsys, doc):
     # caps seeded from a certified radius near 2e50
     pytest.param(_with(("grid", "T"), 1e-100), cli.EXIT_SOLVER, ["solver error: Stalled: "],
                  id="grid.T-tiny"),
-    # caps so large that |U|^2 overflows: the boundary level is not finite
-    pytest.param(_with(("solver",), {"R": 1e300, "R_prime": 1e300}), cli.EXIT_SOLVER,
-                 ["solver error: BoundaryNotNegative: energy not finite "],
-                 id="solver.R-R_prime-huge"),
-    pytest.param(_with(("solver",), {"R": 1e300}), cli.EXIT_SOLVER,
-                 ["solver error: BoundaryNotNegative: energy not finite "],
-                 id="solver.R-huge-auto-R_prime"),
-    pytest.param(_with(("solver",), {"R": 1e200, "R_prime": 1e200}), cli.EXIT_SOLVER,
-                 ["solver error: BoundaryNotNegative: energy not finite "],
-                 id="solver.R-R_prime-1e200"),
     # verify's finite-difference levels at a multiplier near 1e300; the
     # extension properties fail at s this close to 1
     pytest.param(_with(("grid",), {"N": 2, "T": 6.283185307179586, "n": 8},
@@ -510,8 +507,8 @@ def test_main_degenerate_ridge_exits_solver(tmp_path, capsys, doc):
                  cli.EXIT_VERIFY, [], id="verify-frac.m-1e150"),
 ])
 def test_main_energy_overflow_is_silent(tmp_path, capsys, doc, want, lines):
-    # |u|^{p+1} (or, at huge caps, |U|^2) overflows on the sampled rectangle,
-    # and no overflow warning reaches stderr
+    # |u|^{p+1} overflows on the sampled rectangle, and no overflow warning
+    # reaches stderr
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(doc))
     code = cli.main([doc["mode"], "--config", str(cfg_path), "--output", str(tmp_path)])
@@ -590,9 +587,8 @@ _EDGE = st.sampled_from([float("nan"), float("-inf"), 10**400, -1, 0, True, 64.5
 _CONFIG_PATHS = [("grid",), ("grid", "N"), ("grid", "T"), ("grid", "n"), ("frac",),
                  ("frac", "s"), ("frac", "m"), ("nonlinearity",), ("nonlinearity", "kind"),
                  ("nonlinearity", "p"), ("nonlinearity", "mu"), ("nonlinearity", "r0"),
-                 ("nonlinearity", "a_values"), ("solver",), ("solver", "R"),
-                 ("solver", "R_prime"), ("solver", "ps_tol"), ("solver", "max_iters"),
-                 ("mode",), ("m_list",), ("seed",), ("solution_file",)]
+                 ("nonlinearity", "a_values"), ("solver",), ("solver", "ps_tol"),
+                 ("solver", "max_iters"), ("mode",), ("m_list",), ("seed",), ("solution_file",)]
 
 
 @st.composite
@@ -609,8 +605,7 @@ def _config_docs(draw):
         "grid": {"N": N, "T": draw(st.floats(0.1, 10.0)), "n": n},
         "frac": {"s": draw(st.floats(0.3, 0.5)), "m": draw(st.floats(0.1, 2.0))},
         "nonlinearity": nl,
-        "solver": {"R": draw(st.floats(0.0, 5.0)), "ps_tol": draw(st.floats(1e-12, 1e-4)),
-                   "max_iters": draw(st.integers(1, 100))},
+        "solver": {"ps_tol": draw(st.floats(1e-12, 1e-4)), "max_iters": draw(st.integers(1, 100))},
         "mode": draw(st.sampled_from(["verify", "solve", "sweep", "diagnose"])),
         "m_list": sorted(draw(st.lists(st.floats(0.01, 1.0), min_size=2, max_size=5,
                                        unique=True)), reverse=True),

@@ -115,7 +115,7 @@ def test_minimax_pads_each_array_once(monkeypatch, grid64, params_half, cubic):
 def test_minimax_boundary_nonpositive(grid64, params_half, cubic):
     cfg = linking.LinkingConfig()
     st = linking.minimax_search(grid64, params_half, cubic, cfg)
-    # resample the linking rectangle on the reported caps, combining the
+    # resample the linking rectangle on the reported cap, combining the
     # samples of [yhat, z] as the search does: its boundary is nonpositive,
     # its maximum is the reported delta_hat, and its levels are those of the
     # rectangle padded point by point up to rounding
@@ -123,7 +123,7 @@ def test_minimax_boundary_nonpositive(grid64, params_half, cubic):
     yhat = linking._unit_constant(grid64, params_half)
     z = linking.pick_z_direction(grid64, params_half)
     nc, nr = linking.GRID_A
-    cs = np.linspace(-st.R_prime, st.R_prime, nc)
+    cs = np.linspace(-st.R, st.R, nc)
     rs = np.linspace(0.0, st.R, nr)
     rect = disc.at(np.stack([yhat.coeffs, z.coeffs])).combine(
         np.stack(np.meshgrid(cs, rs, indexing="ij"), axis=-1))
@@ -143,6 +143,14 @@ NO_SOLUTION_ITEM = dict(s=0.38851616720454096, m=0.7682371184978705, p=2.0,
                         phi=3.866433675361602)
 NO_RIDGE_ITEM = dict(s=0.30080986761586437, m=0.3549532513198762, p=2.5,
                      phi=2.790078220681327)
+# Seed-7 items 4 and 84 of the same workload, with the levels the search
+# reaches; a search that moves them to a higher critical point fails here.
+LEVELED_ITEMS = {
+    "item-4": (dict(s=0.3622796396339298, m=0.9447314930350936, p=2.5,
+                    phi=5.1305071911816285), 0.049209491633018534),
+    "item-84": (dict(s=0.39989091124465553, m=0.2862561306829273, p=2.0,
+                     phi=3.9282154979827), 0.1733455053335098),
+}
 
 
 def _modulated_item(item):
@@ -186,6 +194,14 @@ def test_minimax_converges_on_no_ridge_item():
     assert st.status == "Converged"
     assert linking.residual_norm(st.iterate, p, spec) < cfg.ps_tol
     assert 0.0 < st.rho <= st.level <= st.delta_hat
+
+
+@pytest.mark.parametrize("name", list(LEVELED_ITEMS))
+def test_modulated_item_keeps_its_level(name):
+    item, level = LEVELED_ITEMS[name]
+    st = linking.minimax_search(*_modulated_item(item), linking.LinkingConfig())
+    assert st.status == "Converged"
+    assert st.level <= level * (1.0 + 1e-9)
 
 
 def _ridge_case(N, kind):
@@ -308,8 +324,8 @@ def test_rejected_fine_point_falls_back_to_the_direct_search(monkeypatch, solve_
     st = linking.minimax_search(g, p, spec, linking.LinkingConfig())
     assert len(forced) == 1
     assert st.trace == direct.trace
-    assert (st.status, st.level, st.R, st.R_prime, st.rho, st.delta_hat) == (
-        direct.status, direct.level, direct.R, direct.R_prime, direct.rho, direct.delta_hat)
+    assert (st.status, st.level, st.R, st.rho, st.delta_hat) == (
+        direct.status, direct.level, direct.R, direct.rho, direct.delta_hat)
     assert st.coarse_n is None and st.coarse_level is None
     assert np.array_equal(st.iterate.coeffs, direct.iterate.coeffs)
 
@@ -340,47 +356,30 @@ def test_modulated_3d_n16_searches_on_its_own_grid():
     assert abs(st.level - 4.627852072595148) <= 1e-9 * st.level
 
 
-def test_minimax_fixed_caps_too_small(grid64, params_half, cubic):
-    cfg = linking.LinkingConfig(R=0.05, R_prime=0.05)
-    with pytest.raises(BoundaryNotNegative):
-        linking.minimax_search(grid64, params_half, cubic, cfg)
-
-
-def test_minimax_fixed_caps_are_used_as_given(grid64, params_half, cubic):
-    # R = 0.5 lies inside the certified ridge radius: the caps are not enlarged
-    eta, _ = linking._ridge_bound(Discretization(grid64, params_half, cubic))
-    assert 0.5 < eta
-    cfg = linking.LinkingConfig(R=0.5, R_prime=10.0)
-    with pytest.raises(BoundaryNotNegative) as exc:
-        linking.minimax_search(grid64, params_half, cubic, cfg)
-    assert (exc.value.R, exc.value.R_prime) == (0.5, 10.0)
-
-
-def _caps_by_rectangle(disc, yhat, z, cfg, eta):
-    """_calibrate_caps with every cap sampled on its whole rectangle: the reference."""
-    R = cfg.R if cfg.R > 0 else max(2.0 * eta, 1.0)
-    Rp = cfg.R_prime if cfg.R_prime > 0 else R
-    fixed = cfg.R > 0 and cfg.R_prime > 0
+def _caps_by_rectangle(disc, yhat, z, eta, force=lambda x, lv: lv):
+    """_calibrate_caps with every cap sampled on its whole rectangle: the
+    reference.  The level at the points x is force(x, level)."""
+    R = max(2.0 * eta, 1.0)
     nc, nr = linking.GRID_A
     basis = disc.at(np.stack([yhat.coeffs, z.coeffs]))
     for _ in range(40):
         with np.errstate(all="ignore"):
-            cs = np.linspace(-Rp, Rp, nc)
+            cs = np.linspace(-R, R, nc)
             rs = np.linspace(0.0, R, nr)
-            lv = basis.combine(np.stack(np.meshgrid(cs, rs, indexing="ij"), axis=-1)).level
+            x = np.stack(np.meshgrid(cs, rs, indexing="ij"), axis=-1)
+            lv = force(x, basis.combine(x).level)
         mask = np.ones((nc, nr), dtype=bool)
         mask[1:-1, 1:-1] = False
         worst = float(np.max(lv[mask]))
         if worst <= 0.0:
-            return R, Rp, cs, rs, lv
-        if fixed or not worst < np.inf:
+            return R, cs, rs, lv
+        if not worst < np.inf:
             idx = np.unravel_index(np.argmax(np.where(mask, lv, -np.inf)), lv.shape)
             raise BoundaryNotNegative(
-                R, Rp, witness={"c": float(cs[idx[0]]), "r": float(rs[idx[1]]), "level": worst}
+                R, witness={"c": float(cs[idx[0]]), "r": float(rs[idx[1]]), "level": worst}
             )
         R *= 2.0
-        Rp *= 2.0
-    raise BoundaryNotNegative(R, Rp, witness={"level": worst})
+    raise BoundaryNotNegative(R, witness={"level": worst})
 
 
 def _caps_case(name):
@@ -396,8 +395,7 @@ def _caps_case(name):
 @pytest.mark.parametrize("name", ["1d-pure", "1d-modulated", "2d-pure"])
 def test_calibrated_caps_match_the_whole_rectangle_loop(monkeypatch, name):
     disc, yhat, z, eta = _caps_case(name)
-    cfg = linking.LinkingConfig()
-    R, Rp, cs, rs, lv = _caps_by_rectangle(disc, yhat, z, cfg, eta)
+    R, cs, rs, lv = _caps_by_rectangle(disc, yhat, z, eta)
     calls, levels, combine = [], nonlinearity.Point.levels, nonlinearity.Point.combine
 
     def sampled(self, x):
@@ -411,9 +409,9 @@ def test_calibrated_caps_match_the_whole_rectangle_loop(monkeypatch, name):
 
     monkeypatch.setattr(nonlinearity.Point, "levels", sampled)
     monkeypatch.setattr(nonlinearity.Point, "combine", counted)
-    got = linking._calibrate_caps(disc, yhat, z, cfg, eta)
-    assert got[:2] == (R, Rp)
-    assert all(np.array_equal(a, b) for a, b in zip(got[2:5], (cs, rs, lv)))
+    got = linking._calibrate_caps(disc, yhat, z, eta)
+    assert got[0] == R
+    assert all(np.array_equal(a, b) for a, b in zip(got[1:4], (cs, rs, lv)))
     # every cap sampled its r = R edge, and only the accepted one its rectangle,
     # each in blocks within the byte budget
     doublings = round(np.log2(R / max(2.0 * eta, 1.0)))
@@ -423,23 +421,33 @@ def test_calibrated_caps_match_the_whole_rectangle_loop(monkeypatch, name):
     assert all(size <= nonlinearity.LEVEL_BLOCK_BYTES for c in calls for _, size in c)
 
 
-@pytest.mark.parametrize("caps", [(0.05, 0.05), (10.0, 0.05), (1e300, 1e300), (1e-20, 0.0)],
-                         ids=["small", "side-edge", "huge", "forty-doublings"])
-def test_failing_caps_raise_as_the_whole_rectangle_loop(caps):
-    # R = 1e-20 with R' auto doubles 40 times inside the certified ridge
+# levels forced at the sample points x = (c, r): not finite on a side of the
+# rectangle, or positive on every r > 0, so that no cap passes
+_FORCED_LEVELS = {
+    "inf": lambda x, lv: np.where(x[..., 0] < 0.0, np.inf, lv),
+    "nan": lambda x, lv: np.where(x[..., 0] > 0.0, np.nan, lv),
+    "forty-doublings": lambda x, lv: np.where(x[..., 1] > 0.0, 1.0, lv),
+}
+
+
+@pytest.mark.parametrize("force", list(_FORCED_LEVELS))
+def test_failing_caps_raise_as_the_whole_rectangle_loop(monkeypatch, force):
     disc, yhat, z, eta = _caps_case("1d-pure")
-    cfg = linking.LinkingConfig(R=caps[0], R_prime=caps[1])
+    forced, levels = _FORCED_LEVELS[force], nonlinearity.Point.levels
     with pytest.raises(BoundaryNotNegative) as want:
-        _caps_by_rectangle(disc, yhat, z, cfg, eta)
+        _caps_by_rectangle(disc, yhat, z, eta, forced)
+    monkeypatch.setattr(nonlinearity.Point, "levels", lambda self, x: forced(x, levels(self, x)))
     with pytest.raises(BoundaryNotNegative) as got:
-        linking._calibrate_caps(disc, yhat, z, cfg, eta)
-    assert (got.value.R, got.value.R_prime) == (want.value.R, want.value.R_prime)
-    if caps[1] > 0.0:
-        assert (got.value.R, got.value.R_prime) == caps
+        linking._calibrate_caps(disc, yhat, z, eta)
+    assert got.value.R == want.value.R
     assert repr(got.value.witness) == repr(want.value.witness)
     assert str(got.value) == str(want.value)
-    if caps == (10.0, 0.05):  # the witness sits on a side edge, not on r = R
-        assert got.value.witness["c"] == -0.05 and got.value.witness["r"] < 10.0
+    if force == "forty-doublings":
+        assert got.value.R == max(2.0 * eta, 1.0) * 2.0**40
+        assert str(got.value).startswith("energy > 0 ")
+    else:  # the first cap's boundary carries the level, at r = 0
+        assert got.value.R == max(2.0 * eta, 1.0) and got.value.witness["r"] == 0.0
+        assert str(got.value).startswith("energy not finite ")
 
 
 def test_odd_symmetry_level(grid64, params_half, cubic):
@@ -533,8 +541,10 @@ def test_align_spectra(N, n, tau, params_half, rng):
 
 
 def test_linking_config_validation():
-    with pytest.raises(DomainError):
-        linking.LinkingConfig(R=-1.0)
+    for bad in ({"ps_tol": 0.0}, {"ps_tol": -1e-8}, {"ps_tol": np.inf}, {"ps_tol": np.nan},
+                {"max_iters": 0}):
+        with pytest.raises(DomainError):
+            linking.LinkingConfig(**bad)
 
 
 def test_minimax_requires_mass(grid64, cubic):
