@@ -357,7 +357,7 @@ def _solver_failed(message: str) -> int:
 
 def run(cfg: RunConfig, output_dir=".", solver_trace=False, dump_extension=False) -> int:
     out = Path(output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    _built("--output", lambda: out.mkdir(parents=True, exist_ok=True))
 
     if cfg.mode == "verify":
         props = _verify_properties(cfg)
@@ -462,7 +462,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     try:
-        cfg = parse_config(Path(args.config).read_text())
+        cfg = parse_config(_built("--config", Path(args.config).read_text, "utf-8"))
         if args.mode != cfg.mode:
             raise ValidationError(f"mode {args.mode!r} does not match $.mode {cfg.mode!r}")
         code = run(cfg, output_dir=args.output,

@@ -171,8 +171,8 @@ def sweep_m(
                 if st.status != "Converged":
                     raise DomainError(f"solver status {st.status} at m={m}")
                 pt = st.point
-            else:  # warm-started from the samples of the last point
-                pt = linking.refine_point(Discretization(grid, p, spec).rebase(warm),
+            else:  # warm-started from the last point
+                pt = linking.refine_point(Discretization(grid, p, spec).at(warm.U),
                                           tol=cfg.ps_tol * linking.POLISH_TOL_FACTOR)
             sol, alpha = Spectrum(grid, pt.U), float(pt.level)
             if hs_norm(sol, p) < 1e-6 or alpha <= 0:

@@ -161,9 +161,8 @@ def ridge_estimate(grid: TorusGrid, p: FracParams, spec: NonlinearitySpec):
     for _ in range(RIDGE_DIRS):
         d = random_spectrum(grid, rng, decay=0.5, zero_mean=True)
         dirs.append(Spectrum(grid, d.coeffs / disc.hs_norms(d.coeffs)))
-    base = disc.at(np.stack([d.coeffs for d in dirs]))  # the pad is linear: pad D once
-    D, vals = base.U, base.vals
-    lv = np.stack([Point(disc, r * D, r * vals).level for r in radii])
+    D = np.stack([d.coeffs for d in dirs])
+    lv = np.stack([disc.at(r * D).level for r in radii])
     i = int(np.argmax(np.min(lv, axis=1)))
     j = int(np.argmin(lv[i]))
     eta, pt, step = float(radii[i]), disc.at(radii[i] * D[j]), 0.25
@@ -384,9 +383,9 @@ def _search(grid: TorusGrid, p: FracParams, spec: NonlinearitySpec, cfg: Linking
         if sweep == 0 or cfg.ps_tol <= gnorm < POLISH_AT:
             try:
                 polished = refine_point(pt, tol=cfg.ps_tol * POLISH_TOL_FACTOR)
+                plev = float(polished.level)
             except DivergedRefinement:
-                polished = disc.at(np.zeros_like(pt.U))  # trivial, so rejected below
-            plev = float(polished.level)
+                plev = np.nan  # rejected below
             if 0.0 < plev <= min(pt.level, delta_hat) + 1e-12 and disc.hs_norms(polished.U) > 1e-6:
                 pt = polished
                 c, r = _coordinates(disc, pt.U, yhat)

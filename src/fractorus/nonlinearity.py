@@ -198,13 +198,6 @@ class Discretization:
         """The evaluation point of the coefficient array U."""
         return Point(self, U, pad_coeffs(U, self.grid, self.m_pad))
 
-    def rebase(self, pt: Point) -> Point:
-        """pt, a point of a Discretization with this grid and nonlinearity, as a
-        point of this one: its padded samples do not depend on the params."""
-        if pt.disc.grid != self.grid or pt.disc.spec is not self.spec:
-            raise ValueError("a point keeps its samples only on the same grid and nonlinearity")
-        return Point(self, pt.U, pt.vals)
-
     def precondition(self, R: np.ndarray) -> np.ndarray:
         """X-metric gradient R_k / (omega^2|k|^2+m^2)^s; a zero-multiplier mode
         (k = 0 at m = 0) stays in the L2 metric."""

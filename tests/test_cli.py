@@ -338,6 +338,26 @@ def test_main_exit_codes(tmp_path):
                      "--output", str(tmp_path)]) == cli.EXIT_CONFIG
 
 
+@pytest.mark.parametrize("config,output,prefix", [
+    pytest.param("missing.json", "out", "config error: --config: ", id="config-missing"),
+    pytest.param(".", "out", "config error: --config: ", id="config-directory"),
+    pytest.param("latin1.json", "out", "config error: --config: ", id="config-not-utf8"),
+    pytest.param("cfg.json", "file/out", "config error: --output: ", id="output-below-a-file"),
+])
+def test_main_unreadable_config_or_output_exits_config(tmp_path, capsys, config, output,
+                                                       prefix):
+    (tmp_path / "cfg.json").write_text(_doc(mode="verify"))
+    (tmp_path / "latin1.json").write_bytes(_doc(mode="verify").replace(
+        '"verify"', '"vérify"').encode("latin-1"))
+    (tmp_path / "file").write_text("")
+    code = cli.main(["verify", "--config", str(tmp_path / config),
+                     "--output", str(tmp_path / output)])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_CONFIG
+    assert len(err.splitlines()) == 1 and err.startswith(prefix)
+    assert "Traceback" not in err
+
+
 def _with(path, value, **overrides):
     doc = json.loads(_doc(**overrides))
     *parents, key = path
@@ -548,6 +568,12 @@ _UNREACHABLE = {"max_iters": 1, "ps_tol": 1e-30}
     pytest.param("sweep", _extreme("sweep", 2, 8, 1e-30, s=0.99),
                  "solver error: Failed: DomainError: solver status Stalled",
                  id="sweep-2d-T-1e-30-descent-overflow"),
+    # the standard config scaled by 1e-6 (T = 2 pi 1e6, m = 1e-6): the first peak
+    # collapses to the trivial point.  ROADMAP item 3 counts this outcome as a
+    # scale defect, so mending it will move this row.
+    pytest.param("solve", _with(("grid", "T"), 2 * np.pi * 1e6, frac={"s": 0.5, "m": 1e-6}),
+                 "solver error: NoNontrivialSolution: level 0.0, dual residual 0.000e+00, "
+                 "sweeps 1", id="solve-scaled-1e-6-no-nontrivial-solution"),
 ])
 def test_main_unconverged_run_exits_solver(tmp_path, capsys, mode, doc, prefix):
     # a run that ends without converging says why, in one line
@@ -557,6 +583,10 @@ def test_main_unconverged_run_exits_solver(tmp_path, capsys, mode, doc, prefix):
     err = capsys.readouterr().err
     assert code == cli.EXIT_SOLVER
     assert len(err.splitlines()) == 1 and err.startswith(prefix)
+    if mode == "solve":  # energy.json holds the status and level of that line
+        got = json.loads((tmp_path / "energy.json").read_text())
+        assert sorted(got) == ["level", "status"]
+        assert err.startswith(f"solver error: {got['status']}: level {got['level']!r}, ")
 
 
 @pytest.mark.parametrize("mode,doc", [

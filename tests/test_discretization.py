@@ -199,18 +199,3 @@ def test_jacobian_is_symmetric_on_the_band(N, n, kind):
     JE = disc.at(u).linearization(disc.at(E))
     B = np.real(np.conj(E).reshape(len(E), -1) @ JE.reshape(len(E), -1).T)
     assert np.max(np.abs(B - B.T)) <= 1e-12 * np.max(np.abs(B))
-
-
-def test_rebase_keeps_the_samples_of_a_point():
-    # a point moved to another mass reads the samples it was padded with, and
-    # its level and gradient are those of a fresh point at that mass
-    g = TorusGrid(1, 2 * np.pi, 16)
-    spec = _spec("modulated", g)
-    U = random_spectrum(g, np.random.default_rng(3), decay=0.3).coeffs
-    pt = Discretization(g, FracParams(0.5, 0.5), spec).at(U)
-    disc = Discretization(g, FracParams(0.5, 0.1), spec)
-    moved, fresh = disc.rebase(pt), disc.at(U)
-    assert moved.disc is disc and moved.U is pt.U and moved.vals is pt.vals
-    assert moved.level == fresh.level and np.array_equal(moved.grad, fresh.grad)
-    with pytest.raises(ValueError):
-        Discretization(g, FracParams(0.5, 0.1), _spec("pure", g)).rebase(pt)

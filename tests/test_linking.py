@@ -41,47 +41,6 @@ def test_ridge_positive_standard(grid64, params_half, cubic):
     assert eta > 0 and rho > 0
 
 
-def _ridge_by_radius(grid, p, spec):
-    """ridge_estimate with the directions padded at each radius: the reference."""
-    disc = Discretization(grid, p, spec)
-    radii = np.geomspace(1e-2, 4.0, 40)
-    rng = np.random.default_rng(0)
-    dirs = [linking._axis_mode(grid, p), linking.pick_z_direction(grid, p)]
-    for _ in range(linking.RIDGE_DIRS):
-        d = random_spectrum(grid, rng, decay=0.5, zero_mean=True)
-        dirs.append(Spectrum(grid, d.coeffs / disc.hs_norms(d.coeffs)))
-    D = np.stack([d.coeffs for d in dirs])
-    lv = np.stack([disc.at(r * D).level for r in radii])
-    i = int(np.argmax(np.min(lv, axis=1)))
-    j = int(np.argmin(lv[i]))
-    eta, pt, step = float(radii[i]), disc.at(radii[i] * D[j]), 0.25
-    for _ in range(200):
-        moved = linking._sphere_step(pt, pt, eta, 1.0, step, lambda w: (w,))
-        if moved is None:
-            break
-        step, pt, _ = moved
-    return eta, float(pt.level)
-
-
-@pytest.mark.parametrize("N,n,spec", [(1, 64, "cubic"), (2, 32, "cubic")])
-def test_ridge_estimate_pads_its_directions_once(monkeypatch, request, N, n, spec, params_half):
-    grid, spec = TorusGrid(N, 2 * np.pi, n), request.getfixturevalue(spec)
-    eta_ref, rho_ref = _ridge_by_radius(grid, params_half, spec)
-    shapes, pad = [], nonlinearity.pad_coeffs
-
-    def recorded(coeffs, grid, m):
-        shapes.append(coeffs.shape)
-        return pad(coeffs, grid, m)
-
-    monkeypatch.setattr(nonlinearity, "pad_coeffs", recorded)
-    eta, rho = linking.ridge_estimate(grid, params_half, spec)
-    assert abs(eta - eta_ref) <= 1e-12 * eta_ref
-    assert abs(rho - rho_ref) <= 1e-12 * abs(rho_ref)
-    # the 18 directions are sampled in one pad, not once per radius
-    batches = [s for s in shapes if len(s) > N]
-    assert batches == [(linking.RIDGE_DIRS + 2,) + grid.shape]
-
-
 def test_minimax_standard_config(grid64, params_half, cubic):
     cfg = linking.LinkingConfig()
     st = linking.minimax_search(grid64, params_half, cubic, cfg)
