@@ -25,7 +25,7 @@ def main():
     print(f"|u|_X       {hs_norm(st.iterate, p):.6g}")
     _, rho = linking.ridge_estimate(grid, p, spec)
     print(f"bracket     rho_lb {st.rho:.6g} <= level {st.level:.6g} (sampled rho_hat {rho:.6g})")
-    print(f"delta_hat   {st.delta_hat:.6g} (the largest sampled level of the linking "
+    print(f"delta_hat   {st.delta_hat!r} (the largest sampled level of the linking "
           "rectangle, not a bound)")
     rep = energy.evaluate(st.iterate, p, spec)
     print(f"quad - nl   {rep.quad:.6g} - {rep.nl:.6g}")

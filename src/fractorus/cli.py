@@ -92,17 +92,25 @@ class RunConfig:
 _BUILD_ERRORS = (KeyError, TypeError, ValueError, OverflowError, OSError, FractorusError)
 
 
+def _real(value) -> float:
+    """float(value) of a JSON number, refusing booleans and strings, which
+    float() would take (true -> 1.0, "1e-8" -> 1e-08)."""
+    if isinstance(value, (bool, str)):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _integer(value) -> int:
-    """int(value), refusing booleans and numbers with a fractional part,
+    """int(value) of a JSON number (see _real), refusing a fractional part,
     which int() would truncate (64.9 -> 64)."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    if not _real(value).is_integer():
         raise ValueError(f"expected an integer, got {value!r}")
     return int(value)
 
 
 # $.solver keys and their JSON conversions; absent keys take the
 # LinkingConfig defaults.
-_SOLVER_KEYS = {"ps_tol": float, "max_iters": _integer}
+_SOLVER_KEYS = {"ps_tol": _real, "max_iters": _integer}
 
 
 def _require_keys(doc: dict, allowed: set, path: str):
@@ -149,10 +157,10 @@ def parse_config(text: str) -> RunConfig:
     )
 
     grid = _section(doc, "grid", {"N", "T", "n"}, lambda d: TorusGrid(
-        N=_integer(d["N"]), T=float(d["T"]), n=_integer(d["n"])), required=True)
+        N=_integer(d["N"]), T=_real(d["T"]), n=_integer(d["n"])), required=True)
 
     def build_frac(d):
-        frac = FracParams(s=float(d["s"]), m=float(d["m"]))
+        frac = FracParams(s=_real(d["s"]), m=_real(d["m"]))
         frac.check_grid(grid)
         return frac
 
@@ -168,12 +176,13 @@ def parse_config(text: str) -> RunConfig:
     def build_spec(d):
         a = None
         if "a_values" in d:
-            a = Field(grid, np.asarray(d["a_values"], dtype=float).reshape(grid.shape))
+            values = np.asarray(d["a_values"], dtype=object).ravel()  # of any nesting
+            a = Field(grid, np.array([_real(v) for v in values]).reshape(grid.shape))
         spec = NonlinearitySpec(
             kind=str(d.get("kind", "pure_power")),
-            p=float(d["p"]),
-            mu=float(d["mu"]) if "mu" in d else None,
-            r0=float(d.get("r0", 1.0)),
+            p=_real(d["p"]),
+            mu=_real(d["mu"]) if "mu" in d else None,
+            r0=_real(d.get("r0", 1.0)),
             a=a,
         )
         spec.check_growth(frac, grid)
@@ -191,7 +200,7 @@ def parse_config(text: str) -> RunConfig:
     if mode == "sweep":
         if not m_list:
             raise ValidationError("$.m_list is required in sweep mode")
-        m_list = _built("$.m_list", lambda ms: [float(m) for m in ms], m_list)
+        m_list = _built("$.m_list", lambda ms: [_real(m) for m in ms], m_list)
         _built("$.m_list", continuation.check_mass_list, m_list, None)
         if len(m_list) < 2:
             raise ValidationError("$.m_list needs at least two masses: the m = 0 "

@@ -224,29 +224,29 @@ def _sphere_step(pt: Point, v: Point, radius, scale, step, value):
     return None
 
 
+@np.errstate(all="ignore")  # a far cap's levels may overflow; the exits read them
 def _calibrate_caps(disc: Discretization, yhat, z, eta: float):
     """The cap R, the sampled c and r, the levels at c yhat + r z and the
     basis point [yhat, z], padded once, once the sampled boundary of
-    A = {|c| <= R, 0 <= r <= R} is nonpositive.  R doubles from
-    max(2 eta, 1).  Each cap samples its r = R edge first, and a positive,
-    finite level there doubles it with nothing else sampled; a cap that
-    passes its edge samples its whole rectangle.  Both are sampled through
-    basis.levels, in blocks of rows.  Raises BoundaryNotNegative when 40
-    doublings fail or a boundary level is not finite."""
-    R = max(2.0 * eta, 1.0)
+    A = {|c| <= R, 0 <= r <= R} is nonpositive.  R doubles from R0 =
+    max(2 eta, 1).  The rectangle of R0 is sampled once, one combine per
+    sampled c, keeping the quadratic and nonlinear parts of its points.  F is
+    homogeneous of degree p+1 (see nonlinearity), so the cap R0 2^k, whose
+    samples are those of R0 times 2^k, has levels 4^k quad - 2^(k(p+1)) nl.
+    Raises BoundaryNotNegative when 40 doublings fail or a boundary level is
+    not finite."""
+    R0 = max(2.0 * eta, 1.0)
     nc, nr = GRID_A
     basis = disc.at(np.stack([yhat.coeffs, z.coeffs]))
-    for _ in range(40):
-        with np.errstate(all="ignore"):
-            cs = np.linspace(-R, R, nc)
-            worst = float(np.max(basis.levels(np.stack([cs, np.full(nc, R)], axis=-1))))
-            if 0.0 < worst < np.inf:
-                R *= 2.0
-                continue
-            rs = np.linspace(0.0, R, nr)
-            lv = basis.levels(np.stack(np.meshgrid(cs, rs, indexing="ij"), axis=-1))
-        mask = np.ones((nc, nr), dtype=bool)  # the boundary of the rectangle
-        mask[1:-1, 1:-1] = False
+    cs0, rs0 = np.linspace(-R0, R0, nc), np.linspace(0.0, R0, nr)
+    x = np.stack(np.meshgrid(cs0, rs0, indexing="ij"), axis=-1)
+    quad, nl = np.moveaxis([(row.quadratic, row.nonlinear_energy)
+                            for row in map(basis.combine, x)], 1, 0)  # one row point alive at a time
+    mask = np.ones((nc, nr), dtype=bool)  # the boundary of the rectangle
+    mask[1:-1, 1:-1] = False
+    for k in range(40):
+        R, cs, rs = R0 * 2.0**k, cs0 * 2.0**k, rs0 * 2.0**k
+        lv = 4**k * quad - np.exp2(k * (disc.spec.p + 1.0)) * nl
         worst = float(np.max(lv[mask]))
         if worst <= 0.0:
             return R, cs, rs, lv, basis
@@ -255,8 +255,7 @@ def _calibrate_caps(disc: Discretization, yhat, z, eta: float):
             raise BoundaryNotNegative(
                 R, witness={"c": float(cs[idx[0]]), "r": float(rs[idx[1]]), "level": worst}
             )
-        R *= 2.0
-    raise BoundaryNotNegative(R, witness={"level": worst})
+    raise BoundaryNotNegative(R0 * 2.0**40, witness={"level": worst})
 
 
 def _peak(W: Point, c: float, r: float):

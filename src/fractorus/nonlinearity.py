@@ -1,12 +1,14 @@
 """Power-type nonlinearities f(x,t), their primitives, and dealiased evaluation.
 
 Shipped families are |t|^{p-1} t and a(x) |t|^{p-1} t with a periodic strictly
-positive modulation a.  f has one definition, f_eval, and F one, primitive;
-verify_hypotheses samples those two to check the structural hypotheses
-(periodicity, continuity, superlinearity at infinity with Ambrosetti-Rabinowitz
-exponent mu <= p+1, sign condition t f >= 0) and reports the fitted growth
-constants.  Point.nonlinear_energy sums a |u|^{p+1} before it divides by p+1,
-the same F in another rounding, which the tests tie to primitive.
+positive modulation a.  Both are homogeneous in t, F(x, lam t) = |lam|^{p+1}
+F(x, t), and primitive and linking._calibrate_caps rely on that.  f has one
+definition, f_eval, and F one, primitive; verify_hypotheses samples those two
+to check the structural hypotheses (periodicity, continuity, superlinearity at
+infinity with Ambrosetti-Rabinowitz exponent mu <= p+1, sign condition
+t f >= 0) and reports the fitted growth constants.  Point.nonlinear_energy
+sums a |u|^{p+1} before it divides by p+1, the same F in another rounding,
+which the tests tie to primitive.
 
 Pointwise products of band-limited fields are evaluated on one zero-padded
 grid, of padded_size(n) points per axis, whatever p.
@@ -38,11 +40,6 @@ from .grids import (
 # the (f3) check of verify_hypotheses fails on a continuous f: |t|^{p-1}
 # underflows at its smallest sample t = 1e-6.
 MAX_EXPONENT = 30.0
-
-# Bytes of coefficients plus samples per block of Point.levels: glibc's
-# default M_MMAP_THRESHOLD, above which each temporary is mmap'd fresh and
-# faulted in page by page, below which malloc reuses its heap.
-LEVEL_BLOCK_BYTES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -120,8 +117,8 @@ def f_eval(spec: NonlinearitySpec, coeff: np.ndarray, t: np.ndarray) -> np.ndarr
 
 def primitive(spec: NonlinearitySpec, coeff: np.ndarray, t: np.ndarray) -> np.ndarray:
     """F(x,t) = int_0^t f(x,tau) dtau sampled on the grid; coeff is
-    spec.coefficient(grid).  Both families are homogeneous of degree p in t,
-    so F = t f / (p+1) exactly."""
+    spec.coefficient(grid).  f is homogeneous of degree p in t (see the
+    module docstring), so F = t f / (p+1) exactly."""
     return t * f_eval(spec, coeff, t) / (spec.p + 1.0)
 
 
@@ -293,17 +290,6 @@ class Point:
         def mix(a):
             return (x @ a.reshape(len(a), -1)).reshape(np.shape(x)[:-1] + a.shape[1:])
         return Point(self.disc, mix(self.U), mix(self.vals))
-
-    def levels(self, x) -> np.ndarray:
-        """combine(x).level, bit for bit, for x of shape (..., k), evaluated over
-        consecutive blocks of the rows of x whose coefficients and samples fit in
-        LEVEL_BLOCK_BYTES.  A block has at least 3 rows, so that an even split
-        never leaves one row alone: numpy multiplies a single row by gemv,
-        whose rounding differs from gemm's."""
-        rows = np.reshape(x, (-1, np.shape(x)[-1]))
-        size = max(3, LEVEL_BLOCK_BYTES // (self.U[0].nbytes + self.vals[0].nbytes))
-        blocks = np.array_split(rows, math.ceil(len(rows) / size))
-        return np.concatenate([self.combine(b).level for b in blocks]).reshape(np.shape(x)[:-1])
 
     @staticmethod
     def stack(*points: Point) -> Point:

@@ -402,6 +402,26 @@ MALFORMED = [
     pytest.param("solve", _with(("grid", "T"), 10**400), id="grid.T-overflow"),
     pytest.param("sweep", _with(("m_list",), [10**400, 0.1], mode="sweep"),
                  id="m_list-overflow"),
+    # JSON strings and booleans are not numbers, though float() and int() take them
+    pytest.param("solve", _with(("grid", "T"), "6.283185307179586"), id="grid.T-string"),
+    pytest.param("solve", _with(("grid", "T"), True), id="grid.T-bool"),
+    pytest.param("solve", _with(("frac", "m"), True), id="frac.m-bool"),
+    pytest.param("solve", _with(("frac", "s"), "0.5"), id="frac.s-string"),
+    pytest.param("solve", _with(("nonlinearity", "p"), "3"), id="nonlinearity.p-string"),
+    pytest.param("solve", _with(("nonlinearity", "mu"), "4"), id="nonlinearity.mu-string"),
+    pytest.param("solve", _with(("nonlinearity", "r0"), True), id="nonlinearity.r0-bool"),
+    pytest.param("solve", _with(("solver", "ps_tol"), "1e-8"), id="solver.ps_tol-string"),
+    pytest.param("solve", _with(("solver", "max_iters"), "5"), id="solver.max_iters-string"),
+    pytest.param("sweep", _with(("m_list",), ["0.5", "0.1"], mode="sweep"), id="m_list-strings"),
+    pytest.param("solve", _with(("nonlinearity",), {"kind": "modulated_power", "p": 3,
+                                                    "a_values": ["1.5"] * 64}),
+                 id="nonlinearity.a_values-strings"),
+    pytest.param("solve", _with(("nonlinearity",), {"kind": "modulated_power", "p": 3,
+                                                    "a_values": [True] * 64}),
+                 id="nonlinearity.a_values-bools"),
+    pytest.param("solve", _with(("nonlinearity",), {"kind": "modulated_power", "p": 3,
+                                                    "a_values": [1.5] * 63 + [True]}),
+                 id="nonlinearity.a_values-number-and-bool"),
     pytest.param("solve", _with(("frac", "m"), "nan"), id="frac.m-nan"),
     pytest.param("solve", _with(("frac", "m"), 1e200), id="frac.m-multiplier-overflow"),
     pytest.param("solve", _with(("grid", "T"), 1e-300), id="grid.T-multiplier-overflow"),

@@ -4,7 +4,7 @@ against the public per-spectrum functions."""
 import numpy as np
 import pytest
 
-from fractorus import continuation, energy, nonlinearity
+from fractorus import continuation, energy
 from fractorus.grids import (
     FracParams,
     Spectrum,
@@ -104,31 +104,6 @@ def test_combined_point_matches_the_padded_point(case):
     _close(combined.U, (X @ U.reshape(K, -1)).reshape(combined.U.shape))
     for name in ("level", "grad", "gnorm"):
         _within(getattr(combined, name), getattr(direct, name))
-
-
-@pytest.mark.parametrize("rows_per_block", [4, 1], ids=["uneven-split", "rows-over-budget"])
-def test_levels_equal_the_combined_levels_in_blocks(monkeypatch, case, rows_per_block):
-    disc, U, _ = case
-    basis = disc.at(U)
-    row_bytes = basis.U[0].nbytes + basis.vals[0].nbytes
-    monkeypatch.setattr(nonlinearity, "LEVEL_BLOCK_BYTES", rows_per_block * row_bytes + 1)
-    x = np.random.default_rng(5).standard_normal((9, 17, K))
-    sizes, combine = [], Point.combine
-
-    def counted(self, x):
-        sizes.append(len(x))
-        return combine(self, x)
-
-    monkeypatch.setattr(Point, "combine", counted)
-    got = basis.levels(x)
-    assert got.shape == (9, 17) and np.array_equal(got, combine(basis, x).level)
-    # 153 rows split evenly: blocks of 4 and 3, or of 3 where every row is
-    # over the budget (a block of 1 would go through another BLAS kernel)
-    assert sum(sizes) == 153 and set(sizes) == ({3, 4} if rows_per_block == 4 else {3})
-    sizes.clear()
-    got = basis.levels(x[0, :1])  # a single row is evaluated alone
-    assert got.shape == (1,) and np.array_equal(got, combine(basis, x[0, :1]).level)
-    assert sizes == [1]
 
 
 def test_plane_pairs_samples_as_grad_and_linearization(case):

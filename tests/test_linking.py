@@ -315,9 +315,10 @@ def test_modulated_3d_n16_searches_on_its_own_grid():
     assert abs(st.level - 4.627852072595148) <= 1e-9 * st.level
 
 
-def _caps_by_rectangle(disc, yhat, z, eta, force=lambda x, lv: lv):
+def _caps_by_rectangle(disc, yhat, z, eta, force=lambda x, quad, nl: (quad, nl)):
     """_calibrate_caps with every cap sampled on its whole rectangle: the
-    reference.  The level at the points x is force(x, level)."""
+    reference.  The quadratic and nonlinear parts of the level at the points
+    x are force(x, quad, nl)."""
     R = max(2.0 * eta, 1.0)
     nc, nr = linking.GRID_A
     basis = disc.at(np.stack([yhat.coeffs, z.coeffs]))
@@ -326,7 +327,9 @@ def _caps_by_rectangle(disc, yhat, z, eta, force=lambda x, lv: lv):
             cs = np.linspace(-R, R, nc)
             rs = np.linspace(0.0, R, nr)
             x = np.stack(np.meshgrid(cs, rs, indexing="ij"), axis=-1)
-            lv = force(x, basis.combine(x).level)
+            pt = basis.combine(x)
+            quad, nl = force(x, pt.quadratic, pt.nonlinear_energy)
+            lv = quad - nl
         mask = np.ones((nc, nr), dtype=bool)
         mask[1:-1, 1:-1] = False
         worst = float(np.max(lv[mask]))
@@ -344,6 +347,9 @@ def _caps_by_rectangle(disc, yhat, z, eta, force=lambda x, lv: lv):
 def _caps_case(name):
     if name == "1d-modulated":
         g, p, spec = _modulated_item(NO_SOLUTION_ITEM)
+    elif name == "1d-pure-p2.5":
+        g, p = TorusGrid(1, 2 * np.pi, 64), FracParams(0.45, 0.9)
+        spec = NonlinearitySpec(kind="pure_power", p=2.5)
     else:
         g, p, spec = _ridge_case(2 if name == "2d-pure" else 1, "pure")
     disc = Discretization(g, p, spec)
@@ -351,51 +357,60 @@ def _caps_case(name):
     return disc, yhat, z, linking._ridge_bound(disc)[0]
 
 
-@pytest.mark.parametrize("name", ["1d-pure", "1d-modulated", "2d-pure"])
+@pytest.mark.parametrize("name", ["1d-pure", "1d-modulated", "2d-pure", "1d-pure-p2.5"])
 def test_calibrated_caps_match_the_whole_rectangle_loop(monkeypatch, name):
     disc, yhat, z, eta = _caps_case(name)
     R, cs, rs, lv = _caps_by_rectangle(disc, yhat, z, eta)
-    calls, levels, combine = [], nonlinearity.Point.levels, nonlinearity.Point.combine
-
-    def sampled(self, x):
-        calls.append([])
-        return levels(self, x)
+    rows, combine = [], nonlinearity.Point.combine
 
     def counted(self, x):
-        pt = combine(self, x)
-        calls[-1].append((len(x), pt.U.nbytes + pt.vals.nbytes))
-        return pt
+        rows.append(len(x))
+        return combine(self, x)
 
-    monkeypatch.setattr(nonlinearity.Point, "levels", sampled)
     monkeypatch.setattr(nonlinearity.Point, "combine", counted)
     got = linking._calibrate_caps(disc, yhat, z, eta)
     assert got[0] == R
-    assert all(np.array_equal(a, b) for a, b in zip(got[1:4], (cs, rs, lv)))
-    # every cap sampled its r = R edge, and only the accepted one its rectangle,
-    # each in blocks within the byte budget
+    assert np.array_equal(got[1], cs) and np.array_equal(got[2], rs)
     doublings = round(np.log2(R / max(2.0 * eta, 1.0)))
-    assert doublings >= 1
+    if name == "1d-pure-p2.5":
+        # 2^(p+1) = 2^3.5 is no power of two: the levels of the doubled cap
+        # agree up to rounding
+        assert doublings == 1
+        assert np.max(np.abs(got[3] - lv)) <= 1e-15 * np.max(np.abs(lv))
+    else:  # 2^(k(p+1)) is a power of two: the levels are bit for bit
+        assert doublings >= 1
+        assert np.array_equal(got[3], lv)
+    # the rectangle of the first cap is sampled once, one combine per c,
+    # whatever the number of doublings
     nc, nr = linking.GRID_A
-    assert [sum(rows for rows, _ in c) for c in calls] == [nc] * (doublings + 1) + [nc * nr]
-    assert all(size <= nonlinearity.LEVEL_BLOCK_BYTES for c in calls for _, size in c)
+    assert rows == [nr] * nc
 
 
-# levels forced at the sample points x = (c, r): not finite on a side of the
-# rectangle, or positive on every r > 0, so that no cap passes
-_FORCED_LEVELS = {
-    "inf": lambda x, lv: np.where(x[..., 0] < 0.0, np.inf, lv),
-    "nan": lambda x, lv: np.where(x[..., 0] > 0.0, np.nan, lv),
-    "forty-doublings": lambda x, lv: np.where(x[..., 1] > 0.0, 1.0, lv),
+# the quadratic and nonlinear parts forced at the sample points x = (c, r):
+# a level not finite on a side of the rectangle, or positive on every r > 0
+# (nl = 0 leaves quad = r^2 sum_k shifted_k |z_k|^2 / 2), so that no cap passes
+_FORCED_PARTS = {
+    "inf": lambda x, quad, nl: (np.where(x[..., 0] < 0.0, np.inf, quad), nl),
+    "nan": lambda x, quad, nl: (quad, np.where(x[..., 0] > 0.0, np.nan, nl)),
+    "forty-doublings": lambda x, quad, nl: (quad, np.where(x[..., 1] > 0.0, 0.0, nl)),
 }
 
 
-@pytest.mark.parametrize("force", list(_FORCED_LEVELS))
+@pytest.mark.parametrize("force", list(_FORCED_PARTS))
 def test_failing_caps_raise_as_the_whole_rectangle_loop(monkeypatch, force):
     disc, yhat, z, eta = _caps_case("1d-pure")
-    forced, levels = _FORCED_LEVELS[force], nonlinearity.Point.levels
+    forced, combine = _FORCED_PARTS[force], nonlinearity.Point.combine
     with pytest.raises(BoundaryNotNegative) as want:
         _caps_by_rectangle(disc, yhat, z, eta, forced)
-    monkeypatch.setattr(nonlinearity.Point, "levels", lambda self, x: forced(x, levels(self, x)))
+
+    def forced_combine(self, x):
+        pt = combine(self, x)
+        # the computed-once parts are read from the instance dict first
+        pt.__dict__["quadratic"], pt.__dict__["nonlinear_energy"] = forced(
+            x, pt.quadratic, pt.nonlinear_energy)
+        return pt
+
+    monkeypatch.setattr(nonlinearity.Point, "combine", forced_combine)
     with pytest.raises(BoundaryNotNegative) as got:
         linking._calibrate_caps(disc, yhat, z, eta)
     assert got.value.R == want.value.R
