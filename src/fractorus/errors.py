@@ -51,13 +51,12 @@ class NoPositiveRidge(FractorusError):
 
 
 class BoundaryNotNegative(FractorusError):
-    """Functional is positive, or not finite, somewhere on the linking-set boundary."""
+    """A level sampled on the linking-set boundary is not finite, so no cap is found."""
 
     def __init__(self, R, witness):
         self.R = R
         self.witness = witness
-        what = "energy > 0" if witness["level"] < float("inf") else "energy not finite"
-        super().__init__(f"{what} on linking boundary (R={R}, witness={witness})")
+        super().__init__(f"energy not finite on linking boundary (R={R}, witness={witness})")
 
 
 class DivergedRefinement(FractorusError):

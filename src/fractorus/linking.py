@@ -20,9 +20,9 @@ itself on the grid of n/2 points per axis, with a(x) cut to that band,
 zero-pads the coarse solution to n and finishes it with Newton on the fine
 grid, whose step count does not grow with n (Allgower, Boehmer, Potra &
 Rheinboldt, SIAM J. Numer. Anal. 23 (1986) 160-169).  It keeps that point
-when it is nontrivial, meets the search's stopping test (_stops) with
-rho_lb(n) and the coarse delta_hat, and lies at most COARSE_RISE of the
-coarse level above it; a larger rise marks a higher critical point.
+when it meets the search's stopping test (_stops) with rho_lb(n), so it is
+nontrivial, and lies at most COARSE_RISE of the coarse level above it; a
+larger rise marks a higher critical point.
 Otherwise (a coarse status other than Converged, a coarse error, a diverged
 Newton) it runs the search on the grid itself, so every outcome but that
 accepted point is the direct search's.  The accepted point can be another
@@ -33,6 +33,7 @@ rho is the fine grid's.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
@@ -112,7 +113,7 @@ class SolverState:
     trace: list = dc_field(default_factory=list)  # (sweep, level, gnorm, c, r) per sweep
     R: float = 0.0  # the cap of the linking rectangle {|c| <= R, 0 <= r <= R}
     rho: float = 0.0  # certified lower bound of I on the ridge sphere (_ridge_bound)
-    delta_hat: float = 0.0  # sampled max of the level over A, not a bound; gates Converged
+    delta_hat: float = 0.0  # sampled max of the level over A, not a bound; gates the polishes
     coarse_n: Optional[int] = None  # points per axis of the coarse search
     coarse_level: Optional[float] = None
 
@@ -228,14 +229,14 @@ def _sphere_step(pt: Point, v: Point, radius, scale, step, value):
 def _calibrate_caps(disc: Discretization, yhat, z, eta: float):
     """The cap R, the sampled c and r, the levels at c yhat + r z and the
     basis point [yhat, z], padded once, once the sampled boundary of
-    A = {|c| <= R, 0 <= r <= R} is nonpositive.  R doubles from R0 =
-    max(2 eta, 1).  The rectangle of R0 is sampled once, one combine per
-    sampled c, keeping the quadratic and nonlinear parts of its points.  F is
-    homogeneous of degree p+1 (see nonlinearity), so the cap R0 2^k, whose
-    samples are those of R0 times 2^k, has levels 4^k quad - 2^(k(p+1)) nl.
-    Raises BoundaryNotNegative when 40 doublings fail or a boundary level is
-    not finite."""
-    R0 = max(2.0 * eta, 1.0)
+    A = {|c| <= R, 0 <= r <= R} is nonpositive.  R doubles from R0 = 2 eta.
+    The rectangle of R0 is sampled once, one combine per sampled c, keeping
+    the quadratic and nonlinear parts of its points.  F is homogeneous of
+    degree p+1 (see nonlinearity), so the cap R0 2^k, whose samples are those
+    of R0 times 2^k, has levels 4^k quad - 2^(k(p+1)) nl: as p+1 > 2 they turn
+    nonpositive, or where nl = 0 overflow by k = 512.  Raises
+    BoundaryNotNegative when a boundary level is not finite."""
+    R0 = 2.0 * eta
     nc, nr = GRID_A
     basis = disc.at(np.stack([yhat.coeffs, z.coeffs]))
     cs0, rs0 = np.linspace(-R0, R0, nc), np.linspace(0.0, R0, nr)
@@ -244,9 +245,9 @@ def _calibrate_caps(disc: Discretization, yhat, z, eta: float):
                             for row in map(basis.combine, x)], 1, 0)  # one row point alive at a time
     mask = np.ones((nc, nr), dtype=bool)  # the boundary of the rectangle
     mask[1:-1, 1:-1] = False
-    for k in range(40):
+    for k in itertools.count():
         R, cs, rs = R0 * 2.0**k, cs0 * 2.0**k, rs0 * 2.0**k
-        lv = 4**k * quad - np.exp2(k * (disc.spec.p + 1.0)) * nl
+        lv = np.exp2(2.0 * k) * quad - np.exp2(k * (disc.spec.p + 1.0)) * nl
         worst = float(np.max(lv[mask]))
         if worst <= 0.0:
             return R, cs, rs, lv, basis
@@ -255,7 +256,6 @@ def _calibrate_caps(disc: Discretization, yhat, z, eta: float):
             raise BoundaryNotNegative(
                 R, witness={"c": float(cs[idx[0]]), "r": float(rs[idx[1]]), "level": worst}
             )
-    raise BoundaryNotNegative(R0 * 2.0**40, witness={"level": worst})
 
 
 def _peak(W: Point, c: float, r: float):
@@ -289,11 +289,11 @@ def _coordinates(disc: Discretization, u: np.ndarray, yhat: Spectrum):
     return c, float(disc.hs_norms(u - c * yhat.coeffs))
 
 
-def _stops(pt: Point, tol: float, rho: float, delta_hat: float) -> bool:
-    """The search's stopping test: dual residual below tol and level in
-    [rho - 1e-6, delta_hat + 1e-12]; false on a NaN or infinite level,
-    residual or delta_hat."""
-    return pt.gnorm < tol and rho - 1e-6 <= pt.level <= delta_hat + 1e-12 < np.inf
+def _stops(pt: Point, tol: float, rho: float) -> bool:
+    """The search's stopping test: dual residual below tol and a finite level
+    of at least rho, the certified ridge level, so the point is nontrivial;
+    false on a NaN level or residual."""
+    return pt.gnorm < tol and rho <= pt.level < np.inf
 
 
 def _from_coarse_grid(disc: Discretization, rho: float, yhat: Spectrum, cfg: LinkingConfig):
@@ -301,10 +301,9 @@ def _from_coarse_grid(disc: Discretization, rho: float, yhat: Spectrum, cfg: Lin
     n/2 >= COARSE_MIN_N and (n/2)^N >= COARSE_MIN_POINTS, prolonged to this
     grid and polished there by Newton to the search's polish tolerance.  Returns its SolverState, or
     None when the grid is too small, the coarse search does not converge or
-    raises, the polish diverges, or the polished point is trivial, fails
-    _stops with rho and the coarse delta_hat, or lies above the coarse level
-    by more than COARSE_RISE of it, which marks a higher critical point than
-    the coarse one."""
+    raises, the polish diverges, or the polished point fails _stops with rho
+    or lies above the coarse level by more than COARSE_RISE of it, which
+    marks a higher critical point than the coarse one."""
     g, nc = disc.grid, disc.grid.n // 2
     if nc % 2 or nc < COARSE_MIN_N or nc**g.N < COARSE_MIN_POINTS:
         return None
@@ -318,8 +317,7 @@ def _from_coarse_grid(disc: Discretization, rho: float, yhat: Spectrum, cfg: Lin
     except FractorusError:
         return None
     level, gnorm = float(pt.level), float(pt.gnorm)
-    if not (_stops(pt, cfg.ps_tol, rho, st.delta_hat) and disc.hs_norms(pt.U) > 1e-6
-            and level <= st.level + COARSE_RISE * abs(st.level)):
+    if not (_stops(pt, cfg.ps_tol, rho) and level <= st.level + COARSE_RISE * abs(st.level)):
         return None
     return SolverState(
         iterate=Spectrum(g, pt.U),
@@ -375,7 +373,7 @@ def _search(grid: TorusGrid, p: FracParams, spec: NonlinearitySpec, cfg: Linking
             status = "NoNontrivialSolution"
             break
 
-        if _stops(pt, cfg.ps_tol, rho, delta_hat):
+        if _stops(pt, cfg.ps_tol, rho):
             status = "Converged"
             break
 
@@ -385,7 +383,8 @@ def _search(grid: TorusGrid, p: FracParams, spec: NonlinearitySpec, cfg: Linking
                 plev = float(polished.level)
             except DivergedRefinement:
                 plev = np.nan  # rejected below
-            if 0.0 < plev <= min(pt.level, delta_hat) + 1e-12 and disc.hs_norms(polished.U) > 1e-6:
+            # a level >= rho is nontrivial; <= delta_hat keeps off higher critical points
+            if rho <= plev <= min(pt.level, delta_hat) * (1.0 + 1e-12):
                 pt = polished
                 c, r = _coordinates(disc, pt.U, yhat)
                 v = Point.stack(Y, pt).combine(np.array([-c, 1.0]) / r)  # (u - c yhat) / r
@@ -399,7 +398,7 @@ def _search(grid: TorusGrid, p: FracParams, spec: NonlinearitySpec, cfg: Linking
             break
         step, v, (pt, c, r) = moved
     else:  # the point the last sweep moved to may already meet the stopping rule
-        status = "Converged" if _stops(pt, cfg.ps_tol, rho, delta_hat) else "MaxIters"
+        status = "Converged" if _stops(pt, cfg.ps_tol, rho) else "MaxIters"
 
     level = float(pt.level)
     if status == "NoNontrivialSolution":

@@ -588,12 +588,6 @@ _UNREACHABLE = {"max_iters": 1, "ps_tol": 1e-30}
     pytest.param("sweep", _extreme("sweep", 2, 8, 1e-30, s=0.99),
                  "solver error: Failed: DomainError: solver status Stalled",
                  id="sweep-2d-T-1e-30-descent-overflow"),
-    # the standard config scaled by 1e-6 (T = 2 pi 1e6, m = 1e-6): the first peak
-    # collapses to the trivial point.  ROADMAP item 3 counts this outcome as a
-    # scale defect, so mending it will move this row.
-    pytest.param("solve", _with(("grid", "T"), 2 * np.pi * 1e6, frac={"s": 0.5, "m": 1e-6}),
-                 "solver error: NoNontrivialSolution: level 0.0, dual residual 0.000e+00, "
-                 "sweeps 1", id="solve-scaled-1e-6-no-nontrivial-solution"),
 ])
 def test_main_unconverged_run_exits_solver(tmp_path, capsys, mode, doc, prefix):
     # a run that ends without converging says why, in one line
@@ -607,6 +601,19 @@ def test_main_unconverged_run_exits_solver(tmp_path, capsys, mode, doc, prefix):
         got = json.loads((tmp_path / "energy.json").read_text())
         assert sorted(got) == ["level", "status"]
         assert err.startswith(f"solver error: {got['status']}: level {got['level']!r}, ")
+
+
+def test_main_scaled_standard_config_converges(tmp_path, capsys):
+    # the standard config scaled by 1e-6 (T = 2 pi 1e6, m = 1e-6): its level is
+    # the standard level 0.16903623129018144 times 1e-6^(4s/(p-1) + 2s - N) = 1e-6
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_with(("grid", "T"), 2 * np.pi * 1e6,
+                                         frac={"s": 0.5, "m": 1e-6})))
+    code = cli.main(["solve", "--config", str(cfg_path), "--output", str(tmp_path)])
+    assert code == cli.EXIT_OK and capsys.readouterr().err == ""
+    got = json.loads((tmp_path / "energy.json").read_text())
+    assert got["status"] == "Converged"
+    assert abs(got["level"] - 1.6903623129018144e-7) <= 1e-12 * 1.6903623129018144e-7
 
 
 @pytest.mark.parametrize("mode,doc", [
