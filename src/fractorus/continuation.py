@@ -109,7 +109,7 @@ def estimate_sobolev_constant(
         for _ in range(SOBOLEV_TRIALS):
             if d is None:
                 # gradient of num - log den, not of log(num/den) (g_num num^(-q));
-                # kept, as the sweep masses are gated on its m0 (ROADMAP item 7)
+                # kept, as the sweep masses are gated on its m0 (ROADMAP item 10)
                 g_u = np.abs(u) ** (q - 1.0) * np.sign(u)
                 if not np.all(np.isfinite(g_u)):
                     break  # |u|^(q-1) overflows: the start ends where it is
@@ -156,7 +156,7 @@ def sweep_m(
     grid: TorusGrid,
     m0: Optional[float] = None,
 ):
-    """Warm-started linking solves down a decreasing mass list."""
+    """Warm-started linking solves down a decreasing mass list, each meeting linking._stops."""
     m_list = list(m_list)
     check_mass_list(m_list, m0)
 
@@ -172,11 +172,11 @@ def sweep_m(
                     raise DomainError(f"solver status {st.status} at m={m}")
                 pt = st.point
             else:  # warm-started from the last point
-                pt = linking.refine_point(Discretization(grid, p, spec).at(warm.U),
-                                          tol=cfg.ps_tol * linking.POLISH_TOL_FACTOR)
+                disc = Discretization(grid, p, spec)
+                pt = linking.refine_point(disc.at(warm.U), cfg.ps_tol * linking.POLISH_TOL_FACTOR)
+                if not linking._stops(pt, cfg.ps_tol, linking._ridge_bound(disc)[1]):
+                    raise DomainError(f"trivial branch point at m={m}")
             sol, alpha = Spectrum(grid, pt.U), float(pt.level)
-            if hs_norm(sol, p) < 1e-6 or alpha <= 0:
-                raise DomainError(f"trivial branch point at m={m}")
             records.append(
                 ContinuationRecord(
                     m=m,
@@ -209,9 +209,9 @@ def extract_limit(
 ) -> Spectrum:
     """Massless limit of the branch: polish the smallest-m solution at m = 0.
 
-    The mean mode is pinned (kernel of the m = 0 operator); the result must
-    be nontrivial and superquadratically active: int f(x,u) u dx >= 2 lambda
-    within tol, with lambda the smallest branch level.
+    The mean mode is pinned (kernel of the m = 0 operator); the result must meet
+    linking._stops at m = 0 and be superquadratically active: int f(x,u) u dx
+    >= 2 lambda within tol, with lambda the smallest branch level.
     """
     good = [r for r in records if r.status == "Converged" and r.solution is not None]
     if len(good) < 2:
@@ -227,16 +227,14 @@ def extract_limit(
         raise NotCauchy(f"branch increments grew: {diffs}")
 
     seed = project_zero_mean(good[-1].solution)
-    pt = linking.refine_point(
-        Discretization(seed.grid, FracParams(p_base.s, 0.0), spec).at(seed.coeffs),
-        tol=tol * linking.POLISH_TOL_FACTOR)
-    u = Spectrum(seed.grid, pt.U)
-    if hs_norm(u, pm1) < 1e-6:
+    disc = Discretization(seed.grid, FracParams(p_base.s, 0.0), spec)
+    pt = linking.refine_point(disc.at(seed.coeffs), tol * linking.POLISH_TOL_FACTOR)
+    if not linking._stops(pt, tol, linking._ridge_bound(disc)[1]):
         raise LimitCollapsed("m = 0 refinement collapsed to the trivial solution")
     lam_hat = min(r.alpha for r in good)
     if float(pt.action) < 2.0 * lam_hat - tol:
         raise LimitCollapsed("superquadratic activity bound failed in the limit")
-    return u
+    return Spectrum(seed.grid, pt.U)
 
 
 def nonlinear_action(spec: NonlinearitySpec, u: Spectrum) -> float:

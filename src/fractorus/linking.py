@@ -67,7 +67,6 @@ from . import energy  # noqa: F401
 
 ARMIJO_SLOPE = 1e-4
 ARMIJO_SHRINK = 0.5
-COLLAPSE_TOL = 1e-8
 GRID_A = (9, 17)  # (n_c, n_r) sample points of the linking rectangle
 RIDGE_DIRS = 16  # random sphere directions besides the axis mode and z
 POLISH_AT = 1e-2  # after the first peak, polish once the dual residual is below this
@@ -103,7 +102,8 @@ class SolverState:
     this grid; coarse_level is the level of the coarse solve, whose
     difference from level estimates the resolution error.  Its point can be
     another critical point than the search on this grid reaches, near it in
-    level.  A search on this grid leaves coarse_n and coarse_level None."""
+    level.  A search on this grid leaves coarse_n and coarse_level None; any
+    status but Converged returns the search's last point as it is (_search)."""
 
     iterate: Spectrum
     point: Point  # the evaluation point of iterate
@@ -292,7 +292,8 @@ def _coordinates(disc: Discretization, u: np.ndarray, yhat: Spectrum):
 def _stops(pt: Point, tol: float, rho: float) -> bool:
     """The search's stopping test: dual residual below tol and a finite level
     of at least rho, the certified ridge level, so the point is nontrivial;
-    false on a NaN level or residual."""
+    false on a NaN level or residual.  Every nontrivial critical point has a level
+    >= rho (generalized Nehari manifold; Szulkin & Weth, JFA 257 (2009) 3802-3822)."""
     return pt.gnorm < tol and rho <= pt.level < np.inf
 
 
@@ -349,7 +350,8 @@ def minimax_search(
 @np.errstate(over="ignore", invalid="ignore")
 def _search(grid: TorusGrid, p: FracParams, spec: NonlinearitySpec, cfg: LinkingConfig):
     """minimax_search; _from_coarse_grid calls this body, so a solve is one
-    call of the public name."""
+    call of the public name.  It ends NoNontrivialSolution once a finite level is below
+    rho / (1 + 1e-12): no polish is accepted there, and a sweep only lowers the level."""
     disc = Discretization(grid, p, spec)
     eta, rho = _ridge_bound(disc)
     yhat = _unit_constant(grid, p)
@@ -369,7 +371,7 @@ def _search(grid: TorusGrid, p: FracParams, spec: NonlinearitySpec, cfg: Linking
         gnorm = float(pt.gnorm)
         trace.append((sweep, float(pt.level), gnorm, c, r))
 
-        if disc.hs_norms(pt.U) < COLLAPSE_TOL:
+        if -np.inf < pt.level < rho / (1.0 + 1e-12):  # a level of -inf is an overflow
             status = "NoNontrivialSolution"
             break
 
@@ -400,13 +402,10 @@ def _search(grid: TorusGrid, p: FracParams, spec: NonlinearitySpec, cfg: Linking
     else:  # the point the last sweep moved to may already meet the stopping rule
         status = "Converged" if _stops(pt, cfg.ps_tol, rho) else "MaxIters"
 
-    level = float(pt.level)
-    if status == "NoNontrivialSolution":
-        pt = disc.at(np.zeros(grid.shape, dtype=complex))
     return SolverState(
         iterate=Spectrum(grid, pt.U),
         point=pt,
-        level=level,
+        level=float(pt.level),
         grad_norm=float(pt.gnorm),
         status=status,
         trace=trace,

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fractorus import cli, extension
+from fractorus import cli, extension, linking
 from fractorus.errors import DomainError, HypothesisViolated, ParseError, ValidationError
 from fractorus.grids import (
     Spectrum,
@@ -601,6 +601,28 @@ def test_main_unconverged_run_exits_solver(tmp_path, capsys, mode, doc, prefix):
         got = json.loads((tmp_path / "energy.json").read_text())
         assert sorted(got) == ["level", "status"]
         assert err.startswith(f"solver error: {got['status']}: level {got['level']!r}, ")
+
+
+def test_search_below_the_ridge_exits_solver_with_its_last_point(tmp_path, capsys, monkeypatch):
+    # a peak scaled by 1e-3 lies far below rho_lb: no polish is accepted there
+    # and a sweep only lowers the level, so the search ends at once, and its
+    # line reports that point's level and dual residual
+    peak, seen = linking._peak, []
+
+    def low_peak(W, c, r):
+        _, c, r = peak(W, c, r)
+        seen.append(W.combine(np.array([1e-3 * c, 1e-3 * r])))
+        return seen[-1], 1e-3 * c, 1e-3 * r
+
+    monkeypatch.setattr(linking, "_peak", low_peak)
+    code = cli.run(cli.parse_config(_doc()), output_dir=tmp_path)
+    pt = seen[-1]
+    assert code == cli.EXIT_SOLVER and 0.0 < pt.gnorm
+    assert capsys.readouterr().err == (
+        f"solver error: NoNontrivialSolution: level {float(pt.level)!r}, "
+        f"dual residual {float(pt.gnorm):.3e}, sweeps 1\n")
+    got = json.loads((tmp_path / "energy.json").read_text())
+    assert got == {"status": "NoNontrivialSolution", "level": float(pt.level)}
 
 
 def test_main_scaled_standard_config_converges(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Mass continuation, Sobolev constant, bootstrap and Holder diagnostics."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from fractorus.errors import (
     DomainError,
     InsufficientDecay,
     LimitCollapsed,
+    NotCauchy,
 )
 from fractorus.grids import (
     Field,
@@ -221,6 +224,39 @@ def test_sweep_failed_row_keeps_message(sweep_setup):
     assert rec.status == "Failed: DomainError: solver status MaxIters at m=0.5"
 
 
+def test_sweep_trivial_warm_point_fails_its_mass(sweep_setup, monkeypatch):
+    # a first point scaled by 1e-10 is already below the polish tolerance at the
+    # next mass, and its level lies below that mass's certified ridge level
+    grid, p, spec, cfg = sweep_setup
+    search = linking.minimax_search
+
+    def tiny(*args):
+        st = search(*args)
+        return dataclasses.replace(st, point=st.point.disc.at(1e-10 * st.point.U))
+
+    monkeypatch.setattr(linking, "minimax_search", tiny)
+    recs = continuation.sweep_m([0.5, 0.1], p, spec, cfg, grid)
+    assert recs[1].solution is None
+    assert recs[1].status == "Failed: DomainError: trivial branch point at m=0.1"
+
+
+@pytest.mark.parametrize("lam", [1e-14, 1e-30])
+def test_sweep_and_limit_are_covariant_under_scaling(sweep_setup, sweep_records, lam):
+    # the sweep on period T/lam at the masses lam m: with s = 1/2, p = 3 and
+    # N = 1 its alphas scale by lam^{4s/(p-1)+2s-N} = lam, and its dual
+    # residuals, so ps_tol here, by lam^{2s/(p-1)+s-N/2} = lam^{1/2}
+    grid, p, spec, _ = sweep_setup
+    _, base = sweep_records
+    cfg = linking.LinkingConfig(ps_tol=1e-8 * lam**0.5)
+    p_lam = FracParams(p.s, lam * p.m)
+    recs = continuation.sweep_m([lam * r.m for r in base], p_lam, spec, cfg,
+                                TorusGrid(1, grid.T / lam, grid.n))
+    assert [r.status for r in recs] == ["Converged"] * 4
+    for r, b in zip(recs, base):
+        assert abs(r.alpha - lam * b.alpha) <= 1e-12 * lam * b.alpha
+    continuation.extract_limit(recs, p_lam, spec, tol=cfg.ps_tol)
+
+
 def test_sweep_propagates_programming_errors(sweep_setup, monkeypatch):
     grid, p, spec, cfg = sweep_setup
 
@@ -242,6 +278,25 @@ def test_extract_limit(sweep_setup, sweep_records):
     assert u.mean_coeff == 0.0
     lam_hat = min(r.alpha for r in recs)
     assert continuation.nonlinear_action(spec, u) >= 2.0 * lam_hat - 1e-8
+
+
+def test_extract_limit_growing_increments_are_not_cauchy(sweep_setup, sweep_records):
+    grid, p, spec, _ = sweep_setup
+    _, recs = sweep_records
+    far = Spectrum(grid, 1e3 * recs[-1].solution.coeffs)
+    with pytest.raises(NotCauchy):
+        continuation.extract_limit(recs[:-1] + [dataclasses.replace(recs[-1], solution=far)],
+                                   p, spec)
+
+
+def test_extract_limit_inactive_limit_collapses(sweep_setup, sweep_records):
+    # branch levels 1e3 times too high: the nontrivial limit's action
+    # int f(u) u dx falls short of twice the smallest of them
+    grid, p, spec, _ = sweep_setup
+    _, recs = sweep_records
+    high = [dataclasses.replace(r, alpha=1e3 * r.alpha) for r in recs]
+    with pytest.raises(LimitCollapsed, match="superquadratic activity bound"):
+        continuation.extract_limit(high, p, spec, tol=1e-8)
 
 
 def test_extract_limit_needs_two_records(sweep_setup, sweep_records):
@@ -312,5 +367,5 @@ def test_extract_limit_degenerate_probe_collapses(sweep_setup, sweep_records):
         )
         for r in recs
     ]
-    with pytest.raises(LimitCollapsed):
+    with pytest.raises(LimitCollapsed, match="collapsed to the trivial solution"):
         continuation.extract_limit(tiny, p, spec, tol=1e-8)
