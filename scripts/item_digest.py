@@ -67,9 +67,10 @@ import workloads  # noqa: E402
 
 
 # the search sites `pad_sites` charges a pad to; a MINRES apply runs inside
-# _minres, called by _newton_step
+# _minres, called by _newton_step.  The one pad of the linking rectangle's
+# basis [yhat, z] is the search's own, so it counts as "other"
 PAD_SITES = {"_peak": "_peak", "_sphere_step": "_sphere_step",
-             "_calibrate_caps": "_calibrate_caps", "refine_point": "refine_point",
+             "refine_point": "refine_point",
              "_minres": "_minres/_newton_step", "_newton_step": "_minres/_newton_step",
              "estimate_sobolev_constant": "estimate_sobolev_constant"}
 

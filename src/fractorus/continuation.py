@@ -174,7 +174,7 @@ def sweep_m(
             else:  # warm-started from the last point
                 disc = Discretization(grid, p, spec)
                 pt = linking.refine_point(disc.at(warm.U), cfg.ps_tol * linking.POLISH_TOL_FACTOR)
-                if not linking._stops(pt, cfg.ps_tol, linking._ridge_bound(disc)[1]):
+                if not linking._stops(pt, cfg.ps_tol):
                     raise DomainError(f"trivial branch point at m={m}")
             sol, alpha = Spectrum(grid, pt.U), float(pt.level)
             records.append(
@@ -229,7 +229,7 @@ def extract_limit(
     seed = project_zero_mean(good[-1].solution)
     disc = Discretization(seed.grid, FracParams(p_base.s, 0.0), spec)
     pt = linking.refine_point(disc.at(seed.coeffs), tol * linking.POLISH_TOL_FACTOR)
-    if not linking._stops(pt, tol, linking._ridge_bound(disc)[1]):
+    if not linking._stops(pt, tol):
         raise LimitCollapsed("m = 0 refinement collapsed to the trivial solution")
     lam_hat = min(r.alpha for r in good)
     if float(pt.action) < 2.0 * lam_hat - tol:

@@ -20,15 +20,14 @@ itself on the grid of n/2 points per axis, with a(x) cut to that band,
 zero-pads the coarse solution to n and finishes it with Newton on the fine
 grid, whose step count does not grow with n (Allgower, Boehmer, Potra &
 Rheinboldt, SIAM J. Numer. Anal. 23 (1986) 160-169).  It keeps that point
-when it meets the search's stopping test (_stops) with rho_lb(n), so it is
-nontrivial, and lies at most COARSE_RISE of the coarse level above it; a
-larger rise marks a higher critical point.
+when it meets the search's stopping test (_stops) with the ridge level of
+the grid of n points, so it is nontrivial, and lies at most COARSE_RISE of the
+coarse level above it; a larger rise marks a higher critical point.
 Otherwise (a coarse status other than Converged, a coarse error, a diverged
 Newton) it runs the search on the grid itself, so every outcome but that
 accepted point is the direct search's.  The accepted point can be another
 critical point than the direct search's, near it in level.  Its trace is one
-row, the fine point's; delta_hat and the cap R are the coarse search's, and
-rho is the fine grid's.
+row, the fine point's; delta_hat is the coarse search's, and rho the fine grid's.
 """
 
 from __future__ import annotations
@@ -39,13 +38,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    BoundaryNotNegative,
-    DivergedRefinement,
-    DomainError,
-    FractorusError,
-    NoPositiveRidge,
-)
+from .errors import BoundaryNotNegative, DivergedRefinement, DomainError, FractorusError
 from .grids import (
     FracParams,
     Spectrum,
@@ -96,26 +89,41 @@ class LinkingConfig:
 
 @dataclass
 class SolverState:
-    """The result of minimax_search.  A coarse-to-fine solve (coarse_n set)
-    reports one trace row, that of the Newton-polished point on this grid, the
-    cap R and delta_hat of the coarse rectangle, and rho from _ridge_bound on
-    this grid; coarse_level is the level of the coarse solve, whose
-    difference from level estimates the resolution error.  Its point can be
-    another critical point than the search on this grid reaches, near it in
-    level.  A search on this grid leaves coarse_n and coarse_level None; any
-    status but Converged returns the search's last point as it is (_search)."""
+    """The result of minimax_search: its final point and what the search
+    recorded on the way.  iterate, level, grad_norm and rho are read from
+    point, rho being the certified ridge level of its grid
+    (Discretization.ridge).  A coarse-to-fine solve (coarse_n set) reports
+    one trace row, that of the Newton-polished point on this grid, and
+    delta_hat of the coarse rectangle; coarse_level is the level of the
+    coarse solve, whose difference from level estimates the resolution
+    error.  Its point can be another critical point than the search on this
+    grid reaches, near it in level.  A search on this grid leaves coarse_n
+    and coarse_level None; any status but Converged returns the search's
+    last point as it is (_search)."""
 
-    iterate: Spectrum
-    point: Point  # the evaluation point of iterate
-    level: float
-    grad_norm: float
+    point: Point
     status: str  # Converged | MaxIters | Stalled | NoNontrivialSolution
     trace: list = dc_field(default_factory=list)  # (sweep, level, gnorm, c, r) per sweep
-    R: float = 0.0  # the cap of the linking rectangle {|c| <= R, 0 <= r <= R}
-    rho: float = 0.0  # certified lower bound of I on the ridge sphere (_ridge_bound)
     delta_hat: float = 0.0  # sampled max of the level over A, not a bound; gates the polishes
     coarse_n: Optional[int] = None  # points per axis of the coarse search
     coarse_level: Optional[float] = None
+
+    @property
+    def iterate(self) -> Spectrum:
+        return Spectrum(self.point.disc.grid, self.point.U)
+
+    @property
+    def level(self) -> float:
+        return float(self.point.level)
+
+    @property
+    def grad_norm(self) -> float:
+        return float(self.point.gnorm)
+
+    @property
+    def rho(self) -> float:
+        """Certified lower bound of I on the ridge sphere of the point's grid."""
+        return self.point.disc.ridge[1]
 
     @property
     def history(self) -> list:
@@ -151,7 +159,8 @@ def _axis_mode(grid: TorusGrid, p: FracParams) -> Spectrum:
 
 def ridge_estimate(grid: TorusGrid, p: FracParams, spec: NonlinearitySpec):
     """Sampled ridge radius eta and level rho-hat on the zero-mean sphere, a
-    diagnostic: an upper estimate of the infimum that _ridge_bound bounds below.
+    diagnostic: an upper estimate of the infimum that Discretization.ridge
+    bounds below.
     Directions include the |k| = 1 axis mode (the sharp coercivity minimizer)
     and the linking z-direction alongside random draws; projected descent on
     its sphere then sharpens the best sampled radius once."""
@@ -173,30 +182,6 @@ def ridge_estimate(grid: TorusGrid, p: FracParams, spec: NonlinearitySpec):
             break
         step, pt, _ = moved
     return eta, float(pt.level)
-
-
-def _ridge_bound(disc: Discretization):
-    """Certified ridge (eta_lb, rho_lb): I >= rho_lb on the zero-mean sphere
-    |u|_{H^s} = eta_lb.  At |u|_{H^s} = eta: quad >= gamma eta^2/2, gamma =
-    min_{k != 0} shifted/full; |u| <= S eta at the padded points, S^2 = T^{-N}
-    sum_{k != 0} 1/full (Cauchy-Schwarz; the Nyquist split only lowers |u|);
-    the padded sum of u^2 is <= eta^2 / min full (Parseval, as m_pad > n).  So
-    I >= gamma eta^2/2 - A eta^{p+1}, A = max(a) S^{p-1} / min full / (p+1),
-    largest at eta_lb = (gamma / ((p+1) A))^{1/(p-1)}.  Raises NoPositiveRidge
-    when rho_lb is not finite and positive: gamma rounds to 0, or eta under-
-    or overflows as p -> 1."""
-    g, p = disc.grid, disc.spec.p
-    full, shifted = disc.full.ravel()[1:], disc.shifted.ravel()[1:]  # k != 0
-    with np.errstate(all="ignore"):
-        gamma = np.min(shifted / full)
-        S = np.sqrt(np.sum(1.0 / full) / np.float64(g.T) ** g.N)
-        A = np.max(disc.coeff_pad) * S ** (p - 1.0) / np.min(full) / (p + 1.0)
-        eta = (gamma / ((p + 1.0) * A)) ** (1.0 / (p - 1.0))
-        rho = 0.5 * gamma * eta**2 - A * eta ** (p + 1.0)
-    if not 0.0 < rho < np.inf:
-        raise NoPositiveRidge(f"certified ridge level {rho:.3e} at radius {eta:.3e} "
-                              f"(coercivity {gamma:.3e}, p = {p!r})")
-    return float(eta), float(rho)
 
 
 def _sphere_step(pt: Point, v: Point, radius, scale, step, value):
@@ -226,10 +211,11 @@ def _sphere_step(pt: Point, v: Point, radius, scale, step, value):
 
 
 @np.errstate(all="ignore")  # a far cap's levels may overflow; the exits read them
-def _calibrate_caps(disc: Discretization, yhat, z, eta: float):
-    """The cap R, the sampled c and r, the levels at c yhat + r z and the
-    basis point [yhat, z], padded once, once the sampled boundary of
-    A = {|c| <= R, 0 <= r <= R} is nonpositive.  R doubles from R0 = 2 eta.
+def _calibrate_caps(basis: Point, eta: float):
+    """(delta_hat, c, r) on the linking rectangle A = {|c| <= R, 0 <= r <= R}
+    of the basis point [yhat, z]: the largest level sampled at c yhat + r z
+    and the sample (c, r) that holds it, the first peak's start, once the
+    sampled boundary of A is nonpositive.  R doubles from R0 = 2 eta.
     The rectangle of R0 is sampled once, one combine per sampled c, keeping
     the quadratic and nonlinear parts of its points.  F is homogeneous of
     degree p+1 (see nonlinearity), so the cap R0 2^k, whose samples are those
@@ -238,7 +224,6 @@ def _calibrate_caps(disc: Discretization, yhat, z, eta: float):
     BoundaryNotNegative when a boundary level is not finite."""
     R0 = 2.0 * eta
     nc, nr = GRID_A
-    basis = disc.at(np.stack([yhat.coeffs, z.coeffs]))
     cs0, rs0 = np.linspace(-R0, R0, nc), np.linspace(0.0, R0, nr)
     x = np.stack(np.meshgrid(cs0, rs0, indexing="ij"), axis=-1)
     quad, nl = np.moveaxis([(row.quadratic, row.nonlinear_energy)
@@ -247,10 +232,11 @@ def _calibrate_caps(disc: Discretization, yhat, z, eta: float):
     mask[1:-1, 1:-1] = False
     for k in itertools.count():
         R, cs, rs = R0 * 2.0**k, cs0 * 2.0**k, rs0 * 2.0**k
-        lv = np.exp2(2.0 * k) * quad - np.exp2(k * (disc.spec.p + 1.0)) * nl
+        lv = np.exp2(2.0 * k) * quad - np.exp2(k * (basis.disc.spec.p + 1.0)) * nl
         worst = float(np.max(lv[mask]))
         if worst <= 0.0:
-            return R, cs, rs, lv, basis
+            i, j = np.unravel_index(int(np.argmax(lv)), lv.shape)
+            return float(lv[i, j]), float(cs[i]), float(rs[j])
         if not worst < np.inf:
             idx = np.unravel_index(np.argmax(np.where(mask, lv, -np.inf)), lv.shape)
             raise BoundaryNotNegative(
@@ -289,20 +275,19 @@ def _coordinates(disc: Discretization, u: np.ndarray, yhat: Spectrum):
     return c, float(disc.hs_norms(u - c * yhat.coeffs))
 
 
-def _stops(pt: Point, tol: float, rho: float) -> bool:
+def _stops(pt: Point, tol: float) -> bool:
     """The search's stopping test: dual residual below tol and a finite level
-    of at least rho, the certified ridge level, so the point is nontrivial;
-    false on a NaN level or residual.  Every nontrivial critical point has a level
-    >= rho (generalized Nehari manifold; Szulkin & Weth, JFA 257 (2009) 3802-3822)."""
-    return pt.gnorm < tol and rho <= pt.level < np.inf
+    of at least rho_lb of pt.disc.ridge, below which no nontrivial critical
+    point lies, so the point is nontrivial; false on a NaN level or residual."""
+    return pt.gnorm < tol and pt.disc.ridge[1] <= pt.level < np.inf
 
 
-def _from_coarse_grid(disc: Discretization, rho: float, yhat: Spectrum, cfg: LinkingConfig):
+def _from_coarse_grid(disc: Discretization, yhat: Spectrum, cfg: LinkingConfig):
     """The search on the grid of n/2 points per axis, when n/2 is even,
     n/2 >= COARSE_MIN_N and (n/2)^N >= COARSE_MIN_POINTS, prolonged to this
     grid and polished there by Newton to the search's polish tolerance.  Returns its SolverState, or
     None when the grid is too small, the coarse search does not converge or
-    raises, the polish diverges, or the polished point fails _stops with rho
+    raises, the polish diverges, or the polished point fails _stops
     or lies above the coarse level by more than COARSE_RISE of it, which
     marks a higher critical point than the coarse one."""
     g, nc = disc.grid, disc.grid.n // 2
@@ -317,18 +302,13 @@ def _from_coarse_grid(disc: Discretization, rho: float, yhat: Spectrum, cfg: Lin
                           tol=cfg.ps_tol * POLISH_TOL_FACTOR)
     except FractorusError:
         return None
-    level, gnorm = float(pt.level), float(pt.gnorm)
-    if not (_stops(pt, cfg.ps_tol, rho) and level <= st.level + COARSE_RISE * abs(st.level)):
+    level = float(pt.level)
+    if not (_stops(pt, cfg.ps_tol) and level <= st.level + COARSE_RISE * abs(st.level)):
         return None
     return SolverState(
-        iterate=Spectrum(g, pt.U),
         point=pt,
-        level=level,
-        grad_norm=gnorm,
         status="Converged",
-        trace=[(0, level, gnorm, *_coordinates(disc, pt.U, yhat))],
-        R=st.R,
-        rho=rho,
+        trace=[(0, level, float(pt.gnorm), *_coordinates(disc, pt.U, yhat))],
         delta_hat=st.delta_hat,
         coarse_n=nc,
         coarse_level=st.level,
@@ -353,17 +333,15 @@ def _search(grid: TorusGrid, p: FracParams, spec: NonlinearitySpec, cfg: Linking
     call of the public name.  It ends NoNontrivialSolution once a finite level is below
     rho / (1 + 1e-12): no polish is accepted there, and a sweep only lowers the level."""
     disc = Discretization(grid, p, spec)
-    eta, rho = _ridge_bound(disc)
+    eta, rho = disc.ridge
     yhat = _unit_constant(grid, p)
-    fine = _from_coarse_grid(disc, rho, yhat, cfg)
+    fine = _from_coarse_grid(disc, yhat, cfg)
     if fine is not None:
         return fine
-    z = pick_z_direction(grid, p)
-    R, cs, rs, lv, basis = _calibrate_caps(disc, yhat, z, eta)
-    delta_hat = float(np.max(lv))
-    i, j = np.unravel_index(int(np.argmax(lv)), lv.shape)
+    basis = disc.at(np.stack([yhat.coeffs, pick_z_direction(grid, p).coeffs]))
+    delta_hat, c, r = _calibrate_caps(basis, eta)
     Y, v = (Point(disc, basis.U[a], basis.vals[a]) for a in (0, 1))  # yhat and z
-    pt, c, r = _peak(basis, float(cs[i]), float(rs[j]))
+    pt, c, r = _peak(basis, c, r)
 
     trace = []
     step = 1.0
@@ -375,7 +353,7 @@ def _search(grid: TorusGrid, p: FracParams, spec: NonlinearitySpec, cfg: Linking
             status = "NoNontrivialSolution"
             break
 
-        if _stops(pt, cfg.ps_tol, rho):
+        if _stops(pt, cfg.ps_tol):
             status = "Converged"
             break
 
@@ -400,19 +378,8 @@ def _search(grid: TorusGrid, p: FracParams, spec: NonlinearitySpec, cfg: Linking
             break
         step, v, (pt, c, r) = moved
     else:  # the point the last sweep moved to may already meet the stopping rule
-        status = "Converged" if _stops(pt, cfg.ps_tol, rho) else "MaxIters"
-
-    return SolverState(
-        iterate=Spectrum(grid, pt.U),
-        point=pt,
-        level=float(pt.level),
-        grad_norm=float(pt.gnorm),
-        status=status,
-        trace=trace,
-        R=R,
-        rho=rho,
-        delta_hat=delta_hat,
-    )
+        status = "Converged" if _stops(pt, cfg.ps_tol) else "MaxIters"
+    return SolverState(point=pt, status=status, trace=trace, delta_hat=delta_hat)
 
 
 # ---------------------------------------------------------------------------

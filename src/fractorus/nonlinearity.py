@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import HypothesisViolated, ValidationError
+from .errors import HypothesisViolated, NoPositiveRidge, ValidationError
 from .grids import (
     Field,
     FracParams,
@@ -137,6 +137,22 @@ def padded_size(n: int) -> int:
 # ---------------------------------------------------------------------------
 # the discretized reduced functional
 
+class _computed_once:
+    """A lazily computed attribute: the first read stores the value in the
+    instance __dict__, where later reads find it.  functools.cached_property
+    does the same under a lock before Python 3.12, which costs more than some
+    of the values it guards."""
+
+    def __init__(self, fn):
+        self.fn, self.name, self.__doc__ = fn, fn.__name__, fn.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
 @dataclass(frozen=True, eq=False)
 class Discretization:
     """Dealiased discretization of the reduced functional
@@ -145,8 +161,9 @@ class Discretization:
 
     on one grid: the tables of grids.multiplier, the padded grid size
     padded_size(n), which no nonlinearity changes, a(x) sampled on the padded
-    grid and the padded cell volume, built once; a(x) is
-    read through spec.coefficient, which rejects a field of another grid.
+    grid (the scalar 1 for a pure power) and the padded cell volume, built
+    once; a(x) is read through spec.coefficient, which rejects a field of
+    another grid.  The certified ridge, ridge, is computed on its first read.
     at(U), the evaluation point of U, pads U once: I, its gradient and its
     linearization at U all read those samples.  The pad is linear, so the
     searches build their trial points by Point.combine from points already
@@ -161,7 +178,7 @@ class Discretization:
     and the Jacobian is symmetric on the band.  Coefficient arrays have the
     grid as their trailing N axes, and leading batch axes.
     params = None builds the nonlinear term only, and the multiplier methods
-    are then unavailable.
+    and ridge are then unavailable.
     """
 
     grid: TorusGrid
@@ -172,7 +189,7 @@ class Discretization:
     inv_full: Optional[np.ndarray] = dc_field(init=False, repr=False, default=None)
     pairing: np.ndarray = dc_field(init=False, repr=False)
     m_pad: int = dc_field(init=False)
-    coeff_pad: np.ndarray = dc_field(init=False, repr=False)
+    coeff_pad: np.ndarray = dc_field(init=False, repr=False)  # 1.0 for a pure power
     cell: float = dc_field(init=False)
     axes: tuple = dc_field(init=False, repr=False)
 
@@ -188,7 +205,7 @@ class Discretization:
         put("m_pad", m)
         put("cell", g.cell_at(m))
         put("axes", tuple(range(-g.N, 0)))
-        put("coeff_pad", np.ones((m,) * g.N) if spec.kind == "pure_power"
+        put("coeff_pad", np.float64(1.0) if spec.kind == "pure_power"
             else pad_coeffs(forward_transform(Field(g, spec.coefficient(g))).coeffs, g, m))
 
     def at(self, U: np.ndarray) -> Point:
@@ -209,21 +226,31 @@ class Discretization:
         """|u|_{H^s} = sqrt(sum_k (omega^2|k|^2+m^2)^s |c_k|^2)."""
         return np.sqrt(np.sum(self.full * np.abs(U) ** 2, axis=self.axes))
 
-
-class _computed_once:
-    """A lazily computed attribute: the first read stores the value in the
-    instance __dict__, where later reads find it.  functools.cached_property
-    does the same under a lock before Python 3.12, which costs more than some
-    of the values it guards."""
-
-    def __init__(self, fn):
-        self.fn, self.name, self.__doc__ = fn, fn.__name__, fn.__doc__
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.fn(obj)
-        return value
+    @_computed_once
+    def ridge(self):
+        """Certified ridge (eta_lb, rho_lb): I >= rho_lb on the zero-mean sphere
+        |u|_{H^s} = eta_lb.  At |u|_{H^s} = eta: quad >= gamma eta^2/2, gamma =
+        min_{k != 0} shifted/full; |u| <= S eta at the padded points, S^2 = T^{-N}
+        sum_{k != 0} 1/full (Cauchy-Schwarz; the Nyquist split only lowers |u|);
+        the padded sum of u^2 is <= eta^2 / min full (Parseval, as m_pad > n).  So
+        I >= gamma eta^2/2 - A eta^{p+1}, A = max(a) S^{p-1} / min full / (p+1),
+        largest at eta_lb = (gamma / ((p+1) A))^{1/(p-1)}.  Every nontrivial
+        critical point has a level >= rho_lb (generalized Nehari manifold;
+        Szulkin & Weth, JFA 257 (2009) 3802-3822).  Raises NoPositiveRidge
+        when rho_lb is not finite and positive: gamma rounds to 0, or eta under-
+        or overflows as p -> 1."""
+        g, p = self.grid, self.spec.p
+        full, shifted = self.full.ravel()[1:], self.shifted.ravel()[1:]  # k != 0
+        with np.errstate(all="ignore"):
+            gamma = np.min(shifted / full)
+            S = np.sqrt(np.sum(1.0 / full) / np.float64(g.T) ** g.N)
+            A = np.max(self.coeff_pad) * S ** (p - 1.0) / np.min(full) / (p + 1.0)
+            eta = (gamma / ((p + 1.0) * A)) ** (1.0 / (p - 1.0))
+            rho = 0.5 * gamma * eta**2 - A * eta ** (p + 1.0)
+        if not 0.0 < rho < np.inf:
+            raise NoPositiveRidge(f"certified ridge level {rho:.3e} at radius {eta:.3e} "
+                                  f"(coercivity {gamma:.3e}, p = {p!r})")
+        return float(eta), float(rho)
 
 
 @dataclass(frozen=True, eq=False)

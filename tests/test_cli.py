@@ -559,6 +559,25 @@ def test_main_energy_overflow_is_silent(tmp_path, capsys, doc, want, lines):
     assert all(got.startswith(line) for got, line in zip(err.splitlines(), lines))
 
 
+@pytest.mark.parametrize("doc", [
+    pytest.param(_extreme("verify", 2, 8, 1e150, s=0.25), id="2d-n8-T-1e150"),
+    pytest.param(_extreme("verify", 3, 4, 1e30), id="3d-n4-T-1e30"),
+    pytest.param(_extreme("verify", 3, 4, 1e100), id="3d-n4-T-1e100"),
+    pytest.param(_extreme("verify", 3, 8, 1e30), id="3d-n8-T-1e30"),
+    pytest.param(_extreme("verify", 3, 8, 1e100), id="3d-n8-T-1e100"),
+])
+def test_verify_at_a_large_period_exits_ok(tmp_path, capsys, doc):
+    # coefficients and norms grow like T^{N/2}: the roundtrip, Parseval and
+    # extension properties bound their defects relative to their own inputs
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    code = cli.main(["verify", "--config", str(cfg_path), "--output", str(tmp_path)])
+    assert capsys.readouterr().err == ""
+    props = json.loads((tmp_path / "verify_report.json").read_text())["properties"]
+    assert [pr["name"] for pr in props if not pr["passed"]] == []
+    assert code == cli.EXIT_OK
+
+
 # One sweep, and a tolerance no polish reaches: the run does not converge.
 _UNREACHABLE = {"max_iters": 1, "ps_tol": 1e-30}
 

@@ -26,7 +26,7 @@ from fractorus.grids import (
     pad_coeffs,
     random_spectrum,
 )
-from fractorus.nonlinearity import NonlinearitySpec
+from fractorus.nonlinearity import Discretization, NonlinearitySpec
 
 
 @pytest.fixture(scope="module")
@@ -226,7 +226,8 @@ def test_sweep_failed_row_keeps_message(sweep_setup):
 
 def test_sweep_trivial_warm_point_fails_its_mass(sweep_setup, monkeypatch):
     # a first point scaled by 1e-10 is already below the polish tolerance at the
-    # next mass, and its level lies below that mass's certified ridge level
+    # next mass, and its level lies below that mass's certified ridge level; the
+    # replaced state reads its level and residual from that point
     grid, p, spec, cfg = sweep_setup
     search = linking.minimax_search
 
@@ -238,6 +239,25 @@ def test_sweep_trivial_warm_point_fails_its_mass(sweep_setup, monkeypatch):
     recs = continuation.sweep_m([0.5, 0.1], p, spec, cfg, grid)
     assert recs[1].solution is None
     assert recs[1].status == "Failed: DomainError: trivial branch point at m=0.1"
+
+
+def test_sweep_and_limit_compute_each_ridge_once(sweep_setup, monkeypatch):
+    # the search, the three warm-started masses and the m = 0 limit each
+    # read the certified ridge of their own Discretization, computed once
+    grid, p, spec, cfg = sweep_setup
+    ridge, seen = Discretization.ridge, []
+    compute = ridge.fn
+
+    def counted(disc):
+        seen.append(disc)
+        return compute(disc)
+
+    monkeypatch.setattr(ridge, "fn", counted)
+    recs = continuation.sweep_m([0.5, 0.1, 0.02, 0.004], p, spec, cfg, grid)
+    assert [r.status for r in recs] == ["Converged"] * 4
+    continuation.extract_limit(recs, p, spec, tol=cfg.ps_tol)
+    assert len(seen) == len({id(d) for d in seen}) == 5
+    assert [d.params.m for d in seen] == [0.5, 0.1, 0.02, 0.004, 0.0]
 
 
 @pytest.mark.parametrize("lam", [1e-14, 1e-30])

@@ -74,18 +74,17 @@ def test_minimax_pads_each_array_once(monkeypatch, grid64, params_half, cubic):
 def test_minimax_boundary_nonpositive(grid64, params_half, cubic):
     cfg = linking.LinkingConfig()
     st = linking.minimax_search(grid64, params_half, cubic, cfg)
-    # resample the linking rectangle on the reported cap, combining the
-    # samples of [yhat, z] as the search does: its boundary is nonpositive,
-    # its maximum is the reported delta_hat, and its levels are those of the
-    # rectangle padded point by point up to rounding
+    # resample the linking rectangle on the cap of the whole-rectangle loop,
+    # combining the samples of [yhat, z] as the search does: its boundary is
+    # nonpositive, its maximum is the reported delta_hat, and its levels are
+    # those of the rectangle padded point by point up to rounding
     disc = Discretization(grid64, params_half, cubic)
-    yhat = linking._unit_constant(grid64, params_half)
-    z = linking.pick_z_direction(grid64, params_half)
+    basis = _basis(disc)
+    R = _caps_by_rectangle(basis, disc.ridge[0])[0]
     nc, nr = linking.GRID_A
-    cs = np.linspace(-st.R, st.R, nc)
-    rs = np.linspace(0.0, st.R, nr)
-    rect = disc.at(np.stack([yhat.coeffs, z.coeffs])).combine(
-        np.stack(np.meshgrid(cs, rs, indexing="ij"), axis=-1))
+    cs = np.linspace(-R, R, nc)
+    rs = np.linspace(0.0, R, nr)
+    rect = basis.combine(np.stack(np.meshgrid(cs, rs, indexing="ij"), axis=-1))
     lv = rect.level
     boundary = np.concatenate([lv[0], lv[-1], lv[:, 0], lv[:, -1]])
     assert np.max(boundary) <= 0.0
@@ -138,12 +137,26 @@ def test_minimax_converges_on_modulated_item(minimax_cases):
     cfg = linking.LinkingConfig()
     assert st.status == "Converged"
     assert linking.residual_norm(st.iterate, p, spec) < cfg.ps_tol
-    _, rho_lb = linking._ridge_bound(Discretization(g, p, spec))
+    _, rho_lb = Discretization(g, p, spec).ridge
     assert st.rho == rho_lb
     assert 0.0 < rho_lb <= st.level <= st.delta_hat
     levels = [h[0] for h in st.history]
     assert len(levels) > 2  # the descent did work before the polish was accepted
     assert all(b <= a + 1e-12 for a, b in zip(levels, levels[1:]))
+
+
+def test_solver_state_reads_its_point(minimax_cases):
+    # a state with another point, here on the discretization of another mass,
+    # reports that point's level, residual, spectrum and ridge level
+    g, p, spec, st = minimax_cases["standard"]
+    disc = Discretization(g, FracParams(p.s, 0.5 * p.m), spec)
+    q = disc.at(2.0 * st.point.U)
+    moved = dataclasses.replace(st, point=q)
+    assert moved.level == float(q.level) != st.level
+    assert moved.grad_norm == float(q.gnorm) != st.grad_norm
+    assert np.array_equal(moved.iterate.coeffs, q.U)
+    assert moved.rho == disc.ridge[1] != st.rho
+    assert (moved.status, moved.trace, moved.delta_hat) == (st.status, st.trace, st.delta_hat)
 
 
 def test_minimax_converges_on_no_ridge_item():
@@ -230,7 +243,7 @@ def _ridge_case(N, kind):
 def test_ridge_bound_below_sampled_sphere_levels(N, kind):
     g, p, spec = _ridge_case(N, kind)
     disc = Discretization(g, p, spec)
-    eta, rho = linking._ridge_bound(disc)
+    eta, rho = disc.ridge
     assert 0.0 < rho < np.inf
     rng = np.random.default_rng(N)
     for decay in (0.0, 0.3, 1.0):
@@ -287,7 +300,7 @@ def test_coarse_to_fine_solve_2d_n32(solve_2d_n32):
     # one trace row, the fine point's; the coarse search's level is coarse_level
     assert st.history == [(st.level, st.grad_norm)]
     assert st.level <= st.coarse_level * (1.0 + linking.COARSE_RISE)
-    assert st.rho == linking._ridge_bound(Discretization(g, p, spec))[1]
+    assert st.rho == Discretization(g, p, spec).ridge[1]
     assert st.rho - 1e-9 <= st.level <= st.delta_hat + 1e-12
 
 
@@ -315,8 +328,10 @@ def test_rejected_fine_point_falls_back_to_the_direct_search(monkeypatch, solve_
             forced.append(grid)
             if force == "coarse-max-iters":
                 return dataclasses.replace(st, status="MaxIters")
-            if force == "fine-level-above-coarse":
-                return dataclasses.replace(st, level=st.level * (1.0 - 2 * linking.COARSE_RISE))
+            if force == "fine-level-above-coarse":  # the same point, read at a lower level
+                low = nonlinearity.Point(st.point.disc, st.point.U, st.point.vals)
+                low.__dict__["level"] = st.level * (1.0 - 2 * linking.COARSE_RISE)
+                return dataclasses.replace(st, point=low)
         return st
 
     def fine_polish(pt, tol, max_iters=60):
@@ -332,8 +347,8 @@ def test_rejected_fine_point_falls_back_to_the_direct_search(monkeypatch, solve_
     st = linking.minimax_search(g, p, spec, linking.LinkingConfig())
     assert len(forced) == 1
     assert st.trace == direct.trace
-    assert (st.status, st.level, st.R, st.rho, st.delta_hat) == (
-        direct.status, direct.level, direct.R, direct.rho, direct.delta_hat)
+    assert (st.status, st.level, st.rho, st.delta_hat) == (
+        direct.status, direct.level, direct.rho, direct.delta_hat)
     assert st.coarse_n is None and st.coarse_level is None
     assert np.array_equal(st.iterate.coeffs, direct.iterate.coeffs)
 
@@ -364,13 +379,20 @@ def test_modulated_3d_n16_searches_on_its_own_grid():
     assert abs(st.level - 4.627852072595148) <= 1e-9 * st.level
 
 
-def _caps_by_rectangle(disc, yhat, z, eta, force=lambda x, quad, nl: (quad, nl)):
+def _basis(disc):
+    """The basis point [yhat, z] of the search's linking rectangle."""
+    g, p = disc.grid, disc.params
+    return disc.at(np.stack([linking._unit_constant(g, p).coeffs,
+                             linking.pick_z_direction(g, p).coeffs]))
+
+
+def _caps_by_rectangle(basis, eta, force=lambda x, quad, nl: (quad, nl)):
     """_calibrate_caps with every cap sampled on its whole rectangle: the
-    reference.  The quadratic and nonlinear parts of the level at the points
-    x are force(x, quad, nl)."""
+    reference, returning the cap R, the sampled c and r and the levels.  The
+    quadratic and nonlinear parts of the level at the points x are
+    force(x, quad, nl)."""
     R = 2.0 * eta
     nc, nr = linking.GRID_A
-    basis = disc.at(np.stack([yhat.coeffs, z.coeffs]))
     while True:
         with np.errstate(all="ignore"):
             cs = np.linspace(-R, R, nc)
@@ -404,8 +426,7 @@ def _caps_case(name):
     else:
         g, p, spec = _ridge_case(2 if name == "2d-pure" else 1, "pure")
     disc = Discretization(g, p, spec)
-    yhat, z = linking._unit_constant(g, p), linking.pick_z_direction(g, p)
-    return disc, yhat, z, linking._ridge_bound(disc)[0]
+    return _basis(disc), disc.ridge[0]
 
 
 # where 2^(k(p+1)) is no power of two, the doublings k and the relative
@@ -416,8 +437,9 @@ _ROUNDED_CAPS = {"1d-pure-p2.5": (1, 1e-15), "3d-pure-p1.02": (49, 4e-15)}
 
 @pytest.mark.parametrize("name", ["1d-pure", "1d-modulated", "2d-pure", *_ROUNDED_CAPS])
 def test_calibrated_caps_match_the_whole_rectangle_loop(monkeypatch, name):
-    disc, yhat, z, eta = _caps_case(name)
-    R, cs, rs, lv = _caps_by_rectangle(disc, yhat, z, eta)
+    basis, eta = _caps_case(name)
+    R, cs, rs, lv = _caps_by_rectangle(basis, eta)
+    i, j = np.unravel_index(int(np.argmax(lv)), lv.shape)
     rows, combine = [], nonlinearity.Point.combine
 
     def counted(self, x):
@@ -425,17 +447,17 @@ def test_calibrated_caps_match_the_whole_rectangle_loop(monkeypatch, name):
         return combine(self, x)
 
     monkeypatch.setattr(nonlinearity.Point, "combine", counted)
-    got = linking._calibrate_caps(disc, yhat, z, eta)
-    assert got[0] == R
-    assert np.array_equal(got[1], cs) and np.array_equal(got[2], rs)
+    delta_hat, c, r = linking._calibrate_caps(basis, eta)
+    # the start is the largest sample of the last cap's rectangle
+    assert (c, r) == (cs[i], rs[j])
     doublings = round(np.log2(R / (2.0 * eta)))
     if name in _ROUNDED_CAPS:
         want, rounding = _ROUNDED_CAPS[name]
         assert doublings == want
-        assert np.max(np.abs(got[3] - lv)) <= rounding * np.max(np.abs(lv))
+        assert abs(delta_hat - lv[i, j]) <= rounding * np.max(np.abs(lv))
     else:  # 2^(k(p+1)) is a power of two: the levels are bit for bit
         assert doublings >= 1
-        assert np.array_equal(got[3], lv)
+        assert delta_hat == lv[i, j]
     # the rectangle of the first cap is sampled once, one combine per c,
     # whatever the number of doublings
     nc, nr = linking.GRID_A
@@ -455,10 +477,10 @@ _FORCED_PARTS = {
 
 @pytest.mark.parametrize("force", list(_FORCED_PARTS))
 def test_failing_caps_raise_as_the_whole_rectangle_loop(monkeypatch, force):
-    disc, yhat, z, eta = _caps_case("1d-pure")
+    basis, eta = _caps_case("1d-pure")
     forced, combine = _FORCED_PARTS[force], nonlinearity.Point.combine
     with pytest.raises(BoundaryNotNegative) as want:
-        _caps_by_rectangle(disc, yhat, z, eta, forced)
+        _caps_by_rectangle(basis, eta, forced)
 
     def forced_combine(self, x):
         pt = combine(self, x)
@@ -469,7 +491,7 @@ def test_failing_caps_raise_as_the_whole_rectangle_loop(monkeypatch, force):
 
     monkeypatch.setattr(nonlinearity.Point, "combine", forced_combine)
     with pytest.raises(BoundaryNotNegative) as got:
-        linking._calibrate_caps(disc, yhat, z, eta)
+        linking._calibrate_caps(basis, eta)
     assert got.value.R == want.value.R
     assert repr(got.value.witness) == repr(want.value.witness)
     assert str(got.value) == str(want.value)

@@ -80,7 +80,11 @@ def test_padded_size_is_one_rule():
             for spec in (NonlinearitySpec(kind="pure_power", p=p),
                          NonlinearitySpec(kind="modulated_power", p=p, a=a)):
                 disc = Discretization(g, None, spec)
-                assert disc.m_pad == m and disc.coeff_pad.shape == (m,)
+                assert disc.m_pad == m
+                if spec.a is None:  # a pure power's coefficient is the scalar 1
+                    assert np.shape(disc.coeff_pad) == () and disc.coeff_pad == 1.0
+                else:
+                    assert disc.coeff_pad.shape == (m,)
 
 
 def test_standard_1d_n64_level():
