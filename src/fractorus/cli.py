@@ -38,9 +38,12 @@ from .grids import (
     apply_shifted_operator,
     field_from_function,
     forward_transform,
+    grid_from_json,
     hermitian_defect,
     hs_norm,
     inverse_transform,
+    json_integer,
+    json_real,
     object_from_json,
     project_zero_mean,
     random_spectrum,
@@ -92,25 +95,9 @@ class RunConfig:
 _BUILD_ERRORS = (KeyError, TypeError, ValueError, OverflowError, OSError, FractorusError)
 
 
-def _real(value) -> float:
-    """float(value) of a JSON number, refusing booleans and strings, which
-    float() would take (true -> 1.0, "1e-8" -> 1e-08)."""
-    if isinstance(value, (bool, str)):
-        raise ValueError(f"expected a number, got {value!r}")
-    return float(value)
-
-
-def _integer(value) -> int:
-    """int(value) of a JSON number (see _real), refusing a fractional part,
-    which int() would truncate (64.9 -> 64)."""
-    if not _real(value).is_integer():
-        raise ValueError(f"expected an integer, got {value!r}")
-    return int(value)
-
-
 # $.solver keys and their JSON conversions; absent keys take the
 # LinkingConfig defaults.
-_SOLVER_KEYS = {"ps_tol": _real, "max_iters": _integer}
+_SOLVER_KEYS = {"ps_tol": json_real, "max_iters": json_integer}
 
 
 def _require_keys(doc: dict, allowed: set, path: str):
@@ -156,11 +143,10 @@ def parse_config(text: str) -> RunConfig:
         "$",
     )
 
-    grid = _section(doc, "grid", {"N", "T", "n"}, lambda d: TorusGrid(
-        N=_integer(d["N"]), T=_real(d["T"]), n=_integer(d["n"])), required=True)
+    grid = _section(doc, "grid", {"N", "T", "n"}, grid_from_json, required=True)
 
     def build_frac(d):
-        frac = FracParams(s=_real(d["s"]), m=_real(d["m"]))
+        frac = FracParams(s=json_real(d["s"]), m=json_real(d["m"]))
         frac.check_grid(grid)
         return frac
 
@@ -177,12 +163,12 @@ def parse_config(text: str) -> RunConfig:
         a = None
         if "a_values" in d:
             values = np.asarray(d["a_values"], dtype=object).ravel()  # of any nesting
-            a = Field(grid, np.array([_real(v) for v in values]).reshape(grid.shape))
+            a = Field(grid, np.array([json_real(v) for v in values]).reshape(grid.shape))
         spec = NonlinearitySpec(
             kind=str(d.get("kind", "pure_power")),
-            p=_real(d["p"]),
-            mu=_real(d["mu"]) if "mu" in d else None,
-            r0=_real(d.get("r0", 1.0)),
+            p=json_real(d["p"]),
+            mu=json_real(d["mu"]) if "mu" in d else None,
+            r0=json_real(d.get("r0", 1.0)),
             a=a,
         )
         spec.check_growth(frac, grid)
@@ -200,7 +186,7 @@ def parse_config(text: str) -> RunConfig:
     if mode == "sweep":
         if not m_list:
             raise ValidationError("$.m_list is required in sweep mode")
-        m_list = _built("$.m_list", lambda ms: [_real(m) for m in ms], m_list)
+        m_list = _built("$.m_list", lambda ms: [json_real(m) for m in ms], m_list)
         _built("$.m_list", continuation.check_mass_list, m_list, None)
         if len(m_list) < 2:
             raise ValidationError("$.m_list needs at least two masses: the m = 0 "
@@ -208,7 +194,7 @@ def parse_config(text: str) -> RunConfig:
         if not (grid.omega**2) ** frac.s > 0.0:  # the Sobolev weight (omega^2 |k|^2)^s at |k| = 1
             raise ValidationError(f"$.grid.T = {grid.T!r}: the Sobolev weights underflow to 0")
 
-    seed = _built("$.seed", _integer, doc.get("seed", 0))
+    seed = _built("$.seed", json_integer, doc.get("seed", 0))
     if seed < 0:
         raise ValidationError(f"$.seed must be nonnegative, got {seed}")
     solution_file = doc.get("solution_file")

@@ -36,7 +36,7 @@ from .grids import (
     project_zero_mean,
     random_spectrum,
 )
-from .nonlinearity import Discretization, NonlinearitySpec
+from .nonlinearity import Discretization, NonlinearitySpec, nonlinear_energy
 from . import linking
 
 SOBOLEV_STARTS, SOBOLEV_TRIALS = 10, 200  # random starts; trial steps per start
@@ -51,12 +51,12 @@ class SobolevEstimate:
 @dataclass
 class ContinuationRecord:
     m: float
-    alpha: float
-    hs_norm_T: float  # trace norm in the fixed m = 1 weighting
-    l2_norm: float
-    residual: float
-    solution: Optional[Spectrum]
     status: str
+    alpha: float = math.nan
+    hs_norm_T: float = math.nan  # trace norm in the fixed m = 1 weighting
+    l2_norm: float = math.nan
+    residual: float = math.nan
+    solution: Optional[Spectrum] = None
 
     def row(self):
         return (self.m, self.alpha, self.hs_norm_T, self.l2_norm, self.residual, self.status)
@@ -156,7 +156,8 @@ def sweep_m(
     grid: TorusGrid,
     m0: Optional[float] = None,
 ):
-    """Warm-started linking solves down a decreasing mass list, each meeting linking._stops."""
+    """Linking solves down a decreasing mass list: minimax_search at the first mass and
+    after a failed one, else linking.polish, with no ceiling, from the last point."""
     m_list = list(m_list)
     check_mass_list(m_list, m0)
 
@@ -172,9 +173,8 @@ def sweep_m(
                     raise DomainError(f"solver status {st.status} at m={m}")
                 pt = st.point
             else:  # warm-started from the last point
-                disc = Discretization(grid, p, spec)
-                pt = linking.refine_point(disc.at(warm.U), cfg.ps_tol * linking.POLISH_TOL_FACTOR)
-                if not linking._stops(pt, cfg.ps_tol):
+                pt = linking.polish(Discretization(grid, p, spec).at(warm.U), cfg.ps_tol)
+                if pt is None:
                     raise DomainError(f"trivial branch point at m={m}")
             sol, alpha = Spectrum(grid, pt.U), float(pt.level)
             records.append(
@@ -190,13 +190,7 @@ def sweep_m(
             )
             warm = pt
         except FractorusError as ex:  # a failed mass is recorded and skipped
-            records.append(
-                ContinuationRecord(
-                    m=m, alpha=float("nan"), hs_norm_T=float("nan"),
-                    l2_norm=float("nan"), residual=float("nan"),
-                    solution=None, status=f"Failed: {type(ex).__name__}: {ex}",
-                )
-            )
+            records.append(ContinuationRecord(m=m, status=f"Failed: {type(ex).__name__}: {ex}"))
             warm = None
     return records
 
@@ -209,9 +203,10 @@ def extract_limit(
 ) -> Spectrum:
     """Massless limit of the branch: polish the smallest-m solution at m = 0.
 
-    The mean mode is pinned (kernel of the m = 0 operator); the result must meet
-    linking._stops at m = 0 and be superquadratically active: int f(x,u) u dx
-    >= 2 lambda within tol, with lambda the smallest branch level.
+    The mean mode is pinned (kernel of the m = 0 operator); linking.polish must
+    accept the result at m = 0, with no ceiling, and it must be superquadratically
+    active: int f(x,u) u dx = (p+1) int F(x,u) dx (F is homogeneous, see
+    nonlinearity) >= 2 lambda within tol, with lambda the smallest branch level.
     """
     good = [r for r in records if r.status == "Converged" and r.solution is not None]
     if len(good) < 2:
@@ -228,18 +223,19 @@ def extract_limit(
 
     seed = project_zero_mean(good[-1].solution)
     disc = Discretization(seed.grid, FracParams(p_base.s, 0.0), spec)
-    pt = linking.refine_point(disc.at(seed.coeffs), tol * linking.POLISH_TOL_FACTOR)
-    if not linking._stops(pt, tol):
+    pt = linking.polish(disc.at(seed.coeffs), tol)
+    if pt is None:
         raise LimitCollapsed("m = 0 refinement collapsed to the trivial solution")
     lam_hat = min(r.alpha for r in good)
-    if float(pt.action) < 2.0 * lam_hat - tol:
+    if (spec.p + 1.0) * float(pt.nonlinear_energy) < 2.0 * lam_hat - tol:
         raise LimitCollapsed("superquadratic activity bound failed in the limit")
     return Spectrum(seed.grid, pt.U)
 
 
 def nonlinear_action(spec: NonlinearitySpec, u: Spectrum) -> float:
-    """int f(x, u) u dx, the nontriviality functional of the limit passage."""
-    return float(Discretization(u.grid, None, spec).at(u.coeffs).action)
+    """int f(x, u) u dx, the nontriviality functional of the limit passage:
+    (p+1) int F(x, u) dx, as F is homogeneous of degree p+1 (see nonlinearity)."""
+    return (spec.p + 1.0) * nonlinear_energy(spec, u)
 
 
 def bootstrap_diagnostic(f: Field, q_list):

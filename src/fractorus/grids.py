@@ -29,7 +29,7 @@ DENSE_MAX_ENTRIES = 2**15
 
 
 def _frozen_array(a, dtype):
-    a = np.asarray(a, dtype=dtype)
+    a = np.array(a, dtype=dtype)  # a copy: the caller's array stays writeable and unshared
     a.setflags(write=False)
     return a
 
@@ -447,8 +447,24 @@ def spectrum_to_json(S: Spectrum) -> dict:
     }
 
 
+def json_real(value) -> float:
+    """float(value) of a JSON number, refusing booleans and strings, which
+    float() would take (true -> 1.0, "1e-8" -> 1e-08)."""
+    if isinstance(value, (bool, str)):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def json_integer(value) -> int:
+    """int(value) of a JSON number (see json_real), refusing a fractional
+    part, which int() would truncate (64.9 -> 64)."""
+    if not json_real(value).is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def grid_from_json(doc: dict) -> TorusGrid:
-    return TorusGrid(N=int(doc["N"]), T=float(doc["T"]), n=int(doc["n"]))
+    return TorusGrid(N=json_integer(doc["N"]), T=json_real(doc["T"]), n=json_integer(doc["n"]))
 
 
 def object_from_json(doc: dict) -> Spectrum:
@@ -457,7 +473,7 @@ def object_from_json(doc: dict) -> Spectrum:
     kind = doc.get("kind")
     if kind != "spectrum":
         raise DomainError(f"unknown serialized kind {kind!r}")
-    flat = np.array([complex(re, im) for re, im in doc["data"]])
+    flat = np.array([complex(json_real(re), json_real(im)) for re, im in doc["data"]])
     if not np.all(np.isfinite(flat)):
         raise DomainError("spectrum data must be finite")
     return Spectrum(grid, flat.reshape(grid.shape))

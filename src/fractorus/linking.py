@@ -20,11 +20,11 @@ itself on the grid of n/2 points per axis, with a(x) cut to that band,
 zero-pads the coarse solution to n and finishes it with Newton on the fine
 grid, whose step count does not grow with n (Allgower, Boehmer, Potra &
 Rheinboldt, SIAM J. Numer. Anal. 23 (1986) 160-169).  It keeps that point
-when it meets the search's stopping test (_stops) with the ridge level of
-the grid of n points, so it is nontrivial, and lies at most COARSE_RISE of the
-coarse level above it; a larger rise marks a higher critical point.
-Otherwise (a coarse status other than Converged, a coarse error, a diverged
-Newton) it runs the search on the grid itself, so every outcome but that
+when polish accepts it: it meets the search's stopping test (_stops) with
+the ridge level of the grid of n points, so it is nontrivial, and lies at
+most COARSE_RISE of the coarse level above it; a larger rise marks a higher
+critical point.  Otherwise (a coarse status other than Converged, a coarse
+error, a diverged Newton) it runs the search on the grid itself, so every outcome but that
 accepted point is the direct search's.  The accepted point can be another
 critical point than the direct search's, near it in level.  Its trace is one
 row, the fine point's; delta_hat is the coarse search's, and rho the fine grid's.
@@ -282,14 +282,23 @@ def _stops(pt: Point, tol: float) -> bool:
     return pt.gnorm < tol and pt.disc.ridge[1] <= pt.level < np.inf
 
 
+def polish(pt: Point, tol: float, ceiling: float = np.inf) -> Optional[Point]:
+    """The acceptance rule of every Newton-polished point: refine_point from pt
+    to POLISH_TOL_FACTOR tol, and the point it reaches when that meets
+    _stops(., tol) with a level of at most ceiling, else None.
+    DivergedRefinement propagates."""
+    out = refine_point(pt, tol * POLISH_TOL_FACTOR)
+    return out if _stops(out, tol) and out.level <= ceiling else None
+
+
 def _from_coarse_grid(disc: Discretization, yhat: Spectrum, cfg: LinkingConfig):
     """The search on the grid of n/2 points per axis, when n/2 is even,
     n/2 >= COARSE_MIN_N and (n/2)^N >= COARSE_MIN_POINTS, prolonged to this
-    grid and polished there by Newton to the search's polish tolerance.  Returns its SolverState, or
-    None when the grid is too small, the coarse search does not converge or
-    raises, the polish diverges, or the polished point fails _stops
-    or lies above the coarse level by more than COARSE_RISE of it, which
-    marks a higher critical point than the coarse one."""
+    grid and finished there by polish, with the ceiling COARSE_RISE of the
+    coarse level above it; a higher level marks a higher critical point than
+    the coarse one.  Returns its SolverState, or None when the grid is too
+    small, the coarse search does not converge or raises, the polish diverges,
+    or polish rejects the point."""
     g, nc = disc.grid, disc.grid.n // 2
     if nc % 2 or nc < COARSE_MIN_N or nc**g.N < COARSE_MIN_POINTS:
         return None
@@ -298,17 +307,16 @@ def _from_coarse_grid(disc: Discretization, yhat: Spectrum, cfg: LinkingConfig):
         st = _search(coarse, disc.params, disc.spec.coarsened(coarse), cfg)
         if st.status != "Converged":
             return None
-        pt = refine_point(disc.at(prolong(st.iterate, g).coeffs),
-                          tol=cfg.ps_tol * POLISH_TOL_FACTOR)
+        pt = polish(disc.at(prolong(st.iterate, g).coeffs), cfg.ps_tol,
+                    st.level + COARSE_RISE * abs(st.level))
     except FractorusError:
         return None
-    level = float(pt.level)
-    if not (_stops(pt, cfg.ps_tol) and level <= st.level + COARSE_RISE * abs(st.level)):
+    if pt is None:
         return None
     return SolverState(
         point=pt,
         status="Converged",
-        trace=[(0, level, float(pt.gnorm), *_coordinates(disc, pt.U, yhat))],
+        trace=[(0, float(pt.level), float(pt.gnorm), *_coordinates(disc, pt.U, yhat))],
         delta_hat=st.delta_hat,
         coarse_n=nc,
         coarse_level=st.level,
@@ -358,16 +366,13 @@ def _search(grid: TorusGrid, p: FracParams, spec: NonlinearitySpec, cfg: Linking
             break
 
         if sweep == 0 or cfg.ps_tol <= gnorm < POLISH_AT:
-            try:
-                polished = refine_point(pt, tol=cfg.ps_tol * POLISH_TOL_FACTOR)
-                plev = float(polished.level)
+            try:  # a level <= delta_hat keeps off higher critical points
+                polished = polish(pt, cfg.ps_tol, min(pt.level, delta_hat) * (1.0 + 1e-12))
             except DivergedRefinement:
-                plev = np.nan  # rejected below
-            # a level >= rho is nontrivial; <= delta_hat keeps off higher critical points
-            if rho <= plev <= min(pt.level, delta_hat) * (1.0 + 1e-12):
+                polished = None
+            if polished is not None:  # it meets _stops: the next sweep ends Converged
                 pt = polished
                 c, r = _coordinates(disc, pt.U, yhat)
-                v = Point.stack(Y, pt).combine(np.array([-c, 1.0]) / r)  # (u - c yhat) / r
                 continue
 
         # projected Armijo step of phi(v) = I(P(v)), whose X-gradient is r

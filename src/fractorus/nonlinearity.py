@@ -343,12 +343,6 @@ class Point:
         d = self.disc
         return d.shifted * W.U - d.pairing * restrict_values(self.fprime * W.vals, d.grid)
 
-    @_computed_once
-    def action(self) -> np.ndarray:
-        """int f(x, u) u dx on the padded grid."""
-        d = self.disc
-        return np.sum(f_eval(d.spec, d.coeff_pad, self.vals) * self.vals, axis=d.axes) * d.cell
-
 
 def nonlinear_energy(spec: NonlinearitySpec, u: Spectrum) -> float:
     """int F(x, u(x)) dx by the trapezoid rule on the dealiased grid."""

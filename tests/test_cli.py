@@ -460,6 +460,15 @@ MALFORMED = [
                  id="solution_file-samples-overflow"),
     pytest.param("diagnose", _with(("solution_file",), "{tmp}/non-hermitian.json",
                                    mode="diagnose"), id="solution_file-non-hermitian"),
+    # the grid of a solution file is read with the config's number rules
+    pytest.param("diagnose", _with(("solution_file",), "{tmp}/n-fraction.json", mode="diagnose"),
+                 id="solution_file-grid.n-fraction"),
+    pytest.param("diagnose", _with(("solution_file",), "{tmp}/N-bool.json", mode="diagnose"),
+                 id="solution_file-grid.N-bool"),
+    pytest.param("diagnose", _with(("solution_file",), "{tmp}/T-string.json", mode="diagnose"),
+                 id="solution_file-grid.T-string"),
+    pytest.param("diagnose", _with(("solution_file",), "{tmp}/data-bool.json", mode="diagnose"),
+                 id="solution_file-data-bool"),
     pytest.param("sweep", _with(("grid", "T"), 1e170, mode="sweep", m_list=[0.5, 0.1]),
                  id="grid.T-sweep-weights-underflow"),
     # the cell volume (T/n)^N leaves the floats, on the grid or on the padded grid
@@ -509,6 +518,17 @@ def test_main_malformed_config_exits_config(tmp_path, capsys, mode, doc):
     skew[0] = 1j  # an imaginary mean: no real field has this spectrum
     skew = Spectrum(TorusGrid(1, 2 * np.pi, 64), skew)
     (tmp_path / "non-hermitian.json").write_text(json.dumps(spectrum_to_json(skew)))
+    # the standard grid with one number of another JSON type: int() and float()
+    # would read each as the standard grid
+    cos = spectrum_to_json(forward_transform(field_from_function(TorusGrid(1, 2 * np.pi, 64),
+                                                                 np.cos)))
+    for name, key, value in [("n-fraction", "n", 64.9), ("N-bool", "N", True),
+                             ("T-string", "T", repr(2 * np.pi))]:
+        bad = {**cos, "grid": {**cos["grid"], key: value}}
+        (tmp_path / f"{name}.json").write_text(json.dumps(bad))
+    # complex() takes booleans: [true, false] would read as 1 + 0j
+    bad = {**cos, "data": [[True, False] if abs(re) > 0.1 else [re, im] for re, im in cos["data"]]}
+    (tmp_path / "data-bool.json").write_text(json.dumps(bad))
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(doc).replace("{tmp}", str(tmp_path)))
     code = cli.main([mode, "--config", str(cfg_path), "--output", str(tmp_path)])

@@ -6,10 +6,12 @@ import pytest
 
 from fractorus import continuation, energy
 from fractorus.grids import (
+    Field,
     FracParams,
     Spectrum,
     TorusGrid,
     field_from_function,
+    forward_transform,
     hs_norm,
     random_spectrum,
 )
@@ -17,8 +19,11 @@ from fractorus.nonlinearity import (
     Discretization,
     NonlinearitySpec,
     Point,
+    f_eval,
     nonlinear_energy,
     nonlinear_gradient,
+    pad_coeffs,
+    padded_size,
 )
 
 RTOL = 1e-14
@@ -56,7 +61,7 @@ def case(request, grid):
 
 def test_batch_matches_single_calls(case):
     disc, U, W = case
-    for name in ("level", "grad", "action"):
+    for name in ("level", "grad", "nonlinear_energy"):
         batched = getattr(disc.at(U), name)
         for i in range(K):
             _close(batched[i], getattr(disc.at(U[i]), name))
@@ -82,7 +87,12 @@ def test_public_functions_agree(case):
         _close(energy.gradient(u, p, spec).coeffs, pt.grad)
         _close(energy.gradient(u, p, spec, metric="X").coeffs * disc.full, pt.grad)
         _close(disc.shifted * U[i] - nonlinear_gradient(spec, u).coeffs, pt.grad)
-        _close(continuation.nonlinear_action(spec, u), pt.action)
+        # int f(u) u dx, summed over the padded samples by its own definition
+        m = padded_size(g.n)
+        vals = pad_coeffs(U[i], g, m)
+        coeff = pad_coeffs(forward_transform(Field(g, spec.coefficient(g))).coeffs, g, m)
+        _close(continuation.nonlinear_action(spec, u),
+               np.sum(f_eval(spec, coeff, vals) * vals) * g.cell_at(m))
         _close(hs_norm(u, p), disc.hs_norms(U[i]))
 
 

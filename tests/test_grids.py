@@ -147,6 +147,24 @@ def test_symbol_tables_are_cached_and_read_only(table):
         a[0, 0] = 1.0
 
 
+@pytest.mark.parametrize("view", [False, True], ids=["array", "view"])
+@pytest.mark.parametrize("kind", ["spectrum", "field"])
+def test_a_frozen_value_leaves_the_callers_array_writeable(kind, view, rng):
+    g = TorusGrid(2, 3.0, 8)
+    if kind == "spectrum":
+        base = random_spectrum(g, rng).coeffs.copy()
+    else:
+        base = rng.standard_normal(g.shape)
+    a = base[:, :] if view else base
+    held = Spectrum(g, a).coeffs if kind == "spectrum" else Field(g, a).values
+    assert a.flags.writeable and not np.shares_memory(held, base)
+    assert np.array_equal(held, base)
+    a[0, 0] = 1.0
+    assert held[0, 0] != 1.0
+    with pytest.raises(ValueError):
+        held[0, 0] = 1.0
+
+
 @pytest.mark.parametrize("N,n", [(1, 8), (2, 98), (3, 16)])
 def test_ksq_is_one_array_per_dimension_and_size(N, n):
     ksq = TorusGrid(N, 3.0, n).ksq()

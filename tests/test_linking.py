@@ -545,6 +545,60 @@ def test_newton_stops_at_first_failed_line_search(monkeypatch):
                for (a, ra), (b, rb) in zip(calls, calls[1:]))
 
 
+@pytest.fixture
+def polish_start(grid64, params_half, cubic):
+    """The standard solution scaled by 1.01: a start that Newton polishes back."""
+    pt = linking.minimax_search(grid64, params_half, cubic, linking.LinkingConfig()).point
+    return pt.disc.at(1.01 * pt.U)
+
+
+def test_polish_accepts_refine_points_own_result(monkeypatch, polish_start):
+    refine, seen = linking.refine_point, []
+
+    def recorded(pt, tol, max_iters=60):
+        seen.append((tol, refine(pt, tol, max_iters)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(linking, "refine_point", recorded)
+    out = linking.polish(polish_start, 1e-8)
+    assert [tol for tol, _ in seen] == [1e-8 * linking.POLISH_TOL_FACTOR]
+    assert out is seen[0][1]
+    assert linking._stops(out, 1e-8)
+
+
+def test_polish_rejects_a_level_above_its_ceiling(polish_start):
+    level = float(linking.polish(polish_start, 1e-8).level)
+    assert linking.polish(polish_start, 1e-8, np.nextafter(level, -np.inf)) is None
+    assert float(linking.polish(polish_start, 1e-8, level).level) == level
+
+
+def test_polish_rejects_a_level_below_the_certified_ridge(polish_start):
+    # a point scaled by 1e-10 is already below the polish tolerance, at a level
+    # far below rho_lb
+    tiny = polish_start.disc.at(1e-10 * polish_start.U)
+    assert linking.refine_point(tiny, 1e-9) is tiny
+    assert tiny.level < polish_start.disc.ridge[1]
+    assert linking.polish(tiny, 1e-8) is None
+
+
+def test_polish_propagates_a_diverged_refinement():
+    # the stalling start of test_newton_stops_at_first_failed_line_search
+    g = TorusGrid(1, 2 * np.pi, 8)
+    p, spec = FracParams(0.5, 1.0), NonlinearitySpec(kind="pure_power", p=3.0)
+    rng = np.random.default_rng(42)
+    u0 = random_spectrum(g, rng, decay=0.2).coeffs * (0.5 + 2.0 * rng.random())
+    with pytest.raises(DivergedRefinement, match="stalled"):
+        linking.polish(Discretization(g, p, spec).at(u0), 1e-10)
+
+
+def test_reading_the_iterate_leaves_the_point_writeable(grid64, params_half, cubic):
+    st = linking.minimax_search(grid64, params_half, cubic, linking.LinkingConfig())
+    u = st.iterate
+    assert st.point.U.flags.writeable
+    assert not u.coeffs.flags.writeable and not np.shares_memory(u.coeffs, st.point.U)
+    assert np.array_equal(u.coeffs, st.point.U)
+
+
 def test_newton_at_zero_mass_keeps_the_mean_coefficient(grid64, cubic):
     # at m = 0 no step moves the mean mode: the refined spectrum keeps the
     # nonzero mean coefficient of the start bitwise while its other modes move
