@@ -157,7 +157,9 @@ def sweep_m(
     m0: Optional[float] = None,
 ):
     """Linking solves down a decreasing mass list: minimax_search at the first mass and
-    after a failed one, else linking.polish, with no ceiling, from the last point."""
+    after a failed one, else linking.polish, with no ceiling, from the last point.
+    A failed mass is recorded as "Failed: <status> at m=<m>", NoNontrivialSolution
+    for a warm point polish rejects, or "Failed: <class>: <message>" of an error."""
     m_list = list(m_list)
     check_mass_list(m_list, m0)
 
@@ -169,29 +171,27 @@ def sweep_m(
         try:
             if warm is None:
                 st = linking.minimax_search(grid, p, spec, cfg)
-                if st.status != "Converged":
-                    raise DomainError(f"solver status {st.status} at m={m}")
-                pt = st.point
+                pt, status = st.point, st.status
             else:  # warm-started from the last point
                 pt = linking.polish(Discretization(grid, p, spec).at(warm.U), cfg.ps_tol)
-                if pt is None:
-                    raise DomainError(f"trivial branch point at m={m}")
-            sol, alpha = Spectrum(grid, pt.U), float(pt.level)
-            records.append(
-                ContinuationRecord(
+                status = "NoNontrivialSolution" if pt is None else "Converged"
+            if status == "Converged":
+                sol = Spectrum(grid, pt.U)
+                rec = ContinuationRecord(
                     m=m,
-                    alpha=alpha,
+                    alpha=float(pt.level),
                     hs_norm_T=hs_norm(sol, ref_params),
                     l2_norm=sol.l2_norm(),
                     residual=float(pt.gnorm),
                     solution=sol,
-                    status="Converged",
+                    status=status,
                 )
-            )
-            warm = pt
-        except FractorusError as ex:  # a failed mass is recorded and skipped
-            records.append(ContinuationRecord(m=m, status=f"Failed: {type(ex).__name__}: {ex}"))
-            warm = None
+            else:
+                rec = ContinuationRecord(m=m, status=f"Failed: {status} at m={m}")
+        except FractorusError as ex:
+            rec = ContinuationRecord(m=m, status=f"Failed: {type(ex).__name__}: {ex}")
+        records.append(rec)
+        warm = pt if rec.solution is not None else None
     return records
 
 

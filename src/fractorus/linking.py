@@ -49,7 +49,6 @@ from .grids import (
     multiplier,
     project_zero_mean,
     prolong,
-    random_spectrum,
 )
 from .nonlinearity import Discretization, NonlinearitySpec, Point
 
@@ -61,7 +60,6 @@ from . import energy  # noqa: F401
 ARMIJO_SLOPE = 1e-4
 ARMIJO_SHRINK = 0.5
 GRID_A = (9, 17)  # (n_c, n_r) sample points of the linking rectangle
-RIDGE_DIRS = 16  # random sphere directions besides the axis mode and z
 POLISH_AT = 1e-2  # after the first peak, polish once the dual residual is below this
 POLISH_TOL_FACTOR = 0.1  # a Newton polish stops at this fraction of the stopping tolerance
 ALIGN_NEWTON_STEPS = 8  # Newton steps polishing the grid shift in align_spectra
@@ -161,17 +159,13 @@ def ridge_estimate(grid: TorusGrid, p: FracParams, spec: NonlinearitySpec):
     """Sampled ridge radius eta and level rho-hat on the zero-mean sphere, a
     diagnostic: an upper estimate of the infimum that Discretization.ridge
     bounds below.
-    Directions include the |k| = 1 axis mode (the sharp coercivity minimizer)
-    and the linking z-direction alongside random draws; projected descent on
-    its sphere then sharpens the best sampled radius once."""
+    The two sampled directions are the |k| = 1 axis mode (the sharp
+    coercivity minimizer) and the linking z-direction; no draw is random.
+    Projected descent on the sphere of the best sampled radius then lowers
+    the level from the lower of the two."""
     disc = Discretization(grid, p, spec)
     radii = np.geomspace(1e-2, 4.0, 40)
-    rng = np.random.default_rng(0)
-    dirs = [_axis_mode(grid, p), pick_z_direction(grid, p)]
-    for _ in range(RIDGE_DIRS):
-        d = random_spectrum(grid, rng, decay=0.5, zero_mean=True)
-        dirs.append(Spectrum(grid, d.coeffs / disc.hs_norms(d.coeffs)))
-    D = np.stack([d.coeffs for d in dirs])
+    D = np.stack([_axis_mode(grid, p).coeffs, pick_z_direction(grid, p).coeffs])
     lv = np.stack([disc.at(r * D).level for r in radii])
     i = int(np.argmax(np.min(lv, axis=1)))
     j = int(np.argmin(lv[i]))
@@ -197,8 +191,6 @@ def _sphere_step(pt: Point, v: Point, radius, scale, step, value):
     inner = np.real(np.sum(disc.full * gX * np.conj(v.U))) / radius**2
     tang = scale * (gX - inner * v.U)
     sz = disc.hs_norms(tang)
-    if sz < 1e-14:
-        return None
     line = Point.stack(v, disc.at(tang))
     trial = step
     for _ in range(30):

@@ -304,6 +304,39 @@ def test_diagnose_without_a_holder_step(tmp_path, capsys):
     assert doc["holder_note"].startswith("DomainError: holder_proxy needs a step h < T/4")
 
 
+def test_diagnose_without_a_solution_file_exits_config(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(_doc(mode="diagnose"))
+    assert cli.main(["diagnose", "--config", str(cfg_path), "--output", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == ("config error: $.solution_file is required in "
+                                       "diagnose mode\n")
+
+
+def test_diagnose_in_2d_adds_the_ladder_exponents(tmp_path):
+    # N = 2, s = 3/4: the rungs 2 (N/(N-2s))^k are 2, 8, 32 and 128
+    g = TorusGrid(2, 2 * np.pi, 8)
+    u = forward_transform(field_from_function(g, lambda x, y: np.cos(x) * np.cos(y)))
+    (tmp_path / "u.json").write_text(json.dumps(spectrum_to_json(u)))
+    cfg = cli.parse_config(json.dumps(_with(("grid",), {"N": 2, "T": g.T, "n": 8},
+                                            mode="diagnose", frac={"s": 0.75, "m": 1.0},
+                                            solution_file=str(tmp_path / "u.json"))))
+    assert cli.run(cfg, output_dir=tmp_path) == cli.EXIT_OK
+    doc = json.loads((tmp_path / "diagnose.json").read_text())
+    assert [row["q"] for row in doc["bootstrap"]] == [2.0, 4.0, 8.0, 16.0, 32.0, 128.0]
+
+
+def test_main_other_library_error_exits_verify(tmp_path, capsys, monkeypatch):
+    # a FractorusError outside the config and solver classes: exit 4, one line
+    def refused(*args):
+        raise DomainError("forced")
+
+    monkeypatch.setattr(linking, "minimax_search", refused)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(_doc())
+    assert cli.main(["solve", "--config", str(cfg_path), "--output", str(tmp_path)]) == 4
+    assert capsys.readouterr().err == "error: DomainError: forced\n"
+
+
 @pytest.mark.parametrize("m", [0.0, 1e-300])
 def test_verify_at_zero_mass_exits_ok(tmp_path, m):
     # the k = 0 mode has a zero multiplier and stays in the L2 metric of the X-gradient
@@ -606,11 +639,11 @@ _UNREACHABLE = {"max_iters": 1, "ps_tol": 1e-30}
     pytest.param("solve", _with(("solver",), _UNREACHABLE), "solver error: MaxIters: ",
                  id="solve"),
     pytest.param("sweep", _with(("solver",), _UNREACHABLE, mode="sweep", m_list=[0.5, 0.1]),
-                 "solver error: Failed: DomainError: solver status MaxIters", id="sweep"),
+                 "solver error: Failed: MaxIters at m=0.5", id="sweep"),
     # the Sobolev ascent's trial steps overflow the L^q norm; they are rejected
     pytest.param("sweep", _with(("grid",), {"N": 1, "T": 1e-30, "n": 16}, mode="sweep",
                                 m_list=[0.05, 0.01]),
-                 "solver error: Failed: DomainError: solver status Stalled", id="sweep-T-tiny"),
+                 "solver error: Failed: Stalled at m=0.05", id="sweep-T-tiny"),
     # the Sobolev ascent's factor num ** (1 - q), q = 200, overflows, or num underflows
     # to 0 and the factor is a division by zero; the start ends there
     pytest.param("sweep", _extreme("sweep", 2, 8, 1e-150, s=0.99, m=1e-300),
@@ -625,7 +658,7 @@ _UNREACHABLE = {"max_iters": 1, "ps_tol": 1e-30}
     pytest.param("solve", _extreme("solve", 2, 8, 1e-30, s=0.99),
                  "solver error: Stalled: ", id="solve-2d-T-1e-30-descent-overflow"),
     pytest.param("sweep", _extreme("sweep", 2, 8, 1e-30, s=0.99),
-                 "solver error: Failed: DomainError: solver status Stalled",
+                 "solver error: Failed: Stalled at m=",
                  id="sweep-2d-T-1e-30-descent-overflow"),
 ])
 def test_main_unconverged_run_exits_solver(tmp_path, capsys, mode, doc, prefix):

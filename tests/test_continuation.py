@@ -221,7 +221,7 @@ def test_sweep_failed_row_keeps_message(sweep_setup):
     cfg = linking.LinkingConfig(max_iters=1, ps_tol=1e-30)
     (rec,) = continuation.sweep_m([0.5], p, spec, cfg, grid)
     assert rec.solution is None
-    assert rec.status == "Failed: DomainError: solver status MaxIters at m=0.5"
+    assert rec.status == "Failed: MaxIters at m=0.5"
 
 
 def test_sweep_trivial_warm_point_fails_its_mass(sweep_setup, monkeypatch):
@@ -238,7 +238,7 @@ def test_sweep_trivial_warm_point_fails_its_mass(sweep_setup, monkeypatch):
     monkeypatch.setattr(linking, "minimax_search", tiny)
     recs = continuation.sweep_m([0.5, 0.1], p, spec, cfg, grid)
     assert recs[1].solution is None
-    assert recs[1].status == "Failed: DomainError: trivial branch point at m=0.1"
+    assert recs[1].status == "Failed: NoNontrivialSolution at m=0.1"
 
 
 def test_sweep_and_limit_compute_each_ridge_once(sweep_setup, monkeypatch):
@@ -309,6 +309,21 @@ def test_extract_limit_growing_increments_are_not_cauchy(sweep_setup, sweep_reco
                                    p, spec)
 
 
+def test_extract_limit_a_twentyfold_increment_is_not_cauchy(sweep_setup, sweep_records):
+    # the last increment stretched to 20 times the largest earlier one: above
+    # the factor 10 that the branch's Cauchy check allows
+    grid, p, spec, _ = sweep_setup
+    _, recs = sweep_records
+    pm1 = FracParams(0.5, 1.0)
+    sols = [r.solution.coeffs for r in recs]
+    top = max(hs_norm(Spectrum(grid, a - b), pm1) for a, b in zip(sols[:-2], sols[1:-1]))
+    step = sols[-1] - sols[-2]
+    far = Spectrum(grid, sols[-2] + 20.0 * top / hs_norm(Spectrum(grid, step), pm1) * step)
+    with pytest.raises(NotCauchy):
+        continuation.extract_limit(recs[:-1] + [dataclasses.replace(recs[-1], solution=far)],
+                                   p, spec)
+
+
 def test_extract_limit_inactive_limit_collapses(sweep_setup, sweep_records):
     # branch levels 1e3 times too high: the nontrivial limit's action
     # int f(u) u dx falls short of twice the smallest of them
@@ -334,6 +349,8 @@ def test_bootstrap_closed_forms(sweep_setup):
     assert abs(table[4.0] - (3 * np.pi / 4) ** 0.25) < 1e-12
     zero = inverse_transform(Spectrum(grid, np.zeros(grid.shape, complex)))
     assert all(v == 0.0 for _, v in continuation.bootstrap_diagnostic(zero, [2.0, 8.0]))
+    with pytest.raises(DomainError, match=">= 2"):
+        continuation.bootstrap_diagnostic(zero, [1.5, 2.0])
 
 
 def test_ladder_arithmetic():
@@ -373,6 +390,24 @@ def test_holder_proxy_insufficient_decay():
     u = Spectrum(g, c)
     with pytest.raises(InsufficientDecay):
         continuation.holder_proxy(u, inverse_transform(u))
+
+
+def test_holder_proxy_refuses_a_fifteen_percent_top_band():
+    # 15 % of the energy at |k| = 15 > n/4, the rest at |k| = 1: above the 10 % allowed
+    g = TorusGrid(1, 2 * np.pi, 32)
+    c = np.zeros(g.shape, complex)
+    c[1] = c[-1] = np.sqrt(0.85)
+    c[g.n // 2 - 1] = c[-(g.n // 2 - 1)] = np.sqrt(0.15)
+    u = Spectrum(g, c)
+    with pytest.raises(InsufficientDecay, match="0.15"):
+        continuation.holder_proxy(u, inverse_transform(u))
+
+
+def test_holder_proxy_of_a_zero_field_raises():
+    g = TorusGrid(1, 2 * np.pi, 32)
+    zero = Spectrum(g, np.zeros(g.shape, complex))
+    with pytest.raises(DomainError, match="nontrivial field"):
+        continuation.holder_proxy(zero, inverse_transform(zero))
 
 
 def test_extract_limit_degenerate_probe_collapses(sweep_setup, sweep_records):

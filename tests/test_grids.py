@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fractorus import grids
-from fractorus.errors import DomainError, SymmetryViolation
+from fractorus.errors import BadExponent, DomainError, SymmetryViolation
 from fractorus.grids import (
     MAX_GRID_POINTS,
     Field,
@@ -126,6 +126,21 @@ def test_inverse_transform_rejects_asymmetric(grid64):
         inverse_transform(Spectrum(grid64, c))
 
 
+def test_inverse_transform_rejects_a_defect_above_1e_8(grid64):
+    # a relative defect of 2e-6 from cos x, far above rounding and far below 1e-4
+    c = np.zeros(grid64.shape, complex)
+    c[1], c[-1] = 0.5 + 1e-6, 0.5
+    with pytest.raises(SymmetryViolation, match="Hermitian defect 2.000e-06"):
+        inverse_transform(Spectrum(grid64, c))
+
+
+def test_fields_and_spectra_refuse_the_wrong_shape(grid64):
+    with pytest.raises(DomainError, match="values shape"):
+        Field(grid64, np.zeros(63))
+    with pytest.raises(DomainError, match="coeffs shape"):
+        Spectrum(grid64, np.zeros((64, 1), complex))
+
+
 @pytest.mark.parametrize("N", [1, 2, 3])
 def test_inverse_transform_is_the_pad_at_n(N, rng):
     g = TorusGrid(N, 3.0, 8)
@@ -204,6 +219,8 @@ def test_lq_norms(grid64):
     assert abs(lq_norm(u, 2) - np.sqrt(np.pi)) < 1e-12
     assert abs(lq_norm(u, 4) - (3 * np.pi / 4) ** 0.25) < 1e-12
     assert abs(lq_norm(u, np.inf) - 1.0) < 1e-12
+    with pytest.raises(BadExponent):
+        lq_norm(u, 0.5)
 
 
 def test_serialization_roundtrip(grid64, rng):

@@ -1,6 +1,7 @@
 """Minimax solver: linking geometry, deformation flow, Newton polish."""
 
 import dataclasses
+import types
 
 import numpy as np
 import pytest
@@ -328,9 +329,10 @@ def test_rejected_fine_point_falls_back_to_the_direct_search(monkeypatch, solve_
             forced.append(grid)
             if force == "coarse-max-iters":
                 return dataclasses.replace(st, status="MaxIters")
-            if force == "fine-level-above-coarse":  # the same point, read at a lower level
+            if force == "fine-level-above-coarse":  # the same point, read 1 % lower:
+                # the fine polish lies 1 % above it, ten times COARSE_RISE
                 low = nonlinearity.Point(st.point.disc, st.point.U, st.point.vals)
-                low.__dict__["level"] = st.level * (1.0 - 2 * linking.COARSE_RISE)
+                low.__dict__["level"] = st.level * 0.99
                 return dataclasses.replace(st, point=low)
         return st
 
@@ -351,6 +353,25 @@ def test_rejected_fine_point_falls_back_to_the_direct_search(monkeypatch, solve_
         direct.status, direct.level, direct.rho, direct.delta_hat)
     assert st.coarse_n is None and st.coarse_level is None
     assert np.array_equal(st.iterate.coeffs, direct.iterate.coeffs)
+
+
+def test_fine_point_slightly_above_the_coarse_level_is_kept(monkeypatch, solve_2d_n32):
+    # the coarse point read 0.05 % below the fine level: within COARSE_RISE, so
+    # the fine polish is kept, and a 1 % rise is not (the test above)
+    g, p, spec, st = solve_2d_n32
+    search = linking._search
+
+    def coarse_search(grid, *args):
+        got = search(grid, *args)
+        if grid != g:
+            low = nonlinearity.Point(got.point.disc, got.point.U, got.point.vals)
+            low.__dict__["level"] = st.level / (1.0 + 5e-4)
+            return dataclasses.replace(got, point=low)
+        return got
+
+    monkeypatch.setattr(linking, "_search", coarse_search)
+    again = linking.minimax_search(g, p, spec, linking.LinkingConfig())
+    assert again.coarse_n == 16 and again.level == st.level
 
 
 def test_coarse_to_fine_solve_is_one_call_of_minimax_search(monkeypatch, solve_2d_n32):
@@ -700,3 +721,144 @@ def test_minres_solves_the_dense_band_system(kind):
     want = np.tensordot(c, E, 1)
     got = linking._minres(J, lambda r: disc.inv_full * r, b, 0.0, len(E))
     assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+def test_newton_step_meets_forcing_term_on_a_rough_start():
+    # white-noise coefficients at s = 1/4: MINRES needs 46 of the 64 iterations
+    # the grid allows, so a cap below the grid size would stop it short
+    g = TorusGrid(1, 2 * np.pi, 64)
+    disc = Discretization(g, FracParams(0.25, 1.0), NonlinearitySpec(kind="pure_power", p=3.0))
+    pt = disc.at(random_spectrum(g, np.random.default_rng(0), decay=0.0).coeffs)
+    rnorm = float(pt.gnorm)
+    s = linking._newton_step(pt)
+    assert disc.dual_norms(pt.linearization(disc.at(s)) + pt.grad) <= min(1e-2, rnorm) * rnorm
+
+
+def test_minres_on_a_null_direction_returns_the_zero_step(grid64, cubic):
+    # at m = 0 the constant mode spans the kernel of the linearization at 0:
+    # no x lowers |b - J x|, and the rotation's norm is 0, floored at TINY
+    disc = Discretization(grid64, FracParams(0.5, 0.0), cubic)
+    zero = disc.at(np.zeros(grid64.shape, complex))
+    b = np.zeros(grid64.shape, complex)
+    b[0] = 1.0
+    x = linking._minres(lambda w: zero.linearization(disc.at(w)), disc.precondition, b, 0.0, 8)
+    assert np.array_equal(x, np.zeros_like(b))
+
+
+def test_align_spectra_keeps_the_best_grid_shift(params_half):
+    # two unrelated rough spectra: Newton from the best grid shift ends at a
+    # far lower correlation, so the grid shift is kept
+    g = TorusGrid(2, 2 * np.pi, 8)
+    rng = np.random.default_rng(35)
+    ref, cand = (random_spectrum(g, rng, decay=0.0, zero_mean=True) for _ in range(2))
+    full = multiplier(g, params_half)
+    best = np.max(np.abs(np.fft.fftn(full * np.conj(ref.coeffs) * cand.coeffs).real))
+    back = linking.align_spectra(ref, cand, params_half)
+    assert np.real(np.sum(full * np.conj(ref.coeffs) * back.coeffs)) >= best * (1.0 - 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the step rules of the search, each on a forced instance its constant decides
+
+@pytest.fixture
+def sphere_point(grid64, params_half, cubic):
+    """A point of the zero-mean H^s sphere of radius 1/2."""
+    disc = Discretization(grid64, params_half, cubic)
+    return disc.at(0.5 * linking.pick_z_direction(grid64, params_half).coeffs)
+
+
+@pytest.mark.parametrize("step,reads,want", [
+    pytest.param(1.0, lambda lvl: [lvl - 1.0], 1.5, id="next-step-1.5t"),
+    pytest.param(4.0, lambda lvl: [lvl - 1.0], 4.0, id="next-step-at-most-4"),
+    # one ulp below the level is a decrease, but not by ARMIJO_SLOPE t |tang|^2
+    pytest.param(1.0, lambda lvl: [np.nextafter(lvl, -np.inf), lvl - 1.0], 0.75,
+                 id="sufficient-decrease"),
+    pytest.param(1.0, lambda lvl: [lvl] * 29 + [lvl - 1.0], 1.5 * 2.0**-29, id="29-halvings"),
+    pytest.param(1.0, lambda lvl: [lvl] * 30, None, id="no-31st-trial"),
+])
+def test_sphere_step_rules(sphere_point, step, reads, want):
+    # the trials read these levels in turn, in place of the peak's
+    levels = iter(reads(float(sphere_point.level)))
+    moved = linking._sphere_step(sphere_point, sphere_point, 0.5, 1.0, step,
+                                 lambda w: (types.SimpleNamespace(level=next(levels)),))
+    assert (moved and moved[0]) == want
+
+
+class _Plane:
+    """A stand-in basis of _peak: the level f(c, r) of a plane with gradient
+    grad and a zero Hessian, so every step of _peak is the gradient."""
+
+    def __init__(self, f, grad):
+        self.f, self.grad = f, grad
+
+    def combine(self, x):
+        pt = types.SimpleNamespace(level=self.f(x))
+        pt.plane = lambda W: (np.array(self.grad, dtype=float), np.zeros((2, 2)))
+        return pt
+
+
+@pytest.mark.parametrize("slope,r", [
+    pytest.param(1.0, 51.0, id="fifty-steps"),  # every step rises: the cap ends it
+    # a rise g.d of 1e-12 |level| is resolved and climbed; one of 1e-16 |level| is not
+    pytest.param(1e-6, 1.0 + 50e-6, id="rise-1e-12"),
+    pytest.param(1e-8, 1.0, id="rise-1e-16"),
+])
+def test_peak_climbs_fifty_steps_while_the_rise_is_resolved(slope, r):
+    plane = _Plane(lambda x: 1.0 + slope * x[1], (0.0, slope))
+    _, c, got = linking._peak(plane, 0.0, 1.0)
+    assert c == 0.0 and got == pytest.approx(r, rel=1e-12)
+
+
+def test_peak_stays_at_positive_r():
+    # the level rises toward r < 0, across the support line r = 0
+    _, _, r = linking._peak(_Plane(lambda x: -x[1], (0.0, -1.0)), 0.0, 0.5)
+    assert r > 0.0
+
+
+@pytest.mark.parametrize("scale,match", [
+    pytest.param(1e-7, "stalled", id="too-short"),  # decrease but no sufficient decrease
+    pytest.param(2.0**10, None, id="ten-halvings"),  # lam = 2^-10 is the Newton step
+])
+def test_refine_point_backtracks(monkeypatch, polish_start, scale, match):
+    newton_step, calls = linking._newton_step, []
+
+    def scaled(pt):
+        calls.append(pt)
+        return scale * newton_step(pt)
+
+    monkeypatch.setattr(linking, "_newton_step", scaled)
+    if match:
+        with pytest.raises(DivergedRefinement, match=match):
+            linking.refine_point(polish_start, 1e-9)
+        assert len(calls) == 1
+    else:
+        assert linking.refine_point(polish_start, 1e-9).gnorm < 1e-9
+
+
+def test_polish_aims_at_a_tenth_of_the_tolerance(monkeypatch, polish_start):
+    # half Newton steps halve the residual: the polish stops within a factor
+    # of 2 of the tolerance it aims at, 1e-9 for a stopping tolerance 1e-8
+    newton_step = linking._newton_step
+    monkeypatch.setattr(linking, "_newton_step", lambda pt: 0.5 * newton_step(pt))
+    assert linking.polish(polish_start, 1e-8).gnorm < 1e-9
+
+
+def test_a_peak_below_the_ridge_level_ends_the_search(monkeypatch, grid64, params_half, cubic):
+    # the first peak, forced to 3/4 of rho_lb: the search ends there,
+    # NoNontrivialSolution, without a polish or a sphere step
+    peak, rho = linking._peak, Discretization(grid64, params_half, cubic).ridge[1]
+
+    def low_peak(W, c, r):
+        pt, c, r = peak(W, c, r)
+        lo, hi = 0.0, 1.0  # level(t U) rises from 0 at t = 0 past rho at t = 1
+        for _ in range(60):
+            t = 0.5 * (lo + hi)
+            lo, hi = (t, hi) if pt.disc.at(t * pt.U).level < 0.75 * rho else (lo, t)
+        return pt.disc.at(lo * pt.U), lo * c, lo * r
+
+    monkeypatch.setattr(linking, "_peak", low_peak)
+    monkeypatch.setattr(linking, "polish", None)
+    monkeypatch.setattr(linking, "_sphere_step", None)
+    st = linking.minimax_search(grid64, params_half, cubic, linking.LinkingConfig())
+    assert st.status == "NoNontrivialSolution" and len(st.trace) == 1
+    assert st.level == pytest.approx(0.75 * rho, rel=1e-12)

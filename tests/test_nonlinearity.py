@@ -52,6 +52,10 @@ def test_spec_validation(grid64):
     a = Field(grid64, np.full(grid64.shape, 2.0**40))
     with pytest.raises(ValidationError, match="r0"):
         NonlinearitySpec(kind="modulated_power", p=30.0, r0=1e9, a=a)
+    with pytest.raises(ValidationError, match="requires a coefficient field"):
+        NonlinearitySpec(kind="modulated_power", p=3.0)
+    with pytest.raises(ValidationError, match="takes no coefficient field"):
+        NonlinearitySpec(kind="pure_power", p=3.0, a=Field(grid64, np.ones(grid64.shape)))
 
 
 def test_sign_changing_modulation_rejected(grid64):
