@@ -29,10 +29,12 @@ is printed per item:
 
 `pad_calls` counts every band sample: the dealiasing pads, the Sobolev
 ascent's samples and `inverse_transform`, the pad at m = n.  The searches
-combine samples they hold, so the ascent pads once per start and once per
-ascent direction, not per trial.  At seed 11 and 20 s that makes 6,477 calls
-sampling 6,506 rows over the `sweep-1d-n256` items (2,007 in the ascent and
-3,836 in MINRES applies) and 462 calls and rows over the `verify-mixed` items.
+combine samples they hold, so the ascent samples each start and each ascent
+direction once, not each trial, and its lockstep rounds pad the starts'
+directions together: one call per round.  At seed 11 and 20 s that makes
+3,963 calls sampling 5,428 rows over the `sweep-1d-n256` items (571 calls
+sampling 2,007 rows in the ascent, 2,721 MINRES applies) and 462 calls and
+rows over the `verify-mixed` items.
 `pad_sites` splits the calls by search site, so the pad census of a workload
 is the sum of its items' `pad_sites`.
 

@@ -1,7 +1,8 @@
 """Mass continuation m -> 0 and regularity diagnostics.
 
 The branch is tracked by warm-started linking solves at a decreasing list of
-masses below m0 = 1/(2 C^2), C the discrete critical-Sobolev constant; the
+masses below m0 = 1/(2 C^2), C the discrete critical-Sobolev constant, each
+started from the secant through the two previous solutions; the
 massless limit is then polished at m = 0 with the mean mode pinned to zero
 (constants are in the kernel there).  The bootstrap table and the Holder
 proxy mirror the integrability ladder and the continuity statement as
@@ -10,6 +11,7 @@ diagnostics, not certificates.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -28,18 +30,19 @@ from .grids import (
     FracParams,
     Spectrum,
     TorusGrid,
-    forward_transform,
     hs_norm,
     lq_norm,
     multiplier,
+    nyquist_weight,
     pad_coeffs,
     project_zero_mean,
-    random_spectrum,
+    restrict_values,
 )
 from .nonlinearity import Discretization, NonlinearitySpec, nonlinear_energy
 from . import linking
 
 SOBOLEV_STARTS, SOBOLEV_TRIALS = 10, 200  # random starts; trial steps per start
+SOBOLEV_ROUND_FLOATS = 2**13  # trial samples per round of the ascent, >= one trial per live start
 
 
 @dataclass(frozen=True)
@@ -80,6 +83,13 @@ def estimate_sobolev_constant(
     c + t d for the step t, halved after each rejection.  So c is padded
     once per start and d once per direction: a trial's samples are u + t u_d
     and its den^2 is den^2 + 2 t Re<c, wts d> + t^2 <d, wts d>.
+    The starts ascend in lockstep rounds.  A round takes the directions of
+    the starts whose iterate moved with one transform and one pad, then
+    samples the next trials of every live start at once: its step and the
+    halvings after it, at most SOBOLEV_ROUND_FLOATS samples in all but at
+    least one trial per start.  Each start reads its trials in order, in
+    floats, up to the first that rises, as it would alone; so C and m0 are
+    bit for bit those of the starts run one after another, one trial at a time.
     Raises DomainError when a sample is not finite, or when |u|^q
     underflows on every start, so that C^2 rounds to 0 and m0 is no float.
     """
@@ -91,50 +101,99 @@ def estimate_sobolev_constant(
         # large fixed surrogate so the constant stays finite and reportable
         q = 16.0
     wts = multiplier(grid, FracParams(p.s, 0.0))  # (omega^2 |k|^2)^s
-    vol, zero = grid.cell_volume, (0,) * grid.N
+    vol, nyq = grid.cell_volume, nyquist_weight(grid)
+    mean, col = (slice(None),) + (0,) * grid.N, (-1,) + (1,) * grid.N  # of a batch of spectra
 
-    def lq(u):  # |u|_q of the samples u
-        sq = np.sum(np.abs(u) ** q)
+    def lq(sq, u):  # |u|_q of the samples u, from sq = sum |u|^q
         # a non-finite sample makes the sum non-finite
         if not (math.isfinite(sq) or np.all(np.isfinite(u))):
             raise DomainError("field values must be finite")
-        return float((sq * vol) ** (1.0 / q))
+        return (sq * vol) ** (1.0 / q)
 
-    best = 0.0
-    for _ in range(SOBOLEV_STARTS):
-        c = random_spectrum(grid, rng, decay=0.3, zero_mean=True).coeffs.copy()
-        u = pad_coeffs(c, grid, grid.n)
-        num, den2 = lq(u), np.vdot(c, wts * c).real
-        val, step, d = num / np.sqrt(den2), 0.5, None
-        for _ in range(SOBOLEV_TRIALS):
-            if d is None:
-                # gradient of num - log den, not of log(num/den) (g_num num^(-q));
-                # kept, as the sweep masses are gated on its m0 (ROADMAP item 10)
-                g_u = np.abs(u) ** (q - 1.0) * np.sign(u)
-                if not np.all(np.isfinite(g_u)):
-                    break  # |u|^(q-1) overflows: the start ends where it is
-                g_num = forward_transform(Field(grid, g_u)).coeffs
+    # each start as random_spectrum(grid, rng, decay=0.3, zero_mean=True) draws it
+    c = nyq * restrict_values(rng.standard_normal((SOBOLEV_STARTS,) + grid.shape), grid)
+    c = c * np.exp(-0.3 * np.sqrt(grid.ksq()))
+    c[mean] = 0.0
+    u = pad_coeffs(c, grid, grid.n)
+    num = [lq(sq, row) for sq, row in zip(_q_sums(u, q), u)]
+    den2 = [np.vdot(row, wts * row).real for row in c]
+    val = [float(a / np.sqrt(b)) for a, b in zip(num, den2)]
+    den2 = [float(b) for b in den2]
+    d, u_d = np.zeros_like(c), np.zeros_like(u)
+    step, left, cross, dd = ([x] * SOBOLEV_STARTS for x in (0.5, SOBOLEV_TRIALS, 0.0, 0.0))
+    live = [i for i in range(SOBOLEV_STARTS) if left[i] > 0]
+    moved = live  # the live starts whose iterate moved: each needs a direction
+    while live:
+        if moved:
+            # gradient of num - log den, not of log(num/den) (g_num num^(-q));
+            # kept, as the sweep masses are gated on its m0 (ROADMAP item 10)
+            g_u = np.abs(u_m := u[moved]) ** (q - 1.0) * np.sign(u_m)
+            ok = np.all(np.isfinite(g_u.reshape(len(moved), -1)), axis=1)
+            factor = np.zeros(len(moved))
+            for j, i in enumerate(moved):
                 try:
-                    d = g_num * (num ** (1.0 - q)) - (wts * c) / den2
+                    factor[j] = num[i] ** (1.0 - q)
                 except (OverflowError, ZeroDivisionError):
-                    break  # num ** (1 - q) is no float: the start ends where it is
-                d[zero] = 0.0
-                u_d = pad_coeffs(d, grid, grid.n)
-                cross, dd = 2.0 * np.vdot(c, wts * d).real, np.vdot(d, wts * d).real
-            trial = u + step * u_d
-            t_num, t_den2 = lq(trial), den2 + step * cross + step**2 * dd
-            quot = t_num / np.sqrt(t_den2)
-            if val < quot < np.inf:
-                c, u, num, den2, val, d = c + step * d, trial, t_num, t_den2, quot, None
-                step = min(step * 1.3, 2.0)
-            else:
-                step *= 0.5
-                if step < 1e-10:
+                    ok[j] = False
+            if not ok.all():  # |u|^(q-1) overflows or num ** (1 - q) is no float
+                ended = {i for i, keep in zip(moved, ok) if not keep}
+                live = [i for i in live if i not in ended]  # they end where they are
+                moved = [i for i in moved if i not in ended]
+        if moved:
+            D = (nyq * restrict_values(g_u[ok], grid) * factor[ok].reshape(col)
+                 - (wts * c[moved]) / np.reshape([den2[i] for i in moved], col))
+            D[mean] = 0.0
+            d[moved], u_d[moved] = D, pad_coeffs(D, grid, grid.n)
+            for i, row, w_row in zip(moved, D, wts * D):
+                cross[i] = 2.0 * float(np.vdot(c[i], w_row).real)
+                dd[i] = float(np.vdot(row, w_row).real)
+        if not live:
+            break
+        # each live start's trials: its step, then halvings down to the 1e-10
+        # floor, within its budget and its share of the round
+        share = max(1, SOBOLEV_ROUND_FLOATS // (len(live) * grid.size))
+        steps, owner = [], []
+        for i in live:
+            t = step[i]
+            for _ in range(min(share, left[i])):
+                steps.append(t)
+                owner.append(i)
+                t *= 0.5
+                if t < 1e-10:
                     break
-        best = max(best, val)
+        trial = u_d[owner] * np.reshape(steps, col)
+        trial += u[owner]  # u + t u_d
+        sq, moved, rose, at = _q_sums(trial, q), [], [], []
+        for i, rows in itertools.groupby(range(len(owner)), owner.__getitem__):
+            for k in rows:
+                t = steps[k]
+                t_num, t_den2 = lq(sq[k], trial[k]), den2[i] + t * cross[i] + t**2 * dd[i]
+                left[i] -= 1
+                # t_num / sqrt(t_den2) is inf or nan where t_den2 <= 0: no rise
+                if t_den2 > 0.0 and val[i] < (quot := t_num / math.sqrt(t_den2)) < math.inf:
+                    num[i], den2[i], val[i], step[i] = t_num, t_den2, quot, min(t * 1.3, 2.0)
+                    moved.append(i)
+                    rose.append(t)
+                    at.append(k)
+                    break
+                step[i] = t * 0.5
+                if step[i] < 1e-10:
+                    left[i] = 0
+                    break
+        if moved:
+            c[moved] += np.reshape(rose, col) * d[moved]
+            u[moved] = trial[at]
+        live = [i for i in live if left[i] > 0]
+        moved = [i for i in moved if left[i] > 0]
+    best = np.float64(max([0.0] + val))  # a nan quotient never rises above 0; C^2 may be inf
     if not best**2 > 0.0:
         raise DomainError(f"|u|^q underflows on every start of the Sobolev ascent at q = {q:.6g}")
     return SobolevEstimate(C_sharp=float(best), m0=float(1.0 / (2.0 * best**2)))
+
+
+def _q_sums(U: np.ndarray, q: float) -> list:
+    """sum |u|^q over each row u of the batch U, as floats."""
+    return np.sum(np.abs(U.reshape(len(U), -1)) ** q, axis=1).tolist()
 
 
 def check_mass_list(m_list, m0: Optional[float]):
@@ -157,7 +216,11 @@ def sweep_m(
     m0: Optional[float] = None,
 ):
     """Linking solves down a decreasing mass list: minimax_search at the first mass and
-    after a failed one, else linking.polish, with no ceiling, from the last point.
+    after a failed one, else linking.polish, with no ceiling, from a predicted point.
+    Where the two previous masses m0 > m1 converged to U0 and U1, the prediction
+    at m is the secant U1 + (m - m1)/(m1 - m0) (U1 - U0) (Allgower & Georg,
+    Introduction to Numerical Continuation Methods, ch. 2); at the second mass
+    and after a failed one it is the last solution U1.
     A failed mass is recorded as "Failed: <status> at m=<m>", NoNontrivialSolution
     for a warm point polish rejects, or "Failed: <class>: <message>" of an error."""
     m_list = list(m_list)
@@ -165,15 +228,19 @@ def sweep_m(
 
     ref_params = FracParams(p_base.s, 1.0)
     records = []
-    warm = None  # the evaluation point of the last converged mass
+    branch = []  # (m, U) of the converged masses since the last failed one, at most two
     for m in m_list:
         p = FracParams(p_base.s, m)
         try:
-            if warm is None:
+            if not branch:
                 st = linking.minimax_search(grid, p, spec, cfg)
                 pt, status = st.point, st.status
-            else:  # warm-started from the last point
-                pt = linking.polish(Discretization(grid, p, spec).at(warm.U), cfg.ps_tol)
+            else:
+                U = branch[-1][1]
+                if len(branch) == 2:
+                    (m_a, U_a), (m_b, U_b) = branch
+                    U = U_b + ((m - m_b) / (m_b - m_a)) * (U_b - U_a)
+                pt = linking.polish(Discretization(grid, p, spec).at(U), cfg.ps_tol)
                 status = "NoNontrivialSolution" if pt is None else "Converged"
             if status == "Converged":
                 sol = Spectrum(grid, pt.U)
@@ -191,7 +258,7 @@ def sweep_m(
         except FractorusError as ex:
             rec = ContinuationRecord(m=m, status=f"Failed: {type(ex).__name__}: {ex}")
         records.append(rec)
-        warm = pt if rec.solution is not None else None
+        branch = (branch + [(m, pt.U)])[-2:] if rec.solution is not None else []
     return records
 
 

@@ -383,6 +383,7 @@ def _search(grid: TorusGrid, p: FracParams, spec: NonlinearitySpec, cfg: Linking
 # Newton polishing
 
 FORCING_MAX = 1e-2  # cap of the inexact-Newton forcing term eta = min(FORCING_MAX, |R|_*)
+FORCING_FLOOR = 0.1  # a Newton step's MINRES target is at least this fraction of the tolerance
 KRYLOV_MAX_ITERS = 200  # MINRES stops after min(grid.size, this) iterations
 TINY = np.finfo(float).tiny  # the floor of a MINRES rotation's norm
 
@@ -424,15 +425,18 @@ def _minres(apply, precondition, b: np.ndarray, tol: float, max_iters: int) -> n
     return x
 
 
-def _newton_step(pt: Point) -> np.ndarray:
+def _newton_step(pt: Point, tol: float = 0.0) -> np.ndarray:
     """Inexact Newton step on the band at the point pt: MINRES on J s = -R, J
     = pt.linearization and R = pt.grad, preconditioned by the inverse full
-    multiplier, to the dual residual |J s + R|_* <= eta |R|_* with eta =
-    min(FORCING_MAX, |R|_*) and |R|_* = pt.gnorm."""
+    multiplier, to the dual residual |J s + R|_* <= max(eta |R|_*,
+    FORCING_FLOOR tol) with eta = min(FORCING_MAX, |R|_*) and |R|_* =
+    pt.gnorm.  tol is the tolerance of the polish, 0 for the forcing term
+    alone: a step from |R|_* near tol needs no residual far below it
+    (Eisenstat & Walker, SIAM J. Sci. Comput. 17 (1996) 16-32)."""
     disc, rnorm = pt.disc, float(pt.gnorm)
     eta = min(FORCING_MAX, rnorm)
     return _minres(lambda w: pt.linearization(disc.at(w)), disc.precondition, -pt.grad,
-                   eta * rnorm, min(disc.grid.size, KRYLOV_MAX_ITERS))
+                   max(eta * rnorm, FORCING_FLOOR * tol), min(disc.grid.size, KRYLOV_MAX_ITERS))
 
 
 def newton_refine(
@@ -462,7 +466,7 @@ def refine_point(pt: Point, tol: float, max_iters: int = 60) -> Point:
     for _ in range(max_iters):
         if pt.gnorm < tol:
             return pt
-        step = _newton_step(pt)
+        step = _newton_step(pt, tol)
         if pt.disc.params.m == 0.0:
             step[(0,) * pt.disc.grid.N] = 0.0
         line = Point.stack(pt, pt.disc.at(step))  # U + lam step combines their samples

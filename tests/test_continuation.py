@@ -77,20 +77,20 @@ def test_sobolev_monotone_under_refinement():
 def test_sobolev_ascent_evaluates_each_iterate_once(monkeypatch):
     # an accepted trial's samples and an unmoved iterate's direction are
     # reused, so no sample or transform is ever asked for the same input twice;
-    # every row of a batched pad counts as one sample
-    seen = {"pad": [], "forward": []}
-    pad, forward = continuation.pad_coeffs, continuation.forward_transform
+    # every row of a batched pad or transform counts as one input
+    seen = {"pad": [], "restrict": []}
+    pad, restrict = continuation.pad_coeffs, continuation.restrict_values
 
     def pad_once(coeffs, grid, m):
         seen["pad"] += [row.tobytes() for row in coeffs.reshape((-1,) + grid.shape)]
         return pad(coeffs, grid, m)
 
-    def forward_once(f):
-        seen["forward"].append(f.values.tobytes())
-        return forward(f)
+    def restrict_once(values, grid):
+        seen["restrict"] += [row.tobytes() for row in values.reshape((-1,) + grid.shape)]
+        return restrict(values, grid)
 
     monkeypatch.setattr(continuation, "pad_coeffs", pad_once)
-    monkeypatch.setattr(continuation, "forward_transform", forward_once)
+    monkeypatch.setattr(continuation, "restrict_values", restrict_once)
     continuation.estimate_sobolev_constant(
         TorusGrid(1, 2 * np.pi, 64), FracParams(0.5, 1.0), rng=np.random.default_rng(9)
     )
@@ -168,30 +168,146 @@ def test_sobolev_ascent_matches_the_sequential_loop_under_a_small_budget(monkeyp
                                         trials)
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _one_start_at_a_time(grid, p, rng):
+    """The reference for the lockstep ascent: its starts run one after
+    another, one trial at a time, each drawn by random_spectrum and each
+    direction taken by forward_transform."""
+    q = p.critical_exponent(grid.N)
+    if not np.isfinite(q):
+        q = 16.0
+    wts = multiplier(grid, FracParams(p.s, 0.0))
+    vol, zero = grid.cell_volume, (0,) * grid.N
+
+    def lq(u):
+        sq = np.sum(np.abs(u) ** q)
+        if not (np.isfinite(sq) or np.all(np.isfinite(u))):
+            raise DomainError("field values must be finite")
+        return float((sq * vol) ** (1.0 / q))
+
+    best = 0.0
+    for _ in range(continuation.SOBOLEV_STARTS):
+        c = random_spectrum(grid, rng, decay=0.3, zero_mean=True).coeffs.copy()
+        u = pad_coeffs(c, grid, grid.n)
+        num, den2 = lq(u), np.vdot(c, wts * c).real
+        val, step, d = num / np.sqrt(den2), 0.5, None
+        for _ in range(continuation.SOBOLEV_TRIALS):
+            if d is None:
+                g_u = np.abs(u) ** (q - 1.0) * np.sign(u)
+                if not np.all(np.isfinite(g_u)):
+                    break
+                g_num = forward_transform(Field(grid, g_u)).coeffs
+                try:
+                    d = g_num * (num ** (1.0 - q)) - (wts * c) / den2
+                except (OverflowError, ZeroDivisionError):
+                    break
+                d[zero] = 0.0
+                u_d = pad_coeffs(d, grid, grid.n)
+                cross, dd = 2.0 * np.vdot(c, wts * d).real, np.vdot(d, wts * d).real
+            trial = u + step * u_d
+            t_num, t_den2 = lq(trial), den2 + step * cross + step**2 * dd
+            quot = t_num / np.sqrt(t_den2)
+            if val < quot < np.inf:
+                c, u, num, den2, val, d = c + step * d, trial, t_num, t_den2, quot, None
+                step = min(step * 1.3, 2.0)
+            else:
+                step *= 0.5
+                if step < 1e-10:
+                    break
+        best = max(best, val)
+    if not best**2 > 0.0:
+        raise DomainError(f"|u|^q underflows on every start of the Sobolev ascent at q = {q:.6g}")
+    return continuation.SobolevEstimate(C_sharp=float(best), m0=float(1.0 / (2.0 * best**2)))
+
+
+def _ascent_outcome(estimate, grid, p, seed):
+    """float.hex of C_sharp and m0, or the DomainError message."""
+    try:
+        est = estimate(grid, p, np.random.default_rng(seed))
+    except DomainError as ex:
+        return str(ex)
+    return est.C_sharp.hex(), est.m0.hex()
+
+
+def _assert_bit_for_bit(grid, p, seed):
+    assert (_ascent_outcome(continuation.estimate_sobolev_constant, grid, p, seed)
+            == _ascent_outcome(_one_start_at_a_time, grid, p, seed))
+
+
+@pytest.mark.parametrize("T", [2 * np.pi, 1.0, 7.3], ids=["2pi", "1", "7.3"])
+@pytest.mark.parametrize("N, s", [(N, s) for N in (1, 2, 3) for s in (0.25, 0.5, 0.99)
+                                  if N >= 2 * s])
+def test_lockstep_ascent_is_the_one_start_at_a_time_loop_bit_for_bit(N, s, T):
+    # the grids of _ASCENT_GRIDS sample by matrix products (grids._dense),
+    # those of 1-D n=256, 2-D n=12 and 3-D n=6 by FFTs; bit for bit rests on
+    # numpy's batched products, FFTs and sums matching one row at a time
+    p = FracParams(s, 1.0)
+    for n, seeds in ((_ASCENT_GRIDS[N], 3), ({1: 256, 2: 12, 3: 6}[N], 1)):
+        for seed in range(seeds):
+            _assert_bit_for_bit(TorusGrid(N, T, n), p, seed)
+
+
+@pytest.mark.parametrize("name, value", [("SOBOLEV_TRIALS", 2), ("SOBOLEV_TRIALS", 4),
+                                         ("SOBOLEV_STARTS", 3)])
+def test_lockstep_ascent_is_bit_for_bit_at_other_budgets(monkeypatch, name, value):
+    monkeypatch.setattr(continuation, name, value)
+    for seed in range(3):
+        _assert_bit_for_bit(TorusGrid(1, 2 * np.pi, 32), FracParams(0.5, 1.0), seed)
+
+
+@pytest.mark.parametrize("N, T, n, s, seed", [
+    pytest.param(2, 2 * np.pi, 8, 0.999999999, 26, id="frac.s-near-1-sweep-ascent-overflow"),
+    pytest.param(2, 100.0, 16, 0.999999, 88, id="frac.s-near-1-sweep-ascent-underflow"),
+    pytest.param(1, 1e-30, 16, 0.5, 7, id="sweep-T-tiny"),
+    pytest.param(2, 1e-150, 8, 0.99, 7, id="sweep-ascent-direction-overflow"),
+    pytest.param(2, 1e-150, 4, 0.99, 7, id="sweep-ascent-norm-underflow"),
+])
+def test_lockstep_ascent_is_bit_for_bit_on_the_clis_extreme_sweeps(N, T, n, s, seed):
+    # the configs of test_cli's extreme sweep rows that reach the ascent
+    _assert_bit_for_bit(TorusGrid(N, T, n), FracParams(s, 1.0), seed)
+
+
+def test_lockstep_ascent_holds_a_round_to_its_float_bound(monkeypatch):
+    # on 3-D n=8 one trial of each of the 10 starts is 5,120 samples, within
+    # the bound of 8,192; as starts end, the others take more trials a round
+    grid, sums, rows = TorusGrid(3, 2 * np.pi, 8), continuation._q_sums, []
+
+    def counted(U, q):
+        rows.append(len(U))
+        return sums(U, q)
+
+    monkeypatch.setattr(continuation, "_q_sums", counted)
+    continuation.estimate_sobolev_constant(grid, FracParams(0.75, 1.0),
+                                           rng=np.random.default_rng(3))
+    assert rows[0] == continuation.SOBOLEV_STARTS  # the starts' own samples
+    assert max(rows) * grid.size <= continuation.SOBOLEV_ROUND_FLOATS
+    assert max(rows) * grid.size > continuation.SOBOLEV_ROUND_FLOATS // 2
+
+
 def test_sobolev_non_finite_direction_raises_at_its_first_trial(monkeypatch):
     # the samples of a direction enter every trial along it, so non-finite
     # ones raise as Field does at the first trial, before any other sample
     # or transform
     grid, p = TorusGrid(1, 2 * np.pi, 64), FracParams(0.5, 1.0)
-    pad, forward = continuation.pad_coeffs, continuation.forward_transform
+    pad, restrict = continuation.pad_coeffs, continuation.restrict_values
     calls = []
 
     def poisoned(coeffs, g, m):
         calls.append("pad")
         out = pad(coeffs, g, m)
-        if calls.count("pad") == 3:  # the second direction of the first start
-            out[5] = np.nan
+        if calls.count("pad") == 3:  # the directions of the starts that rose in round one
+            out[0, 5] = np.nan
         return out
 
-    def counted(f):
-        calls.append("forward")
-        return forward(f)
+    def counted(values, g):
+        calls.append("restrict")
+        return restrict(values, g)
 
     monkeypatch.setattr(continuation, "pad_coeffs", poisoned)
-    monkeypatch.setattr(continuation, "forward_transform", counted)
+    monkeypatch.setattr(continuation, "restrict_values", counted)
     with pytest.raises(DomainError, match="field values must be finite"):
         continuation.estimate_sobolev_constant(grid, p, rng=np.random.default_rng(2))
-    assert calls == ["pad", "forward", "pad", "forward", "pad"]
+    assert calls == ["restrict", "pad"] * 3
 
 
 def test_sweep_records(sweep_records):
@@ -239,6 +355,43 @@ def test_sweep_trivial_warm_point_fails_its_mass(sweep_setup, monkeypatch):
     recs = continuation.sweep_m([0.5, 0.1], p, spec, cfg, grid)
     assert recs[1].solution is None
     assert recs[1].status == "Failed: NoNontrivialSolution at m=0.1"
+
+
+def _polish_starts(monkeypatch, fail_at=None):
+    """Record the start point of every warm polish, the one with no ceiling,
+    by its mass; the polish at the mass fail_at is rejected."""
+    polish, starts = linking.polish, {}
+
+    def recorded(pt, tol, ceiling=np.inf):
+        if ceiling < np.inf:  # the search's own polish
+            return polish(pt, tol, ceiling)
+        starts[pt.disc.params.m] = pt.U.copy()
+        return None if pt.disc.params.m == fail_at else polish(pt, tol, ceiling)
+
+    monkeypatch.setattr(linking, "polish", recorded)
+    return starts
+
+
+def test_sweep_predicts_the_third_mass_by_the_secant(sweep_setup, monkeypatch):
+    grid, p, spec, cfg = sweep_setup
+    starts = _polish_starts(monkeypatch)
+    recs = continuation.sweep_m([0.5, 0.1, 0.02], p, spec, cfg, grid)
+    assert [r.status for r in recs] == ["Converged"] * 3
+    U0, U1 = recs[0].solution.coeffs, recs[1].solution.coeffs
+    assert np.array_equal(starts[0.1], U0)  # the second mass: the last solution
+    assert np.array_equal(starts[0.02], U1 + ((0.02 - 0.1) / (0.1 - 0.5)) * (U1 - U0))
+
+
+def test_sweep_after_a_failed_mass_starts_from_the_last_solution(sweep_setup, monkeypatch):
+    # the mass after the failed one is searched from scratch, so the one
+    # after that has a single converged mass to start from
+    grid, p, spec, cfg = sweep_setup
+    starts = _polish_starts(monkeypatch, fail_at=0.02)
+    recs = continuation.sweep_m([0.5, 0.1, 0.02, 0.004, 0.001], p, spec, cfg, grid)
+    assert [r.status for r in recs] == ["Converged"] * 2 + [
+        "Failed: NoNontrivialSolution at m=0.02"] + ["Converged"] * 2
+    assert 0.004 not in starts
+    assert np.array_equal(starts[0.001], recs[3].solution.coeffs)
 
 
 def test_sweep_and_limit_compute_each_ridge_once(sweep_setup, monkeypatch):

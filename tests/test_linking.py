@@ -554,9 +554,9 @@ def test_newton_stops_at_first_failed_line_search(monkeypatch):
     u0 = Spectrum(g, u0.coeffs * (0.5 + 2.0 * rng.random()))
     calls, newton_step = [], linking._newton_step
 
-    def recorded(pt):
+    def recorded(pt, tol):
         calls.append((pt.U.copy(), pt.gnorm))
-        return newton_step(pt)
+        return newton_step(pt, tol)
 
     monkeypatch.setattr(linking, "_newton_step", recorded)
     with pytest.raises(DivergedRefinement, match="stalled"):
@@ -822,9 +822,9 @@ def test_peak_stays_at_positive_r():
 def test_refine_point_backtracks(monkeypatch, polish_start, scale, match):
     newton_step, calls = linking._newton_step, []
 
-    def scaled(pt):
+    def scaled(pt, tol):
         calls.append(pt)
-        return scale * newton_step(pt)
+        return scale * newton_step(pt, tol)
 
     monkeypatch.setattr(linking, "_newton_step", scaled)
     if match:
@@ -839,8 +839,27 @@ def test_polish_aims_at_a_tenth_of_the_tolerance(monkeypatch, polish_start):
     # half Newton steps halve the residual: the polish stops within a factor
     # of 2 of the tolerance it aims at, 1e-9 for a stopping tolerance 1e-8
     newton_step = linking._newton_step
-    monkeypatch.setattr(linking, "_newton_step", lambda pt: 0.5 * newton_step(pt))
+    monkeypatch.setattr(linking, "_newton_step", lambda pt, tol: 0.5 * newton_step(pt, tol))
     assert linking.polish(polish_start, 1e-8).gnorm < 1e-9
+
+
+def test_the_last_newton_step_aims_at_a_tenth_of_the_tolerance(monkeypatch, polish_start):
+    # the last step of a polish to 1e-9 starts from |R|_* = 3.3e-8, where the
+    # forcing term asks for |R|_*^2 = 1.1e-15: MINRES stops at the floor
+    # 0.1 tol = 1e-10 instead, at a residual of 3.1e-11
+    minres, seen = linking._minres, []
+
+    def recorded(apply, precondition, b, tol, max_iters):
+        x = minres(apply, precondition, b, tol, max_iters)
+        r = b - apply(x)
+        seen.append((tol, float(np.sqrt(np.vdot(r, precondition(r)).real))))
+        return x
+
+    monkeypatch.setattr(linking, "_minres", recorded)
+    assert linking.refine_point(polish_start, 1e-9).gnorm < 1e-9
+    target, reached = seen[-1]
+    assert target == pytest.approx(1e-10, rel=1e-12)
+    assert 1e-11 < reached <= target
 
 
 def test_a_peak_below_the_ridge_level_ends_the_search(monkeypatch, grid64, params_half, cubic):
